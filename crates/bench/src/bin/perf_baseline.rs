@@ -1,19 +1,18 @@
 //! **perf_baseline** — the committed performance trajectory of the
 //! simulator hot path.
 //!
-//! Times fifteen fixed scenarios that together cover every layer the
+//! Times eleven fixed scenarios that together cover every layer the
 //! experiments exercise — end-to-end rendezvous runs under two adversaries,
 //! raw trajectory-cursor streaming, the memoized symmetry-quotiented
-//! minimax search (shallow reference depths, the depth-14 headline the
-//! plain enumeration cannot reach, and a worker-count scaling sweep at
-//! 1/2/4/8), a protocol-mode SGL run with search-style snapshot
-//! checkpoints, the detector-on divergent matrix slice (the 18
-//! rendezvous cells the divergence detector retires early), the
-//! certified large-order SGL quiescence headline (`sgl_quiesce/ring16`),
-//! and the ABBA-interleaved stalled-slice pair that prices the adaptive
-//! stall detector's per-step cadence on a fixed 2M-traversal prefix —
-//! with warmup and repeated trials,
-//! and writes the median ns/op per scenario as JSON (default
+//! minimax search (shallow reference depths and the depth-14 headline the
+//! plain enumeration cannot reach), a protocol-mode SGL run with
+//! search-style snapshot checkpoints, the detector-on divergent matrix
+//! slice (the 18 rendezvous cells the divergence detector retires
+//! early), the certified large-order SGL quiescence headline
+//! (`sgl_quiesce/ring16`), and the ABBA-interleaved stalled-slice pair
+//! that prices the adaptive stall detector's per-step cadence on a fixed
+//! 2M-traversal prefix — with warmup and repeated trials, and writes the
+//! median ns/op per scenario as JSON (default
 //! `BENCH_baseline.json`, the repo-root perf baseline future PRs are
 //! compared against).
 //!
@@ -39,17 +38,13 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// The scenarios a baseline file must cover, in reporting order.
-pub const SCENARIOS: [&str; 15] = [
+pub const SCENARIOS: [&str; 11] = [
     "f1_rendezvous/ring12/greedy-avoid",
     "f1_rendezvous/ring12/lazy-second",
     "cursor_stream/gnp16/B8",
     "minimax/path3/depth10",
     "minimax/ring4/depth8",
     "minimax/ring4/depth14",
-    "minimax_scaling/w1",
-    "minimax_scaling/w2",
-    "minimax_scaling/w4",
-    "minimax_scaling/w8",
     "sgl/ring8/k3",
     "matrix_slice/diverge18",
     "sgl_quiesce/ring16",
@@ -103,7 +98,6 @@ fn main() {
         minimax_ring_scenario(trials),
         minimax_deep_scenario(trials),
     ];
-    records.extend(minimax_scaling_scenarios(trials));
     records.push(sgl_protocol_scenario(trials));
     records.push(matrix_slice_scenario(trials));
     records.push(sgl_quiesce_scenario(trials));
@@ -214,9 +208,8 @@ fn minimax_scenario(trials: usize) -> Record {
 }
 
 /// Memoized worst-case search on ring(4), horizon 8 — a wider schedule
-/// tree than `path3` (both agents stay mobile on a cycle), so the search's
-/// depth-≥2 frontier split carries real work on every branch, quotiented
-/// by the ring's full dihedral group. Golden leaf count 196.
+/// tree than `path3` (both agents stay mobile on a cycle), quotiented by
+/// the ring's full dihedral group. Golden leaf count 196.
 fn minimax_ring_scenario(trials: usize) -> Record {
     let uxs = SeededUxs::quadratic();
     let g = rv_graph::generators::ring(4);
@@ -252,36 +245,6 @@ fn minimax_deep_scenario(trials: usize) -> Record {
     })
 }
 
-/// The multi-core scaling sweep: the same memoized ring(4)/depth-12
-/// search at fixed worker counts 1, 2, 4 and 8, each reported as its own
-/// scenario so the baseline records an actual scaling curve instead of
-/// one auto-sized number. On a single-core host the curve is flat to
-/// slightly worse — oversubscribed workers add steal and shard-lock
-/// traffic without adding cores — and the baseline records that honestly;
-/// the bit-identity contract (golden leaf count 2836 at every width) is
-/// asserted inside the timed body.
-fn minimax_scaling_scenarios(trials: usize) -> Vec<Record> {
-    let uxs = SeededUxs::quadratic();
-    let g = rv_graph::generators::ring(4);
-    let autos = GraphFamily::Ring.automorphisms(&g);
-    [1usize, 2, 4, 8]
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| {
-            let opts = SearchOptions {
-                workers: Some(w),
-                automorphisms: Some(&autos),
-                ..SearchOptions::default()
-            };
-            measure(SCENARIOS[6 + i], "search", trials, 1, 1, || {
-                let report = search_worst_case(&g, || minimax_agents(&g, uxs), 12, &opts);
-                assert_eq!(report.worst.schedules_explored, 2836, "golden leaf count");
-                std::hint::black_box(report.worst.schedules_explored);
-            })
-        })
-        .collect()
-}
-
 /// Protocol-mode SGL gossip on ring(8) with k = 3 agents under the fair
 /// scheduler, checkpointing with [`Runtime::snapshot`] every 32 adversary
 /// actions — the cadence a search over protocol schedules would use. The
@@ -297,7 +260,7 @@ fn sgl_protocol_scenario(trials: usize) -> Record {
     let uxs = SeededUxs::quadratic();
     let g = GraphFamily::Ring.generate(8, 5);
     let labels: [u64; 3] = [6, 9, 14];
-    measure(SCENARIOS[10], "run", trials, 5, 1, || {
+    measure(SCENARIOS[6], "run", trials, 5, 1, || {
         let agents: Vec<_> = labels
             .iter()
             .enumerate()
@@ -368,7 +331,7 @@ fn matrix_slice_scenario(trials: usize) -> Record {
         .iter()
         .map(|&(fam, n, _)| fam.generate(n, 5))
         .collect();
-    measure(SCENARIOS[11], "run", trials, 2, 18, || {
+    measure(SCENARIOS[7], "run", trials, 2, 18, || {
         for (i, &(_, _, kind)) in slice.iter().enumerate() {
             let g = &graphs[i];
             let agents = vec![
@@ -406,7 +369,7 @@ fn sgl_quiesce_scenario(trials: usize) -> Record {
     let uxs = SeededUxs::quadratic();
     let g = GraphFamily::Ring.generate(16, 5);
     let labels: [u64; 2] = [6, 9];
-    measure(SCENARIOS[12], "run", trials, 1, 1, || {
+    measure(SCENARIOS[8], "run", trials, 1, 1, || {
         let agents: Vec<_> = labels
             .iter()
             .enumerate()
@@ -504,22 +467,22 @@ fn sgl_stalled_slice_scenarios(trials: usize) -> Vec<Record> {
     let (m_off, m_on) = (median(off), median(on));
     println!(
         "{}: median {m_off:.2} ns/run ({trials} trials x 1 ops)",
-        SCENARIOS[13]
+        SCENARIOS[9]
     );
     println!(
         "{}: median {m_on:.2} ns/run ({trials} trials x 1 ops)",
-        SCENARIOS[14]
+        SCENARIOS[10]
     );
     vec![
         Record {
-            scenario: SCENARIOS[13].to_string(),
+            scenario: SCENARIOS[9].to_string(),
             median_ns_per_op: m_off,
             trials,
             ops_per_trial: 1,
             unit: "run".to_string(),
         },
         Record {
-            scenario: SCENARIOS[14].to_string(),
+            scenario: SCENARIOS[10].to_string(),
             median_ns_per_op: m_on,
             trials,
             ops_per_trial: 1,

@@ -140,8 +140,8 @@ struct Row {
     /// Timed trials.
     trials: usize,
     /// Transposition-table hits of the memoized search; `null` off the
-    /// minimax rows. Sequential (one-worker) counts, so the column is
-    /// deterministic and survives the `--diff` chaos gate.
+    /// minimax rows. Deterministic, so the column survives the `--diff`
+    /// chaos gate.
     tt_hits: Option<u64>,
     /// Transposition-table entries published by the memoized search;
     /// `null` off the minimax rows.
@@ -646,13 +646,8 @@ fn run_cell(spec: &CellSpec, trials: usize, cutoff: u64) -> Row {
             CellKind::Minimax { depth } => {
                 let autos = spec.family.automorphisms(&g);
                 let opts = rv_sim::SearchOptions {
-                    // One worker: the search result is worker-count-
-                    // independent, but the table statistics are only
-                    // deterministic sequentially — and the `--diff`
-                    // chaos gate compares every non-timing column.
-                    workers: Some(1),
-                    memo: true,
                     automorphisms: Some(&autos),
+                    ..rv_sim::SearchOptions::default()
                 };
                 let start = Instant::now();
                 let report = rv_sim::search_worst_case(

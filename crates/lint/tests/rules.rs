@@ -83,16 +83,6 @@ fn api_meetinglog_to_vec_fixture() {
 }
 
 #[test]
-fn api_lock_across_dispatch_fixture() {
-    assert_fixture_triggers("api_lock_across_dispatch.rs", "api-lock-across-dispatch", 1);
-}
-
-#[test]
-fn api_memo_reserve_publish_fixture() {
-    assert_fixture_triggers("api_memo_reserve_publish.rs", "api-memo-reserve-publish", 1);
-}
-
-#[test]
 fn api_atomic_output_write_fixture() {
     assert_fixture_triggers("api_atomic_output_write.rs", "api-atomic-output-write", 2);
 }

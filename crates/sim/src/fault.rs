@@ -103,10 +103,9 @@ pub struct FaultProfile {
 }
 
 /// SplitMix64 finalizer over a (seed, stream, index) triple — the pure
-/// hash behind [`FaultPlan::seeded`] (and the minimax panic injector's
-/// fire decision). No state, no clock: the i-th event of a plan is a
-/// function of its coordinates alone.
-pub(crate) fn mix(seed: u64, stream: u64, index: u64) -> u64 {
+/// hash behind [`FaultPlan::seeded`]. No state, no clock: the i-th event
+/// of a plan is a function of its coordinates alone.
+fn mix(seed: u64, stream: u64, index: u64) -> u64 {
     let mut z = seed
         .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .wrapping_add(index.wrapping_mul(0xD1B5_4A32_D192_ED03));

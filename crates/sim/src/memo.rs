@@ -37,23 +37,18 @@
 //! are the right quotient once behavior futures are resolved to node
 //! sequences.
 //!
-//! # Reservation protocol
+//! # Single-owner table
 //!
-//! [`MemoTable::probe_or_reserve`] returns one of three verdicts: `Hit`
-//! (a finished value is stored), `Reserve` (the caller now owns the slot
-//! and **must** later [`MemoTable::publish`] a value or
-//! [`MemoTable::release`] the reservation), or `Busy` (another worker owns
-//! the slot; the caller computes the subtree itself *without publishing*,
-//! so no worker ever blocks on another). A reserved-but-unfilled entry is
-//! never reported as a hit — in particular a job retried across the
-//! `catch_unwind` boundary in `crate::minimax` releases its reservations
-//! first and so never observes its own half-done work.
+//! The search is sequential, so [`MemoTable`] is a plain owned map:
+//! [`MemoTable::get`] answers a lookup and [`MemoTable::insert`] stores a
+//! finished subtree value. A key is never looked up while its own subtree
+//! is still being searched: the key carries the residual depth, which
+//! strictly falls along every path, so no state can meet its own key
+//! below itself.
 
 use crate::behavior::Behavior;
 use crate::runtime::{Place, Runtime};
 use rv_graph::{Automorphisms, NodeId, PortId};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Memo key: canonical fingerprint plus residual search depth. Two states
 /// share a subtree value only when both components agree.
@@ -149,54 +144,30 @@ impl MemoValue {
     }
 }
 
-/// Verdict of [`MemoTable::probe_or_reserve`].
-pub(crate) enum Probe {
-    /// A finished value is stored; use it instead of searching.
-    Hit(MemoValue),
-    /// The caller now owns the slot and must `publish` or `release` it.
-    Reserve,
-    /// Another worker owns the slot; search without publishing.
-    Busy,
-}
+const BUCKETS: usize = 64;
 
-enum Entry {
-    Reserved,
-    Filled(MemoValue),
-}
-
-const SHARDS: usize = 64;
-
-/// One shard's storage: a flat unsorted vector scanned linearly. The
-/// shard index already consumes a mixed fingerprint, so entries spread
-/// near-uniformly and a shard holds a handful of entries even on the
-/// deepest searches the harness runs (depth-14 ring: 78 entries across 64
-/// shards) — at that occupancy a contiguous scan of 28-byte pairs beats
-/// any node- or probe-based structure, and layout is trivially
-/// deterministic (insertion order; never iterated).
-type Shard = Vec<(MemoKey, Entry)>;
-
-fn shard_find(shard: &Shard, key: MemoKey) -> Option<usize> {
-    shard.iter().position(|(k, _)| *k == key)
-}
-
-/// Deterministic sharded transposition table. Shard choice is a pure
-/// function of the fingerprint, so two workers probing the same state
-/// serialize on one shard while probes of unrelated states stay off each
-/// other's locks.
+/// Deterministic transposition table: 64 buckets, each a flat unsorted
+/// vector scanned linearly. The bucket index consumes a mixed
+/// fingerprint, so entries spread near-uniformly and a bucket holds a
+/// handful of entries even on the deepest searches the harness runs
+/// (depth-14 ring: 78 entries across 64 buckets) — at that occupancy a
+/// contiguous scan of small pairs beats any node- or probe-based
+/// structure, and layout is trivially deterministic (insertion order;
+/// never iterated).
 pub(crate) struct MemoTable {
-    shards: Vec<Mutex<Shard>>,
-    probes: AtomicU64,
-    hits: AtomicU64,
+    buckets: Vec<Vec<(MemoKey, MemoValue)>>,
+    probes: u64,
+    hits: u64,
 }
 
 /// Table instrumentation, surfaced through `crate::minimax::SearchReport`.
-/// Deterministic at one worker; at higher worker counts `probes`/`hits`
-/// depend on the steal interleaving (the *values* of the search never do).
+/// Deterministic: a search with the same options always reports the same
+/// counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Table lookups (both reserving and read-only).
+    /// Table lookups.
     pub probes: u64,
-    /// Lookups answered by a finished entry.
+    /// Lookups answered by a stored entry.
     pub hits: u64,
     /// Entries resident at the end of the search.
     pub entries: u64,
@@ -205,93 +176,43 @@ pub struct MemoStats {
 impl MemoTable {
     pub(crate) fn new() -> Self {
         MemoTable {
-            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            probes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
+            buckets: vec![Vec::new(); BUCKETS],
+            probes: 0,
+            hits: 0,
         }
     }
 
-    fn shard(&self, key: &MemoKey) -> &Mutex<Shard> {
+    fn bucket(key: &MemoKey) -> usize {
         let fp = key.0;
-        let h = mix64(fp as u64 ^ (fp >> 64) as u64);
-        &self.shards[h as usize & (SHARDS - 1)]
+        mix64(fp as u64 ^ (fp >> 64) as u64) as usize & (BUCKETS - 1)
     }
 
-    /// Looks `key` up; on a miss, reserves the slot for the caller.
-    pub(crate) fn probe_or_reserve(&self, key: MemoKey) -> Probe {
-        // ordering: Relaxed — stats counters only; never synchronizes data.
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(&key).lock().expect("memo shard poisoned");
-        match shard_find(&shard, key) {
-            None => {
-                shard.push((key, Entry::Reserved));
-                Probe::Reserve
-            }
-            Some(i) => match &shard[i].1 {
-                Entry::Reserved => Probe::Busy,
-                Entry::Filled(value) => {
-                    // ordering: Relaxed — stats counter only.
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Probe::Hit(*value)
-                }
-            },
-        }
+    /// The stored value of `key`, if any.
+    pub(crate) fn get(&mut self, key: MemoKey) -> Option<MemoValue> {
+        self.probes += 1;
+        let found = self.buckets[Self::bucket(&key)]
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v);
+        self.hits += found.is_some() as u64;
+        found
     }
 
-    /// Read-only lookup (no reservation) — the split path uses this so a
-    /// job that fans children out to the deques never owes a publish.
-    pub(crate) fn probe(&self, key: MemoKey) -> Option<MemoValue> {
-        // ordering: Relaxed — stats counters only; never synchronizes data.
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard(&key).lock().expect("memo shard poisoned");
-        match shard_find(&shard, key) {
-            Some(i) => match &shard[i].1 {
-                Entry::Filled(value) => {
-                    // ordering: Relaxed — stats counter only.
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(*value)
-                }
-                Entry::Reserved => None,
-            },
-            None => None,
-        }
-    }
-
-    /// Completes a reservation with the finished subtree value.
-    pub(crate) fn publish(&self, key: MemoKey, value: MemoValue) {
-        let mut shard = self.shard(&key).lock().expect("memo shard poisoned");
-        match shard_find(&shard, key) {
-            Some(i) => shard[i].1 = Entry::Filled(value),
-            None => shard.push((key, Entry::Filled(value))),
-        }
-    }
-
-    /// Abandons a reservation (panic-retry path): the slot reverts to
-    /// vacant so the retried job — or any other worker — can reserve it
-    /// afresh instead of seeing half-done work. Filled entries are left
-    /// alone. (`swap_remove` is safe: shard layout is never observed —
-    /// lookups are whole-key equality scans and stats only count lengths.)
-    pub(crate) fn release(&self, key: MemoKey) {
-        let mut shard = self.shard(&key).lock().expect("memo shard poisoned");
-        if let Some(i) = shard_find(&shard, key) {
-            if matches!(shard[i].1, Entry::Reserved) {
-                shard.swap_remove(i);
-            }
-        }
+    /// Stores the finished value of a subtree whose lookup missed.
+    pub(crate) fn insert(&mut self, key: MemoKey, value: MemoValue) {
+        let bucket = &mut self.buckets[Self::bucket(&key)];
+        debug_assert!(
+            bucket.iter().all(|(k, _)| *k != key),
+            "a key is inserted once, after its lookup missed"
+        );
+        bucket.push((key, value));
     }
 
     pub(crate) fn stats(&self) -> MemoStats {
-        let entries = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("memo shard poisoned").len() as u64)
-            .sum();
         MemoStats {
-            // ordering: Relaxed — reading stats counters after the fact.
-            probes: self.probes.load(Ordering::Relaxed),
-            // ordering: Relaxed — reading stats counters after the fact.
-            hits: self.hits.load(Ordering::Relaxed),
-            entries,
+            probes: self.probes,
+            hits: self.hits,
+            entries: self.buckets.iter().map(|b| b.len() as u64).sum(),
         }
     }
 }
@@ -311,7 +232,7 @@ struct AgentFuture {
 }
 
 /// Every agent's future arrival-node sequence, resolved **once per
-/// search** from the root state and shared read-only by all workers.
+/// search** from the root state and read by every fingerprint.
 ///
 /// This is sound because behaviors are deterministic port sequences — the
 /// adversary controls *timing*, never routing — and the only event that
@@ -319,7 +240,7 @@ struct AgentFuture {
 /// (meetings are leaves; no post-meeting state is ever fingerprinted).
 /// A crashed agent simply stops consuming its sequence. So agent `i`'s
 /// `k`-th arrival is the same node in every schedule, and one resolution
-/// at the root covers every state of every job.
+/// at the root covers every state of the search.
 pub(crate) struct FutureTable {
     agents: Vec<AgentFuture>,
     supported: bool,
@@ -418,9 +339,9 @@ struct Render {
     wend: usize,
 }
 
-/// Per-worker scratch for computing canonical fingerprints. All state
-/// lives in the shared [`FutureTable`]; this struct only owns reusable
-/// buffers, so each worker carries one and never allocates per probe.
+/// Scratch for computing canonical fingerprints. All state lives in the
+/// [`FutureTable`]; this struct only owns reusable buffers, so the search
+/// never allocates per probe.
 pub(crate) struct Fingerprinter {
     renders: Vec<Render>,
     best: Vec<u64>,
@@ -625,55 +546,21 @@ mod tests {
     use rv_graph::{generators, Graph};
 
     #[test]
-    fn probe_reserve_publish_roundtrip() {
-        let table = MemoTable::new();
+    fn get_insert_roundtrip() {
+        let mut table = MemoTable::new();
         let key = (42u128, 7u32);
-        assert!(matches!(table.probe_or_reserve(key), Probe::Reserve));
-        // A reserved-but-unfilled entry is Busy, never a Hit.
-        assert!(matches!(table.probe_or_reserve(key), Probe::Busy));
-        assert!(table.probe(key).is_none());
+        assert_eq!(table.get(key), None);
         let value = MemoValue {
             max_delta: Some(3),
             avoids: true,
             leaves: 11,
         };
-        // publish: completes the reservation taken four lines up.
-        table.publish(key, value);
-        match table.probe_or_reserve(key) {
-            Probe::Hit(v) => assert_eq!(v, value),
-            _ => panic!("published entry must hit"),
-        }
-        assert_eq!(table.probe(key), Some(value));
+        table.insert(key, value);
+        assert_eq!(table.get(key), Some(value));
+        // Same fingerprint, different residual depth: a different key.
+        assert_eq!(table.get((42, 6)), None);
         let stats = table.stats();
-        // Five lookups above count as probes (both probe_or_reserve and the
-        // read-only probe); only the post-publish pair scored hits.
-        assert_eq!(stats.probes, 5);
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn release_reverts_reservation_but_keeps_filled_entries() {
-        // The retry hazard: a panicked job must be able to release its
-        // reservations so its own retry does not see half-done work.
-        let table = MemoTable::new();
-        let key = (7u128, 2u32);
-        assert!(matches!(table.probe_or_reserve(key), Probe::Reserve));
-        // publish: not reached — this test abandons the reservation.
-        table.release(key);
-        // The slot is vacant again: the retry re-reserves it.
-        assert!(matches!(table.probe_or_reserve(key), Probe::Reserve));
-        let value = MemoValue {
-            max_delta: None,
-            avoids: true,
-            leaves: 1,
-        };
-        // publish: completes the second reservation.
-        table.publish(key, value);
-        // Releasing a filled entry is a no-op.
-        // publish: guard check — release must not evict the filled value.
-        table.release(key);
-        assert_eq!(table.probe(key), Some(value));
+        assert_eq!((stats.probes, stats.hits, stats.entries), (3, 1, 1));
     }
 
     #[test]
@@ -814,7 +701,7 @@ mod tests {
     #[test]
     fn fingerprint_is_anchor_independent() {
         // Future tables resolved at different depths must agree on a
-        // common descendant state: the table is shared across jobs.
+        // common descendant state: one table serves the whole search.
         let g = generators::ring(6);
         let autos = rv_graph::GraphFamily::Ring.automorphisms(&g);
         let mk = || {

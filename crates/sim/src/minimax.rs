@@ -7,116 +7,48 @@
 //! actions), so only usable for small instances; it is the calibration
 //! reference for experiment F5.
 //!
-//! # Replay-free search
+//! The search is one sequential depth-first walk with two branches: the
+//! memoized walk (apply/undo plus a transposition table) whenever the
+//! behaviors can preview their futures, and the plain enumeration
+//! otherwise. The plain enumeration is also what `memo: false` runs, and
+//! it is the oracle the memoized walk is tested bit-identical against.
+//!
+//! # Replay-free enumeration
 //!
 //! Since behaviors implement the [`Behavior::fork`] contract, the search
 //! never re-executes a schedule prefix. The agents are instantiated
-//! **once** (the factory is `FnOnce`); from then on every state the search
-//! needs again is captured as a [`Runtime::snapshot`] in O(state) and
-//! re-entered with [`Runtime::restore`] — entering a sibling branch costs
-//! one behavior fork instead of a full prefix replay, and the last sibling
-//! takes the snapshot by move ([`Runtime::restore_owned`]) and pays no
-//! fork at all. Interior nodes with a single legal action never snapshot.
-//!
-//! # Deep parallel splits over per-worker stealing deques
-//!
-//! Parallelism is a work-stealing frontier of forked runtime snapshots,
-//! not a per-root-choice fan-out: every frontier node is an independent
-//! job. Each worker owns a **deque** of jobs: it pushes and pops at the
-//! *hot* end (newest jobs — depth-first locality, warm snapshots), and an
-//! out-of-work worker **steals half** of a victim's deque from the *cold*
-//! end (the oldest, shallowest jobs — the biggest subtrees, so one steal
-//! buys the thief a long stretch of private work). There is no global
-//! queue to contend on: lock traffic is one uncontended lock per owner
-//! operation, and stealing only touches a victim when the thief is
-//! otherwise idle.
-//!
-//! **Expansion is itself job-driven**: a worker holding a shallow job
-//! (depth < 2, or an undersubscribed local deque below depth 6) *splits*
-//! it — applies each legal choice and pushes the children back as jobs —
-//! instead of searching it, so frontier seeding parallelises with the
-//! same pool instead of serialising on the caller thread. Deeper or
-//! sufficiently numerous jobs are searched depth-first in place. Each
-//! worker owns one [`Runtime`] (built via [`Runtime::from_snapshot`] from
-//! its first job) plus one choice/meeting buffer pair, reused across all
-//! its jobs.
-//!
-//! Termination is the pending-counter protocol: `pending` counts queued
-//! jobs plus in-flight splits (a split publishes its children *before*
-//! retiring, a search job retires at pop time), so empty deques plus
-//! `pending == 0` proves no job can ever appear again. Steals move jobs
-//! without touching the counter.
-//!
-//! The explored leaf set — and therefore every field of [`WorstCase`] —
-//! is bit-identical to the sequential enumeration regardless of worker
-//! count, steal order, steal size, or where the racy split-vs-search
-//! decision lands (splitting a subtree and searching it produce the same
-//! leaves; the aggregates are commutative).
+//! **once** (the factory is `FnOnce`); from then on every state the plain
+//! enumeration needs again is captured as a [`Runtime::snapshot`] in
+//! O(state) and re-entered with [`Runtime::restore`] — entering a sibling
+//! branch costs one behavior fork instead of a full prefix replay, and the
+//! last sibling takes the snapshot by move ([`Runtime::restore_owned`])
+//! and pays no fork at all. Interior nodes with a single legal action
+//! never snapshot.
 //!
 //! # Transposition table over canonical fingerprints
 //!
 //! The schedule tree is really a DAG — distinct prefixes reach identical
 //! states — and on symmetric families whole subtrees are automorphism
 //! images of each other. By default ([`SearchOptions::memo`]) the search
-//! consults a sharded transposition table keyed by the canonical state
+//! consults a transposition table keyed by the canonical state
 //! fingerprint of `crate::memo`: a hit substitutes the memoized subtree
-//! value (kept bit-identical to enumeration, including the leaf count), a
-//! miss reserves the slot so two workers never both search the same
-//! subtree, and a `Busy` verdict (another worker owns the slot) searches
-//! without publishing so nobody ever blocks. Memoized values are stored
-//! relative to the subtree root's traversal total, which is what lets one
-//! entry serve every equivalent state wherever it appears in the tree.
-//! Jobs retried across the panic boundary release their reservations
-//! first (`// recovery:` below), so a retry never sees its own half-done
-//! work. Behaviors that cannot preview their future
+//! value (kept bit-identical to enumeration, including the leaf count),
+//! and a miss searches the subtree and inserts its value. Memoized values
+//! are stored relative to the subtree root's traversal total, which is
+//! what lets one entry serve every equivalent state wherever it appears
+//! in the tree. Behaviors that cannot preview their future
 //! ([`Behavior::future_ports`]) silently degrade the search to the plain
 //! enumeration. Quotienting by a real symmetry group is opt-in via
 //! [`SearchOptions::automorphisms`] — pass
 //! `GraphFamily::automorphisms(&g)` to fold automorphic states together.
+//!
+//! A panic inside the search (a behavior bug, say) reaches the caller
+//! directly: the walk is deterministic, so retrying it would panic again.
 
 use crate::behavior::Behavior;
-use crate::memo::{Fingerprinter, FutureTable, MemoKey, MemoStats, MemoTable, MemoValue, Probe};
+use crate::memo::{Fingerprinter, FutureTable, MemoStats, MemoTable, MemoValue};
 use crate::runtime::{ChoiceInfo, RunConfig, Runtime, RuntimeSnapshot};
 use rv_graph::{Automorphisms, Graph};
-use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Bounded re-dispatch: a job whose execution panics is retried at most
-/// this many times (attempts total) before the panic is propagated as
-/// terminal. Transient failures (the fault-injection harness, an OS-level
-/// hiccup) are absorbed; a deterministic bug still surfaces after the
-/// retries burn through.
-const MAX_JOB_RETRIES: usize = 3;
-
-/// Deterministic worker-panic injection for the robustness tests: job
-/// execution attempt `(seq, attempt)` panics iff a pure hash of
-/// `(seed, seq, attempt)` lands under `per_1024` — no clocks, no RNG
-/// state, so a plan names the same set of doomed attempts on every
-/// machine. With `attempts < MAX_JOB_RETRIES` every job eventually
-/// succeeds and the search result must be bit-identical to an uninjected
-/// run; with `attempts >= MAX_JOB_RETRIES` some job fails terminally and
-/// the search propagates the panic.
-#[derive(Clone, Copy, Debug)]
-pub struct PanicPlan {
-    /// Seed of the pure fire-decision hash.
-    pub seed: u64,
-    /// Fire probability numerator per attempt, out of 1024 (1024 = every
-    /// attempt fires).
-    pub per_1024: u32,
-    /// Attempts `0..attempts` of a doomed job fire; later retries run
-    /// clean. Keep below `MAX_JOB_RETRIES` (3) for a survivable plan.
-    pub attempts: u32,
-}
-
-impl PanicPlan {
-    /// Whether execution attempt `attempt` of job `seq` is doomed.
-    fn fires(&self, seq: u64, attempt: usize) -> bool {
-        (attempt as u32) < self.attempts
-            && crate::fault::mix(self.seed, seq, attempt as u64) % 1024 < self.per_1024 as u64
-    }
-}
 
 /// Result of an exhaustive search.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -149,15 +81,6 @@ impl WorstCase {
         self.some_schedule_avoids = true;
     }
 
-    fn merge(&mut self, other: WorstCase) {
-        self.max_meeting_cost = match (self.max_meeting_cost, other.max_meeting_cost) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        self.some_schedule_avoids |= other.some_schedule_avoids;
-        self.schedules_explored += other.schedules_explored;
-    }
-
     /// Folds a root-relative memoized subtree value in; `base` is the
     /// total traversal count at the subtree root. `max`/`sum`/`or` all
     /// commute with the constant offset, so this reconstructs exactly the
@@ -173,11 +96,11 @@ impl WorstCase {
 }
 
 /// Knobs for [`search_worst_case`]. `Default` is the production
-/// configuration: auto-sized worker pool, transposition table on, identity
-/// symmetry group.
+/// configuration: transposition table on, identity symmetry group.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchOptions<'a> {
-    /// Worker-pool size; `None` sizes to [`std::thread::available_parallelism`].
+    /// Ignored: the search is sequential. Kept so existing struct literals
+    /// keep compiling; `Default` sets `Some(1)`, the one worker it uses.
     pub workers: Option<usize>,
     /// Consult the transposition table (`false` forces plain enumeration —
     /// the reference the memoized search is tested bit-identical against).
@@ -191,7 +114,7 @@ pub struct SearchOptions<'a> {
 impl Default for SearchOptions<'_> {
     fn default() -> Self {
         SearchOptions {
-            workers: None,
+            workers: Some(1),
             memo: true,
             automorphisms: None,
         }
@@ -199,20 +122,32 @@ impl Default for SearchOptions<'_> {
 }
 
 /// A search result plus table instrumentation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SearchReport {
     /// The worst case — bit-identical for every [`SearchOptions`]
     /// configuration.
     pub worst: WorstCase,
     /// Transposition-table statistics (`None` when the table was off).
-    /// Deterministic at one worker; probe/hit counts vary with the steal
-    /// interleaving at higher worker counts.
+    /// Deterministic: the same options always report the same counts.
     pub memo: Option<MemoStats>,
 }
 
-/// [`exhaustive_worst_case`] with explicit control over workers, the
-/// transposition table, and the symmetry quotient, reporting table
-/// statistics alongside the (configuration-independent) result.
+/// Exhaustively explores every adversary schedule of at most `max_actions`
+/// actions over the agents produced by `make_behaviors` — which is called
+/// exactly once, before the search starts; all further state reuse is
+/// apply/undo or snapshot/restore ([`Behavior::fork`]), never
+/// re-instantiation.
+pub fn exhaustive_worst_case<B, F>(g: &Graph, make_behaviors: F, max_actions: usize) -> WorstCase
+where
+    B: Behavior,
+    F: FnOnce() -> Vec<B>,
+{
+    search_worst_case(g, make_behaviors, max_actions, &SearchOptions::default()).worst
+}
+
+/// [`exhaustive_worst_case`] with explicit control over the transposition
+/// table and the symmetry quotient, reporting table statistics alongside
+/// the (configuration-independent) result.
 pub fn search_worst_case<B, F>(
     g: &Graph,
     make_behaviors: F,
@@ -220,832 +155,164 @@ pub fn search_worst_case<B, F>(
     opts: &SearchOptions<'_>,
 ) -> SearchReport
 where
-    B: Behavior + Send,
-    F: FnOnce() -> Vec<B>,
-{
-    let workers = opts.workers.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    worst_case_hardened(
-        g,
-        make_behaviors,
-        max_actions,
-        workers,
-        None,
-        opts.memo,
-        opts.automorphisms,
-    )
-}
-
-/// An unexplored subtree: the frozen runtime state at its root and the
-/// root's depth in the schedule tree.
-struct Job<B> {
-    snap: RuntimeSnapshot<B>,
-    depth: usize,
-}
-
-/// Minimum split depth: jobs shallower than this are always split further
-/// (strictly below the root fan-out).
-const SPLIT_DEPTH_MIN: usize = 2;
-/// Jobs at least this deep are always searched, even if the frontier never
-/// reached the oversubscription target (narrow trees).
-const SPLIT_DEPTH_MAX: usize = 6;
-/// Target **per-worker** deque depth — enough local jobs that thieves
-/// find meaty cold ends to steal and owners rarely go hunting.
-const OVERSUBSCRIBE: usize = 4;
-
-/// One worker's job deque. Owners push/pop at the back (hot end); thieves
-/// drain from the front (cold end). A `Mutex<VecDeque>` is deliberate:
-/// owner operations are uncontended in steady state, steals are rare and
-/// O(half the deque), and the workspace bans external lock-free-deque
-/// dependencies — the protocol (not the primitive) carries the scaling.
-///
-/// `hint` is an advisory copy of the queue length, refreshed under the
-/// lock after every mutation, so thieves can scan the pool **without
-/// locking**: a victim whose hint reads zero is skipped lock-free, and a
-/// failed stealing round therefore takes at most one victim lock (the one
-/// whose stale hint promised work) instead of one per victim. The hint is
-/// never load-bearing for correctness — termination rides the pending
-/// counter, and a stale read merely costs one extra yield-and-retry.
-struct WorkerDeque<B> {
-    queue: Mutex<VecDeque<Job<B>>>,
-    hint: AtomicUsize,
-}
-
-impl<B: Behavior> WorkerDeque<B> {
-    fn new() -> Self {
-        WorkerDeque {
-            queue: Mutex::new(VecDeque::new()),
-            hint: AtomicUsize::new(0),
-        }
-    }
-
-    /// Enqueues the root job (frontier seeding, before any worker runs).
-    fn seed(&self, job: Job<B>) {
-        let mut q = self.queue.lock().expect("deque poisoned");
-        q.push_back(job);
-        // ordering: Relaxed — advisory length mirror; see the type docs.
-        self.hint.store(q.len(), Ordering::Relaxed);
-    }
-
-    /// Owner pop from the hot end, plus the backlog left behind (the
-    /// split heuristic's undersubscription signal).
-    fn pop_hot(&self) -> (Option<Job<B>>, usize) {
-        let mut q = self.queue.lock().expect("deque poisoned");
-        let job = q.pop_back();
-        // ordering: Relaxed — advisory length mirror; see the type docs.
-        self.hint.store(q.len(), Ordering::Relaxed);
-        (job, q.len())
-    }
-
-    /// Owner push of freshly split children onto the hot end.
-    fn push_children(&self, children: &mut Vec<Job<B>>) {
-        let mut q = self.queue.lock().expect("deque poisoned");
-        q.extend(children.drain(..));
-        // ordering: Relaxed — advisory length mirror; see the type docs.
-        self.hint.store(q.len(), Ordering::Relaxed);
-    }
-}
-
-/// Steals **half of a victim's deque from the cold end** into `out`
-/// (order preserved: oldest first). Victims are scanned round-robin
-/// starting after the thief **by length hint, without locking**; only a
-/// victim whose hint promises work gets its lock taken, so a failed round
-/// costs at most one lock acquisition (down from one per victim).
-/// Returns `false` if no victim yielded work. Jobs only move — the
-/// pending counter is untouched.
-fn steal_half<B: Behavior>(deques: &[WorkerDeque<B>], thief: usize, out: &mut Vec<Job<B>>) -> bool {
-    let n = deques.len();
-    for offset in 1..n {
-        let victim = &deques[(thief + offset) % n];
-        // ordering: Relaxed — advisory; a stale zero skips a victim that
-        // just gained work (the retry loop comes back), a stale non-zero
-        // costs the one lock this round is allowed.
-        if victim.hint.load(Ordering::Relaxed) == 0 {
-            continue;
-        }
-        let mut q = victim.queue.lock().expect("deque poisoned");
-        if q.is_empty() {
-            // Stale hint: repair it and give up — the single permitted
-            // lock of this round is spent.
-            // ordering: Relaxed — advisory length mirror.
-            victim.hint.store(0, Ordering::Relaxed);
-            return false;
-        }
-        let take = q.len().div_ceil(2);
-        out.extend(q.drain(..take));
-        // ordering: Relaxed — advisory length mirror.
-        victim.hint.store(q.len(), Ordering::Relaxed);
-        return true;
-    }
-    false
-}
-
-/// Exhaustively explores every adversary schedule of at most `max_actions`
-/// actions over the agents produced by `make_behaviors` — which is called
-/// exactly once, before the search starts; all further state reuse is
-/// snapshot/restore ([`Behavior::fork`]), never re-instantiation.
-pub fn exhaustive_worst_case<B, F>(g: &Graph, make_behaviors: F, max_actions: usize) -> WorstCase
-where
-    B: Behavior + Send,
-    F: FnOnce() -> Vec<B>,
-{
-    search_worst_case(g, make_behaviors, max_actions, &SearchOptions::default()).worst
-}
-
-/// [`exhaustive_worst_case`] with an explicit worker-pool size, so tests
-/// can force the multi-threaded frontier path regardless of the machine's
-/// core count. Results are worker-count-independent.
-#[cfg(test)]
-fn worst_case_with_workers<B, F>(
-    g: &Graph,
-    make_behaviors: F,
-    max_actions: usize,
-    workers: usize,
-) -> WorstCase
-where
-    B: Behavior + Send,
-    F: FnOnce() -> Vec<B>,
-{
-    worst_case_hardened(g, make_behaviors, max_actions, workers, None, true, None).worst
-}
-
-/// [`exhaustive_worst_case`] under deterministic worker-panic injection
-/// (the robustness harness): doomed execution attempts named by `plan`
-/// panic inside the worker's job boundary and are re-dispatched by the
-/// bounded-retry protocol. With a survivable plan (`plan.attempts <
-/// MAX_JOB_RETRIES`) the result is bit-identical to the uninjected
-/// search; an unsurvivable plan propagates the panic after the doomed
-/// job's retries are exhausted — the pending-counter termination
-/// protocol stays consistent either way (no wedged peers).
-///
-/// Injection rides the parallel job machinery, so `workers <= 1` runs
-/// the plain sequential enumeration with no injection points.
-pub fn worst_case_with_panic_injection<B, F>(
-    g: &Graph,
-    make_behaviors: F,
-    max_actions: usize,
-    workers: usize,
-    plan: PanicPlan,
-) -> WorstCase
-where
-    B: Behavior + Send,
-    F: FnOnce() -> Vec<B>,
-{
-    // The table stays on under injection: the retry boundary's
-    // reservation-release discipline is exactly what the robustness tests
-    // must exercise.
-    worst_case_hardened(
-        g,
-        make_behaviors,
-        max_actions,
-        workers,
-        Some(plan),
-        true,
-        None,
-    )
-    .worst
-}
-
-/// The search body behind every public entry point: optional panic
-/// injection, optional transposition table, per-worker stealing deques,
-/// panic-bounded job execution.
-#[allow(clippy::too_many_arguments)]
-fn worst_case_hardened<B, F>(
-    g: &Graph,
-    make_behaviors: F,
-    max_actions: usize,
-    workers: usize,
-    panics: Option<PanicPlan>,
-    memo: bool,
-    automorphisms: Option<&Automorphisms>,
-) -> SearchReport
-where
-    B: Behavior + Send,
+    B: Behavior,
     F: FnOnce() -> Vec<B>,
 {
     let identity_group;
-    let autos = match automorphisms {
+    let autos = match opts.automorphisms {
         Some(a) => a,
         None => {
             identity_group = Automorphisms::identity(g.order());
             &identity_group
         }
     };
-    let table = if memo { Some(MemoTable::new()) } else { None };
-    let mut result = WorstCase::empty();
     let mut rt = Runtime::new(g, make_behaviors(), RunConfig::rendezvous());
-    // Materialise each behavior's lazy first-move state before the root
-    // snapshot: every branch of the search restores a fork of this state,
-    // so cold-start work done here is paid once instead of once per
-    // branch. Commutes with the port stream (see `Behavior::warm`).
+    // Materialise each behavior's lazy first-move state before the search:
+    // every branch starts from this state, so cold-start work done here is
+    // paid once instead of once per branch. Commutes with the port stream
+    // (see `Behavior::warm`).
     rt.warm_behaviors();
-    let mut choices: Vec<ChoiceInfo> = Vec::new();
-    let mut meetings = Vec::new();
+    let mut worst = WorstCase::empty();
     // Behaviors are deterministic and meetings are terminal, so every
     // agent's arrival sequence is fixed for the whole search: resolve it
-    // once here and share it read-only with every worker (no per-job
-    // behavior forks on the fingerprint path).
-    let futures = if table.is_some() {
+    // once here.
+    let futures = if opts.memo {
         let f = FutureTable::resolve(&rt, max_actions);
         f.is_supported().then_some(f)
     } else {
         None
     };
-
-    if workers <= 1 {
-        // Single worker: splitting only buys parallelism, so don't —
-        // search the whole tree depth-first from the root (this is the
-        // sequential enumeration the parallel results are tested against).
-        if let (Some(table), Some(futures)) = (&table, &futures) {
-            let mut fpr = Fingerprinter::new();
-            let t_root = rt.total_traversals();
-            let mut pool: Vec<Vec<ChoiceInfo>> = Vec::new();
-            let mut journal: Vec<MemoKey> = Vec::new();
-            let v = explore_memo(
-                &mut rt,
-                0,
-                max_actions,
-                table,
+    let memo = match futures {
+        Some(futures) => {
+            let mut search = MemoSearch {
+                table: MemoTable::new(),
                 autos,
                 futures,
-                &mut fpr,
-                &mut journal,
-                &mut pool,
-                0,
-                &mut meetings,
-            );
-            debug_assert!(journal.is_empty(), "every reservation was published");
-            result.absorb_value(v, t_root);
-            return SearchReport {
-                worst: result,
-                memo: Some(table.stats()),
+                fpr: Fingerprinter::new(),
+                pool: Vec::new(),
+                meetings: Vec::new(),
+                max_actions,
             };
+            let t_root = rt.total_traversals();
+            worst.absorb_value(search.explore(&mut rt, 0), t_root);
+            Some(search.table.stats())
         }
-        explore_subtree(
-            &mut rt,
-            0,
-            max_actions,
-            &mut choices,
-            &mut meetings,
-            &mut result,
-        );
-        return SearchReport {
-            worst: result,
-            memo: table.as_ref().map(|t| t.stats()),
-        };
-    }
-
-    let root = Job {
-        snap: rt.snapshot(),
-        depth: 0,
+        None => {
+            explore_subtree(&mut rt, max_actions, &mut worst);
+            // A table that was asked for but never consulted reports zeros.
+            opts.memo.then(MemoStats::default)
+        }
     };
-
-    // Per-worker deques with steal-half: the root seeds worker 0, shallow
-    // jobs split back into the owner's deque (expansion parallelises
-    // too), deep ones are searched in place, and idle workers steal half
-    // a victim's cold end. `pending` counts queued jobs plus in-flight
-    // *splits*: a split publishes its children before retiring, while a
-    // search job retires at pop time (it can never enqueue anything), so
-    // all-deques-empty + pending == 0 means no job can ever appear again
-    // — an empty sweep alone proves nothing while a peer might still
-    // split (or hold stolen jobs mid-transfer).
-    let deques: Vec<WorkerDeque<B>> = (0..workers).map(|_| WorkerDeque::new()).collect();
-    deques[0].seed(root);
-    let pending = AtomicUsize::new(1);
-    // Job sequence numbers feed the panic injector's fire decision. The
-    // pop→seq mapping is racy (whichever worker pops first draws the next
-    // number), which is fine: the *result* is injection-independent — a
-    // doomed attempt is retried against the same frozen snapshot, so
-    // which jobs get doomed never shows in the aggregates.
-    let seq = AtomicUsize::new(0);
-    let branches: Vec<WorstCase> = std::thread::scope(|scope| {
-        let deques = &deques;
-        let pending = &pending;
-        let seq = &seq;
-        let table = table.as_ref();
-        let futures = futures.as_ref();
-        let handles: Vec<_> = (0..workers)
-            .map(|id| {
-                scope.spawn(move || {
-                    let mut s: WorkerScratch<B> = WorkerScratch::new();
-                    let mut loot: Vec<Job<B>> = Vec::new();
-                    loop {
-                        // Own deque first (hot end — depth-first locality).
-                        let (job, backlog) = deques[id].pop_hot();
-                        let Some(job) = job else {
-                            // Out of local work: steal half a victim's
-                            // cold end and requeue it here, keeping one
-                            // job out to run immediately.
-                            if steal_half(deques, id, &mut loot) {
-                                let job = loot.pop().expect("steal yields at least one job");
-                                let backlog = loot.len();
-                                if !loot.is_empty() {
-                                    deques[id].push_children(&mut loot);
-                                }
-                                run_job(
-                                    RunCtx {
-                                        g,
-                                        deque: &deques[id],
-                                        pending,
-                                        seq,
-                                        panics,
-                                        max_actions,
-                                        table,
-                                        autos,
-                                        futures,
-                                    },
-                                    job,
-                                    backlog,
-                                    &mut s,
-                                );
-                                continue;
-                            }
-                            // ordering: Acquire pairs with the AcqRel
-                            // counter updates in `run_job` — observing 0
-                            // here happens-after every split published its
-                            // children, so empty deques + 0 is proof of
-                            // global completion, not a torn read.
-                            if pending.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            // A peer is still splitting (or mid-steal);
-                            // jobs will surface shortly.
-                            std::thread::yield_now();
-                            continue;
-                        };
-                        run_job(
-                            RunCtx {
-                                g,
-                                deque: &deques[id],
-                                pending,
-                                seq,
-                                panics,
-                                max_actions,
-                                table,
-                                autos,
-                                futures,
-                            },
-                            job,
-                            backlog,
-                            &mut s,
-                        );
-                    }
-                    s.local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    for b in branches {
-        result.merge(b);
-    }
-    SearchReport {
-        worst: result,
-        memo: table.as_ref().map(|t| t.stats()),
-    }
-}
-
-/// Shared references a worker needs to run one job.
-struct RunCtx<'a, 'g, B> {
-    g: &'g Graph,
-    deque: &'a WorkerDeque<B>,
-    pending: &'a AtomicUsize,
-    seq: &'a AtomicUsize,
-    panics: Option<PanicPlan>,
-    max_actions: usize,
-    /// The shared transposition table (`None` = memoization off).
-    table: Option<&'a MemoTable>,
-    /// The symmetry group fingerprints are canonicalized under.
-    autos: &'a Automorphisms,
-    /// The search-global future table (`None` = fingerprints unavailable).
-    futures: Option<&'a FutureTable>,
-}
-
-/// One worker's private state, reused across all its jobs: its runtime,
-/// its scratch buffers, its result accumulator, and its memoization gear
-/// (fingerprinter, per-level choice-buffer pool, reservation journal).
-struct WorkerScratch<'g, B: Behavior> {
-    rt: Option<Runtime<'g, B>>,
-    choices: Vec<ChoiceInfo>,
-    meetings: Vec<crate::Meeting>,
-    children: Vec<Job<B>>,
-    local: WorstCase,
-    fpr: Fingerprinter,
-    pool: Vec<Vec<ChoiceInfo>>,
-    /// Keys this worker has reserved but not yet published, innermost
-    /// last — drained (released) when a job attempt panics so the retry
-    /// never observes its own reservations as `Busy`.
-    journal: Vec<MemoKey>,
-}
-
-impl<B: Behavior> WorkerScratch<'_, B> {
-    fn new() -> Self {
-        WorkerScratch {
-            rt: None,
-            choices: Vec::new(),
-            meetings: Vec::new(),
-            children: Vec::new(),
-            local: WorstCase::empty(),
-            fpr: Fingerprinter::new(),
-            pool: Vec::new(),
-            journal: Vec::new(),
-        }
-    }
-}
-
-/// Runs one popped job: splits it into the owner's deque or searches it
-/// in place, maintaining the pending-counter protocol (children published
-/// before the parent retires; search jobs retire before the search so
-/// idle peers don't spin through the tail).
-///
-/// Execution is **panic-bounded**: each attempt repositions the worker's
-/// runtime from the job's frozen snapshot (a borrow — the snapshot
-/// outlives every retry), scores into a scratch accumulator, and only a
-/// *successful* attempt merges the scratch and publishes split children,
-/// so a panicking attempt leaves no partial aggregates and no phantom
-/// jobs behind. After [`MAX_JOB_RETRIES`] failed attempts the panic is
-/// terminal: the job is retired from the pending counter *first* (so
-/// idle peers drain and exit instead of wedging on a count that can
-/// never reach zero) and then propagated to the join.
-// `inline(never)`: letting this body (split + search dispatch) inline into
-// the worker closure perturbs `explore_subtree`'s codegen enough to cost the
-// *single-core* sequential path ~8% on minimax/ring4 (measured, interleaved
-// A/B) — and the per-job call overhead is noise next to a subtree search.
-#[inline(never)]
-fn run_job<'g, B: Behavior>(
-    ctx: RunCtx<'_, 'g, B>,
-    job: Job<B>,
-    backlog: usize,
-    s: &mut WorkerScratch<'g, B>,
-) {
-    let split = should_split(job.depth, backlog, OVERSUBSCRIBE);
-    // ordering: Relaxed — the sequence number only feeds the injector's
-    // fire hash; no memory is published through it.
-    let job_seq = ctx.seq.fetch_add(1, Ordering::Relaxed) as u64;
-    if !split {
-        // Search jobs enqueue nothing, so retire the job *before* the
-        // subtree search: once the deques drain and every splitter has
-        // retired, idle peers exit instead of busy-spinning for the
-        // whole tail of the search.
-        // ordering: AcqRel — the retire must not hoist above the pop that
-        // claimed this job (the job left the deque happens-before its
-        // retirement), keeping the counter an upper bound on live work.
-        ctx.pending.fetch_sub(1, Ordering::AcqRel);
-    }
-    let mut attempt = 0usize;
-    loop {
-        // recovery: a panicking attempt is retried against the same
-        // frozen snapshot — `scratch`/`children` from the doomed attempt
-        // are discarded (no partial merge), the reservation journal is
-        // drained and released (so the retry re-reserves fresh slots
-        // instead of seeing its own half-done entries as Busy), the
-        // worker's runtime is repositioned by a fresh `restore`, and after
-        // MAX_JOB_RETRIES the panic propagates with the job already
-        // retired (see below).
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some(plan) = ctx.panics {
-                if plan.fires(job_seq, attempt) {
-                    // `resume_unwind`, not `panic!`: an *expected* doomed
-                    // attempt must not trip the global panic hook (no
-                    // stderr spam, no aborting hooks) — it is a payload
-                    // for the boundary below, not a programming error.
-                    std::panic::resume_unwind(Box::new(format!(
-                        "injected worker panic: job {job_seq} attempt {attempt}"
-                    )));
-                }
-            }
-            // Position at the job's state by borrow — retries need the
-            // snapshot intact, so nothing consumes it until the job is
-            // done. The first job builds this worker's runtime.
-            let rt = match s.rt.as_mut() {
-                Some(rt) => {
-                    rt.restore(&job.snap);
-                    rt
-                }
-                None => s.rt.insert(Runtime::from_snapshot(
-                    ctx.g,
-                    &job.snap,
-                    RunConfig::rendezvous(),
-                )),
-            };
-            // Memoization needs both the table and the search-global
-            // future table (resolved once at the root; see
-            // `worst_case_hardened`) — no per-job anchoring.
-            let memo_on = ctx.table.is_some() && ctx.futures.is_some();
-            let mut scratch = WorstCase::empty();
-            if split {
-                split_job(
-                    rt,
-                    &job.snap,
-                    job.depth,
-                    ctx.max_actions,
-                    &mut s.choices,
-                    &mut s.meetings,
-                    if memo_on {
-                        ctx.table
-                            .zip(ctx.futures)
-                            .map(|(t, f)| (t, ctx.autos, f, &mut s.fpr))
-                    } else {
-                        None
-                    },
-                    &mut s.children,
-                    &mut scratch,
-                );
-            } else if memo_on {
-                let table = ctx.table.expect("memo_on implies a table");
-                let futures = ctx.futures.expect("memo_on implies futures");
-                let t_root = rt.total_traversals();
-                let v = explore_memo(
-                    rt,
-                    job.depth,
-                    ctx.max_actions,
-                    table,
-                    ctx.autos,
-                    futures,
-                    &mut s.fpr,
-                    &mut s.journal,
-                    &mut s.pool,
-                    0,
-                    &mut s.meetings,
-                );
-                debug_assert!(s.journal.is_empty(), "every reservation was published");
-                scratch.absorb_value(v, t_root);
-            } else {
-                explore_subtree(
-                    rt,
-                    job.depth,
-                    ctx.max_actions,
-                    &mut s.choices,
-                    &mut s.meetings,
-                    &mut scratch,
-                );
-            }
-            scratch
-        }));
-        match outcome {
-            Ok(scratch) => {
-                s.local.merge(scratch);
-                break;
-            }
-            Err(payload) => {
-                // The doomed attempt may have half-filled the children
-                // buffer before panicking; drop its jobs — the retry
-                // re-splits from the snapshot and regenerates them all.
-                s.children.clear();
-                // Release every reservation the doomed attempt still
-                // owns: the slots revert to vacant, so this job's retry
-                // (or any peer) reserves and searches them afresh.
-                if let Some(table) = ctx.table {
-                    for key in s.journal.drain(..) {
-                        // publish: abandoned — the panic boundary releases
-                        // in place of the publish the attempt never made.
-                        table.release(key);
-                    }
-                }
-                attempt += 1;
-                if attempt >= MAX_JOB_RETRIES {
-                    if split {
-                        // Terminal failure on a split job: retire it so
-                        // the pending counter still reaches zero and the
-                        // surviving workers drain and exit — the panic
-                        // then surfaces at the scope join instead of
-                        // deadlocking the pool.
-                        // ordering: AcqRel — same pairing as the success
-                        // path's retire below.
-                        ctx.pending.fetch_sub(1, Ordering::AcqRel);
-                    }
-                    std::panic::resume_unwind(payload);
-                }
-                // Clockless backoff before the re-dispatch: repeated
-                // failures step aside for progressively longer (yield
-                // loops, not sleeps — determinism contract bans clocks).
-                for _ in 0..attempt * 16 {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-    if split {
-        if !s.children.is_empty() {
-            // Publish the children before retiring the parent so
-            // `pending` can't dip to zero while work still exists.
-            // ordering: AcqRel — the add must not sink below the deque
-            // push (Release side), and idle workers' Acquire loads must
-            // see it before concluding the frontier drained.
-            ctx.pending.fetch_add(s.children.len(), Ordering::AcqRel);
-            ctx.deque.push_children(&mut s.children);
-        }
-        // ordering: AcqRel — retiring the parent must stay ordered after
-        // the children's publication above; pairs with the termination
-        // load in the worker loop.
-        ctx.pending.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Whether a popped job should be split into child jobs (true) or searched
-/// depth-first in place (false). `backlog` is the owner's deque depth
-/// observed at pop time — with stealing an approximation, which is safe:
-/// a subtree yields the same leaves whichever side of the boundary it
-/// lands on.
-fn should_split(depth: usize, backlog: usize, target: usize) -> bool {
-    depth < SPLIT_DEPTH_MIN || (depth < SPLIT_DEPTH_MAX && backlog < target)
-}
-
-/// Splits one job whose state `rt` is **already positioned at** (callers
-/// restore the job's snapshot — or build the runtime from it): applies
-/// each legal choice and pushes every meeting-free child as a new job
-/// onto `out`. Leaves (depth cap, all parked, or a forced meeting) are
-/// scored into `result` right here. The snapshot is **borrowed** — the
-/// panic boundary in [`run_job`] keeps it alive so a doomed attempt can
-/// re-split from the same frozen state (the pre-hardening version moved
-/// it into the final sibling's restore; one behavior fork per split is
-/// the price of retryability).
-///
-/// With `memo` present, each meeting-free child is probed **read-only**
-/// against the transposition table before being enqueued: a hit scores
-/// the memoized value here and skips the job entirely (this is how
-/// stolen duplicates of already-searched subtrees collapse). Split jobs
-/// never reserve — a job that fans out and retires owes no publish, so
-/// the panic boundary has nothing to unwind for them.
-#[allow(clippy::too_many_arguments)]
-fn split_job<B: Behavior>(
-    rt: &mut Runtime<B>,
-    snap: &RuntimeSnapshot<B>,
-    depth: usize,
-    max_actions: usize,
-    choices: &mut Vec<ChoiceInfo>,
-    meetings: &mut Vec<crate::Meeting>,
-    mut memo: Option<(&MemoTable, &Automorphisms, &FutureTable, &mut Fingerprinter)>,
-    out: &mut Vec<Job<B>>,
-    result: &mut WorstCase,
-) {
-    if depth >= max_actions {
-        result.record_avoidance();
-        return;
-    }
-    rt.legal_choices_into(choices);
-    let width = choices.len();
-    if width == 0 {
-        // All parked counts as an avoiding schedule.
-        result.record_avoidance();
-        return;
-    }
-    for i in 0..width {
-        if i > 0 {
-            rt.restore(snap);
-            rt.legal_choices_into(choices);
-        }
-        meetings.clear();
-        rt.apply_into(choices[i].choice, meetings);
-        if !meetings.is_empty() {
-            result.record_meeting(rt.total_traversals());
-            continue;
-        }
-        if let Some((table, autos, futures, fpr)) = memo.as_mut() {
-            let residual = max_actions - (depth + 1);
-            if residual >= MEMO_MIN_RESIDUAL {
-                if let Some(fp) = fpr.fingerprint(rt, residual, autos, futures) {
-                    if let Some(v) = table.probe((fp, residual as u32)) {
-                        result.absorb_value(v, rt.total_traversals());
-                        continue;
-                    }
-                }
-            }
-        }
-        out.push(Job {
-            snap: rt.snapshot(),
-            depth: depth + 1,
-        });
-    }
+    SearchReport { worst, memo }
 }
 
 /// Below this residual depth the table is not consulted: the subtree is
 /// cheaper to enumerate than the canonical fingerprint is to compute.
 const MEMO_MIN_RESIDUAL: usize = 2;
 
-/// Depth-first memoized search of the subtree whose root state `rt` is
-/// **already positioned at**, returning the subtree's value *relative to
-/// its own root* (see [`MemoValue`]). The recursion depth is bounded by
-/// `max_actions` (tiny by this module's charter), and each level owns a
-/// pooled choice buffer (`pool[level]`) so restored siblings skip
-/// re-enumeration — the list of legal choices at a node is a pure
-/// function of its state, which the restore reproduced.
-///
-/// At every node with residual depth ≥ [`MEMO_MIN_RESIDUAL`] the table is
-/// consulted via the reserve→publish protocol: `Hit` returns the stored
-/// value, `Reserve` records the key in `journal` (the panic boundary's
-/// release list), searches, then publishes and pops the key; `Busy`
-/// searches without publishing. Reservation keys always publish/release
-/// LIFO, innermost first.
-#[allow(clippy::too_many_arguments)]
-fn explore_memo<B: Behavior>(
-    rt: &mut Runtime<'_, B>,
-    depth: usize,
+/// The memoized walk's state: the table, the fingerprinting gear, and
+/// per-depth choice buffers.
+struct MemoSearch<'a> {
+    table: MemoTable,
+    /// The symmetry group fingerprints are canonicalized under.
+    autos: &'a Automorphisms,
+    /// Every agent's arrival sequence, resolved once at the root.
+    futures: FutureTable,
+    fpr: Fingerprinter,
+    /// One choice buffer per depth, so restored siblings skip
+    /// re-enumeration.
+    pool: Vec<Vec<ChoiceInfo>>,
+    meetings: Vec<crate::Meeting>,
     max_actions: usize,
-    table: &MemoTable,
-    autos: &Automorphisms,
-    futures: &FutureTable,
-    fpr: &mut Fingerprinter,
-    journal: &mut Vec<MemoKey>,
-    pool: &mut Vec<Vec<ChoiceInfo>>,
-    level: usize,
-    meetings: &mut Vec<crate::Meeting>,
-) -> MemoValue {
-    if depth >= max_actions {
-        return MemoValue::avoid_leaf();
-    }
-    let residual = max_actions - depth;
-    let mut reserved: Option<MemoKey> = None;
-    if residual >= MEMO_MIN_RESIDUAL {
-        if let Some(fp) = fpr.fingerprint(rt, residual, autos, futures) {
-            let key = (fp, residual as u32);
-            match table.probe_or_reserve(key) {
-                Probe::Hit(v) => return v,
-                Probe::Reserve => {
-                    journal.push(key);
-                    reserved = Some(key);
-                }
-                Probe::Busy => {}
-            }
+}
+
+impl MemoSearch<'_> {
+    /// Depth-first memoized search of the subtree whose root state `rt` is
+    /// **already positioned at**, returning the subtree's value *relative
+    /// to its own root* (see [`MemoValue`]). The recursion depth is
+    /// bounded by `max_actions` (tiny by this module's charter), and each
+    /// depth owns a pooled choice buffer (`pool[depth]`) — the list of
+    /// legal choices at a node is a pure function of its state, which the
+    /// undo reproduces.
+    ///
+    /// At every node with residual depth ≥ [`MEMO_MIN_RESIDUAL`] the table
+    /// is consulted: a hit returns the stored value, a miss searches and
+    /// inserts. The residual depth is part of the key and strictly falls
+    /// along a path, so a node never meets its own key on the way down.
+    fn explore<B: Behavior>(&mut self, rt: &mut Runtime<'_, B>, depth: usize) -> MemoValue {
+        if depth >= self.max_actions {
+            return MemoValue::avoid_leaf();
         }
-    }
-    if pool.len() <= level {
-        pool.push(Vec::new());
-    }
-    let mut choices = std::mem::take(&mut pool[level]);
-    rt.legal_choices_into(&mut choices);
-    let value = if choices.is_empty() {
-        // All parked counts as an avoiding schedule.
-        MemoValue::avoid_leaf()
-    } else {
-        // Undo discipline: every descent is bracketed by
-        // [`Runtime::apply_undoable`]/[`Runtime::undo`], so this function
-        // returns with `rt` exactly as it entered — no snapshots, no
-        // whole-runtime forks, and a `Start` descent saves nothing but a
-        // few `Copy` fields. The bracket requires meeting-free applies:
-        // children annotated `causes_meeting` are terminal (record the
-        // foreseen delta directly, never enter them), and `Wake` — the one
-        // unannotated kind — is split by [`Runtime::wake_would_meet`] into
-        // a traversal-free meeting leaf or a real descent.
-        let t_node = rt.total_traversals();
-        let horizon = depth + 1 == max_actions;
-        let mut acc = MemoValue::empty();
-        for info in choices.iter() {
-            if info.causes_meeting {
-                let delta = matches!(info.choice.kind, crate::ActionKind::Finish) as u64;
-                acc.record_meeting_delta(delta);
-                continue;
-            }
-            if matches!(info.choice.kind, crate::ActionKind::Wake)
-                && rt.wake_would_meet(info.choice.agent)
+        let residual = self.max_actions - depth;
+        let mut key = None;
+        if residual >= MEMO_MIN_RESIDUAL {
+            if let Some(fp) = self
+                .fpr
+                .fingerprint(rt, residual, self.autos, &self.futures)
             {
-                // Waking at an occupied node meets on the spot — no
-                // traversal completes, so the delta is zero.
-                acc.record_meeting_delta(0);
-                continue;
+                let k = (fp, residual as u32);
+                if let Some(v) = self.table.get(k) {
+                    return v;
+                }
+                key = Some(k);
             }
-            if horizon {
-                // The child sits at the depth cap and every meeting case
-                // is handled above: a guaranteed meeting-free leaf,
-                // counted without touching the runtime.
-                acc.absorb(MemoValue::avoid_leaf(), 0);
-                continue;
-            }
-            let token = rt.apply_undoable(info.choice, meetings);
-            let t_child = rt.total_traversals();
-            let child = explore_memo(
-                rt,
-                depth + 1,
-                max_actions,
-                table,
-                autos,
-                futures,
-                fpr,
-                journal,
-                pool,
-                level + 1,
-                meetings,
-            );
-            acc.absorb(child, t_child - t_node);
-            rt.undo(token);
         }
-        acc
-    };
-    pool[level] = choices;
-    if let Some(key) = reserved {
-        // publish: completes the reservation this node took on entry; the
-        // key comes off the journal only after the value is in the table.
-        table.publish(key, value);
-        let popped = journal.pop();
-        debug_assert_eq!(popped, Some(key), "reservations publish LIFO");
+        if self.pool.len() <= depth {
+            self.pool.push(Vec::new());
+        }
+        let mut choices = std::mem::take(&mut self.pool[depth]);
+        rt.legal_choices_into(&mut choices);
+        let value = if choices.is_empty() {
+            // All parked counts as an avoiding schedule.
+            MemoValue::avoid_leaf()
+        } else {
+            // Undo discipline: every descent is bracketed by
+            // [`Runtime::apply_undoable`]/[`Runtime::undo`], so this function
+            // returns with `rt` exactly as it entered — no snapshots, no
+            // whole-runtime forks, and a `Start` descent saves nothing but a
+            // few `Copy` fields. The bracket requires meeting-free applies:
+            // children annotated `causes_meeting` are terminal (record the
+            // foreseen delta directly, never enter them), and `Wake` — the one
+            // unannotated kind — is split by [`Runtime::wake_would_meet`] into
+            // a traversal-free meeting leaf or a real descent.
+            let t_node = rt.total_traversals();
+            let horizon = depth + 1 == self.max_actions;
+            let mut acc = MemoValue::empty();
+            for info in choices.iter() {
+                if info.causes_meeting {
+                    let delta = matches!(info.choice.kind, crate::ActionKind::Finish) as u64;
+                    acc.record_meeting_delta(delta);
+                    continue;
+                }
+                if matches!(info.choice.kind, crate::ActionKind::Wake)
+                    && rt.wake_would_meet(info.choice.agent)
+                {
+                    // Waking at an occupied node meets on the spot — no
+                    // traversal completes, so the delta is zero.
+                    acc.record_meeting_delta(0);
+                    continue;
+                }
+                if horizon {
+                    // The child sits at the depth cap and every meeting case
+                    // is handled above: a guaranteed meeting-free leaf,
+                    // counted without touching the runtime.
+                    acc.absorb(MemoValue::avoid_leaf(), 0);
+                    continue;
+                }
+                let token = rt.apply_undoable(info.choice, &mut self.meetings);
+                let t_child = rt.total_traversals();
+                let child = self.explore(rt, depth + 1);
+                acc.absorb(child, t_child - t_node);
+                rt.undo(token);
+            }
+            acc
+        };
+        self.pool[depth] = choices;
+        if let Some(k) = key {
+            self.table.insert(k, value);
+        }
+        value
     }
-    value
 }
 
 /// A node of the depth-first descent: its frozen state (absent when the
@@ -1057,26 +324,19 @@ struct Frame<B> {
     width: usize,
 }
 
-/// Depth-first search of the subtree whose root state `rt` is **already
-/// positioned at** (callers restore the job's snapshot — by move when they
-/// own it), with the root at schedule-tree depth `depth0`. Scores every
-/// leaf into `result`; on exit `rt` is at an arbitrary state within the
-/// subtree.
-fn explore_subtree<B: Behavior>(
-    rt: &mut Runtime<B>,
-    depth0: usize,
-    max_actions: usize,
-    choices: &mut Vec<ChoiceInfo>,
-    meetings: &mut Vec<crate::Meeting>,
-    result: &mut WorstCase,
-) {
+/// Plain depth-first enumeration of every schedule from `rt`'s current
+/// state (the search root). Scores every leaf into `result`; on exit `rt`
+/// is at an arbitrary state within the tree.
+fn explore_subtree<B: Behavior>(rt: &mut Runtime<B>, max_actions: usize, result: &mut WorstCase) {
+    let mut choices: Vec<ChoiceInfo> = Vec::new();
+    let mut meetings = Vec::new();
     let mut stack: Vec<Frame<B>> = Vec::new();
     loop {
         // `rt` sits at a just-entered, meeting-free node.
-        let depth = depth0 + stack.len();
+        let depth = stack.len();
         let mut is_leaf = true;
         if depth < max_actions {
-            rt.legal_choices_into(choices);
+            rt.legal_choices_into(&mut choices);
             if !choices.is_empty() {
                 let width = choices.len();
                 stack.push(Frame {
@@ -1117,10 +377,10 @@ fn explore_subtree<B: Behavior>(
                             .expect("width > 1 frames hold a snapshot"),
                     );
                 }
-                rt.legal_choices_into(choices);
+                rt.legal_choices_into(&mut choices);
             }
             meetings.clear();
-            rt.apply_into(choices[i].choice, meetings);
+            rt.apply_into(choices[i].choice, &mut meetings);
             if meetings.is_empty() {
                 break; // descend: the outer loop enters the child
             }
@@ -1219,16 +479,13 @@ mod tests {
     #[test]
     fn factory_is_called_exactly_once() {
         // The replay-free contract: behaviors are instantiated once, all
-        // re-entry is snapshot/restore.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = AtomicUsize::new(0);
+        // re-entry is apply/undo or snapshot/restore.
+        let calls = std::cell::Cell::new(0usize);
         let g = generators::ring(4);
         let res = exhaustive_worst_case(
             &g,
             || {
-                // ordering: SeqCst — test-only call counter; strongest
-                // ordering so the assertion below can't race the factory.
-                calls.fetch_add(1, Ordering::SeqCst);
+                calls.set(calls.get() + 1);
                 vec![
                     ScriptBehavior::new(NodeId(0), [0, 0, 0, 0]),
                     ScriptBehavior::new(NodeId(2), [0, 0, 0, 0]),
@@ -1239,72 +496,104 @@ mod tests {
         // 129 leaves: pinned against the seed's sequential odometer
         // enumeration (replayed via reset + factory per prefix).
         assert_eq!(res.schedules_explored, 129);
-        // ordering: SeqCst — see the matching fetch_add; the search has
-        // joined all workers by now, this is belt and braces.
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(calls.get(), 1);
+    }
+
+    /// Two 4-step scripted walkers on opposite sides of ring(4).
+    fn ring4_walkers() -> Vec<ScriptBehavior> {
+        vec![
+            ScriptBehavior::new(NodeId(0), [0, 0, 0, 0]),
+            ScriptBehavior::new(NodeId(2), [0, 0, 0, 0]),
+        ]
     }
 
     #[test]
-    fn deep_split_matches_shallow_horizons_incrementally() {
-        // Horizons straddling SPLIT_DEPTH_MIN/MAX must enumerate exactly
-        // the leaf sets the seed's sequential odometer enumeration
-        // produced (ring(4) with two 4-step scripted walkers; counts
-        // pinned against a reimplementation of the pre-snapshot search).
+    fn leaf_counts_match_the_seed_enumeration_at_every_horizon() {
+        // Each horizon must enumerate exactly the leaf set the seed's
+        // sequential odometer enumeration produced (counts pinned against
+        // a reimplementation of the pre-snapshot search), memoized or not.
         let g = generators::ring(4);
-        let make = || {
-            vec![
-                ScriptBehavior::new(NodeId(0), [0, 0, 0, 0]),
-                ScriptBehavior::new(NodeId(2), [0, 0, 0, 0]),
-            ]
-        };
         for (depth, expected) in [(1, 2), (2, 4), (3, 8), (5, 32), (7, 85), (8, 129)] {
-            let res = exhaustive_worst_case(&g, make, depth);
-            assert_eq!(
-                res.schedules_explored, expected,
-                "leaf count drifted from the seed enumeration at depth {depth}"
-            );
+            for memo in [false, true] {
+                let opts = SearchOptions {
+                    memo,
+                    ..SearchOptions::default()
+                };
+                let res = search_worst_case(&g, ring4_walkers, depth, &opts).worst;
+                assert_eq!(
+                    res.schedules_explored, expected,
+                    "leaf count drifted from the seed enumeration at depth {depth} (memo {memo})"
+                );
+            }
         }
     }
 
     #[test]
     fn results_are_worker_count_independent() {
-        // Force the multi-threaded frontier path (the steal loop must not
-        // hold the queue lock across a subtree search) and check it against
-        // the single-worker enumeration, worker count by worker count.
+        // `workers` is ignored: every value yields the same report, table
+        // statistics included.
         let g = generators::ring(4);
-        let make = || {
-            vec![
-                ScriptBehavior::new(NodeId(0), [0, 0, 0, 0]),
-                ScriptBehavior::new(NodeId(2), [0, 0, 0, 0]),
-            ]
+        let autos = rv_graph::GraphFamily::Ring.automorphisms(&g);
+        let run = |workers| {
+            let opts = SearchOptions {
+                workers,
+                memo: true,
+                automorphisms: Some(&autos),
+            };
+            search_worst_case(&g, ring4_walkers, 8, &opts)
         };
-        let reference = worst_case_with_workers(&g, make, 8, 1);
-        assert_eq!(reference.schedules_explored, 129);
-        for workers in [2, 3, 8] {
+        let reference = run(Some(1));
+        assert_eq!(reference.worst.schedules_explored, 129);
+        for workers in [None, Some(2), Some(8)] {
             assert_eq!(
-                worst_case_with_workers(&g, make, 8, workers),
+                run(workers),
                 reference,
-                "worker count {workers} changed the result"
+                "workers {workers:?} changed the report"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "behavior bug")]
+    fn a_panic_in_a_behavior_reaches_the_caller() {
+        /// A script walker whose every fork panics: the first snapshot
+        /// or undoable wake aborts the search.
+        struct Brittle(ScriptBehavior);
+        impl Behavior for Brittle {
+            type Info = ();
+            fn start_node(&self) -> NodeId {
+                self.0.start_node()
+            }
+            fn next_port(&mut self) -> Option<rv_graph::PortId> {
+                self.0.next_port()
+            }
+            fn info(&self) {}
+            fn on_meeting(&mut self, _place: crate::meeting::MeetingPlace, _peers: &[()]) {}
+            fn fork(&self) -> Self {
+                panic!("behavior bug");
+            }
+        }
+        let g = generators::ring(4);
+        let make = || ring4_walkers().into_iter().map(Brittle).collect();
+        let _ = exhaustive_worst_case(&g, make, 8);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// Worker-count independence over the stealing deques, as a
-        /// property: random ring size, script lengths, start offsets,
-        /// horizon, and worker count must all reproduce the sequential
-        /// enumeration bit for bit — whatever the steal interleaving.
+        /// The memoized walk against its oracle: random ring size, script
+        /// lengths, start offsets and horizon must reproduce the plain
+        /// enumeration bit for bit, under the identity group and the
+        /// ring's full dihedral group alike.
         #[test]
-        fn stealing_deques_are_worker_count_independent(
+        fn memoized_search_matches_plain_enumeration(
             n in 3usize..7,
             script_len in 1usize..6,
             offset in 1usize..6,
             horizon in 1usize..9,
-            workers in 2usize..9,
         ) {
             let g = generators::ring(n);
+            let autos = rv_graph::GraphFamily::Ring.automorphisms(&g);
             let offset = 1 + (offset % (n - 1)); // distinct start nodes
             let make = || {
                 vec![
@@ -1312,115 +601,15 @@ mod tests {
                     ScriptBehavior::new(NodeId(offset), vec![0; script_len]),
                 ]
             };
-            let reference = worst_case_with_workers(&g, make, horizon, 1);
-            let parallel = worst_case_with_workers(&g, make, horizon, workers);
-            proptest::prop_assert_eq!(
-                parallel, reference,
-                "workers={} n={} script_len={} offset={} horizon={}",
-                workers, n, script_len, offset, horizon
-            );
-        }
-    }
-
-    #[test]
-    fn watchdog_injected_panics_mid_search_yield_identical_results() {
-        // The crash-recovery watchdog: a survivable panic plan dooms a
-        // large fraction of job attempts (including splits mid-steal
-        // traffic) at several seeds; the bounded re-dispatch must absorb
-        // every one and the aggregate WorstCase must be bit-identical to
-        // the sequential reference.
-        let g = generators::ring(6);
-        let make = || {
-            vec![
-                ScriptBehavior::new(NodeId(0), [0, 0, 0, 0, 0]),
-                ScriptBehavior::new(NodeId(2), [0, 0, 0, 0, 0]),
-                ScriptBehavior::new(NodeId(4), [0, 0, 0, 0, 0]),
-            ]
-        };
-        let reference = worst_case_with_workers(&g, make, 9, 1);
-        assert!(reference.schedules_explored > 1000);
-        for seed in 0..4u64 {
-            let plan = PanicPlan {
-                seed,
-                per_1024: 512, // every other attempt is doomed
-                attempts: (MAX_JOB_RETRIES - 1) as u32,
+            let search = |memo, automorphisms| {
+                let opts = SearchOptions { memo, automorphisms, ..SearchOptions::default() };
+                search_worst_case(&g, make, horizon, &opts).worst
             };
-            for workers in [2, 4, 8] {
-                assert_eq!(
-                    worst_case_with_panic_injection(&g, make, 9, workers, plan),
-                    reference,
-                    "seed {seed}, workers {workers}: injected panics changed the result"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn survivable_injection_matches_on_the_pinned_instance() {
-        // Same contract on the pinned ring(4)/depth-8 instance (129
-        // leaves) — the golden minimax workload under fire.
-        let g = generators::ring(4);
-        let make = || {
-            vec![
-                ScriptBehavior::new(NodeId(0), [0, 0, 0, 0]),
-                ScriptBehavior::new(NodeId(2), [0, 0, 0, 0]),
-            ]
-        };
-        let plan = PanicPlan {
-            seed: 9,
-            per_1024: 700,
-            attempts: (MAX_JOB_RETRIES - 1) as u32,
-        };
-        let res = worst_case_with_panic_injection(&g, make, 8, 4, plan);
-        assert_eq!(res, worst_case_with_workers(&g, make, 8, 1));
-        assert_eq!(res.schedules_explored, 129);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker panicked")]
-    fn unsurvivable_injection_propagates_without_wedging() {
-        // Every attempt of every job is doomed: after MAX_JOB_RETRIES the
-        // panic must *propagate* (this test's should_panic) rather than
-        // wedge the pool — the doomed job retires itself from the pending
-        // counter first, so peers drain and the scope join surfaces the
-        // payload instead of hanging the test forever.
-        let g = generators::ring(4);
-        let make = || {
-            vec![
-                ScriptBehavior::new(NodeId(0), [0, 0, 0, 0]),
-                ScriptBehavior::new(NodeId(2), [0, 0, 0, 0]),
-            ]
-        };
-        let plan = PanicPlan {
-            seed: 1,
-            per_1024: 1024,
-            attempts: MAX_JOB_RETRIES as u32,
-        };
-        let _ = worst_case_with_panic_injection(&g, make, 8, 4, plan);
-    }
-
-    #[test]
-    fn job_driven_expansion_is_worker_count_independent() {
-        // Now that frontier *expansion* also runs as work-stealing jobs,
-        // the split-vs-search boundary depends on racy backlog reads; the
-        // result must not. A 3-agent instance gives a wider root fan-out
-        // (more splitting at every shallow depth) and a deeper horizon
-        // keeps workers splitting and searching concurrently.
-        let g = generators::ring(6);
-        let make = || {
-            vec![
-                ScriptBehavior::new(NodeId(0), [0, 0, 0, 0, 0]),
-                ScriptBehavior::new(NodeId(2), [0, 0, 0, 0, 0]),
-                ScriptBehavior::new(NodeId(4), [0, 0, 0, 0, 0]),
-            ]
-        };
-        let reference = worst_case_with_workers(&g, make, 9, 1);
-        assert!(reference.schedules_explored > 1000);
-        for workers in [2, 4, 7, 16] {
-            assert_eq!(
-                worst_case_with_workers(&g, make, 9, workers),
-                reference,
-                "worker count {workers} changed the job-driven expansion result"
+            let reference = search(false, None);
+            proptest::prop_assert_eq!(search(true, None), reference.clone());
+            proptest::prop_assert_eq!(
+                search(true, Some(&autos)), reference,
+                "n={} script_len={} offset={} horizon={}", n, script_len, offset, horizon
             );
         }
     }

@@ -15,8 +15,8 @@
 //! [`Runtime::snapshot`] freezes the complete mid-run state (forking every
 //! behavior per the [`Behavior::fork`] contract) into a
 //! [`RuntimeSnapshot`], and [`Runtime::restore`] /
-//! [`Runtime::from_snapshot`] re-enter that state — on the same runtime,
-//! a fresh one, or another thread — without replaying the schedule prefix.
+//! [`Runtime::from_snapshot`] re-enter that state — on the same runtime
+//! or a fresh one — without replaying the schedule prefix.
 //! [`Runtime::reset`] is the other rewind: back to the *initial* state
 //! with brand-new behaviors (see its docs for the reset-vs-restore rule of
 //! thumb).
@@ -257,9 +257,8 @@ impl EdgeOcc {
 /// any number of times) by [`Runtime::restore`] and
 /// [`Runtime::from_snapshot`].
 ///
-/// The snapshot does not borrow the runtime or the graph, so it can be
-/// moved across threads (it is `Send` whenever the behavior is) — the
-/// minimax search ships frontier snapshots to worker threads this way.
+/// The snapshot does not borrow the runtime or the graph, so it outlives
+/// the runtime that took it and can seed a fresh one.
 #[derive(Debug)]
 pub struct RuntimeSnapshot<B> {
     pub(crate) slots: Vec<Slot<B>>,
@@ -397,8 +396,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// for when to reset instead.
     ///
     /// The snapshot is borrowed, not consumed: the same snapshot can seed
-    /// any number of restores (the minimax search re-enters each frontier
-    /// state once per sibling branch).
+    /// any number of restores (the plain minimax enumeration re-enters
+    /// each branching node once per sibling).
     ///
     /// # Panics
     ///
@@ -420,8 +419,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
 
     /// Like [`Runtime::restore`], but consumes the snapshot and moves its
     /// state in without forking the behaviors — the cheap path for a
-    /// snapshot's *last* use (the minimax search re-enters each node once
-    /// per sibling; the final sibling takes the state by move).
+    /// snapshot's *last* use (the plain minimax enumeration re-enters each
+    /// node once per sibling; the final sibling takes the state by move).
     ///
     /// # Panics
     ///
@@ -440,9 +439,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 
     /// Builds a fresh runtime positioned at the mid-run state captured by
-    /// `snap` — the cross-thread entry point of the parallel minimax
-    /// search, whose workers receive snapshots instead of behavior
-    /// factories.
+    /// `snap`, with the given configuration — e.g. to resume a decoded
+    /// [`crate::wire::SnapshotWire`] or to branch a run without touching
+    /// the original runtime.
     ///
     /// # Panics
     ///
@@ -458,35 +457,6 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             slots: snap.slots.iter().map(Slot::fork).collect(),
             edges: snap.edges.clone(),
             meetings: snap.meetings.clone(),
-            actions: snap.actions,
-            total_traversals: snap.total_traversals,
-            config,
-            scratch: Vec::new(),
-            choice_scratch: Vec::new(),
-            faults: None,
-        }
-    }
-
-    /// Like [`Runtime::from_snapshot`], but consumes the snapshot and moves
-    /// its state in without forking — the cheap constructor when the
-    /// snapshot has no further use (a search worker entering its first
-    /// owned job). Mirrors the [`Runtime::restore`] /
-    /// [`Runtime::restore_owned`] pairing.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Runtime::from_snapshot`].
-    pub fn from_snapshot_owned(g: &'g Graph, snap: RuntimeSnapshot<B>, config: RunConfig) -> Self {
-        assert_eq!(
-            snap.edges.len(),
-            g.size(),
-            "snapshot belongs to a runtime over a different graph"
-        );
-        Runtime {
-            g,
-            slots: snap.slots,
-            edges: snap.edges,
-            meetings: snap.meetings,
             actions: snap.actions,
             total_traversals: snap.total_traversals,
             config,
@@ -1295,21 +1265,6 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         adversary: &mut dyn crate::adversary::Adversary,
         policy: &mut dyn crate::stop::StopPolicy,
     ) -> RunOutcome {
-        self.run_with_policy_observed(adversary, policy, |_| {})
-    }
-
-    /// [`Runtime::run_with_policy`] with a read-only observer invoked at
-    /// every cadence point the policy declines to stop at — the hook the
-    /// durable-sweep checkpointer uses to persist in-flight state without
-    /// perturbing the run (the observer takes `&Self`, so it *cannot*
-    /// perturb it; a no-op observer is bit-identical to
-    /// [`Runtime::run_with_policy`] by construction).
-    pub fn run_with_policy_observed(
-        &mut self,
-        adversary: &mut dyn crate::adversary::Adversary,
-        policy: &mut dyn crate::stop::StopPolicy,
-        mut observer: impl FnMut(&Self),
-    ) -> RunOutcome {
         let cadence = policy.cadence().max(1);
         let mut next_check = self.actions;
         let mut new_meetings: Vec<Meeting> = Vec::new();
@@ -1325,7 +1280,6 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 if let Some(end) = policy.check(&self.progress()) {
                     break end;
                 }
-                observer(self);
                 next_check = self.actions + cadence;
             }
             if let Some(end) = self.step(adversary, &mut new_meetings) {

@@ -3,9 +3,9 @@
 //! The minimax contract is that [`rv_sim::search_worst_case`] returns a
 //! **bit-identical** [`WorstCase`] — including the exact explored-leaf
 //! count — for every configuration: memo on or off, identity or full
-//! automorphism group, and any worker count. The constants below were
-//! captured from the plain sequential enumeration (memo off, one worker);
-//! every other configuration must reproduce them exactly.
+//! automorphism group. The constants below were captured from the plain
+//! enumeration (memo off); every other configuration must reproduce them
+//! exactly.
 //!
 //! To re-capture after an *intentional* semantic change, run
 //! `cargo test -p rv_sim --test memo_equivalence -- --ignored --nocapture`
@@ -13,13 +13,8 @@
 
 use rv_core::Label;
 use rv_explore::SeededUxs;
-use rv_graph::{generators, Automorphisms, Graph, GraphFamily, NodeId};
+use rv_graph::{generators, Graph, GraphFamily, NodeId};
 use rv_sim::{search_worst_case, RvBehavior, SearchOptions};
-
-/// The worker counts every case is replayed at. The machine may expose
-/// fewer cores; the pool still spawns this many workers, which is exactly
-/// the oversubscribed interleaving the bit-identity claim must survive.
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 struct Case {
     name: &'static str,
@@ -62,7 +57,7 @@ const CASES: [Case; 5] = [
 ];
 
 /// `(max_meeting_cost, some_schedule_avoids, schedules_explored)` captured
-/// from the sequential unmemoized enumeration, one row per [`CASES`] entry.
+/// from the unmemoized enumeration, one row per [`CASES`] entry.
 const GOLDEN: [(Option<u64>, bool, u64); 5] = [
     (Some(2), true, 64),
     (Some(4), true, 724),
@@ -92,19 +87,17 @@ fn memoized_search_is_bit_identical_to_golden_enumeration() {
     for (case, golden) in CASES.iter().zip(GOLDEN) {
         let g = graph_for(case);
         let autos = case.family.automorphisms(&g);
-        // (memo, quotient group) configurations; every one must agree.
-        let configs: [(bool, Option<&Automorphisms>); 3] =
-            [(false, None), (true, None), (true, Some(&autos))];
-        for (memo, automorphisms) in configs {
-            for workers in WORKER_COUNTS {
+        // memo {off, on} × group {identity, family}; every one must agree.
+        for memo in [false, true] {
+            for automorphisms in [None, Some(&autos)] {
                 let report = search_worst_case(
                     &g,
                     || behaviors(&g, uxs),
                     case.depth,
                     &SearchOptions {
-                        workers: Some(workers),
                         memo,
                         automorphisms,
+                        ..SearchOptions::default()
                     },
                 );
                 let got = (
@@ -115,7 +108,7 @@ fn memoized_search_is_bit_identical_to_golden_enumeration() {
                 assert_eq!(
                     got,
                     golden,
-                    "{}: memo={memo} autos={} workers={workers} diverged from golden",
+                    "{}: memo={memo} autos={} diverged from golden",
                     case.name,
                     automorphisms.is_some(),
                 );
@@ -130,8 +123,8 @@ fn memoized_search_is_bit_identical_to_golden_enumeration() {
     }
 }
 
-/// Sequential memoized stats are deterministic: same probes/hits/entries
-/// on every run (the parallel counts legitimately vary with stealing).
+/// Memoized stats are deterministic: same probes/hits/entries on every
+/// run.
 #[test]
 fn sequential_memo_stats_are_deterministic() {
     let uxs = SeededUxs::quadratic();
@@ -144,9 +137,8 @@ fn sequential_memo_stats_are_deterministic() {
             || behaviors(&g, uxs),
             case.depth,
             &SearchOptions {
-                workers: Some(1),
-                memo: true,
                 automorphisms: Some(&autos),
+                ..SearchOptions::default()
             },
         )
         .memo
@@ -156,6 +148,59 @@ fn sequential_memo_stats_are_deterministic() {
     let b = run();
     assert_eq!((a.probes, a.hits, a.entries), (b.probes, b.hits, b.entries));
     assert!(a.hits > 0, "the ring collapses states; hits must occur");
+}
+
+/// A matrix minimax row's `(cost, traversals, tt_hits, tt_entries)`.
+type MatrixRow = (u64, u64, u64, u64);
+
+/// The scenario matrix's five minimax cells (`rv_bench::cells::MINIMAX_CELLS`)
+/// and their rows: the search
+/// under default options plus the family's group must reproduce them on
+/// any host.
+const MATRIX_ROWS: [(GraphFamily, usize, usize, MatrixRow); 5] = [
+    (GraphFamily::Path, 3, 10, (4, 724, 25, 38)),
+    (GraphFamily::Path, 3, 12, (4, 2236, 36, 49)),
+    (GraphFamily::Ring, 4, 8, (2, 196, 15, 26)),
+    (GraphFamily::Ring, 4, 12, (2, 2836, 42, 53)),
+    (GraphFamily::Ring, 4, 14, (6, 11284, 63, 78)),
+];
+
+#[test]
+fn default_options_reproduce_the_matrix_minimax_rows() {
+    let uxs = SeededUxs::quadratic();
+    for (family, n, depth, row) in MATRIX_ROWS {
+        let case = Case {
+            name: "matrix",
+            family,
+            n,
+            depth,
+        };
+        let g = graph_for(&case);
+        let autos = family.automorphisms(&g);
+        let report = search_worst_case(
+            &g,
+            || behaviors(&g, uxs),
+            depth,
+            &SearchOptions {
+                automorphisms: Some(&autos),
+                ..SearchOptions::default()
+            },
+        );
+        let stats = report.memo.expect("memo is on by default");
+        let got = (
+            report
+                .worst
+                .max_meeting_cost
+                .expect("every matrix cell meets"),
+            report.worst.schedules_explored,
+            stats.hits,
+            stats.entries,
+        );
+        assert_eq!(
+            got, row,
+            "{family:?}{n}/d{depth} drifted from its matrix row"
+        );
+    }
 }
 
 /// Prints the golden table for re-capture (see module docs).
@@ -170,9 +215,8 @@ fn capture_golden() {
             || behaviors(&g, uxs),
             case.depth,
             &SearchOptions {
-                workers: Some(1),
                 memo: false,
-                automorphisms: None,
+                ..SearchOptions::default()
             },
         )
         .worst;
