@@ -641,11 +641,12 @@ impl<'g, P: ExplorationProvider + Clone> Behavior for SglBehavior<'g, P> {
                 self.progress_ticks += 1;
                 return;
             }
-            let non_explorers: Vec<&SglInfo> = peers
+            let token = peers
                 .iter()
                 .filter(|p| p.state != StateKind::Explorer)
-                .collect();
-            if let Some(token) = non_explorers.iter().map(|p| p.label).min() {
+                .map(|p| p.label)
+                .min();
+            if let Some(token) = token {
                 self.state = StateKind::Explorer;
                 self.token_label = Some(token);
                 self.needs_esst_init = true;

@@ -27,7 +27,11 @@ use rv_trajectory::TrajectoryCursor;
 /// schedule prefix. Behaviors whose state is plain data implement it as
 /// `self.clone()`.
 pub trait Behavior {
-    /// Information revealed to peers at a meeting.
+    /// Information revealed to peers at a meeting. The runtime takes one
+    /// per participant per meeting — protocol runs meet about once per
+    /// four traversals — so it should be cheap to produce and to clone:
+    /// share large state (as SGL's copy-on-write bags do) rather than
+    /// copy it.
     type Info: Clone;
 
     /// The node this agent is placed at initially.
@@ -37,10 +41,17 @@ pub trait Behavior {
     /// parks.
     fn next_port(&mut self) -> Option<PortId>;
 
-    /// Snapshot of the information this agent shares when met.
+    /// Snapshot of the information this agent shares when met. Called
+    /// exactly once per participant per meeting, for every participant
+    /// before any of them receives [`Behavior::on_meeting`], so every
+    /// delivery sees the peers as they were when the meeting happened.
     fn info(&self) -> Self::Info;
 
-    /// Delivery of a meeting with `peers` at `place`.
+    /// Delivery of a meeting with `peers` at `place`. `peers` is a view
+    /// borrowed from the runtime: the other participants' infos in
+    /// ascending agent order, without this agent's own. Crashed
+    /// participants receive no delivery, but their infos are among the
+    /// live participants' peers.
     fn on_meeting(&mut self, place: MeetingPlace, peers: &[Self::Info]);
 
     /// Forks the agent mid-run: an independent copy that will behave

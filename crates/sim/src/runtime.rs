@@ -290,7 +290,7 @@ impl<B: Behavior> RuntimeSnapshot<B> {
 ///
 /// See the crate documentation for the model; see
 /// [`crate::adversary`] for the strategies that drive it.
-pub struct Runtime<'g, B> {
+pub struct Runtime<'g, B: Behavior> {
     g: &'g Graph,
     slots: Vec<Slot<B>>,
     /// Occupancy per dense edge index (`edges.len() == g.size()`). Queues
@@ -303,9 +303,14 @@ pub struct Runtime<'g, B> {
     total_traversals: u64,
     config: RunConfig,
     /// Reusable scratch for participant lists built while `self.edges` or
-    /// `self.slots` is borrowed (meeting declaration is rare; the scratch
-    /// keeps the common paths allocation-free even when it fires).
+    /// `self.slots` is borrowed. Meetings are not rare — protocol runs
+    /// declare about one per four traversals — so the scratch keeps them
+    /// off the allocator.
     scratch: Vec<usize>,
+    /// Reusable buffer of the participants' infos during one meeting
+    /// delivery (see `declare_excluding`); empty between deliveries, so it
+    /// holds no references into the agents' state.
+    info_scratch: Vec<B::Info>,
     /// Reusable legal-choice buffer for [`Runtime::step`] (transient, not
     /// part of the frozen state — snapshots never carry it).
     choice_scratch: Vec<ChoiceInfo>,
@@ -335,6 +340,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             total_traversals: 0,
             config,
             scratch: Vec::new(),
+            info_scratch: Vec::new(),
             choice_scratch: Vec::new(),
             faults: None,
         };
@@ -461,6 +467,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             total_traversals: snap.total_traversals,
             config,
             scratch: Vec::new(),
+            info_scratch: Vec::new(),
             choice_scratch: Vec::new(),
             faults: None,
         }
@@ -994,10 +1001,11 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         place: MeetingPlace,
         skip: Option<usize>,
     ) -> Meeting {
-        let infos: Vec<B::Info> = agents
-            .iter()
-            .map(|&j| self.slots[j].behavior.info())
-            .collect();
+        // Every info is taken before any delivery, so each participant sees
+        // its peers as they were when the meeting happened.
+        let mut infos = std::mem::take(&mut self.info_scratch);
+        infos.extend(agents.iter().map(|&j| self.slots[j].behavior.info()));
+        let n = infos.len();
         for (idx, &j) in agents.iter().enumerate() {
             // Crash-stop body semantics (see `crate::fault`): a crashed
             // participant's info stays readable by the live agents, but it
@@ -1005,13 +1013,12 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             if self.slots[j].crashed {
                 continue;
             }
-            let peers: Vec<B::Info> = infos
-                .iter()
-                .enumerate()
-                .filter(|(p, _)| *p != idx)
-                .map(|(_, info)| info.clone())
-                .collect();
-            self.slots[j].behavior.on_meeting(place, &peers);
+            // Participant `idx`'s peers are everyone else in agent order:
+            // rotating its own info to the end leaves them as the prefix
+            // (order matters — SGL adopts the first peer's final set).
+            infos[idx..].rotate_left(1);
+            self.slots[j].behavior.on_meeting(place, &infos[..n - 1]);
+            infos[idx..].rotate_right(1);
             // A parked agent may decide to move again after learning
             // something new (e.g. an SGL explorer whose token arrives).
             if Some(j) != skip
@@ -1022,6 +1029,11 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 self.fetch_pending(j);
             }
         }
+        // Drop the infos now: an info that outlived the meeting would keep
+        // shared state (e.g. a copy-on-write bag) alive and make its
+        // owner's next mutation copy.
+        infos.clear();
+        self.info_scratch = infos;
         let m = Meeting {
             agents,
             place,
@@ -1295,7 +1307,10 @@ mod tests {
     use super::*;
     use crate::adversary::RoundRobin;
     use crate::behavior::ScriptBehavior;
+    use crate::fault::CrashFault;
     use rv_graph::generators;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn two_walkers(g: &Graph) -> Vec<ScriptBehavior> {
         vec![
@@ -1412,6 +1427,166 @@ mod tests {
             "RunOutcome must hand out the COW log, not a deep copy"
         );
         assert_eq!(out.meetings.len(), rt.meetings().len());
+    }
+
+    /// What a [`Recorder`] reveals: its agent index and how many
+    /// deliveries it had received when the info was taken. Cloning one
+    /// bumps a counter shared by the whole team.
+    #[derive(Debug)]
+    struct Tag {
+        agent: usize,
+        deliveries: usize,
+        clones: Rc<Cell<usize>>,
+    }
+
+    impl Clone for Tag {
+        fn clone(&self) -> Self {
+            self.clones.set(self.clones.get() + 1);
+            Tag {
+                agent: self.agent,
+                deliveries: self.deliveries,
+                clones: Rc::clone(&self.clones),
+            }
+        }
+    }
+
+    /// A scripted walker that records every delivery as the list of
+    /// `(agent, deliveries)` pairs its peers revealed.
+    #[derive(Clone, Debug)]
+    struct Recorder {
+        agent: usize,
+        start: NodeId,
+        ports: Vec<PortId>,
+        received: Vec<Vec<(usize, usize)>>,
+        clones: Rc<Cell<usize>>,
+    }
+
+    impl Behavior for Recorder {
+        type Info = Tag;
+
+        fn start_node(&self) -> NodeId {
+            self.start
+        }
+
+        fn next_port(&mut self) -> Option<PortId> {
+            self.ports.pop()
+        }
+
+        fn info(&self) -> Tag {
+            Tag {
+                agent: self.agent,
+                deliveries: self.received.len(),
+                clones: Rc::clone(&self.clones),
+            }
+        }
+
+        fn on_meeting(&mut self, _place: MeetingPlace, peers: &[Tag]) {
+            self.received
+                .push(peers.iter().map(|p| (p.agent, p.deliveries)).collect());
+        }
+
+        fn fork(&self) -> Self {
+            self.clone()
+        }
+    }
+
+    /// Replays a fixed action list (panics if one is illegal).
+    struct Scripted(std::vec::IntoIter<Choice>);
+
+    impl crate::adversary::Adversary for Scripted {
+        fn choose(&mut self, choices: &[ChoiceInfo], _tick: u64) -> Choice {
+            let c = self.0.next().expect("script covers the run");
+            assert!(choices.iter().any(|ci| ci.choice == c), "{c:?} illegal");
+            c
+        }
+    }
+
+    /// Four recorders on the leaves of a five-node star walk into the hub
+    /// in the order 2, 0, 3, 1, so the arrivals declare node meetings of
+    /// two, three and four agents. `faults` is installed before the run.
+    /// Returns the runtime after the twelve scripted actions and the
+    /// team's clone counter.
+    fn hub_meetings(g: &Graph, faults: FaultPlan) -> (Runtime<'_, Recorder>, Rc<Cell<usize>>) {
+        let clones = Rc::new(Cell::new(0));
+        let team = (0..4)
+            .map(|agent| Recorder {
+                agent,
+                start: NodeId(agent + 1),
+                ports: vec![PortId(0)],
+                received: Vec::new(),
+                clones: Rc::clone(&clones),
+            })
+            .collect();
+        let mut rt = Runtime::new(g, team, RunConfig::protocol());
+        rt.set_fault_plan(faults);
+        let act = |agent, kind| Choice { agent, kind };
+        let mut script: Vec<Choice> = (0..4).map(|a| act(a, ActionKind::Wake)).collect();
+        for a in [2, 0, 3, 1] {
+            script.push(act(a, ActionKind::Start));
+            script.push(act(a, ActionKind::Finish));
+        }
+        let steps = script.len();
+        let mut adversary = Scripted(script.into_iter());
+        let mut meetings = Vec::new();
+        for _ in 0..steps {
+            assert_eq!(rt.step(&mut adversary, &mut meetings), None);
+        }
+        (rt, clones)
+    }
+
+    /// What each agent should have received: replays the meeting log,
+    /// giving every live participant its peers in ascending agent order,
+    /// each with the delivery count it had *before* the meeting.
+    fn expected_deliveries(rt: &Runtime<'_, Recorder>) -> Vec<Vec<Vec<(usize, usize)>>> {
+        let n = rt.agent_count();
+        let mut expected = vec![Vec::new(); n];
+        let mut delivered = vec![0; n];
+        for m in rt.meetings().iter() {
+            let before = delivered.clone();
+            for &j in m.agents.iter().filter(|&&j| !rt.crashed(j)) {
+                let peers = m.agents.iter().filter(|&&p| p != j);
+                expected[j].push(peers.map(|&p| (p, before[p])).collect());
+                delivered[j] += 1;
+            }
+        }
+        expected
+    }
+
+    #[test]
+    fn delivery_gives_each_participant_its_peers_in_agent_order() {
+        let g = generators::star(5);
+        let (rt, clones) = hub_meetings(&g, FaultPlan::empty());
+        let sizes: Vec<usize> = rt.meetings().iter().map(|m| m.agents.len()).collect();
+        assert_eq!(sizes, vec![2, 3, 4]);
+        let received: Vec<_> = (0..4).map(|i| rt.behavior(i).received.clone()).collect();
+        assert_eq!(received, expected_deliveries(&rt));
+        // Spelled out for the four-agent meeting: agents 0 and 2 had two
+        // deliveries, agent 3 one, agent 1 none.
+        assert_eq!(received[1], vec![vec![(0, 2), (2, 2), (3, 1)]]);
+        assert_eq!(received[3][1], vec![(0, 2), (1, 0), (2, 2)]);
+        assert_eq!(clones.get(), 0, "delivery cloned an info");
+    }
+
+    #[test]
+    fn a_crashed_participant_is_seen_but_not_served() {
+        let g = generators::star(5);
+        // Agent 2 reaches the hub at action 6 and crashes there.
+        let crash = CrashFault {
+            at_action: 6,
+            agent: 2,
+        };
+        let (rt, clones) = hub_meetings(&g, FaultPlan::new(vec![crash], Vec::new(), Vec::new()));
+        assert!(rt.crashed(2));
+        assert_eq!(rt.meetings().len(), 3);
+        assert!(rt.behavior(2).received.is_empty());
+        let received: Vec<_> = (0..4).map(|i| rt.behavior(i).received.clone()).collect();
+        assert_eq!(received, expected_deliveries(&rt));
+        assert_eq!(
+            received[0][0],
+            vec![(2, 0)],
+            "the body's info reaches the others"
+        );
+        assert_eq!(clones.get(), 0, "delivery cloned an info");
     }
 
     #[test]
