@@ -67,7 +67,7 @@ fn fingerprint(out: &RunOutcome, rt: &Runtime<SglBehavior<SeededUxs>>) -> String
     let mut h = Fnv::new();
     for m in &out.meetings {
         h.write_u64(m.agents.len() as u64);
-        for &a in &m.agents {
+        for a in m.agents.iter() {
             h.write_u64(a as u64);
         }
         h.write_u64(m.at_cost);

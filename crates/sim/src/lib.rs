@@ -89,7 +89,7 @@ pub mod wire;
 
 pub use behavior::{Behavior, NaiveBehavior, RvBehavior, ScriptBehavior, SpecBehavior};
 pub use fault::{CrashFault, FaultClock, FaultPlan, FaultProfile, OutageFault};
-pub use meeting::{AgentMeetings, Meeting, MeetingLog, MeetingPlace};
+pub use meeting::{AgentMeetings, AgentSet, AgentSetIter, Meeting, MeetingLog, MeetingPlace};
 pub use memo::MemoStats;
 pub use minimax::{search_worst_case, SearchOptions, SearchReport};
 pub use runtime::{

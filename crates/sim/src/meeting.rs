@@ -12,11 +12,108 @@ pub enum MeetingPlace {
     Edge(EdgeId),
 }
 
-/// A forced meeting between two or more agents.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The participants of one meeting: a set of agent indices below
+/// [`AgentSet::CAPACITY`], held as one 64-bit mask.
+///
+/// The set is `Copy` and never allocates, so a [`Meeting`] is a plain
+/// value. [`AgentSet::iter`] yields members in ascending order, the order
+/// the runtime delivers a meeting in. `Debug` renders exactly like the
+/// sorted `Vec<usize>` this type replaced (`[0, 1]`): the golden suites
+/// fingerprint outcomes with `{:?}`.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct AgentSet(u64);
+
+impl AgentSet {
+    /// One past the largest storable agent index. [`crate::Runtime::new`]
+    /// refuses more agents than this.
+    pub const CAPACITY: usize = 64;
+
+    /// The empty set.
+    pub const fn new() -> Self {
+        AgentSet(0)
+    }
+
+    /// Adds `agent` (a no-op if present).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agent >= AgentSet::CAPACITY`.
+    pub fn insert(&mut self, agent: usize) {
+        assert!(
+            agent < Self::CAPACITY,
+            "agent index {agent} exceeds the AgentSet capacity of {} agents",
+            Self::CAPACITY
+        );
+        self.0 |= 1 << agent;
+    }
+
+    /// `true` if `agent` is a member; always `false` at or above
+    /// [`AgentSet::CAPACITY`].
+    pub fn contains(&self, agent: usize) -> bool {
+        agent < Self::CAPACITY && self.0 & (1 << agent) != 0
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// `true` if the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+
+    /// Iterates the members in ascending order.
+    pub fn iter(&self) -> AgentSetIter {
+        AgentSetIter(self.0)
+    }
+}
+
+impl FromIterator<usize> for AgentSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut set = AgentSet::new();
+        for agent in iter {
+            set.insert(agent);
+        }
+        set
+    }
+}
+
+impl std::fmt::Debug for AgentSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Ascending iterator over an [`AgentSet`]; see [`AgentSet::iter`].
+#[derive(Clone, Debug)]
+pub struct AgentSetIter(u64);
+
+impl Iterator for AgentSetIter {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let agent = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(agent)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.count_ones() as usize;
+        (n, Some(n))
+    }
+}
+
+/// A forced meeting between two or more agents: a 48-byte `Copy` value
+/// with no heap block, so the runtime hands it out and logs it by copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Meeting {
-    /// Indices (into the runtime's agent vector) of the participants.
-    pub agents: Vec<usize>,
+    /// Indices (into the runtime's agent vector) of the participants,
+    /// ascending; `Debug` prints them as a `Vec<usize>` would.
+    pub agents: AgentSet,
     /// Where the meeting happened.
     pub place: MeetingPlace,
     /// Total completed traversals (over all agents) when the meeting was
@@ -80,6 +177,9 @@ impl Drop for Node {
 }
 
 /// A persistent, append-only log of [`Meeting`]s with **O(1) clone**.
+///
+/// A record is one 48-byte [`Meeting`] value stored inline in its chunk,
+/// with no per-meeting heap block; appending copies it in.
 ///
 /// Sealed history lives in shared `Arc` chunks (a newest-first chain);
 /// only the unsealed tail (at most one chunk of 32 meetings) is owned, so
@@ -170,7 +270,7 @@ impl MeetingLog {
 
     /// Copies the log out into a plain vector (oldest first).
     pub fn to_vec(&self) -> Vec<Meeting> {
-        self.iter().cloned().collect()
+        self.iter().copied().collect()
     }
 
     /// `true` if `self` and `other` share their newest sealed chunk by
@@ -186,10 +286,11 @@ impl MeetingLog {
     }
 
     /// A per-agent **view**: iterates, in declaration order, exactly the
-    /// meetings `agent` participated in — a filtered cursor over the
-    /// shared chunk chain, not a materialised copy, so protocol analytics
-    /// (per-agent meeting counts, who-met-whom completeness checks) walk
-    /// the log without a `to_vec()` of millions of exchanges.
+    /// meetings `agent` participated in — a filtered cursor (one bit test
+    /// per meeting) over the shared chunk chain, not a materialised copy,
+    /// so protocol analytics (per-agent meeting counts, who-met-whom
+    /// completeness checks) walk the log without a `to_vec()` of millions
+    /// of exchanges.
     pub fn for_agent(&self, agent: usize) -> AgentMeetings<'_> {
         AgentMeetings {
             inner: self.iter(),
@@ -200,11 +301,11 @@ impl MeetingLog {
     /// `true` if agents `a` and `b` ever appeared in one meeting — the
     /// pairwise building block of the SGL post-hoc completeness check
     /// (the completion-threshold substitution is sound on a run iff the
-    /// minimal agent met every other agent). Walks `a`'s view —
-    /// allocation-free, linear in the log's length, early-exiting at the
-    /// first shared meeting.
+    /// minimal agent met every other agent). Walks `a`'s view with two
+    /// bit tests per meeting — allocation-free, linear in the log's
+    /// length, early-exiting at the first shared meeting.
     pub fn pair_met(&self, a: usize, b: usize) -> bool {
-        self.for_agent(a).any(|m| m.agents.contains(&b))
+        self.for_agent(a).any(|m| m.agents.contains(b))
     }
 }
 
@@ -267,13 +368,58 @@ impl<'a> Iterator for AgentMeetings<'a> {
     type Item = &'a Meeting;
 
     fn next(&mut self) -> Option<&'a Meeting> {
-        self.inner.by_ref().find(|m| m.agents.contains(&self.agent))
+        self.inner.by_ref().find(|m| m.agents.contains(self.agent))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn agent_set_iterates_ascending_whatever_the_insertion_order() {
+        let mut set = AgentSet::new();
+        assert!(set.is_empty());
+        for a in [63, 5, 0, 17, 5, 2] {
+            set.insert(a);
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 2, 5, 17, 63]);
+        assert_eq!(set.len(), 5);
+        assert!(!set.is_empty());
+        let collected: AgentSet = [17, 63, 2, 0, 5].into_iter().collect();
+        assert_eq!(collected, set);
+    }
+
+    #[test]
+    fn agent_set_debug_matches_the_vec_it_replaced() {
+        for members in [vec![], vec![0, 1], vec![1, 3, 4], vec![0, 2, 63]] {
+            let set: AgentSet = members.iter().rev().copied().collect();
+            assert_eq!(format!("{set:?}"), format!("{members:?}"));
+            assert_eq!(format!("{set:#?}"), format!("{members:#?}"));
+        }
+    }
+
+    #[test]
+    fn agent_set_contains_is_false_at_and_above_capacity() {
+        let set: AgentSet = (0..AgentSet::CAPACITY).collect();
+        assert_eq!(set.len(), 64);
+        assert!(set.contains(0) && set.contains(63));
+        for a in [64, 65, 127, 128, usize::MAX] {
+            assert!(!set.contains(a), "{a} is beyond the capacity");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the AgentSet capacity of 64 agents")]
+    fn agent_set_insert_past_capacity_panics() {
+        AgentSet::new().insert(64);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_meeting_is_a_48_byte_value() {
+        assert_eq!(std::mem::size_of::<Meeting>(), 48);
+    }
 
     #[test]
     fn meeting_place_comparisons() {
@@ -287,7 +433,7 @@ mod tests {
 
     fn meeting(i: usize) -> Meeting {
         Meeting {
-            agents: vec![0, 1],
+            agents: [0, 1].into_iter().collect(),
             place: MeetingPlace::Node(NodeId(i % 7)),
             at_cost: i as u64,
             at_action: 2 * i as u64,
@@ -345,7 +491,7 @@ mod tests {
         assert_eq!(frozen.to_vec(), frozen_contents, "COW: clone is immutable");
         assert_eq!(log.len(), 4 * CHUNK + CHUNK / 2);
         // The two handles still share the chunks sealed before the fork.
-        let shared_prefix: Vec<_> = log.iter().take(frozen.len()).cloned().collect();
+        let shared_prefix: Vec<_> = log.iter().take(frozen.len()).copied().collect();
         assert_eq!(shared_prefix, frozen_contents);
     }
 
@@ -369,18 +515,18 @@ mod tests {
         let patterns: [&[usize]; 4] = [&[0, 1], &[1, 2], &[0, 2], &[0, 1, 2]];
         for i in 0..(4 * CHUNK) {
             log.push(Meeting {
-                agents: patterns[i % 4].to_vec(),
+                agents: patterns[i % 4].iter().copied().collect(),
                 place: MeetingPlace::Node(NodeId(i % 5)),
                 at_cost: i as u64,
                 at_action: i as u64,
             });
         }
         for agent in 0..3usize {
-            let via_view: Vec<_> = log.for_agent(agent).cloned().collect();
+            let via_view: Vec<_> = log.for_agent(agent).copied().collect();
             let via_filter: Vec<_> = log
                 .iter()
-                .filter(|m| m.agents.contains(&agent))
-                .cloned()
+                .filter(|m| m.agents.iter().any(|a| a == agent))
+                .copied()
                 .collect();
             assert_eq!(via_view, via_filter, "view drifted for agent {agent}");
             assert_eq!(via_view.len(), 3 * CHUNK, "3 of every 4 meetings");
@@ -392,13 +538,13 @@ mod tests {
     fn pair_met_is_symmetric_and_exact() {
         let mut log = MeetingLog::new();
         log.push(Meeting {
-            agents: vec![0, 2],
+            agents: [0, 2].into_iter().collect(),
             place: MeetingPlace::Node(NodeId(1)),
             at_cost: 1,
             at_action: 1,
         });
         log.push(Meeting {
-            agents: vec![1, 3],
+            agents: [1, 3].into_iter().collect(),
             place: MeetingPlace::Node(NodeId(2)),
             at_cost: 2,
             at_action: 2,
@@ -412,7 +558,7 @@ mod tests {
     #[test]
     fn display_is_compact_and_readable() {
         let m = Meeting {
-            agents: vec![0, 1],
+            agents: [1, 0].into_iter().collect(),
             place: MeetingPlace::Edge(EdgeId::new(NodeId(2), NodeId(1))),
             at_cost: 54,
             at_action: 110,

@@ -23,7 +23,7 @@
 
 use crate::behavior::Behavior;
 use crate::fault::{FaultClock, FaultPlan};
-use crate::meeting::{Meeting, MeetingLog, MeetingPlace};
+use crate::meeting::{AgentSet, Meeting, MeetingLog, MeetingPlace};
 use rv_graph::{EdgeId, Graph, NodeId, PortId};
 
 /// Agent position at the abstraction level of the model (see crate docs).
@@ -302,10 +302,10 @@ pub struct Runtime<'g, B: Behavior> {
     actions: u64,
     total_traversals: u64,
     config: RunConfig,
-    /// Reusable scratch for participant lists built while `self.edges` or
-    /// `self.slots` is borrowed. Meetings are not rare — protocol runs
-    /// declare about one per four traversals — so the scratch keeps them
-    /// off the allocator.
+    /// Reusable copy of one edge queue (the opposite-direction occupants a
+    /// `Start` crosses, or the same-direction occupants a `Finish`
+    /// overtakes), taken because `declare` re-borrows `self`. Edge
+    /// meetings are declared in this queue order.
     scratch: Vec<usize>,
     /// Reusable buffer of the participants' infos during one meeting
     /// delivery (see `declare_excluding`); empty between deliveries, so it
@@ -328,8 +328,10 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two agents are supplied or two agents share a
-    /// start node (the model places agents at distinct nodes).
+    /// Panics if fewer than two or more than [`AgentSet::CAPACITY`] (64)
+    /// agents are supplied — a [`Meeting`] holds its participants in an
+    /// [`AgentSet`] — or if two agents share a start node (the model
+    /// places agents at distinct nodes).
     pub fn new(g: &'g Graph, behaviors: Vec<B>, config: RunConfig) -> Self {
         let mut rt = Runtime {
             g,
@@ -475,6 +477,12 @@ impl<'g, B: Behavior> Runtime<'g, B> {
 
     fn install(&mut self, behaviors: Vec<B>) {
         assert!(behaviors.len() >= 2, "the model has at least two agents");
+        assert!(
+            behaviors.len() <= AgentSet::CAPACITY,
+            "a runtime holds at most AgentSet::CAPACITY = {} agents, got {}",
+            AgentSet::CAPACITY,
+            behaviors.len()
+        );
         for (i, b) in behaviors.iter().enumerate() {
             assert!(
                 behaviors[..i]
@@ -737,22 +745,18 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                     Place::AtNode(v) => v,
                     Place::Inside { .. } => unreachable!("asleep agents are at nodes"),
                 };
-                let mut present = std::mem::take(&mut self.scratch);
-                present.clear();
-                present.extend(
-                    self.slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, s)| *j != i && s.awake && s.place == Place::AtNode(here))
-                        .map(|(j, _)| j),
-                );
+                let mut present: AgentSet = self
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, s)| *j != i && s.awake && s.place == Place::AtNode(here))
+                    .map(|(j, _)| j)
+                    .collect();
                 if !present.is_empty() {
-                    present.push(i);
-                    present.sort_unstable();
-                    let m = self.declare(present.clone(), MeetingPlace::Node(here));
+                    present.insert(i);
+                    let m = self.declare(present, MeetingPlace::Node(here));
                     out.push(m);
                 }
-                self.scratch = present;
             }
             ActionKind::Start => {
                 let slot = &mut self.slots[i];
@@ -775,7 +779,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 opposite.extend_from_slice(self.edges[index].queue(!from_a));
                 self.edges[index].queue_mut(from_a).push(i);
                 for &j in &opposite {
-                    let m = self.declare(vec![i.min(j), i.max(j)], MeetingPlace::Edge(edge));
+                    let m = self.declare([i, j].into_iter().collect(), MeetingPlace::Edge(edge));
                     out.push(m);
                 }
                 self.scratch = opposite;
@@ -799,37 +803,33 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 self.total_traversals += 1;
                 for &j in &overtaken {
                     let m = self.declare_excluding(
-                        vec![i.min(j), i.max(j)],
+                        [i, j].into_iter().collect(),
                         MeetingPlace::Edge(edge),
                         Some(i),
                     );
                     out.push(m);
                 }
+                self.scratch = overtaken;
                 // Node contact: everyone standing at the arrival node.
                 // Sleeping agents there are woken by the visit.
-                overtaken.clear();
-                let mut present = overtaken;
-                present.extend(
-                    self.slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, s)| *j != i && s.place == Place::AtNode(to))
-                        .map(|(j, _)| j),
-                );
+                let mut present: AgentSet = self
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, s)| *j != i && s.place == Place::AtNode(to))
+                    .map(|(j, _)| j)
+                    .collect();
                 if !present.is_empty() {
-                    for &j in &present {
+                    for j in present.iter() {
                         if !self.slots[j].awake && !self.slots[j].crashed {
                             self.slots[j].awake = true;
                             self.fetch_pending(j);
                         }
                     }
-                    present.push(i);
-                    present.sort_unstable();
-                    let m =
-                        self.declare_excluding(present.clone(), MeetingPlace::Node(to), Some(i));
+                    present.insert(i);
+                    let m = self.declare_excluding(present, MeetingPlace::Node(to), Some(i));
                     out.push(m);
                 }
-                self.scratch = present;
                 // The agent commits its next move knowing everything that
                 // happened up to and including this arrival. (If a meeting
                 // was declared, `declare` already committed it with the
@@ -988,25 +988,26 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// fresh `next_port` query — parking is a decision, not a commitment,
     /// and new information may end it (e.g. an SGL explorer whose token
     /// just arrived).
-    fn declare(&mut self, agents: Vec<usize>, place: MeetingPlace) -> Meeting {
+    fn declare(&mut self, agents: AgentSet, place: MeetingPlace) -> Meeting {
         self.declare_excluding(agents, place, None)
     }
 
     /// Like [`Runtime::declare`] but defers the re-commit of `skip` (the
     /// agent whose action produced this meeting commits once at the end of
     /// its action, after *all* resulting meetings are delivered).
+    /// Participants are served in ascending agent order.
     fn declare_excluding(
         &mut self,
-        agents: Vec<usize>,
+        agents: AgentSet,
         place: MeetingPlace,
         skip: Option<usize>,
     ) -> Meeting {
         // Every info is taken before any delivery, so each participant sees
         // its peers as they were when the meeting happened.
         let mut infos = std::mem::take(&mut self.info_scratch);
-        infos.extend(agents.iter().map(|&j| self.slots[j].behavior.info()));
+        infos.extend(agents.iter().map(|j| self.slots[j].behavior.info()));
         let n = infos.len();
-        for (idx, &j) in agents.iter().enumerate() {
+        for (idx, j) in agents.iter().enumerate() {
             // Crash-stop body semantics (see `crate::fault`): a crashed
             // participant's info stays readable by the live agents, but it
             // receives no delivery and never re-commits.
@@ -1047,7 +1048,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             .as_ref()
             .is_some_and(|f| f.log_lost(self.actions));
         if !lost {
-            self.meetings.push(m.clone());
+            self.meetings.push(m);
         }
         m
     }
@@ -1543,13 +1544,23 @@ mod tests {
         let mut delivered = vec![0; n];
         for m in rt.meetings().iter() {
             let before = delivered.clone();
-            for &j in m.agents.iter().filter(|&&j| !rt.crashed(j)) {
-                let peers = m.agents.iter().filter(|&&p| p != j);
-                expected[j].push(peers.map(|&p| (p, before[p])).collect());
+            for j in m.agents.iter().filter(|&j| !rt.crashed(j)) {
+                let peers = m.agents.iter().filter(|&p| p != j);
+                expected[j].push(peers.map(|p| (p, before[p])).collect());
                 delivered[j] += 1;
             }
         }
         expected
+    }
+
+    #[test]
+    #[should_panic(expected = "at most AgentSet::CAPACITY = 64 agents, got 65")]
+    fn more_agents_than_the_agent_set_capacity_panic() {
+        let g = generators::ring(65);
+        let team: Vec<_> = (0..65)
+            .map(|v| ScriptBehavior::new(NodeId(v), [0]))
+            .collect();
+        Runtime::new(&g, team, RunConfig::protocol());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   not by comparing JSON texts.
 
 use crate::behavior::Behavior;
-use crate::meeting::{Meeting, MeetingLog, MeetingPlace};
+use crate::meeting::{AgentSet, Meeting, MeetingLog, MeetingPlace};
 use crate::runtime::{EdgeOcc, Place, RuntimeSnapshot, Slot};
 use crate::ScriptBehavior;
 use rv_graph::{Graph, NodeId, PortId};
@@ -144,7 +144,7 @@ impl SnapshotWire {
                     MeetingPlace::Edge(e) => (None, Some(e.a.0), Some(e.b.0)),
                 };
                 MeetingWire {
-                    agents: m.agents.clone(),
+                    agents: m.agents.iter().collect(),
                     at_node,
                     edge_a,
                     edge_b,
@@ -201,7 +201,9 @@ impl SnapshotWire {
 
     /// Rebuilds a [`RuntimeSnapshot`] over `g`, decoding each behavior
     /// payload with `decode`. Fails (never panics) on payloads the
-    /// decoder rejects or positions that do not fit `g`.
+    /// decoder rejects, positions that do not fit `g`, more agents than
+    /// [`AgentSet::CAPACITY`], or a meeting whose participant list is not
+    /// at least two strictly ascending indices of snapshot agents.
     pub fn into_snapshot<B: Behavior>(
         &self,
         g: &Graph,
@@ -212,6 +214,13 @@ impl SnapshotWire {
                 "snapshot has {} edges, graph has {}",
                 self.edges.len(),
                 g.size()
+            ));
+        }
+        if self.agents.len() > AgentSet::CAPACITY {
+            return Err(format!(
+                "snapshot has {} agents, a runtime holds at most {}",
+                self.agents.len(),
+                AgentSet::CAPACITY
             ));
         }
         let mut slots = Vec::with_capacity(self.agents.len());
@@ -276,7 +285,7 @@ impl SnapshotWire {
                 _ => return Err(format!("meeting {i} has an inconsistent place encoding")),
             };
             meetings.push(Meeting {
-                agents: m.agents.clone(),
+                agents: participants(i, &m.agents, self.agents.len())?,
                 place,
                 at_cost: m.at_cost,
                 at_action: m.at_action,
@@ -314,6 +323,26 @@ pub fn decode_script(s: &str) -> Result<ScriptBehavior, String> {
             .ok_or_else(|| "script payload: missing `ports`".to_string())?,
     )?;
     Ok(ScriptBehavior::new(NodeId(start), ports))
+}
+
+/// Validates meeting `i`'s participant list against a snapshot of
+/// `agent_count` agents: at least two strictly ascending indices, each
+/// below `agent_count` (itself at most [`AgentSet::CAPACITY`]).
+fn participants(i: usize, list: &[usize], agent_count: usize) -> Result<AgentSet, String> {
+    if list.len() < 2 {
+        return Err(format!("meeting {i} lists fewer than two participants"));
+    }
+    if list.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(format!(
+            "meeting {i} participants are not strictly ascending"
+        ));
+    }
+    match list.iter().find(|&&a| a >= agent_count) {
+        Some(a) => Err(format!(
+            "meeting {i} names agent {a}, the snapshot has {agent_count}"
+        )),
+        None => Ok(list.iter().copied().collect()),
+    }
 }
 
 fn arr<'v>(v: &'v Value, key: &str) -> Result<&'v [Value], String> {
@@ -447,6 +476,63 @@ mod tests {
         assert!(wire.into_snapshot(&g4, decode_script).is_err());
         assert!(SnapshotWire::from_json("{\"agents\":[]}").is_err());
         assert!(SnapshotWire::from_json("not json").is_err());
+    }
+
+    /// A finished two-agent run's snapshot, with meeting 0's participant
+    /// list replaced by `agents` on the wire, rebuilt over its graph.
+    fn rebuild_with_participants(agents: Vec<usize>) -> Result<(), String> {
+        let g = generators::ring(4);
+        let behaviors = vec![
+            ScriptBehavior::new(NodeId(0), [0, 0, 0]),
+            ScriptBehavior::new(NodeId(2), [1, 1, 1]),
+        ];
+        let mut rt = Runtime::new(&g, behaviors, RunConfig::protocol());
+        rt.run(&mut RoundRobin::new());
+        let mut wire = SnapshotWire::from_snapshot(&rt.snapshot(), encode_script);
+        assert!(!wire.meetings.is_empty(), "the fixture must log a meeting");
+        wire.meetings[0].agents = agents;
+        wire.into_snapshot(&g, decode_script).map(|_| ())
+    }
+
+    #[test]
+    fn wire_accepts_the_logged_participants() {
+        assert_eq!(rebuild_with_participants(vec![0, 1]), Ok(()));
+    }
+
+    #[test]
+    fn wire_rejects_a_meeting_of_fewer_than_two() {
+        for agents in [vec![], vec![1]] {
+            let err = rebuild_with_participants(agents).expect_err("too few participants");
+            assert!(err.contains("fewer than two"), "{err}");
+        }
+    }
+
+    #[test]
+    fn wire_rejects_participants_not_strictly_ascending() {
+        for agents in [vec![1, 0], vec![0, 0], vec![0, 1, 1]] {
+            let err = rebuild_with_participants(agents).expect_err("unsorted participants");
+            assert!(err.contains("strictly ascending"), "{err}");
+        }
+    }
+
+    #[test]
+    fn wire_rejects_participants_beyond_the_agent_count() {
+        for agents in [vec![0, 2], vec![0, 64], vec![1, usize::MAX]] {
+            let err = rebuild_with_participants(agents).expect_err("unknown participant");
+            assert!(err.contains("the snapshot has 2"), "{err}");
+        }
+    }
+
+    #[test]
+    fn wire_rejects_more_agents_than_a_runtime_holds() {
+        let (g, snap) = mid_run_snapshot();
+        let mut wire = SnapshotWire::from_snapshot(&snap, encode_script);
+        let extra = wire.agents[0].clone();
+        wire.agents.resize(AgentSet::CAPACITY + 1, extra);
+        let err = wire
+            .into_snapshot(&g, decode_script)
+            .expect_err("65 agents");
+        assert!(err.contains("at most 64"), "{err}");
     }
 
     #[test]

@@ -134,6 +134,6 @@ fn meetings_report_monotone_costs_and_valid_participants() {
         assert!(m.at_cost >= prev, "meeting costs are non-decreasing");
         prev = m.at_cost;
         assert!(m.agents.len() >= 2);
-        assert!(m.agents.iter().all(|&a| a < 2));
+        assert!(m.agents.iter().all(|a| a < 2));
     }
 }

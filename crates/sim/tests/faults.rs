@@ -142,7 +142,7 @@ fn crashed_body_still_forces_rendezvous() {
         .meetings
         .last()
         .expect("rendezvous ended with a meeting");
-    assert_eq!(m.agents, vec![0, 1]);
+    assert_eq!(m.agents.iter().collect::<Vec<_>>(), vec![0, 1]);
     assert!(rt.crashed(1) && !rt.crashed(0));
 }
 

@@ -56,7 +56,7 @@ fn opposite_directions_meet_inside_edge() {
     }
     let meetings = rt.apply(start(1));
     assert_eq!(meetings.len(), 1);
-    assert_eq!(meetings[0].agents, vec![0, 1]);
+    assert_eq!(meetings[0].agents.iter().collect::<Vec<_>>(), vec![0, 1]);
     assert_eq!(
         meetings[0].place,
         MeetingPlace::Edge(EdgeId::new(NodeId(0), NodeId(1)))

@@ -6,10 +6,12 @@
 //!
 //! This is the durable-sweep checkpointer's correctness contract: a
 //! SIGKILL between any two actions loses nothing but wall-clock time.
+//! The decoder half of that contract is fuzzed too: corrupted participant
+//! lists are rejected with an error, never a panic.
 
 use proptest::prelude::*;
 use rv_graph::{generators, NodeId};
-use rv_sim::adversary::GreedyAvoid;
+use rv_sim::adversary::{GreedyAvoid, RoundRobin};
 use rv_sim::wire::{decode_script, encode_script, SnapshotWire};
 use rv_sim::{RunConfig, Runtime, RuntimeSnapshot, ScriptBehavior};
 
@@ -33,8 +35,99 @@ fn finish(
     )
 }
 
+/// A real mid-run protocol-mode snapshot on the wire: four scripted
+/// walkers on the leaves of a star, cut while the run is still going but
+/// after its log holds eight meetings, four of them three- or four-agent
+/// node contacts at the hub.
+fn busy_wire() -> (rv_graph::Graph, SnapshotWire) {
+    let g = generators::star(5);
+    let behaviors = vec![
+        ScriptBehavior::new(NodeId(1), [0, 1, 0, 2, 0, 3, 0]),
+        ScriptBehavior::new(NodeId(2), [0, 2, 0, 0, 0, 3, 0]),
+        ScriptBehavior::new(NodeId(3), [0, 3, 0, 1, 0, 0, 0]),
+        ScriptBehavior::new(NodeId(4), [0, 0, 0, 1, 0, 2, 0]),
+    ];
+    let mut rt = Runtime::new(&g, behaviors, RunConfig::protocol());
+    let mut adv = RoundRobin::new();
+    let mut meetings = Vec::new();
+    while rt.meetings().len() < 8 {
+        assert_eq!(
+            rt.step(&mut adv, &mut meetings),
+            None,
+            "the run ended early"
+        );
+    }
+    let wire = SnapshotWire::from_snapshot(&rt.snapshot(), encode_script);
+    assert!(wire.meetings.iter().any(|m| m.agents.len() == 4));
+    (g, wire)
+}
+
+/// `true` iff `agents` is a participant list a runtime with `k` agents
+/// could have logged: at least two strictly ascending indices below `k`.
+fn loggable(agents: &[usize], k: usize) -> bool {
+    agents.len() >= 2 && agents.windows(2).all(|w| w[0] < w[1]) && agents.iter().all(|&a| a < k)
+}
+
+/// SplitMix64: the mutation stream of the decoder property below.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The snapshot decoder survives corrupted participant lists: after
+    /// shuffling, duplicating, dropping or overwriting entries (with
+    /// values up to `usize::MAX`) of a real snapshot's meetings,
+    /// `from_json` → `into_snapshot` either fails or rebuilds a snapshot
+    /// whose wire form is the mutated JSON, byte for byte. It never
+    /// panics, and it fails exactly when some list is not loggable.
+    #[test]
+    fn mutated_participant_lists_fail_or_round_trip(
+        seed in any::<u64>(),
+        edits in 1usize..6,
+    ) {
+        let (g, mut wire) = busy_wire();
+        let k = wire.agents.len();
+        let mut rng = seed;
+        for _ in 0..edits {
+            let r = splitmix(&mut rng);
+            let i = (r >> 8) as usize % wire.meetings.len();
+            let list = &mut wire.meetings[i].agents;
+            let at = (r >> 40) as usize % list.len().max(1);
+            match r % 4 {
+                0 => {
+                    for j in (1..list.len()).rev() {
+                        list.swap(j, splitmix(&mut rng) as usize % (j + 1));
+                    }
+                }
+                1 if !list.is_empty() => list.insert(at, list[at]),
+                2 if !list.is_empty() => {
+                    list.remove(at);
+                }
+                _ if !list.is_empty() => {
+                    // Any magnitude: a random right shift spreads the draws
+                    // from small (often valid) indices up to usize::MAX.
+                    let v = splitmix(&mut rng);
+                    list[at] = if v.is_multiple_of(8) { usize::MAX } else { (v >> (v % 64)) as usize };
+                }
+                _ => {}
+            }
+        }
+        let valid = wire.meetings.iter().all(|m| loggable(&m.agents, k));
+        let json = wire.to_json();
+        let decoded = SnapshotWire::from_json(&json)
+            .and_then(|w| w.into_snapshot(&g, decode_script));
+        prop_assert_eq!(decoded.is_ok(), valid, "accepted iff every list is loggable");
+        if let Ok(snap) = decoded {
+            let again = SnapshotWire::from_snapshot(&snap, encode_script).to_json();
+            prop_assert_eq!(again, json, "an accepted snapshot must round-trip exactly");
+        }
+    }
 
     /// The full checkpoint cycle — runtime snapshot through
     /// `SnapshotWire` JSON, adversary RNG state through its decimal
