@@ -118,6 +118,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `v` is out of range.
+    #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
         self.offsets[v.0 + 1] - self.offsets[v.0]
     }
@@ -155,6 +156,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `v` or `p` is out of range.
+    #[inline]
     pub fn succ(&self, v: NodeId, p: PortId) -> NodeId {
         self.flat[self.slot(v, p)].0
     }
@@ -165,9 +167,23 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `v` or `p` is out of range.
+    #[inline]
     pub fn traverse(&self, v: NodeId, p: PortId) -> Arrival {
         let (node, entry_port) = self.flat[self.slot(v, p)];
         Arrival { node, entry_port }
+    }
+
+    /// [`Graph::traverse`] and [`Graph::edge_index_at`] from one CSR
+    /// lookup: the arrival, and the dense index of the edge crossed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` or `p` is out of range.
+    #[inline]
+    pub fn traverse_indexed(&self, v: NodeId, p: PortId) -> (Arrival, usize) {
+        let slot = self.slot(v, p);
+        let (node, entry_port) = self.flat[slot];
+        (Arrival { node, entry_port }, self.edge_index[slot])
     }
 
     /// The canonical edge crossed when leaving `v` via port `p`.
@@ -184,6 +200,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `v` or `p` is out of range.
+    #[inline]
     pub fn edge_index_at(&self, v: NodeId, p: PortId) -> usize {
         self.edge_index[self.slot(v, p)]
     }
@@ -193,6 +210,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `index >= size()`.
+    #[inline]
     pub fn edge_id(&self, index: usize) -> EdgeId {
         self.edge_list[index]
     }
@@ -412,6 +430,7 @@ mod tests {
                     // Both directed slots of the edge share the index.
                     let arr = g.traverse(v, PortId(p));
                     assert_eq!(idx, g.edge_index_at(arr.node, arr.entry_port));
+                    assert_eq!(g.traverse_indexed(v, PortId(p)), (arr, idx));
                     // The index resolves back to the canonical EdgeId.
                     assert_eq!(g.edge_id(idx), EdgeId::new(v, arr.node));
                     assert_eq!(g.edge_at(v, PortId(p)), EdgeId::new(v, arr.node));

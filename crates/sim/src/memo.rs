@@ -47,7 +47,7 @@
 //! below itself.
 
 use crate::behavior::Behavior;
-use crate::runtime::{Place, Runtime};
+use crate::runtime::{AgentState, EdgeOcc, Place, Runtime};
 use rv_graph::{Automorphisms, NodeId, PortId};
 
 /// Memo key: canonical fingerprint plus residual search depth. Two states
@@ -263,27 +263,27 @@ impl FutureTable {
         let resolve = horizon / 2 + 1;
         let mut agents = Vec::with_capacity(rt.agent_count());
         let mut ports: Vec<PortId> = Vec::new();
-        for slot in rt.slots_for_memo() {
+        for (i, st) in rt.agent_states().iter().enumerate() {
             let mut fut = AgentFuture {
                 arrivals: Vec::new(),
-                base_traversals: slot.traversals,
+                base_traversals: st.traversals,
                 complete: true,
             };
-            if slot.crashed {
+            if st.crashed {
                 agents.push(fut); // a crashed body never moves again
                 continue;
             }
             // Where the port walk resumes from: the committed/in-flight
             // arrival if there is one, else the node an asleep agent will
             // wake at. A parked agent has no future.
-            let walk_from = if !slot.awake {
-                match slot.place {
+            let walk_from = if !st.awake {
+                match st.place {
                     Place::AtNode(v) => Some(v),
                     Place::Inside { .. } => unreachable!("asleep agents are at nodes"),
                 }
             } else {
-                match slot.place {
-                    Place::AtNode(_) => slot.pending.map(|(_, to)| {
+                match st.place {
+                    Place::AtNode(_) => st.pending.map(|(_, to)| {
                         fut.arrivals.push(to);
                         to
                     }),
@@ -295,7 +295,7 @@ impl FutureTable {
             };
             if let Some(start) = walk_from {
                 ports.clear();
-                if !slot.behavior.future_ports(&mut ports, resolve) {
+                if !rt.behavior(i).future_ports(&mut ports, resolve) {
                     return FutureTable {
                         agents,
                         supported: false,
@@ -380,34 +380,34 @@ impl Fingerprinter {
         if !futures.supported {
             return None;
         }
-        let slots = rt.slots_for_memo();
+        let states = rt.agent_states();
         let occ = rt.edge_occupancy();
         self.renders.clear();
-        for (i, slot) in slots.iter().enumerate() {
+        for (i, st) in states.iter().enumerate() {
             let fut = &futures.agents[i];
-            let k = (slot.traversals - fut.base_traversals) as usize;
-            let (kind, need) = if slot.crashed {
-                let kind = match slot.place {
+            let k = (st.traversals - fut.base_traversals) as usize;
+            let (kind, need) = if st.crashed {
+                let kind = match st.place {
                     Place::AtNode(v) => RenderKind::Parked(v),
                     Place::Inside { from, to, .. } => RenderKind::Inside {
                         from,
                         to,
-                        qpos: queue_position(&occ[slot.inside_index], slot, i),
+                        qpos: queue_position(occ, st, i),
                     },
                 };
                 (kind, 0)
-            } else if !slot.awake {
-                let v = match slot.place {
+            } else if !st.awake {
+                let v = match st.place {
                     Place::AtNode(v) => v,
                     Place::Inside { .. } => unreachable!("asleep agents are at nodes"),
                 };
                 (RenderKind::Asleep(v), residual.saturating_sub(1) / 2)
             } else {
-                match slot.place {
+                match st.place {
                     Place::AtNode(v) => {
-                        if slot.pending.is_some() {
+                        if st.pending.is_some() {
                             debug_assert_eq!(
-                                slot.pending.map(|(_, to)| to),
+                                st.pending.map(|(_, to)| to),
                                 fut.arrivals.get(k).copied(),
                                 "committed arrival must head the future window"
                             );
@@ -420,7 +420,7 @@ impl Fingerprinter {
                         RenderKind::Inside {
                             from,
                             to,
-                            qpos: queue_position(&occ[slot.inside_index], slot, i),
+                            qpos: queue_position(occ, st, i),
                         },
                         residual.div_ceil(2),
                     ),
@@ -432,7 +432,7 @@ impl Fingerprinter {
             }
             self.renders.push(Render {
                 kind,
-                crashed: slot.crashed,
+                crashed: st.crashed,
                 wstart: k.min(len),
                 wend: (k + need).min(len),
             });
@@ -500,7 +500,7 @@ impl Fingerprinter {
                 }
             }
         }
-        let mut lanes = Lanes::new(slots.len());
+        let mut lanes = Lanes::new(states.len());
         for &v in &self.best {
             lanes.push(v);
         }
@@ -508,33 +508,16 @@ impl Fingerprinter {
     }
 }
 
-/// The agent's position in its direction queue (0 = eldest). Queue
-/// contents need not be hashed separately: per-agent (edge, direction,
-/// position) tuples determine every queue exactly.
-fn queue_position<B>(
-    occ: &crate::runtime::EdgeOcc,
-    slot: &crate::runtime::Slot<B>,
-    i: usize,
-) -> u64 {
-    let from = match slot.place {
-        Place::Inside { from, .. } => from,
-        Place::AtNode(_) => unreachable!("queue position queried for an agent at a node"),
-    };
-    let q = if occ_from_a(slot, from) {
-        &occ.from_a
-    } else {
-        &occ.from_b
-    };
-    q.iter()
+/// The agent's position in its direction queue (0 = eldest), found
+/// through the state's cached edge geometry. Queue contents need not be
+/// hashed separately: per-agent (edge, direction, position) tuples
+/// determine every queue exactly.
+fn queue_position(occ: &[EdgeOcc], st: &AgentState, i: usize) -> u64 {
+    occ[st.edge]
+        .queue(st.from_a)
+        .iter()
         .position(|&a| a == i)
         .expect("inside agent must be in its direction queue") as u64
-}
-
-fn occ_from_a<B>(slot: &crate::runtime::Slot<B>, from: NodeId) -> bool {
-    match slot.place {
-        Place::Inside { edge, .. } => edge.a == from,
-        Place::AtNode(_) => unreachable!("direction queried for an agent at a node"),
-    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,32 @@
-//! The scheduler runtime: agent slots, edge occupancy, forced-meeting
+//! The scheduler runtime: agent state, edge occupancy, forced-meeting
 //! detection, and the adversary-driven run loop.
 //!
-//! The hot path is allocation-free in steady state: edge occupancy is a
-//! dense `Vec<EdgeOcc>` indexed by [`Graph::edge_index_at`] (no hashing,
-//! queues keep their capacity across occupancy changes), and the `_into`
-//! variants of [`Runtime::legal_choices`] / [`Runtime::apply`] write into
-//! caller-owned buffers that [`Runtime::run`] and the minimax search reuse
-//! across steps.
+//! # Layout
+//!
+//! A runtime keeps its agents in two parallel tables. The scheduler reads
+//! and writes a dense table of small `Copy` records ([`AgentState`]:
+//! place, committed move, awake/crashed flags, traversal count, edge-entry
+//! time); the behaviors live apart in a `Vec<B>` and are touched only when
+//! an agent commits a move, reveals its info, reports progress, or
+//! receives a meeting. Legal-choice enumeration, node-contact scans,
+//! [`Runtime::wake_would_meet`] and [`Runtime::progress`]'s census
+//! therefore walk a few cache lines however large a behavior is (an SGL
+//! agent is about 800 bytes).
+//!
+//! Edge occupancy is a dense `Vec<EdgeOcc>` indexed by
+//! [`Graph::edge_index_at`] (no hashing), one FIFO queue per direction.
+//! Committing a move caches its **edge geometry** in the agent's state:
+//! the dense edge index and the departure side, found by the same CSR
+//! lookup that resolves the arrival node, and kept while the agent is
+//! inside the edge. So a `Start` is annotated with one queue-length load,
+//! applying it makes no graph lookup, and a `Finish` overtakes exactly
+//! when its agent is not the front of its direction queue.
+//!
+//! The hot path is allocation-free in steady state: edge queues keep their
+//! capacity across occupancy changes, and the `_into` variants of
+//! [`Runtime::legal_choices`] / [`Runtime::apply`] write into caller-owned
+//! buffers that [`Runtime::run`] and the minimax search reuse across
+//! steps.
 //!
 //! # State lifecycle
 //!
@@ -155,16 +175,31 @@ impl RunConfig {
     }
 }
 
-#[derive(Debug)]
-pub(crate) struct Slot<B> {
-    pub(crate) behavior: B,
+/// The dense edge index of an agent with no cached move geometry: it
+/// stands at a node with no committed move (asleep or parked).
+const NO_EDGE: usize = usize::MAX;
+
+/// One agent's scheduler state: everything the scheduler reads or writes
+/// except the behavior, which lives in the runtime's separate behavior
+/// table. Being a small `Copy` record, the table of these is what choice
+/// enumeration, contact scans and the progress census walk, what a
+/// snapshot copies wholesale, and what a `Start`'s undo token saves.
+///
+/// `edge` and `from_a` cache the geometry of the agent's committed move:
+/// set when the move is committed, kept while the agent is inside the
+/// edge, and cleared on arrival.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct AgentState {
     pub(crate) place: Place,
-    /// Dense edge index of the occupied edge; valid iff `place` is
-    /// `Inside { .. }` (kept beside `place` so occupancy lookups skip the
-    /// port scan an `EdgeId` → index conversion would need).
-    pub(crate) inside_index: usize,
-    /// Committed next traversal when at a node (`None` = parked).
+    /// Committed next traversal `(exit port, arrival node)` when at a node
+    /// (`None` = parked, or asleep).
     pub(crate) pending: Option<(PortId, NodeId)>,
+    /// Dense edge index of the committed move's edge: the pending move's
+    /// at a node, the occupied edge's inside one, [`NO_EDGE`] otherwise.
+    pub(crate) edge: usize,
+    /// `true` iff that move departs from the edge's canonical `a`
+    /// endpoint — which of the edge's two direction queues it joins.
+    pub(crate) from_a: bool,
     pub(crate) awake: bool,
     /// Crash-stop fault flag (see [`crate::fault`]): the agent never acts
     /// again, but its body still forces meetings where it lies.
@@ -179,20 +214,109 @@ pub(crate) struct Slot<B> {
     pub(crate) entered_at: u64,
 }
 
-impl<B: Behavior> Slot<B> {
-    /// Forks the slot: scheduler bookkeeping is copied, the behavior is
-    /// forked per the [`Behavior::fork`] contract.
-    fn fork(&self) -> Self {
-        Slot {
-            behavior: self.behavior.fork(),
-            place: self.place,
-            inside_index: self.inside_index,
-            pending: self.pending,
-            awake: self.awake,
-            crashed: self.crashed,
-            traversals: self.traversals,
-            entered_at: self.entered_at,
+impl AgentState {
+    /// A sleeping agent at `v` that has not moved yet.
+    pub(crate) fn asleep_at(v: NodeId) -> Self {
+        AgentState {
+            place: Place::AtNode(v),
+            pending: None,
+            edge: NO_EDGE,
+            from_a: false,
+            awake: false,
+            crashed: false,
+            traversals: 0,
+            entered_at: 0,
         }
+    }
+
+    /// Commits the move from node `v` through `port` (a port `v` has),
+    /// caching its arrival node, edge index and departure side from one
+    /// CSR lookup.
+    #[inline]
+    pub(crate) fn commit_move(&mut self, g: &Graph, v: NodeId, port: PortId) {
+        let (arrival, edge) = g.traverse_indexed(v, port);
+        self.pending = Some((port, arrival.node));
+        self.edge = edge;
+        self.from_a = g.edge_id(edge).a == v;
+    }
+
+    /// Drops the committed move and its cached geometry.
+    #[inline]
+    fn clear_move(&mut self) {
+        self.pending = None;
+        self.edge = NO_EDGE;
+        self.from_a = false;
+    }
+}
+
+/// Asks `behavior` for its next committed move from the node `st` stands
+/// at, and records it (with its edge geometry) in `st`.
+fn commit<B: Behavior>(g: &Graph, st: &mut AgentState, behavior: &mut B) {
+    let v = match st.place {
+        Place::AtNode(v) => v,
+        Place::Inside { .. } => unreachable!("pending is only fetched at nodes"),
+    };
+    match behavior.next_port() {
+        Some(port) => {
+            assert!(port.0 < g.degree(v), "behavior chose an invalid port");
+            st.commit_move(g, v, port);
+        }
+        None => st.clear_move(),
+    }
+}
+
+/// `true` if an agent other than `i` stands at node `v`.
+#[inline]
+fn occupied_by_other(states: &[AgentState], i: usize, v: NodeId) -> bool {
+    states
+        .iter()
+        .enumerate()
+        .any(|(j, s)| j != i && s.place == Place::AtNode(v))
+}
+
+/// Writes the legal choices of the agents in `states` into `out` (cleared
+/// first), in agent order, annotated from the cached move geometry.
+#[inline]
+fn enumerate_choices(
+    states: &[AgentState],
+    edges: &[EdgeOcc],
+    faults: Option<&FaultClock>,
+    actions: u64,
+    out: &mut Vec<ChoiceInfo>,
+) {
+    out.clear();
+    for (i, st) in states.iter().enumerate() {
+        if st.crashed {
+            continue; // crash-stop: the agent never acts again
+        }
+        let (kind, causes_meeting) = if !st.awake {
+            (ActionKind::Wake, false)
+        } else {
+            match st.place {
+                Place::AtNode(_) => {
+                    if st.pending.is_none() || faults.is_some_and(|f| f.edge_down(st.edge, actions))
+                    {
+                        continue; // parked, or entry blocked by an outage
+                    }
+                    // A crossing: someone entered from the other endpoint.
+                    let opposite = !edges[st.edge].queue(!st.from_a).is_empty();
+                    (ActionKind::Start, opposite)
+                }
+                Place::Inside { to, .. } => {
+                    // Overtaking: an earlier same-direction entrant is
+                    // still ahead of `i` in its queue.
+                    let overtakes = edges[st.edge].queue(st.from_a).first() != Some(&i);
+                    (
+                        ActionKind::Finish,
+                        overtakes || occupied_by_other(states, i, to),
+                    )
+                }
+            }
+        };
+        out.push(ChoiceInfo {
+            choice: Choice { agent: i, kind },
+            causes_meeting,
+        });
     }
 }
 
@@ -203,26 +327,26 @@ impl<B: Behavior> Slot<B> {
 /// of forking whole runtimes (see `crate::minimax::explore_memo`).
 #[derive(Debug)]
 pub(crate) enum ApplyUndo<B> {
-    /// A `Start` never touches the behavior: restore the `Copy` fields and
-    /// pop the queue tail (locatable from the post-apply slot).
-    Start {
-        agent: usize,
-        place: Place,
-        pending: Option<(PortId, NodeId)>,
-    },
-    /// A `Finish` advances the behavior (arrival re-commit): the slot is
-    /// forked whole, and the queue removal position is recorded so the
-    /// agent reinserts exactly where it sat.
+    /// A `Start` never touches the behavior: the token is the agent's
+    /// pre-apply state. Undo pops the queue tail the `Start` pushed,
+    /// found through the edge geometry the agent keeps inside the edge.
+    Start { agent: usize, state: AgentState },
+    /// A meeting-free `Finish` left from the front of its direction queue
+    /// (anything else overtakes) and re-committed the behavior on
+    /// arrival: the token is the pre-apply state plus a forked behavior,
+    /// and undo puts the agent back at the queue front.
     Finish {
-        slot: Slot<B>,
         agent: usize,
-        index: usize,
-        from_a: bool,
-        my_pos: usize,
+        state: AgentState,
+        behavior: B,
     },
-    /// A `Wake` commits the first move: slot forked whole; nothing else
-    /// moves.
-    Wake { slot: Slot<B>, agent: usize },
+    /// A `Wake` commits the first move: pre-apply state plus a forked
+    /// behavior; no queue moves.
+    Wake {
+        agent: usize,
+        state: AgentState,
+        behavior: B,
+    },
 }
 
 /// Per-edge occupancy: FIFO queues of agents inside, one per direction.
@@ -236,13 +360,15 @@ pub(crate) struct EdgeOcc {
 }
 
 impl EdgeOcc {
-    fn queue(&self, from_a_side: bool) -> &Vec<usize> {
+    #[inline]
+    pub(crate) fn queue(&self, from_a_side: bool) -> &Vec<usize> {
         if from_a_side {
             &self.from_a
         } else {
             &self.from_b
         }
     }
+    #[inline]
     fn queue_mut(&mut self, from_a_side: bool) -> &mut Vec<usize> {
         if from_a_side {
             &mut self.from_a
@@ -252,8 +378,10 @@ impl EdgeOcc {
     }
 }
 
-/// A frozen mid-run [`Runtime`] state: forked behaviors plus all scheduler
-/// bookkeeping. Produced by [`Runtime::snapshot`], consumed (by reference,
+/// A frozen mid-run [`Runtime`] state, in the runtime's own split layout:
+/// the scheduler table copied whole (cached move geometry included), the
+/// behaviors forked, plus edge occupancy, the meeting log handle and the
+/// counters. Produced by [`Runtime::snapshot`], consumed (by reference,
 /// any number of times) by [`Runtime::restore`] and
 /// [`Runtime::from_snapshot`].
 ///
@@ -261,7 +389,8 @@ impl EdgeOcc {
 /// the runtime that took it and can seed a fresh one.
 #[derive(Debug)]
 pub struct RuntimeSnapshot<B> {
-    pub(crate) slots: Vec<Slot<B>>,
+    pub(crate) states: Vec<AgentState>,
+    pub(crate) behaviors: Vec<B>,
     pub(crate) edges: Vec<EdgeOcc>,
     pub(crate) meetings: MeetingLog,
     pub(crate) actions: u64,
@@ -292,7 +421,10 @@ impl<B: Behavior> RuntimeSnapshot<B> {
 /// [`crate::adversary`] for the strategies that drive it.
 pub struct Runtime<'g, B: Behavior> {
     g: &'g Graph,
-    slots: Vec<Slot<B>>,
+    /// Scheduler state per agent (see [`AgentState`]).
+    states: Vec<AgentState>,
+    /// The agents' behaviors, indexed like `states`.
+    behaviors: Vec<B>,
     /// Occupancy per dense edge index (`edges.len() == g.size()`). Queues
     /// of edges that empty out keep their capacity for the next occupant.
     edges: Vec<EdgeOcc>,
@@ -302,14 +434,9 @@ pub struct Runtime<'g, B: Behavior> {
     actions: u64,
     total_traversals: u64,
     config: RunConfig,
-    /// Reusable copy of one edge queue (the opposite-direction occupants a
-    /// `Start` crosses, or the same-direction occupants a `Finish`
-    /// overtakes), taken because `declare` re-borrows `self`. Edge
-    /// meetings are declared in this queue order.
-    scratch: Vec<usize>,
     /// Reusable buffer of the participants' infos during one meeting
-    /// delivery (see `declare_excluding`); empty between deliveries, so it
-    /// holds no references into the agents' state.
+    /// delivery (see `declare`); empty between deliveries, so it holds no
+    /// references into the agents' state.
     info_scratch: Vec<B::Info>,
     /// Reusable legal-choice buffer for [`Runtime::step`] (transient, not
     /// part of the frozen state — snapshots never carry it).
@@ -335,13 +462,13 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     pub fn new(g: &'g Graph, behaviors: Vec<B>, config: RunConfig) -> Self {
         let mut rt = Runtime {
             g,
-            slots: Vec::new(),
+            states: Vec::new(),
+            behaviors: Vec::new(),
             edges: vec![EdgeOcc::default(); g.size()],
             meetings: MeetingLog::new(),
             actions: 0,
             total_traversals: 0,
             config,
-            scratch: Vec::new(),
             info_scratch: Vec::new(),
             choice_scratch: Vec::new(),
             faults: None,
@@ -351,8 +478,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 
     /// Rewinds the runtime to the **initial** state with a fresh set of
-    /// agents, reusing every internal allocation (edge queues, slot
-    /// storage, scratch).
+    /// agents, reusing every internal allocation (edge queues, agent
+    /// tables, scratch).
     ///
     /// Use `reset` when the next run should start from scratch with *new*
     /// behaviors (different labels, a different algorithm variant, a fresh
@@ -373,25 +500,26 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         self.meetings.clear();
         self.actions = 0;
         self.total_traversals = 0;
-        self.slots.clear();
         self.install(behaviors);
     }
 
     /// Freezes the complete mid-run state — agent behaviors (via
-    /// [`Behavior::fork`]), positions, committed moves, edge occupancy,
-    /// meeting history, and counters — into an **O(agents + edges)**
-    /// snapshot that can be [`Runtime::restore`]d any number of times, on
-    /// this runtime or on a fresh one built with
-    /// [`Runtime::from_snapshot`]. The meeting history is captured as an
-    /// O(1) [`MeetingLog`] handle, so snapshot cost is independent of how
-    /// many meetings the run has accumulated — protocol runs snapshot as
-    /// cheaply at their millionth exchange as at their first.
+    /// [`Behavior::fork`]), the scheduler table (positions, committed
+    /// moves, flags, counters), edge occupancy, meeting history, and
+    /// counters — into an **O(agents + edges)** snapshot that can be
+    /// [`Runtime::restore`]d any number of times, on this runtime or on a
+    /// fresh one built with [`Runtime::from_snapshot`]. The meeting
+    /// history is captured as an O(1) [`MeetingLog`] handle, so snapshot
+    /// cost is independent of how many meetings the run has accumulated —
+    /// protocol runs snapshot as cheaply at their millionth exchange as at
+    /// their first.
     ///
     /// Snapshots are independent of the runtime that produced them: taking
     /// one never perturbs the run, and a snapshot outlives its runtime.
     pub fn snapshot(&self) -> RuntimeSnapshot<B> {
         RuntimeSnapshot {
-            slots: self.slots.iter().map(Slot::fork).collect(),
+            states: self.states.clone(),
+            behaviors: self.behaviors.iter().map(B::fork).collect(),
             edges: self.edges.clone(),
             meetings: self.meetings.clone(),
             actions: self.actions,
@@ -417,8 +545,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             self.edges.len(),
             "snapshot belongs to a runtime over a different graph"
         );
-        self.slots.clear();
-        self.slots.extend(snap.slots.iter().map(Slot::fork));
+        self.states.clone_from(&snap.states);
+        self.behaviors.clear();
+        self.behaviors.extend(snap.behaviors.iter().map(B::fork));
         self.edges.clone_from(&snap.edges);
         self.meetings = snap.meetings.clone();
         self.actions = snap.actions;
@@ -439,7 +568,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             self.edges.len(),
             "snapshot belongs to a runtime over a different graph"
         );
-        self.slots = snap.slots;
+        self.states = snap.states;
+        self.behaviors = snap.behaviors;
         self.edges = snap.edges;
         self.meetings = snap.meetings;
         self.actions = snap.actions;
@@ -462,13 +592,13 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         );
         Runtime {
             g,
-            slots: snap.slots.iter().map(Slot::fork).collect(),
+            states: snap.states.clone(),
+            behaviors: snap.behaviors.iter().map(B::fork).collect(),
             edges: snap.edges.clone(),
             meetings: snap.meetings.clone(),
             actions: snap.actions,
             total_traversals: snap.total_traversals,
             config,
-            scratch: Vec::new(),
             info_scratch: Vec::new(),
             choice_scratch: Vec::new(),
             faults: None,
@@ -492,27 +622,24 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 b.start_node()
             );
         }
-        self.slots
-            .extend(behaviors.into_iter().map(|behavior| Slot {
-                place: Place::AtNode(behavior.start_node()),
-                behavior,
-                inside_index: usize::MAX,
-                pending: None,
-                awake: false,
-                crashed: false,
-                traversals: 0,
-                entered_at: 0,
-            }));
+        self.states.clear();
+        self.states.extend(
+            behaviors
+                .iter()
+                .map(|b| AgentState::asleep_at(b.start_node())),
+        );
+        // The caller's vector becomes the behavior table as is.
+        self.behaviors = behaviors;
     }
 
     /// Current position of agent `i`.
     pub fn place(&self, i: usize) -> Place {
-        self.slots[i].place
+        self.states[i].place
     }
 
     /// Completed traversals of agent `i`.
     pub fn traversals(&self, i: usize) -> u64 {
-        self.slots[i].traversals
+        self.states[i].traversals
     }
 
     /// Total completed traversals.
@@ -522,7 +649,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
 
     /// Immutable access to agent `i`'s behavior (for post-run inspection).
     pub fn behavior(&self, i: usize) -> &B {
-        &self.slots[i].behavior
+        &self.behaviors[i]
     }
 
     /// Warms every behavior (see [`Behavior::warm`]): one-time lazy setup —
@@ -534,17 +661,17 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// that observes *when* lazy setup runs (e.g. schedule-phase progress
     /// before an agent's first move) can tell the difference.
     pub fn warm_behaviors(&mut self) {
-        for slot in &mut self.slots {
-            slot.behavior.warm();
+        for b in &mut self.behaviors {
+            b.warm();
         }
     }
 
-    /// The full agent-slot table, for the canonical-fingerprint renderer
-    /// (see `crate::memo`): fingerprinting needs every scheduler-visible
+    /// The scheduler table, for the canonical-fingerprint renderer (see
+    /// `crate::memo`): fingerprinting needs every scheduler-visible
     /// component of an agent's state — place, committed move, flags,
     /// traversal count — in one read.
-    pub(crate) fn slots_for_memo(&self) -> &[Slot<B>] {
-        &self.slots
+    pub(crate) fn agent_states(&self) -> &[AgentState] {
+        &self.states
     }
 
     /// The dense edge-occupancy table (indexed by [`Graph::edge_index_at`]),
@@ -561,7 +688,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
 
     /// Number of agents.
     pub fn agent_count(&self) -> usize {
-        self.slots.len()
+        self.states.len()
     }
 
     /// Adversary actions executed so far.
@@ -595,30 +722,22 @@ impl<'g, B: Behavior> Runtime<'g, B> {
 
     /// `true` if agent `i` has crash-stopped (see [`crate::fault`]).
     pub fn crashed(&self, i: usize) -> bool {
-        self.slots[i].crashed
+        self.states[i].crashed
     }
 
     /// Marks crashes whose time has come and expires outage windows —
     /// called by [`Runtime::step`] before enumerating choices, so fault
     /// effects land at deterministic action counts.
     fn apply_due_faults(&mut self) {
-        let Some(mut clock) = self.faults.take() else {
+        let Some(clock) = self.faults.as_mut() else {
             return;
         };
-        let slots = &mut self.slots;
+        let states = &mut self.states;
         clock.advance(self.actions, |agent| {
-            if let Some(slot) = slots.get_mut(agent) {
-                slot.crashed = true;
+            if let Some(st) = states.get_mut(agent) {
+                st.crashed = true;
             }
         });
-        self.faults = Some(clock);
-    }
-
-    /// `true` if dense edge `index` is inside an outage window right now.
-    fn edge_is_down(&self, index: usize) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|f| f.edge_down(index, self.actions))
     }
 
     /// All currently legal choices with meeting annotations.
@@ -634,80 +753,13 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// Writes all currently legal choices into `out` (cleared first), in
     /// the same order as [`Runtime::legal_choices`].
     pub fn legal_choices_into(&self, out: &mut Vec<ChoiceInfo>) {
-        out.clear();
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.crashed {
-                continue; // crash-stop: the agent never acts again
-            }
-            if !slot.awake {
-                out.push(ChoiceInfo {
-                    choice: Choice {
-                        agent: i,
-                        kind: ActionKind::Wake,
-                    },
-                    causes_meeting: false,
-                });
-                continue;
-            }
-            match slot.place {
-                Place::AtNode(v) => {
-                    if let Some((port, _to)) = slot.pending {
-                        let index = self.g.edge_index_at(v, port);
-                        if self.edge_is_down(index) {
-                            continue; // outage: entry blocked until release
-                        }
-                        let causes_meeting = self.start_would_meet(index, v);
-                        out.push(ChoiceInfo {
-                            choice: Choice {
-                                agent: i,
-                                kind: ActionKind::Start,
-                            },
-                            causes_meeting,
-                        });
-                    }
-                }
-                Place::Inside { from, to, .. } => {
-                    let causes_meeting = self.finish_would_meet(i, slot.inside_index, from, to);
-                    out.push(ChoiceInfo {
-                        choice: Choice {
-                            agent: i,
-                            kind: ActionKind::Finish,
-                        },
-                        causes_meeting,
-                    });
-                }
-            }
-        }
-    }
-
-    /// `true` if the departure node is the canonical smaller endpoint of
-    /// the edge with dense index `index` — the key of the direction queues.
-    fn departs_a_side(&self, index: usize, from: NodeId) -> bool {
-        self.g.edge_id(index).a == from
-    }
-
-    fn start_would_meet(&self, index: usize, from: NodeId) -> bool {
-        // Opposite direction = entered from the other endpoint.
-        !self.edges[index]
-            .queue(!self.departs_a_side(index, from))
-            .is_empty()
-    }
-
-    fn finish_would_meet(&self, i: usize, index: usize, from: NodeId, to: NodeId) -> bool {
-        // Overtaking: any same-direction occupant that entered before `i`.
-        let q = self.edges[index].queue(self.departs_a_side(index, from));
-        let my_pos = q
-            .iter()
-            .position(|&a| a == i)
-            .expect("agent must be queued");
-        if my_pos > 0 {
-            return true;
-        }
-        // Node contact at the arrival node.
-        self.slots
-            .iter()
-            .enumerate()
-            .any(|(j, s)| j != i && s.place == Place::AtNode(to))
+        enumerate_choices(
+            &self.states,
+            &self.edges,
+            self.faults.as_ref(),
+            self.actions,
+            out,
+        );
     }
 
     /// Applies one adversary choice; returns the meetings it forced.
@@ -728,6 +780,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// `out` (which is *not* cleared — callers owning the buffer clear it
     /// between steps).
     ///
+    /// Delivering a meeting never touches an edge queue, so the edge
+    /// meetings below are declared while reading the queue in place.
+    ///
     /// # Panics
     ///
     /// Panics if the choice is not currently legal.
@@ -736,17 +791,18 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         let i = choice.agent;
         match choice.kind {
             ActionKind::Wake => {
-                assert!(!self.slots[i].awake, "Wake on an awake agent");
-                self.slots[i].awake = true;
-                self.fetch_pending(i);
+                let st = &mut self.states[i];
+                assert!(!st.awake, "Wake on an awake agent");
+                st.awake = true;
+                commit(self.g, st, &mut self.behaviors[i]);
                 // Waking at an occupied node is a meeting (the agents stand
                 // at the same point).
-                let here = match self.slots[i].place {
+                let here = match st.place {
                     Place::AtNode(v) => v,
                     Place::Inside { .. } => unreachable!("asleep agents are at nodes"),
                 };
                 let mut present: AgentSet = self
-                    .slots
+                    .states
                     .iter()
                     .enumerate()
                     .filter(|(j, s)| *j != i && s.awake && s.place == Place::AtNode(here))
@@ -754,66 +810,60 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                     .collect();
                 if !present.is_empty() {
                     present.insert(i);
-                    let m = self.declare(present, MeetingPlace::Node(here));
-                    out.push(m);
+                    out.push(self.declare(present, MeetingPlace::Node(here), None));
                 }
             }
             ActionKind::Start => {
-                let slot = &mut self.slots[i];
-                assert!(slot.awake, "Start on a sleeping agent");
-                let v = match slot.place {
+                let st = &mut self.states[i];
+                assert!(st.awake, "Start on a sleeping agent");
+                let v = match st.place {
                     Place::AtNode(v) => v,
                     _ => panic!("Start on an agent inside an edge"),
                 };
-                let (port, to) = slot.pending.take().expect("Start without a committed move");
-                let index = self.g.edge_index_at(v, port);
+                let (_, to) = st.pending.take().expect("Start without a committed move");
+                let (index, from_a) = (st.edge, st.from_a);
                 let edge = self.g.edge_id(index);
-                slot.place = Place::Inside { edge, from: v, to };
-                slot.inside_index = index;
-                slot.entered_at = self.actions;
-                let from_a = edge.a == v;
-                // Forced crossings with opposite-direction occupants
-                // (captured into scratch: `declare` below re-borrows self).
-                let mut opposite = std::mem::take(&mut self.scratch);
-                opposite.clear();
-                opposite.extend_from_slice(self.edges[index].queue(!from_a));
+                st.place = Place::Inside { edge, from: v, to };
+                st.entered_at = self.actions;
                 self.edges[index].queue_mut(from_a).push(i);
-                for &j in &opposite {
-                    let m = self.declare([i, j].into_iter().collect(), MeetingPlace::Edge(edge));
+                // Forced crossings with opposite-direction occupants, in
+                // queue order.
+                for k in 0..self.edges[index].queue(!from_a).len() {
+                    let j = self.edges[index].queue(!from_a)[k];
+                    let m =
+                        self.declare([i, j].into_iter().collect(), MeetingPlace::Edge(edge), None);
                     out.push(m);
                 }
-                self.scratch = opposite;
             }
             ActionKind::Finish => {
-                let (edge, from, to) = match self.slots[i].place {
-                    Place::Inside { edge, from, to } => (edge, from, to),
+                let st = &mut self.states[i];
+                let (edge, to) = match st.place {
+                    Place::Inside { edge, to, .. } => (edge, to),
                     _ => panic!("Finish on an agent not inside an edge"),
                 };
-                let index = self.slots[i].inside_index;
-                // Overtaken same-direction occupants (entered earlier).
-                let q = self.edges[index].queue_mut(edge.a == from);
-                let my_pos = q.iter().position(|&a| a == i).expect("agent queued");
-                let mut overtaken = std::mem::take(&mut self.scratch);
-                overtaken.clear();
-                overtaken.extend_from_slice(&q[..my_pos]);
-                q.remove(my_pos);
-                self.slots[i].place = Place::AtNode(to);
-                self.slots[i].inside_index = usize::MAX;
-                self.slots[i].traversals += 1;
+                let (index, from_a) = (st.edge, st.from_a);
+                st.place = Place::AtNode(to);
+                st.clear_move();
+                st.traversals += 1;
                 self.total_traversals += 1;
-                for &j in &overtaken {
-                    let m = self.declare_excluding(
+                let q = self.edges[index].queue_mut(from_a);
+                let my_pos = q.iter().position(|&a| a == i).expect("agent queued");
+                q.remove(my_pos);
+                // Overtaken same-direction occupants (entered earlier):
+                // the queue prefix ahead of `i`'s old position.
+                for k in 0..my_pos {
+                    let j = self.edges[index].queue(from_a)[k];
+                    let m = self.declare(
                         [i, j].into_iter().collect(),
                         MeetingPlace::Edge(edge),
                         Some(i),
                     );
                     out.push(m);
                 }
-                self.scratch = overtaken;
                 // Node contact: everyone standing at the arrival node.
                 // Sleeping agents there are woken by the visit.
                 let mut present: AgentSet = self
-                    .slots
+                    .states
                     .iter()
                     .enumerate()
                     .filter(|(j, s)| *j != i && s.place == Place::AtNode(to))
@@ -821,22 +871,20 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                     .collect();
                 if !present.is_empty() {
                     for j in present.iter() {
-                        if !self.slots[j].awake && !self.slots[j].crashed {
-                            self.slots[j].awake = true;
-                            self.fetch_pending(j);
+                        let st = &mut self.states[j];
+                        if !st.awake && !st.crashed {
+                            st.awake = true;
+                            commit(self.g, st, &mut self.behaviors[j]);
                         }
                     }
                     present.insert(i);
-                    let m = self.declare_excluding(present, MeetingPlace::Node(to), Some(i));
-                    out.push(m);
+                    out.push(self.declare(present, MeetingPlace::Node(to), Some(i)));
                 }
                 // The agent commits its next move knowing everything that
-                // happened up to and including this arrival. (If a meeting
-                // was declared, `declare` already committed it with the
-                // meeting information in hand.)
-                if self.slots[i].pending.is_none() {
-                    self.fetch_pending(i);
-                }
+                // happened up to and including this arrival: every meeting
+                // above was delivered to it first (`declare` skipped its
+                // re-commit).
+                commit(self.g, &mut self.states[i], &mut self.behaviors[i]);
             }
         }
     }
@@ -849,11 +897,11 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// [`Runtime::legal_choices_into`], so this check is what lets the
     /// memoized search route every child through the undoable-apply path.
     pub(crate) fn wake_would_meet(&self, i: usize) -> bool {
-        let here = match self.slots[i].place {
+        let here = match self.states[i].place {
             Place::AtNode(v) => v,
             Place::Inside { .. } => unreachable!("asleep agents are at nodes"),
         };
-        self.slots
+        self.states
             .iter()
             .enumerate()
             .any(|(j, s)| j != i && s.awake && s.place == Place::AtNode(here))
@@ -864,10 +912,11 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// and returns a token that [`Runtime::undo`] uses to rewind it
     /// exactly. The depth-first memoized search pairs these around every
     /// descent instead of snapshotting whole runtimes: a meeting-free
-    /// apply mutates only the acting agent's slot, one edge queue, and the
-    /// action/traversal counters, so saving that slice is O(1) in the
-    /// number of agents and edges — and a `Start` never touches its
-    /// behavior at all, so its token is a couple of `Copy` fields.
+    /// apply mutates only the acting agent's state and behavior, one edge
+    /// queue, and the action/traversal counters, so saving that slice is
+    /// O(1) in the number of agents and edges — and a `Start` never
+    /// touches its behavior at all, so its token is one copied
+    /// [`AgentState`].
     ///
     /// `out` receives the apply's meetings exactly as
     /// [`Runtime::apply_into`] would (not cleared first).
@@ -887,45 +936,19 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             self.faults.is_none(),
             "undoable applies assume no fault plan is installed"
         );
-        let i = choice.agent;
+        let agent = choice.agent;
+        let state = self.states[agent];
         let token = match choice.kind {
-            // `Start` only moves the agent into an edge: `pending` is
-            // taken, `place`/`inside_index` change, the queue gains a tail
-            // entry. The behavior is untouched (it committed at arrival).
-            ActionKind::Start => ApplyUndo::Start {
-                agent: i,
-                place: self.slots[i].place,
-                pending: self.slots[i].pending,
+            ActionKind::Start => ApplyUndo::Start { agent, state },
+            ActionKind::Finish => ApplyUndo::Finish {
+                agent,
+                state,
+                behavior: self.behaviors[agent].fork(),
             },
-            // `Finish` re-commits the behavior on arrival (`fetch_pending`)
-            // — fork the whole slot. The queue removal happens at the
-            // agent's current position, recorded here so undo can reinsert
-            // in place.
-            ActionKind::Finish => {
-                let (edge, from) = match self.slots[i].place {
-                    Place::Inside { edge, from, .. } => (edge, from),
-                    _ => panic!("Finish on an agent not inside an edge"),
-                };
-                let index = self.slots[i].inside_index;
-                let from_a = edge.a == from;
-                let my_pos = self.edges[index]
-                    .queue(from_a)
-                    .iter()
-                    .position(|&a| a == i)
-                    .expect("agent must be queued");
-                ApplyUndo::Finish {
-                    slot: self.slots[i].fork(),
-                    agent: i,
-                    index,
-                    from_a,
-                    my_pos,
-                }
-            }
-            // `Wake` flips the flag and commits the first move — behavior
-            // mutates, fork the slot.
             ActionKind::Wake => ApplyUndo::Wake {
-                slot: self.slots[i].fork(),
-                agent: i,
+                agent,
+                state,
+                behavior: self.behaviors[agent].fork(),
             },
         };
         let before = out.len();
@@ -945,96 +968,79 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     pub(crate) fn undo(&mut self, token: ApplyUndo<B>) {
         self.actions -= 1;
         match token {
-            ApplyUndo::Start {
-                agent,
-                place,
-                pending,
-            } => {
-                // The applied `Start` left the agent inside the edge it
-                // entered; pop it back off that queue's tail.
-                let (index, from_a) = match self.slots[agent].place {
-                    Place::Inside { edge, from, .. } => {
-                        (self.slots[agent].inside_index, edge.a == from)
-                    }
-                    _ => unreachable!("undo of a Start finds the agent inside an edge"),
-                };
-                let q = self.edges[index].queue_mut(from_a);
+            ApplyUndo::Start { agent, state } => {
+                // A `Start` keeps the move's geometry, so the queue it
+                // pushed onto is the one `state` names.
+                let q = self.edges[state.edge].queue_mut(state.from_a);
                 debug_assert_eq!(q.last(), Some(&agent), "Start pushed the queue tail");
                 q.pop();
-                let slot = &mut self.slots[agent];
-                slot.place = place;
-                slot.inside_index = usize::MAX;
-                slot.pending = pending;
+                self.states[agent] = state;
             }
             ApplyUndo::Finish {
-                slot,
                 agent,
-                index,
-                from_a,
-                my_pos,
+                state,
+                behavior,
             } => {
                 self.total_traversals -= 1;
-                self.edges[index].queue_mut(from_a).insert(my_pos, agent);
-                self.slots[agent] = slot;
+                self.edges[state.edge]
+                    .queue_mut(state.from_a)
+                    .insert(0, agent);
+                self.states[agent] = state;
+                self.behaviors[agent] = behavior;
             }
-            ApplyUndo::Wake { slot, agent } => {
-                self.slots[agent] = slot;
+            ApplyUndo::Wake {
+                agent,
+                state,
+                behavior,
+            } => {
+                self.states[agent] = state;
+                self.behaviors[agent] = behavior;
             }
         }
     }
 
-    /// Records a meeting and delivers it to every participant. Committed
-    /// moves stay binding (see crate docs), but *parked* participants get a
-    /// fresh `next_port` query — parking is a decision, not a commitment,
-    /// and new information may end it (e.g. an SGL explorer whose token
-    /// just arrived).
-    fn declare(&mut self, agents: AgentSet, place: MeetingPlace) -> Meeting {
-        self.declare_excluding(agents, place, None)
-    }
-
-    /// Like [`Runtime::declare`] but defers the re-commit of `skip` (the
-    /// agent whose action produced this meeting commits once at the end of
-    /// its action, after *all* resulting meetings are delivered).
-    /// Participants are served in ascending agent order.
-    fn declare_excluding(
-        &mut self,
-        agents: AgentSet,
-        place: MeetingPlace,
-        skip: Option<usize>,
-    ) -> Meeting {
+    /// Records a meeting and delivers it to every participant, in
+    /// ascending agent order. Committed moves stay binding (see crate
+    /// docs), but *parked* participants get a fresh `next_port` query —
+    /// parking is a decision, not a commitment, and new information may
+    /// end it (e.g. an SGL explorer whose token just arrived). `skip` is
+    /// the agent whose action produced this meeting: it commits once at
+    /// the end of its action, after *all* resulting meetings are
+    /// delivered.
+    fn declare(&mut self, agents: AgentSet, place: MeetingPlace, skip: Option<usize>) -> Meeting {
         // Every info is taken before any delivery, so each participant sees
         // its peers as they were when the meeting happened.
-        let mut infos = std::mem::take(&mut self.info_scratch);
-        infos.extend(agents.iter().map(|j| self.slots[j].behavior.info()));
+        let infos = &mut self.info_scratch;
+        infos.extend(agents.iter().map(|j| self.behaviors[j].info()));
         let n = infos.len();
         for (idx, j) in agents.iter().enumerate() {
+            let st = &mut self.states[j];
             // Crash-stop body semantics (see `crate::fault`): a crashed
             // participant's info stays readable by the live agents, but it
             // receives no delivery and never re-commits.
-            if self.slots[j].crashed {
+            if st.crashed {
                 continue;
             }
             // Participant `idx`'s peers are everyone else in agent order:
             // rotating its own info to the end leaves them as the prefix
             // (order matters — SGL adopts the first peer's final set).
             infos[idx..].rotate_left(1);
-            self.slots[j].behavior.on_meeting(place, &infos[..n - 1]);
+            self.behaviors[j].on_meeting(place, &infos[..n - 1]);
             infos[idx..].rotate_right(1);
             // A parked agent may decide to move again after learning
             // something new (e.g. an SGL explorer whose token arrives).
             if Some(j) != skip
-                && self.slots[j].awake
-                && matches!(self.slots[j].place, Place::AtNode(_))
-                && self.slots[j].pending.is_none()
+                && st.awake
+                && matches!(st.place, Place::AtNode(_))
+                && st.pending.is_none()
             {
-                self.fetch_pending(j);
+                commit(self.g, st, &mut self.behaviors[j]);
             }
         }
         // Drop the infos now: an info that outlived the meeting would keep
         // shared state (e.g. a copy-on-write bag) alive and make its
         // owner's next mutation copy.
         infos.clear();
-        self.info_scratch = infos;
         let m = Meeting {
             agents,
             place,
@@ -1051,19 +1057,6 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             self.meetings.push(m);
         }
         m
-    }
-
-    /// Asks the behavior for its next committed move from its current node.
-    fn fetch_pending(&mut self, i: usize) {
-        let v = match self.slots[i].place {
-            Place::AtNode(v) => v,
-            Place::Inside { .. } => unreachable!("pending is only fetched at nodes"),
-        };
-        let slot = &mut self.slots[i];
-        slot.pending = slot.behavior.next_port().map(|port| {
-            assert!(port.0 < self.g.degree(v), "behavior chose an invalid port");
-            (port, self.g.traverse(v, port).node)
-        });
     }
 
     /// Executes **one** adversary decision — exactly one iteration of
@@ -1087,9 +1080,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             return Some(RunEnd::Cutoff);
         }
         self.apply_due_faults();
-        let mut choices = std::mem::take(&mut self.choice_scratch);
-        self.legal_choices_into(&mut choices);
-        while choices.is_empty() {
+        self.enumerate_into_scratch();
+        while self.choice_scratch.is_empty() {
             // A choiceless state is terminal unless an edge outage is the
             // only thing pinning a live agent — then the adversary's sole
             // move is to wait, so the action clock jumps to the earliest
@@ -1100,25 +1092,32 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 Some(release) => {
                     self.actions = release;
                     self.apply_due_faults();
-                    self.legal_choices_into(&mut choices);
+                    self.enumerate_into_scratch();
                 }
-                None => {
-                    self.choice_scratch = choices;
-                    return Some(self.classify_quiescence());
-                }
+                None => return Some(self.classify_quiescence()),
             }
         }
-        let choice = adversary.choose(&choices, self.actions);
+        let choice = adversary.choose(&self.choice_scratch, self.actions);
         debug_assert!(
-            choices.iter().any(|c| c.choice == choice),
+            self.choice_scratch.iter().any(|c| c.choice == choice),
             "adversary returned an illegal choice"
         );
         self.apply_into(choice, new_meetings);
-        self.choice_scratch = choices;
         if self.config.stop_on_first_meeting && !new_meetings.is_empty() {
             return Some(RunEnd::Meeting);
         }
         None
+    }
+
+    /// [`Runtime::legal_choices_into`] the step loop's own buffer.
+    fn enumerate_into_scratch(&mut self) {
+        enumerate_choices(
+            &self.states,
+            &self.edges,
+            self.faults.as_ref(),
+            self.actions,
+            &mut self.choice_scratch,
+        );
     }
 
     /// Runs under `adversary` until a terminal condition (see [`RunEnd`]).
@@ -1141,28 +1140,21 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// outage-blocked (then a choiceless state is genuinely terminal).
     fn earliest_blocked_release(&self) -> Option<u64> {
         let clock = self.faults.as_ref()?;
-        let mut earliest: Option<u64> = None;
-        for slot in &self.slots {
-            if slot.crashed || !slot.awake {
-                continue;
-            }
-            if let (Place::AtNode(v), Some((port, _))) = (slot.place, slot.pending) {
-                let index = self.g.edge_index_at(v, port);
-                if let Some(r) = clock.edge_release(index, self.actions) {
-                    earliest = Some(earliest.map_or(r, |e| e.min(r)));
-                }
-            }
-        }
-        earliest
+        // Only agents at a node hold a pending move.
+        self.states
+            .iter()
+            .filter(|st| !st.crashed && st.awake && st.pending.is_some())
+            .filter_map(|st| clock.edge_release(st.edge, self.actions))
+            .min()
     }
 
     /// Names a choiceless state: `AllParked` clean, the fault-aware
     /// variants when crash-stop faults are in the picture.
     fn classify_quiescence(&self) -> RunEnd {
-        let crashed = self.slots.iter().filter(|s| s.crashed).count();
+        let crashed = self.states.iter().filter(|s| s.crashed).count();
         if crashed == 0 {
             RunEnd::AllParked
-        } else if crashed == self.slots.len() {
+        } else if crashed == self.states.len() {
             RunEnd::AllCrashed
         } else {
             RunEnd::SurvivorsParked
@@ -1174,7 +1166,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         RunOutcome {
             end,
             total_traversals: self.total_traversals,
-            per_agent: self.slots.iter().map(|s| s.traversals).collect(),
+            per_agent: self.states.iter().map(|s| s.traversals).collect(),
             meetings: self.meetings.clone(),
             actions: self.actions,
         }
@@ -1182,7 +1174,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
 
     /// Assembles the run's [`crate::stop::Progress`] record in O(agents):
     /// the incremental counters the runtime already maintains, a census of
-    /// agent states, and the agents' [`Behavior::progress`] reports.
+    /// the scheduler table, and the agents' [`Behavior::progress`]
+    /// reports.
     pub fn progress(&self) -> crate::stop::Progress {
         let mut parked = 0usize;
         let mut asleep = 0usize;
@@ -1196,26 +1189,28 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         let mut min_agent = 0usize;
         let mut longest_hold = 0u64;
         let mut longest_hold_agent = 0usize;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let bp = slot.behavior.progress();
+        for b in &self.behaviors {
+            let bp = b.progress();
             metric_sum += bp.metric;
             metric_max = metric_max.max(bp.metric);
             if bp.done {
                 done_agents += 1;
             }
+        }
+        for (i, st) in self.states.iter().enumerate() {
             // Crashed agents leave the liveness census and the traversal
             // extremes: a dead agent is trivially "starved", and counting
             // it would blind the starvation signal for the survivors.
-            if slot.crashed {
+            if st.crashed {
                 crashed += 1;
                 continue;
             }
-            if !slot.awake {
+            if !st.awake {
                 asleep += 1;
             } else {
-                match slot.place {
+                match st.place {
                     Place::AtNode(_) => {
-                        if slot.pending.is_none() {
+                        if st.pending.is_none() {
                             parked += 1;
                         }
                     }
@@ -1223,9 +1218,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                         moving += 1;
                         // Structural suspension census: how long has this
                         // (live, awake) agent held its committed crossing?
-                        // Crashed slots were skipped above — a body wedged
+                        // Crashed agents were skipped above — a body wedged
                         // mid-edge forever must not read as "suspended".
-                        let hold = self.actions - slot.entered_at;
+                        let hold = self.actions - st.entered_at;
                         if hold > longest_hold {
                             longest_hold = hold;
                             longest_hold_agent = i;
@@ -1233,11 +1228,11 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                     }
                 }
             }
-            if slot.traversals < min_tr {
-                min_tr = slot.traversals;
+            if st.traversals < min_tr {
+                min_tr = st.traversals;
                 min_agent = i;
             }
-            max_tr = max_tr.max(slot.traversals);
+            max_tr = max_tr.max(st.traversals);
         }
         let last = self.meetings.last();
         crate::stop::Progress {
@@ -1246,7 +1241,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             meetings: self.meetings.len() as u64,
             last_meeting_action: last.map(|m| m.at_action),
             last_meeting_cost: last.map(|m| m.at_cost),
-            agents: self.slots.len(),
+            agents: self.states.len(),
             parked,
             asleep,
             moving,
@@ -1303,12 +1298,147 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 }
 
+/// The scan-based enumeration the cached move geometry replaced, kept as
+/// the test oracle: every edge index and direction is re-derived from the
+/// graph and the agent's place, and a `Finish`'s overtaking test scans its
+/// queue for the agent's position.
+#[cfg(test)]
+impl<B: Behavior> Runtime<'_, B> {
+    /// `true` if the departure node is the canonical smaller endpoint of
+    /// the edge with dense index `index` — the key of the direction queues.
+    fn departs_a_side(&self, index: usize, from: NodeId) -> bool {
+        self.g.edge_id(index).a == from
+    }
+
+    fn start_would_meet(&self, index: usize, from: NodeId) -> bool {
+        // Opposite direction = entered from the other endpoint.
+        !self.edges[index]
+            .queue(!self.departs_a_side(index, from))
+            .is_empty()
+    }
+
+    fn finish_would_meet(&self, i: usize, index: usize, from: NodeId, to: NodeId) -> bool {
+        // Overtaking: any same-direction occupant that entered before `i`.
+        let q = self.edges[index].queue(self.departs_a_side(index, from));
+        let my_pos = q
+            .iter()
+            .position(|&a| a == i)
+            .expect("agent must be queued");
+        my_pos > 0 || occupied_by_other(&self.states, i, to)
+    }
+
+    /// The oracle's legal choices, in [`Runtime::legal_choices`] order.
+    fn oracle_choices(&self) -> Vec<ChoiceInfo> {
+        let mut out = Vec::new();
+        for (i, st) in self.states.iter().enumerate() {
+            if st.crashed {
+                continue;
+            }
+            let (kind, causes_meeting) = if !st.awake {
+                (ActionKind::Wake, false)
+            } else {
+                match st.place {
+                    Place::AtNode(v) => {
+                        let Some((port, _)) = st.pending else {
+                            continue;
+                        };
+                        let index = self.g.edge_index_at(v, port);
+                        if self
+                            .faults
+                            .as_ref()
+                            .is_some_and(|f| f.edge_down(index, self.actions))
+                        {
+                            continue;
+                        }
+                        (ActionKind::Start, self.start_would_meet(index, v))
+                    }
+                    Place::Inside { from, to, .. } => {
+                        let port = self
+                            .g
+                            .port_towards(from, to)
+                            .expect("an occupied edge joins its endpoints");
+                        let index = self.g.edge_index_at(from, port);
+                        (
+                            ActionKind::Finish,
+                            self.finish_would_meet(i, index, from, to),
+                        )
+                    }
+                }
+            };
+            out.push(ChoiceInfo {
+                choice: Choice { agent: i, kind },
+                causes_meeting,
+            });
+        }
+        out
+    }
+
+    /// Panics unless every agent's cached move geometry is what the graph
+    /// says it is: the pending move's edge and side at a node, the occupied
+    /// edge's inside one (then the agent is queued exactly once, on that
+    /// side), nothing otherwise.
+    fn assert_geometry_consistent(&self) {
+        for (i, st) in self.states.iter().enumerate() {
+            let expected = match (st.place, st.pending) {
+                (Place::AtNode(v), Some((port, to))) => {
+                    let index = self.g.edge_index_at(v, port);
+                    assert_eq!(to, self.g.traverse(v, port).node, "agent {i} pending_to");
+                    Some((index, self.departs_a_side(index, v)))
+                }
+                (Place::AtNode(_), None) => None,
+                (Place::Inside { edge, from, to }, pending) => {
+                    assert_eq!(
+                        pending, None,
+                        "agent {i} inside an edge with a pending move"
+                    );
+                    let index = self
+                        .g
+                        .edge_index_at(from, self.g.port_towards(from, to).expect("adjacent"));
+                    assert_eq!(edge, self.g.edge_id(index), "agent {i} edge id");
+                    let from_a = self.departs_a_side(index, from);
+                    let queued = self.edges[index].queue(from_a);
+                    assert_eq!(
+                        queued.iter().filter(|&&a| a == i).count(),
+                        1,
+                        "agent {i} queued once"
+                    );
+                    Some((index, from_a))
+                }
+            };
+            match expected {
+                Some(geometry) => assert_eq!((st.edge, st.from_a), geometry, "agent {i} geometry"),
+                None => assert_eq!(
+                    (st.edge, st.from_a),
+                    (NO_EDGE, false),
+                    "agent {i} stale geometry"
+                ),
+            }
+        }
+        let queued: usize = self
+            .edges
+            .iter()
+            .map(|o| o.from_a.len() + o.from_b.len())
+            .sum();
+        let inside = self
+            .states
+            .iter()
+            .filter(|s| matches!(s.place, Place::Inside { .. }))
+            .count();
+        assert_eq!(
+            queued, inside,
+            "queues hold exactly the agents inside edges"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::RoundRobin;
     use crate::behavior::ScriptBehavior;
-    use crate::fault::CrashFault;
+    use crate::fault::{CrashFault, OutageFault};
+    use crate::wire::{decode_script, encode_script, SnapshotWire};
+    use proptest::prelude::*;
     use rv_graph::generators;
     use std::cell::Cell;
     use std::rc::Rc;
@@ -1609,5 +1739,183 @@ mod tests {
         let snap = rt6.snapshot();
         let mut rt4 = Runtime::new(&g4, two_walkers(&g4), RunConfig::rendezvous());
         rt4.restore(&snap);
+    }
+
+    /// SplitMix64: the random stream of the oracle property below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Picks uniformly among the legal choices from a SplitMix64 stream.
+    #[derive(Clone)]
+    struct Uniform(u64);
+
+    impl crate::adversary::Adversary for Uniform {
+        fn choose(&mut self, choices: &[ChoiceInfo], _tick: u64) -> Choice {
+            choices[splitmix(&mut self.0) as usize % choices.len()].choice
+        }
+    }
+
+    /// A random team of `k` scripted walkers at distinct nodes of `g`,
+    /// each with a walk of up to 15 ports that is valid from its start.
+    fn random_team(g: &Graph, k: usize, rng: &mut u64) -> Vec<ScriptBehavior> {
+        let mut nodes: Vec<usize> = (0..g.order()).collect();
+        for j in (1..nodes.len()).rev() {
+            nodes.swap(j, splitmix(rng) as usize % (j + 1));
+        }
+        nodes[..k]
+            .iter()
+            .map(|&start| {
+                let mut at = NodeId(start);
+                let len = splitmix(rng) % 16;
+                let ports: Vec<usize> = (0..len)
+                    .map(|_| {
+                        let p = splitmix(rng) as usize % g.degree(at);
+                        at = g.traverse(at, PortId(p)).node;
+                        p
+                    })
+                    .collect();
+                ScriptBehavior::new(NodeId(start), ports)
+            })
+            .collect()
+    }
+
+    /// A random plan of up to two crashes, three outages and two lost
+    /// log appends, all within the first 60 actions.
+    fn random_faults(g: &Graph, k: usize, rng: &mut u64) -> FaultPlan {
+        let at = |rng: &mut u64| 1 + splitmix(rng) % 60;
+        let crashes = (0..splitmix(rng) % 3)
+            .map(|_| CrashFault {
+                at_action: at(rng),
+                agent: splitmix(rng) as usize % k,
+            })
+            .collect();
+        let outages = (0..splitmix(rng) % 4)
+            .map(|_| OutageFault {
+                at_action: at(rng),
+                edge_index: splitmix(rng) as usize % g.size(),
+                duration_actions: 1 + splitmix(rng) % 12,
+            })
+            .collect();
+        let losses = (0..splitmix(rng) % 3).map(|_| at(rng)).collect();
+        FaultPlan::new(crashes, outages, losses)
+    }
+
+    /// The fast enumeration agrees with the scan-based oracle, choice for
+    /// choice and flag for flag, and the cached geometry is sound.
+    fn agrees_with_oracle(rt: &Runtime<'_, ScriptBehavior>) -> Result<(), TestCaseError> {
+        rt.assert_geometry_consistent();
+        prop_assert_eq!(
+            rt.legal_choices(),
+            rt.oracle_choices(),
+            "at action {}",
+            rt.actions()
+        );
+        Ok(())
+    }
+
+    /// Everything `undo` must restore, compared as one value.
+    fn scheduler_view(rt: &Runtime<'_, ScriptBehavior>) -> String {
+        format!(
+            "{:?} {:?} {} {} {}",
+            rt.states,
+            rt.edges,
+            rt.actions,
+            rt.total_traversals,
+            rt.meetings.len()
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random graphs, teams and schedules (with crash, outage and
+        /// log-loss faults in some cases): at every step the legal choices
+        /// equal the scan-based oracle's, in order and with the same
+        /// meeting flags — including right after a snapshot/restore
+        /// detour, a `SnapshotWire` round trip (which must rebuild the
+        /// cached geometry exactly), and inside every `apply_undoable` of
+        /// a meeting-free choice, whose `undo` must restore the state.
+        #[test]
+        fn cached_geometry_matches_the_scan_oracle(
+            family in 0u64..5,
+            n in 4usize..10,
+            k in 2usize..7,
+            faulty in 0u64..2,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = seed;
+            let g = match family {
+                0 => generators::ring(n),
+                1 => generators::path(n),
+                2 => generators::star(n),
+                3 => generators::gnp_connected(n, 0.4, seed),
+                _ => generators::lollipop(3, n - 3),
+            };
+            let k = k.min(g.order());
+            let team = random_team(&g, k, &mut rng);
+            let mut rt = Runtime::new(&g, team, RunConfig::protocol());
+            if faulty == 1 {
+                rt.set_fault_plan(random_faults(&g, k, &mut rng));
+            }
+            let mut adversary = Uniform(splitmix(&mut rng));
+            let mut meetings = Vec::new();
+            for _ in 0..400 {
+                // `step` applies due faults before enumerating; do it here
+                // too (it is idempotent) so the lists compared are the
+                // ones the adversary is about to see.
+                rt.apply_due_faults();
+                agrees_with_oracle(&rt)?;
+                match splitmix(&mut rng) % 6 {
+                    0 => {
+                        let snap = rt.snapshot();
+                        let before = scheduler_view(&rt);
+                        let mut detour = adversary.clone();
+                        for _ in 0..3 {
+                            if rt.step(&mut detour, &mut meetings).is_some() {
+                                break;
+                            }
+                            agrees_with_oracle(&rt)?;
+                        }
+                        rt.restore(&snap);
+                        prop_assert_eq!(scheduler_view(&rt), before);
+                    }
+                    1 => {
+                        let json = SnapshotWire::from_snapshot(&rt.snapshot(), encode_script).to_json();
+                        let back = SnapshotWire::from_json(&json)
+                            .and_then(|w| w.into_snapshot(&g, decode_script));
+                        let back = match back {
+                            Ok(snap) => snap,
+                            Err(e) => return Err(TestCaseError::Fail(format!("wire rejected a live state: {e}"))),
+                        };
+                        prop_assert_eq!(&back.states, &rt.states, "the wire rebuilt other geometry");
+                        rt.restore(&back);
+                    }
+                    2 if rt.faults.is_none() => {
+                        let before = scheduler_view(&rt);
+                        for c in rt.legal_choices() {
+                            let wake_meets = c.choice.kind == ActionKind::Wake
+                                && rt.wake_would_meet(c.choice.agent);
+                            if c.causes_meeting || wake_meets {
+                                continue;
+                            }
+                            let token = rt.apply_undoable(c.choice, &mut meetings);
+                            agrees_with_oracle(&rt)?;
+                            rt.undo(token);
+                            prop_assert_eq!(scheduler_view(&rt), before.clone(), "undo of {:?}", c.choice);
+                        }
+                    }
+                    _ => {}
+                }
+                if rt.step(&mut adversary, &mut meetings).is_some() {
+                    break;
+                }
+            }
+            agrees_with_oracle(&rt)?;
+        }
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::behavior::Behavior;
 use crate::meeting::{AgentSet, Meeting, MeetingLog, MeetingPlace};
-use crate::runtime::{EdgeOcc, Place, RuntimeSnapshot, Slot};
+use crate::runtime::{AgentState, EdgeOcc, Place, RuntimeSnapshot};
 use crate::ScriptBehavior;
 use rv_graph::{Graph, NodeId, PortId};
 use serde::Serialize;
@@ -34,7 +34,9 @@ use serde_json::Value;
 /// One agent's scheduler state plus its opaque behavior payload. `Place`
 /// is flattened into optionals (`at_node` for `AtNode`, `from`/`to` +
 /// `inside_index` for `Inside`; the `EdgeId` is re-derived from the dense
-/// index against the graph at load time).
+/// index against the graph at load time). The runtime's cached move
+/// geometry is not on the wire: the decoder re-derives it from the place
+/// and the pending move.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct AgentWire {
     /// `Some(v)` iff the agent stands at node `v`.
@@ -56,7 +58,7 @@ pub struct AgentWire {
     /// Completed traversals.
     pub traversals: u64,
     /// Action count at the agent's latest edge entry (meaningful iff
-    /// inside an edge; see `Slot::entered_at`). Carried verbatim so a
+    /// inside an edge; see `AgentState::entered_at`). Carried verbatim so a
     /// restored run's suspension census is bit-identical.
     pub entered_at: u64,
     /// Opaque behavior payload (encoder-defined; see module docs).
@@ -86,7 +88,7 @@ pub struct MeetingWire {
 /// [`SnapshotWire::into_snapshot`].
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SnapshotWire {
-    /// Per-agent state, in slot order.
+    /// Per-agent state, in agent order.
     pub agents: Vec<AgentWire>,
     /// Per-edge occupancy queues `(from_a, from_b)`, dense edge order.
     pub edges: Vec<(Vec<usize>, Vec<usize>)>,
@@ -106,13 +108,14 @@ impl SnapshotWire {
         encode: impl Fn(&B) -> String,
     ) -> Self {
         let agents = snap
-            .slots
+            .states
             .iter()
-            .map(|slot| {
-                let (at_node, from, to, inside_index) = match slot.place {
+            .zip(&snap.behaviors)
+            .map(|(st, behavior)| {
+                let (at_node, from, to, inside_index) = match st.place {
                     Place::AtNode(v) => (Some(v.0), None, None, None),
                     Place::Inside { from, to, .. } => {
-                        (None, Some(from.0), Some(to.0), Some(slot.inside_index))
+                        (None, Some(from.0), Some(to.0), Some(st.edge))
                     }
                 };
                 AgentWire {
@@ -120,13 +123,13 @@ impl SnapshotWire {
                     from,
                     to,
                     inside_index,
-                    pending_port: slot.pending.map(|(p, _)| p.0),
-                    pending_to: slot.pending.map(|(_, v)| v.0),
-                    awake: slot.awake,
-                    crashed: slot.crashed,
-                    traversals: slot.traversals,
-                    entered_at: slot.entered_at,
-                    behavior: encode(&slot.behavior),
+                    pending_port: st.pending.map(|(p, _)| p.0),
+                    pending_to: st.pending.map(|(_, v)| v.0),
+                    awake: st.awake,
+                    crashed: st.crashed,
+                    traversals: st.traversals,
+                    entered_at: st.entered_at,
+                    behavior: encode(behavior),
                 }
             })
             .collect();
@@ -200,10 +203,21 @@ impl SnapshotWire {
     }
 
     /// Rebuilds a [`RuntimeSnapshot`] over `g`, decoding each behavior
-    /// payload with `decode`. Fails (never panics) on payloads the
-    /// decoder rejects, positions that do not fit `g`, more agents than
-    /// [`AgentSet::CAPACITY`], or a meeting whose participant list is not
-    /// at least two strictly ascending indices of snapshot agents.
+    /// payload with `decode` and re-deriving each committed move's cached
+    /// edge geometry. Fails (never panics) on anything a runtime could not
+    /// resume from:
+    ///
+    /// * payloads the decoder rejects, or more agents than
+    ///   [`AgentSet::CAPACITY`];
+    /// * places that do not fit `g`, or a sleeping agent inside an edge;
+    /// * a pending move on an agent inside an edge, through a port the
+    ///   node does not have, or naming the wrong arrival node;
+    /// * an edge-entry time after the snapshot's action count;
+    /// * edge queues that name unknown agents, or that disagree with the
+    ///   inside agents' edges and sides (every agent inside an edge is
+    ///   queued exactly once, on its departure side, and nobody else is);
+    /// * a meeting whose participant list is not at least two strictly
+    ///   ascending indices of snapshot agents.
     pub fn into_snapshot<B: Behavior>(
         &self,
         g: &Graph,
@@ -223,50 +237,13 @@ impl SnapshotWire {
                 AgentSet::CAPACITY
             ));
         }
-        let mut slots = Vec::with_capacity(self.agents.len());
+        let mut states = Vec::with_capacity(self.agents.len());
+        let mut behaviors = Vec::with_capacity(self.agents.len());
         for (i, a) in self.agents.iter().enumerate() {
-            let (place, inside_index) = match (a.at_node, a.from, a.to, a.inside_index) {
-                (Some(v), None, None, None) => {
-                    if v >= g.order() {
-                        return Err(format!("agent {i} stands at out-of-range node {v}"));
-                    }
-                    (Place::AtNode(NodeId(v)), usize::MAX)
-                }
-                (None, Some(from), Some(to), Some(index)) => {
-                    if index >= g.size() {
-                        return Err(format!("agent {i} inside out-of-range edge {index}"));
-                    }
-                    let edge = g.edge_id(index);
-                    if (edge.a.0, edge.b.0) != (from.min(to), from.max(to)) {
-                        return Err(format!("agent {i}: edge {index} does not join {from}-{to}"));
-                    }
-                    (
-                        Place::Inside {
-                            edge,
-                            from: NodeId(from),
-                            to: NodeId(to),
-                        },
-                        index,
-                    )
-                }
-                _ => return Err(format!("agent {i} has an inconsistent place encoding")),
-            };
-            let pending = match (a.pending_port, a.pending_to) {
-                (Some(p), Some(v)) => Some((PortId(p), NodeId(v))),
-                (None, None) => None,
-                _ => return Err(format!("agent {i} has a half-encoded pending move")),
-            };
-            slots.push(Slot {
-                behavior: decode(&a.behavior).map_err(|e| format!("agent {i} behavior: {e}"))?,
-                place,
-                inside_index,
-                pending,
-                awake: a.awake,
-                crashed: a.crashed,
-                traversals: a.traversals,
-                entered_at: a.entered_at,
-            });
+            states.push(self.agent_state(i, a, g)?);
+            behaviors.push(decode(&a.behavior).map_err(|e| format!("agent {i} behavior: {e}"))?);
         }
+        self.check_queues(&states)?;
         let edges = self
             .edges
             .iter()
@@ -292,12 +269,114 @@ impl SnapshotWire {
             });
         }
         Ok(RuntimeSnapshot {
-            slots,
+            states,
+            behaviors,
             edges,
             meetings,
             actions: self.actions,
             total_traversals: self.total_traversals,
         })
+    }
+
+    /// Decodes agent `i`'s scheduler state over `g`, validating its place
+    /// and pending move and caching the move's edge geometry.
+    fn agent_state(&self, i: usize, a: &AgentWire, g: &Graph) -> Result<AgentState, String> {
+        let mut st = AgentState::asleep_at(NodeId(0));
+        match (a.at_node, a.from, a.to, a.inside_index) {
+            (Some(v), None, None, None) => {
+                if v >= g.order() {
+                    return Err(format!("agent {i} stands at out-of-range node {v}"));
+                }
+                st.place = Place::AtNode(NodeId(v));
+            }
+            (None, Some(from), Some(to), Some(index)) => {
+                if index >= g.size() {
+                    return Err(format!("agent {i} inside out-of-range edge {index}"));
+                }
+                let edge = g.edge_id(index);
+                if (edge.a.0, edge.b.0) != (from.min(to), from.max(to)) {
+                    return Err(format!("agent {i}: edge {index} does not join {from}-{to}"));
+                }
+                if !a.awake {
+                    return Err(format!("agent {i} is asleep inside an edge"));
+                }
+                st.place = Place::Inside {
+                    edge,
+                    from: NodeId(from),
+                    to: NodeId(to),
+                };
+                st.edge = index;
+                st.from_a = edge.a.0 == from;
+            }
+            _ => return Err(format!("agent {i} has an inconsistent place encoding")),
+        }
+        match (st.place, a.pending_port, a.pending_to) {
+            (_, None, None) => {}
+            (Place::AtNode(v), Some(port), Some(to)) => {
+                if port >= g.degree(v) {
+                    return Err(format!(
+                        "agent {i}: pending port {port} at node {} of degree {}",
+                        v.0,
+                        g.degree(v)
+                    ));
+                }
+                st.commit_move(g, v, PortId(port));
+                if st.pending != Some((PortId(port), NodeId(to))) {
+                    return Err(format!(
+                        "agent {i}: port {port} at node {} does not lead to {to}",
+                        v.0
+                    ));
+                }
+            }
+            (Place::Inside { .. }, Some(_), Some(_)) => {
+                return Err(format!("agent {i} has a pending move inside an edge"))
+            }
+            _ => return Err(format!("agent {i} has a half-encoded pending move")),
+        }
+        if a.entered_at > self.actions {
+            return Err(format!(
+                "agent {i} entered its edge at action {}, after the snapshot's {}",
+                a.entered_at, self.actions
+            ));
+        }
+        st.awake = a.awake;
+        st.crashed = a.crashed;
+        st.traversals = a.traversals;
+        st.entered_at = a.entered_at;
+        Ok(st)
+    }
+
+    /// Checks the edge queues against the decoded `states`: every queued
+    /// index is a known agent inside that edge and departing from that
+    /// side, queued once, and every agent inside an edge is queued.
+    fn check_queues(&self, states: &[AgentState]) -> Result<(), String> {
+        let mut queued = vec![false; states.len()];
+        for (index, (from_a, from_b)) in self.edges.iter().enumerate() {
+            for (side_a, q) in [(true, from_a), (false, from_b)] {
+                for &agent in q {
+                    let Some(st) = states.get(agent) else {
+                        return Err(format!("edge {index} queues unknown agent {agent}"));
+                    };
+                    let inside = matches!(st.place, Place::Inside { .. });
+                    if !inside || st.edge != index || st.from_a != side_a {
+                        return Err(format!(
+                            "edge {index} queues agent {agent}, which is not inside it on that side"
+                        ));
+                    }
+                    if std::mem::replace(&mut queued[agent], true) {
+                        return Err(format!("agent {agent} is queued twice"));
+                    }
+                }
+            }
+        }
+        match states
+            .iter()
+            .zip(&queued)
+            .position(|(st, &q)| matches!(st.place, Place::Inside { .. }) && !q)
+        {
+            Some(agent) => Err(format!("agent {agent} is inside an edge but not queued")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -424,7 +503,7 @@ fn meeting_from_value(v: &Value) -> Result<MeetingWire, String> {
 mod tests {
     use super::*;
     use crate::adversary::RoundRobin;
-    use crate::{RunConfig, Runtime};
+    use crate::{ActionKind, Choice, RunConfig, Runtime};
     use rv_graph::generators;
 
     fn mid_run_snapshot() -> (Graph, RuntimeSnapshot<ScriptBehavior>) {
@@ -533,6 +612,149 @@ mod tests {
             .into_snapshot(&g, decode_script)
             .expect_err("65 agents");
         assert!(err.contains("at most 64"), "{err}");
+    }
+
+    /// Two walkers on a six-ring after three actions: agent `INSIDE` has
+    /// started into an edge, agent `PENDING` stands at a node (of degree
+    /// 2) with a committed move.
+    fn geometry_snapshot() -> (Graph, RuntimeSnapshot<ScriptBehavior>) {
+        let g = generators::ring(6);
+        let behaviors = vec![
+            ScriptBehavior::new(NodeId(0), [1, 1]),
+            ScriptBehavior::new(NodeId(3), [0, 0]),
+        ];
+        let mut rt = Runtime::new(&g, behaviors, RunConfig::protocol());
+        for (agent, kind) in [
+            (0, ActionKind::Wake),
+            (1, ActionKind::Wake),
+            (0, ActionKind::Start),
+        ] {
+            assert!(rt.apply(Choice { agent, kind }).is_empty());
+        }
+        let snap = rt.snapshot();
+        (generators::ring(6), snap)
+    }
+
+    /// [`geometry_snapshot`]'s wire form, mutated by `edit`, rebuilt over
+    /// its graph.
+    fn rebuild_with(edit: impl FnOnce(&mut SnapshotWire, &Graph)) -> Result<(), String> {
+        let (g, snap) = geometry_snapshot();
+        let mut wire = SnapshotWire::from_snapshot(&snap, encode_script);
+        assert!(wire.agents[INSIDE].inside_index.is_some());
+        assert!(wire.agents[PENDING].pending_port.is_some());
+        edit(&mut wire, &g);
+        wire.into_snapshot(&g, decode_script).map(|_| ())
+    }
+
+    /// The fixture's agent inside an edge, and its agent with a pending move.
+    const INSIDE: usize = 0;
+    const PENDING: usize = 1;
+
+    #[test]
+    fn wire_accepts_the_fixture_and_rebuilds_its_geometry() {
+        assert_eq!(rebuild_with(|_, _| {}), Ok(()));
+        let (g, snap) = geometry_snapshot();
+        let wire = SnapshotWire::from_snapshot(&snap, encode_script);
+        let back = wire
+            .into_snapshot(&g, decode_script)
+            .expect("fixture decodes");
+        assert_eq!(back.states, snap.states, "cached edge geometry differs");
+    }
+
+    #[test]
+    fn wire_rejects_a_pending_move_inside_an_edge() {
+        let err = rebuild_with(|w, _| {
+            w.agents[INSIDE].pending_port = Some(0);
+            w.agents[INSIDE].pending_to = Some(1);
+        })
+        .expect_err("pending move inside an edge");
+        assert!(err.contains("pending move inside an edge"), "{err}");
+    }
+
+    #[test]
+    fn wire_rejects_a_pending_port_beyond_the_degree() {
+        for port in [2, 3, usize::MAX] {
+            let err = rebuild_with(|w, _| w.agents[PENDING].pending_port = Some(port))
+                .expect_err("port out of range");
+            assert!(err.contains("of degree 2"), "{err}");
+        }
+    }
+
+    #[test]
+    fn wire_rejects_a_pending_arrival_the_port_does_not_reach() {
+        let err = rebuild_with(|w, g| {
+            let a = &mut w.agents[PENDING];
+            let v = NodeId(a.at_node.expect("at a node"));
+            let reached = g.traverse(v, PortId(a.pending_port.expect("pending"))).node;
+            a.pending_to = Some(g.traverse(reached, PortId(0)).node.0);
+        })
+        .expect_err("wrong arrival node");
+        assert!(err.contains("does not lead to"), "{err}");
+    }
+
+    #[test]
+    fn wire_rejects_an_edge_entry_after_the_snapshot() {
+        let err = rebuild_with(|w, _| w.agents[INSIDE].entered_at = w.actions + 1)
+            .expect_err("entered in the future");
+        assert!(err.contains("after the snapshot's"), "{err}");
+    }
+
+    #[test]
+    fn wire_rejects_a_sleeping_agent_inside_an_edge() {
+        let err =
+            rebuild_with(|w, _| w.agents[INSIDE].awake = false).expect_err("asleep inside an edge");
+        assert!(err.contains("asleep inside an edge"), "{err}");
+    }
+
+    #[test]
+    fn wire_rejects_queues_naming_unknown_agents() {
+        for agent in [2, 64, usize::MAX] {
+            let err = rebuild_with(|w, _| w.edges[0].0.push(agent)).expect_err("unknown agent");
+            assert!(err.contains(&format!("unknown agent {agent}")), "{err}");
+        }
+    }
+
+    /// An edit of a fixture's wire form.
+    type WireEdit = fn(&mut SnapshotWire, &Graph);
+
+    /// The fixture's inside agent's edge queue: on its own departure
+    /// side, or on the opposite one.
+    fn inside_queue<'w>(w: &'w mut SnapshotWire, g: &Graph, own_side: bool) -> &'w mut Vec<usize> {
+        let a = &w.agents[INSIDE];
+        let index = a.inside_index.expect("inside");
+        let from_a = g.edge_id(index).a.0 == a.from.expect("inside");
+        let (qa, qb) = &mut w.edges[index];
+        if from_a == own_side {
+            qa
+        } else {
+            qb
+        }
+    }
+
+    #[test]
+    fn wire_rejects_queues_that_disagree_with_the_inside_agents() {
+        let cases: [(&str, WireEdit); 5] = [
+            ("not queued", |w, g| {
+                inside_queue(w, g, true).retain(|&a| a != INSIDE)
+            }),
+            ("not inside it on that side", |w, g| {
+                inside_queue(w, g, true).retain(|&a| a != INSIDE);
+                inside_queue(w, g, false).push(INSIDE);
+            }),
+            ("not inside it on that side", |w, g| {
+                inside_queue(w, g, true).retain(|&a| a != INSIDE);
+                let other = (w.agents[INSIDE].inside_index.expect("inside") + 1) % g.size();
+                w.edges[other].0.push(INSIDE);
+            }),
+            ("not inside it on that side", |w, _| {
+                w.edges[0].1.push(PENDING)
+            }),
+            ("queued twice", |w, g| inside_queue(w, g, true).push(INSIDE)),
+        ];
+        for (expected, edit) in cases {
+            let err = rebuild_with(edit).expect_err(expected);
+            assert!(err.contains(expected), "{expected}: {err}");
+        }
     }
 
     #[test]

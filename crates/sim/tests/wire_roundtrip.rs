@@ -7,10 +7,11 @@
 //! This is the durable-sweep checkpointer's correctness contract: a
 //! SIGKILL between any two actions loses nothing but wall-clock time.
 //! The decoder half of that contract is fuzzed too: corrupted participant
-//! lists are rejected with an error, never a panic.
+//! lists, pending moves, edge-entry times and edge queues are rejected
+//! with an error, never a panic, and whatever is accepted can run.
 
 use proptest::prelude::*;
-use rv_graph::{generators, NodeId};
+use rv_graph::{generators, Graph, NodeId, PortId};
 use rv_sim::adversary::{GreedyAvoid, RoundRobin};
 use rv_sim::wire::{decode_script, encode_script, SnapshotWire};
 use rv_sim::{RunConfig, Runtime, RuntimeSnapshot, ScriptBehavior};
@@ -59,6 +60,8 @@ fn busy_wire() -> (rv_graph::Graph, SnapshotWire) {
     }
     let wire = SnapshotWire::from_snapshot(&rt.snapshot(), encode_script);
     assert!(wire.meetings.iter().any(|m| m.agents.len() == 4));
+    assert!(wire.agents.iter().any(|a| a.inside_index.is_some()));
+    assert!(wire.agents.iter().any(|a| a.pending_port.is_some()));
     (g, wire)
 }
 
@@ -68,7 +71,47 @@ fn loggable(agents: &[usize], k: usize) -> bool {
     agents.len() >= 2 && agents.windows(2).all(|w| w[0] < w[1]) && agents.iter().all(|&a| a < k)
 }
 
-/// SplitMix64: the mutation stream of the decoder property below.
+/// `true` iff the scheduler fields of `wire` describe a state a runtime
+/// can resume: every pending move is taken at a node, through a port the
+/// node has, to the node that port reaches; no edge entry postdates the
+/// snapshot; and the edge queues hold exactly the agents inside edges,
+/// once each, on the edge and side each one is crossing.
+fn resumable(g: &Graph, wire: &SnapshotWire) -> bool {
+    let mut queued = vec![0usize; wire.agents.len()];
+    for (index, (from_a, from_b)) in wire.edges.iter().enumerate() {
+        for (side_a, q) in [(true, from_a), (false, from_b)] {
+            for &i in q {
+                let Some(a) = wire.agents.get(i) else {
+                    return false;
+                };
+                let home = a.inside_index == Some(index)
+                    && a.from.map(NodeId)
+                        == Some(if side_a {
+                            g.edge_id(index).a
+                        } else {
+                            g.edge_id(index).b
+                        });
+                if !home {
+                    return false;
+                }
+                queued[i] += 1;
+            }
+        }
+    }
+    wire.agents.iter().zip(&queued).all(|(a, &q)| {
+        let pending_ok = match (a.at_node, a.pending_port, a.pending_to) {
+            (_, None, None) => true,
+            (Some(v), Some(p), Some(to)) => {
+                p < g.degree(NodeId(v)) && g.traverse(NodeId(v), PortId(p)).node == NodeId(to)
+            }
+            _ => false,
+        };
+        let queue_ok = q == usize::from(a.inside_index.is_some());
+        pending_ok && queue_ok && a.entered_at <= wire.actions
+    })
+}
+
+/// SplitMix64: the mutation stream of the decoder properties below.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -126,6 +169,99 @@ proptest! {
         if let Ok(snap) = decoded {
             let again = SnapshotWire::from_snapshot(&snap, encode_script).to_json();
             prop_assert_eq!(again, json, "an accepted snapshot must round-trip exactly");
+        }
+    }
+
+    /// The snapshot decoder survives corrupted scheduler state: after
+    /// setting, clearing, half-clearing or rewriting agents' pending moves
+    /// (ports and arrival nodes up to `usize::MAX`), moving edge-entry
+    /// times around the snapshot's action count, and pushing, dropping or
+    /// flipping the side of edge-queue entries (including unknown
+    /// agents), `from_json` → `into_snapshot` accepts exactly the
+    /// resumable states, never panics, re-renders an accepted snapshot
+    /// byte-identically, and an accepted snapshot runs to its end.
+    #[test]
+    fn mutated_agent_states_fail_or_round_trip(
+        seed in any::<u64>(),
+        edits in 1usize..5,
+    ) {
+        let (g, mut wire) = busy_wire();
+        let k = wire.agents.len();
+        let mut rng = seed;
+        for _ in 0..edits {
+            let r = splitmix(&mut rng);
+            let a = (r >> 8) as usize % k;
+            let small = |rng: &mut u64| {
+                let v = splitmix(rng);
+                if v.is_multiple_of(8) { usize::MAX } else { (v % 6) as usize }
+            };
+            match r % 6 {
+                0 => {
+                    wire.agents[a].pending_port = Some(small(&mut rng));
+                    wire.agents[a].pending_to = Some(small(&mut rng));
+                }
+                1 => {
+                    // A real move where the agent stands (or its stale
+                    // node if it is inside an edge).
+                    let v = wire.agents[a].at_node.or(wire.agents[a].from).expect("placed");
+                    let p = splitmix(&mut rng) as usize % g.degree(NodeId(v));
+                    wire.agents[a].pending_port = Some(p);
+                    wire.agents[a].pending_to = Some(g.traverse(NodeId(v), PortId(p)).node.0);
+                }
+                2 => {
+                    wire.agents[a].pending_to = None;
+                    if r & (1 << 40) != 0 {
+                        wire.agents[a].pending_port = None;
+                    }
+                }
+                3 => {
+                    let delta = splitmix(&mut rng) % 4;
+                    wire.agents[a].entered_at = (wire.actions + 2).saturating_sub(delta);
+                }
+                4 => {
+                    let e = splitmix(&mut rng) as usize % wire.edges.len();
+                    let agent = if r & (1 << 41) != 0 { a } else { small(&mut rng) };
+                    if r & (1 << 42) != 0 { &mut wire.edges[e].0 } else { &mut wire.edges[e].1 }.push(agent);
+                }
+                _ => {
+                    // Take a queued entry out; drop it, or requeue it on
+                    // the other side of its edge or on another edge.
+                    let entries: Vec<(usize, bool)> = wire
+                        .edges
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(e, (qa, qb))| {
+                            qa.iter().map(move |_| (e, true)).chain(qb.iter().map(move |_| (e, false)))
+                        })
+                        .collect();
+                    if entries.is_empty() {
+                        continue;
+                    }
+                    let (e, side_a) = entries[(r >> 16) as usize % entries.len()];
+                    let (qa, qb) = &mut wire.edges[e];
+                    let agent = if side_a { qa } else { qb }.remove(0);
+                    match (r >> 44) % 3 {
+                        0 => {}
+                        1 => if side_a { &mut wire.edges[e].1 } else { &mut wire.edges[e].0 }.push(agent),
+                        _ => {
+                            let other = (e + 1 + (r >> 50) as usize) % wire.edges.len();
+                            wire.edges[other].0.push(agent);
+                        }
+                    }
+                }
+            }
+        }
+        let valid = resumable(&g, &wire);
+        let json = wire.to_json();
+        let decoded = SnapshotWire::from_json(&json)
+            .and_then(|w| w.into_snapshot(&g, decode_script));
+        prop_assert_eq!(decoded.is_ok(), valid, "accepted iff resumable: {:?}", decoded.as_ref().err());
+        if let Ok(snap) = decoded {
+            let again = SnapshotWire::from_snapshot(&snap, encode_script).to_json();
+            prop_assert_eq!(again, json, "an accepted snapshot must round-trip exactly");
+            let mut rt = Runtime::from_snapshot(&g, &snap, RunConfig::protocol().with_cutoff(10_000));
+            let out = rt.run(&mut RoundRobin::new());
+            prop_assert!(out.total_traversals >= snap.total_traversals());
         }
     }
 
