@@ -378,6 +378,36 @@ mod tests {
     }
 
     #[test]
+    fn a_decoded_plan_round_trips_exactly_or_is_an_error() {
+        let exact = serde_json::MAX_EXACT_U64;
+        for big in [exact - 1, exact, exact + 1, exact + 2, 1 << 60, u64::MAX] {
+            let plan = FaultPlan::new(
+                vec![CrashFault {
+                    at_action: big,
+                    agent: 1,
+                }],
+                vec![OutageFault {
+                    at_action: 3,
+                    edge_index: 2,
+                    duration_actions: big,
+                }],
+                vec![big],
+            );
+            let json = serde_json::to_string(&plan).expect("vendored to_string is infallible");
+            match FaultPlan::from_json(&json) {
+                Ok(back) => assert_eq!(back, plan, "{big} decoded to a different plan"),
+                Err(e) => assert!(big > exact, "{big} is exact but failed: {e}"),
+            }
+        }
+        let losses = |n: &str| format!(r#"{{"crashes":[],"outages":[],"log_losses":[{n}]}}"#);
+        assert_eq!(
+            FaultPlan::from_json(&losses("7")).map(|p| p.log_losses),
+            Ok(vec![7])
+        );
+        assert!(FaultPlan::from_json(&losses("1e30")).is_err());
+    }
+
+    #[test]
     fn clock_fires_crashes_once_in_time_order() {
         let plan = FaultPlan::new(
             vec![

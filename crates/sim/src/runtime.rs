@@ -265,6 +265,32 @@ fn commit<B: Behavior>(g: &Graph, st: &mut AgentState, behavior: &mut B) {
     }
 }
 
+/// Serves one meeting participant: hands `peers` to its behavior and, if
+/// it is parked at a node and `may_recommit`, asks for a fresh move (a
+/// parked agent may decide to move again after learning something new,
+/// e.g. an SGL explorer whose token arrives).
+///
+/// Crash-stop body semantics (see `crate::fault`): a crashed participant's
+/// info stays readable by the live agents, but it receives no delivery and
+/// never re-commits.
+#[inline]
+fn deliver<B: Behavior>(
+    g: &Graph,
+    st: &mut AgentState,
+    behavior: &mut B,
+    place: MeetingPlace,
+    peers: &[B::Info],
+    may_recommit: bool,
+) {
+    if st.crashed {
+        return;
+    }
+    behavior.on_meeting(place, peers);
+    if may_recommit && st.awake && matches!(st.place, Place::AtNode(_)) && st.pending.is_none() {
+        commit(g, st, behavior);
+    }
+}
+
 /// `true` if an agent other than `i` stands at node `v`.
 #[inline]
 fn occupied_by_other(states: &[AgentState], i: usize, v: NodeId) -> bool {
@@ -434,9 +460,9 @@ pub struct Runtime<'g, B: Behavior> {
     actions: u64,
     total_traversals: u64,
     config: RunConfig,
-    /// Reusable buffer of the participants' infos during one meeting
-    /// delivery (see `declare`); empty between deliveries, so it holds no
-    /// references into the agents' state.
+    /// Reusable buffer of the participants' infos while a meeting of
+    /// three or more is delivered (see `declare`); empty between
+    /// deliveries, so it holds no references into the agents' state.
     info_scratch: Vec<B::Info>,
     /// Reusable legal-choice buffer for [`Runtime::step`] (transient, not
     /// part of the frozen state — snapshots never carry it).
@@ -1007,40 +1033,54 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// the agent whose action produced this meeting: it commits once at
     /// the end of its action, after *all* resulting meetings are
     /// delivered.
+    ///
+    /// Every info is taken before any delivery, so each participant sees
+    /// its peers as they were when the meeting happened. A two-party
+    /// meeting (the common case: edge crossings, overtakings, and most node
+    /// contacts) holds both infos in a local pair and hands each
+    /// participant the other's as a one-element slice. Larger meetings
+    /// line the infos up in `info_scratch` and rotate each participant's
+    /// own info out of the peer prefix in turn.
     fn declare(&mut self, agents: AgentSet, place: MeetingPlace, skip: Option<usize>) -> Meeting {
-        // Every info is taken before any delivery, so each participant sees
-        // its peers as they were when the meeting happened.
-        let infos = &mut self.info_scratch;
-        infos.extend(agents.iter().map(|j| self.behaviors[j].info()));
-        let n = infos.len();
-        for (idx, j) in agents.iter().enumerate() {
-            let st = &mut self.states[j];
-            // Crash-stop body semantics (see `crate::fault`): a crashed
-            // participant's info stays readable by the live agents, but it
-            // receives no delivery and never re-commits.
-            if st.crashed {
-                continue;
+        let mut members = agents.iter();
+        if let (Some(a), Some(b), None) = (members.next(), members.next(), members.next()) {
+            let [info_a, info_b] = [self.behaviors[a].info(), self.behaviors[b].info()];
+            for (j, peer) in [(a, &info_b), (b, &info_a)] {
+                deliver(
+                    self.g,
+                    &mut self.states[j],
+                    &mut self.behaviors[j],
+                    place,
+                    std::slice::from_ref(peer),
+                    Some(j) != skip,
+                );
             }
-            // Participant `idx`'s peers are everyone else in agent order:
-            // rotating its own info to the end leaves them as the prefix
-            // (order matters — SGL adopts the first peer's final set).
-            infos[idx..].rotate_left(1);
-            self.behaviors[j].on_meeting(place, &infos[..n - 1]);
-            infos[idx..].rotate_right(1);
-            // A parked agent may decide to move again after learning
-            // something new (e.g. an SGL explorer whose token arrives).
-            if Some(j) != skip
-                && st.awake
-                && matches!(st.place, Place::AtNode(_))
-                && st.pending.is_none()
-            {
-                commit(self.g, st, &mut self.behaviors[j]);
+            // The pair drops here, for the reason given below.
+        } else {
+            let infos = &mut self.info_scratch;
+            infos.extend(agents.iter().map(|j| self.behaviors[j].info()));
+            let n = infos.len();
+            for (idx, j) in agents.iter().enumerate() {
+                // Participant `idx`'s peers are everyone else in agent
+                // order: rotating its own info to the end leaves them as
+                // the prefix (order matters — SGL adopts the first peer's
+                // final set).
+                infos[idx..].rotate_left(1);
+                deliver(
+                    self.g,
+                    &mut self.states[j],
+                    &mut self.behaviors[j],
+                    place,
+                    &infos[..n - 1],
+                    Some(j) != skip,
+                );
+                infos[idx..].rotate_right(1);
             }
+            // Drop the infos now: an info that outlived the meeting would
+            // keep shared state (e.g. a copy-on-write bag) alive and make
+            // its owner's next mutation copy.
+            infos.clear();
         }
-        // Drop the infos now: an info that outlived the meeting would keep
-        // shared state (e.g. a copy-on-write bag) alive and make its
-        // owner's next mutation copy.
-        infos.clear();
         let m = Meeting {
             agents,
             place,
@@ -1632,30 +1672,29 @@ mod tests {
         }
     }
 
-    /// Four recorders on the leaves of a five-node star walk into the hub
-    /// in the order 2, 0, 3, 1, so the arrivals declare node meetings of
-    /// two, three and four agents. `faults` is installed before the run.
-    /// Returns the runtime after the twelve scripted actions and the
-    /// team's clone counter.
-    fn hub_meetings(g: &Graph, faults: FaultPlan) -> (Runtime<'_, Recorder>, Rc<Cell<usize>>) {
+    /// Recorders, one per `(start node, ports in order)` entry, play
+    /// `script` with `faults` installed first. Returns the runtime after
+    /// the script and the team's clone counter.
+    fn scripted_recorders<'g>(
+        g: &'g Graph,
+        team: &[(usize, &[usize])],
+        script: Vec<Choice>,
+        faults: FaultPlan,
+    ) -> (Runtime<'g, Recorder>, Rc<Cell<usize>>) {
         let clones = Rc::new(Cell::new(0));
-        let team = (0..4)
-            .map(|agent| Recorder {
+        let team = team
+            .iter()
+            .enumerate()
+            .map(|(agent, &(v, ports))| Recorder {
                 agent,
-                start: NodeId(agent + 1),
-                ports: vec![PortId(0)],
+                start: NodeId(v),
+                ports: ports.iter().rev().map(|&p| PortId(p)).collect(),
                 received: Vec::new(),
                 clones: Rc::clone(&clones),
             })
             .collect();
         let mut rt = Runtime::new(g, team, RunConfig::protocol());
         rt.set_fault_plan(faults);
-        let act = |agent, kind| Choice { agent, kind };
-        let mut script: Vec<Choice> = (0..4).map(|a| act(a, ActionKind::Wake)).collect();
-        for a in [2, 0, 3, 1] {
-            script.push(act(a, ActionKind::Start));
-            script.push(act(a, ActionKind::Finish));
-        }
         let steps = script.len();
         let mut adversary = Scripted(script.into_iter());
         let mut meetings = Vec::new();
@@ -1663,6 +1702,29 @@ mod tests {
             assert_eq!(rt.step(&mut adversary, &mut meetings), None);
         }
         (rt, clones)
+    }
+
+    /// Builds a script from `(agent, kind)` pairs.
+    fn script(actions: &[(usize, ActionKind)]) -> Vec<Choice> {
+        actions
+            .iter()
+            .map(|&(agent, kind)| Choice { agent, kind })
+            .collect()
+    }
+
+    /// Four recorders on the leaves of a five-node star walk into the hub
+    /// in the order 2, 0, 3, 1, so the arrivals declare node meetings of
+    /// two, three and four agents. `faults` is installed before the run.
+    /// Returns the runtime after the twelve scripted actions and the
+    /// team's clone counter.
+    fn hub_meetings(g: &Graph, faults: FaultPlan) -> (Runtime<'_, Recorder>, Rc<Cell<usize>>) {
+        let mut actions: Vec<_> = (0..4).map(|a| (a, ActionKind::Wake)).collect();
+        for a in [2, 0, 3, 1] {
+            actions.push((a, ActionKind::Start));
+            actions.push((a, ActionKind::Finish));
+        }
+        let team: Vec<(usize, &[usize])> = (1..5).map(|v| (v, &[0][..])).collect();
+        scripted_recorders(g, &team, script(&actions), faults)
     }
 
     /// What each agent should have received: replays the meeting log,
@@ -1727,6 +1789,73 @@ mod tests {
             vec![(2, 0)],
             "the body's info reaches the others"
         );
+        assert_eq!(clones.get(), 0, "delivery cloned an info");
+    }
+
+    /// The places of the logged meetings, `true` for an edge.
+    fn inside_edges(rt: &Runtime<'_, Recorder>) -> Vec<bool> {
+        rt.meetings()
+            .iter()
+            .map(|m| matches!(m.place, MeetingPlace::Edge(_)))
+            .collect()
+    }
+
+    #[test]
+    fn a_crossing_inside_an_edge_delivers_each_side_the_other() {
+        use ActionKind::{Finish, Start, Wake};
+        // On the path 0 - 1 - 2, agent 2 walks to node 1 and meets agent
+        // 1 there; both then enter the edge towards node 0, and agent 0's
+        // `Start` from node 0 crosses 1 and then 2 (queue order) in two
+        // two-party edge meetings.
+        let g = generators::path(3);
+        let team: [(usize, &[usize]); 3] = [(0, &[0]), (1, &[0]), (2, &[0, 0])];
+        let actions = [
+            (0, Wake),
+            (1, Wake),
+            (2, Wake),
+            (2, Start),
+            (2, Finish),
+            (1, Start),
+            (2, Start),
+            (0, Start),
+        ];
+        let (rt, clones) = scripted_recorders(&g, &team, script(&actions), FaultPlan::empty());
+        assert_eq!(inside_edges(&rt), vec![false, true, true]);
+        let received: Vec<_> = (0..3).map(|i| rt.behavior(i).received.clone()).collect();
+        assert_eq!(received, expected_deliveries(&rt));
+        // Each side gets the other's pre-meeting count: agent 0 had one
+        // delivery when it crossed agent 2.
+        assert_eq!(received[0], vec![vec![(1, 1)], vec![(2, 1)]]);
+        assert_eq!(received[1], vec![vec![(2, 0)], vec![(0, 0)]]);
+        assert_eq!(received[2], vec![vec![(1, 0)], vec![(0, 1)]]);
+        assert_eq!(clones.get(), 0, "delivery cloned an info");
+    }
+
+    #[test]
+    fn an_overtaking_finish_delivers_each_side_the_other() {
+        use ActionKind::{Finish, Start, Wake};
+        // Agent 1 walks from node 1 to agent 0 at node 0 and back; on the
+        // way back both enter the edge, 0 first, and 1 finishes first:
+        // it overtakes 0 inside the edge, and 0's arrival then meets 1 at
+        // node 1.
+        let g = generators::path(2);
+        let team: [(usize, &[usize]); 2] = [(0, &[0]), (1, &[0, 0])];
+        let actions = [
+            (0, Wake),
+            (1, Wake),
+            (1, Start),
+            (1, Finish),
+            (0, Start),
+            (1, Start),
+            (1, Finish),
+            (0, Finish),
+        ];
+        let (rt, clones) = scripted_recorders(&g, &team, script(&actions), FaultPlan::empty());
+        assert_eq!(inside_edges(&rt), vec![false, true, false]);
+        let received: Vec<_> = (0..2).map(|i| rt.behavior(i).received.clone()).collect();
+        assert_eq!(received, expected_deliveries(&rt));
+        assert_eq!(received[0], vec![vec![(1, 0)], vec![(1, 1)], vec![(1, 2)]]);
+        assert_eq!(received[1], vec![vec![(0, 0)], vec![(0, 1)], vec![(0, 2)]]);
         assert_eq!(clones.get(), 0, "delivery cloned an info");
     }
 

@@ -557,6 +557,22 @@ mod tests {
         assert!(SnapshotWire::from_json("not json").is_err());
     }
 
+    #[test]
+    fn wire_rejects_counts_beyond_exact_json_integers() {
+        let (_, snap) = mid_run_snapshot();
+        let mut wire = SnapshotWire::from_snapshot(&snap, encode_script);
+        wire.actions = serde_json::MAX_EXACT_U64;
+        let parsed = SnapshotWire::from_json(&wire.to_json()).expect("exact count parses");
+        assert_eq!(parsed, wire);
+        wire.actions += 2;
+        assert!(
+            SnapshotWire::from_json(&wire.to_json()).is_err(),
+            "2^53 + 1 must not decode as 2^53"
+        );
+        let deep = "[".repeat(100_000);
+        assert!(SnapshotWire::from_json(&deep).is_err());
+    }
+
     /// A finished two-agent run's snapshot, with meeting 0's participant
     /// list replaced by `agents` on the wire, rebuilt over its graph.
     fn rebuild_with_participants(agents: Vec<usize>) -> Result<(), String> {
