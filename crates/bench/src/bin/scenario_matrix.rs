@@ -30,7 +30,6 @@
 //! ```text
 //! scenario_matrix [--smoke] [--trials N] [--out PATH] [--only SUBSTR]
 //!                 [--store DIR] [--engine-fp HEX]
-//!                 [--checkpoint DIR [--resume]]
 //! scenario_matrix --check PATH
 //! scenario_matrix --diff A B     (A/B: row files or store directories)
 //! ```
@@ -46,14 +45,11 @@
 //! `--engine-fp` overrides it (CI uses the override to prove that a
 //! fingerprint flip recomputes every cell without rebuilding the engine).
 //!
-//! **Durable sweeps** (`docs/FAULTS.md`): `--checkpoint DIR` is the same
-//! store machinery pointed at a sweep-private directory, plus the legacy
-//! observability surface: `DIR/meta.json` (the sweep configuration;
-//! `--resume` refuses a mismatch) and `DIR/rows.jsonl` (the finished
-//! prefix, rewritten atomically after every computed cell — what the
-//! chaos gates poll). `--resume` serves already-stored cells and runs
-//! only the missing ones; a SIGKILL at any instant loses at most the
-//! cell in flight. `--store` and `--checkpoint` are mutually exclusive.
+//! **Durable sweeps** (`docs/FAULTS.md`): the store is also what makes a
+//! sweep survive SIGKILL. Each computed cell's record is appended
+//! atomically before the sweep moves on, so a rerun against the same
+//! `--store` serves every finished cell and runs only the rest — a kill
+//! at any instant loses at most the cell in flight.
 //!
 //! `--smoke` runs 1 trial per cell and caps protocol cells at a smaller
 //! cutoff; `--only` restricts the sweep to cells whose scenario id
@@ -64,7 +60,9 @@
 //! nondeterministic field) is dropped *by name*, fields are compared
 //! order-insensitively, and any remaining difference exits nonzero. A
 //! directory argument is read as a store and materialised in declared
-//! order under the invocation's `--smoke`/`--trials`/`--engine-fp`.
+//! order under the invocation's `--smoke`/`--trials`/`--engine-fp`;
+//! `--only` filters both kinds of source by scenario id. Any other
+//! argument is an error.
 
 // Timing harness: wall-clock here is the product, not a determinism leak.
 #![allow(clippy::disallowed_methods)]
@@ -152,128 +150,121 @@ struct Row {
     median_ns_per_run: f64,
 }
 
-/// The sweep configuration echoed into a checkpoint's `meta.json`:
-/// `--resume` refuses to splice rows measured under different settings
-/// into one table. (The content keys would miss anyway — trials and
-/// cutoff are part of the key — but a loud refusal beats a silent
-/// full recompute that masks a typo.)
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
-struct CheckpointMeta {
+/// The sweep configuration every mode shares: which cells, how they run,
+/// and under which engine fingerprint their store keys live.
+struct Sweep {
     smoke: bool,
     trials: usize,
     only: Option<String>,
+    engine_fp: u64,
+}
+
+impl Sweep {
+    /// Whether `--only` selects the cell with this scenario id.
+    fn selects(&self, scenario: &str) -> bool {
+        self.only.as_deref().is_none_or(|f| scenario.contains(f))
+    }
+
+    /// The selected cells in declared order, each with its cutoff and
+    /// store key.
+    fn cells(&self) -> impl Iterator<Item = (CellSpec, u64, StoreKey)> + '_ {
+        cells()
+            .into_iter()
+            .filter(|spec| self.selects(&spec.scenario_id()))
+            .map(|spec| {
+                let cutoff = spec.cutoff(self.smoke);
+                let key = StoreKey {
+                    cell: spec.content_key(self.trials, cutoff),
+                    engine: self.engine_fp,
+                };
+                (spec, cutoff, key)
+            })
+    }
+}
+
+/// The parsed command line: the sweep configuration plus the flags that
+/// pick the mode and its files.
+struct Args {
+    sweep: Sweep,
+    out: Option<String>,
+    store: Option<PathBuf>,
+    check: Option<String>,
+    diff: Option<(String, String)>,
+}
+
+/// Walks the arguments once: a value-taking flag consumes its value, and
+/// any argument that is not a known flag fails with its name (a typo must
+/// not silently run the default configuration).
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
+    let (mut smoke, mut trials, mut only, mut engine_fp) = (false, None, None, None);
+    let (mut out, mut store, mut check, mut diff) = (None, None, None, None);
+    while let Some(flag) = argv.next() {
+        let mut value = |what: &str| {
+            argv.next()
+                .unwrap_or_else(|| rv_bench::fail(format!("{flag} requires {what}")))
+        };
+        match flag.as_str() {
+            "--smoke" => smoke = true,
+            "--trials" => {
+                let raw = value("a positive integer");
+                trials = Some(
+                    raw.parse::<usize>()
+                        .ok()
+                        .filter(|&t| t > 0)
+                        .unwrap_or_else(|| rv_bench::fail("--trials requires a positive integer")),
+                );
+            }
+            "--out" => out = Some(value("a path argument")),
+            "--only" => only = Some(value("a substring argument")),
+            "--store" => store = Some(PathBuf::from(value("a directory argument"))),
+            "--engine-fp" => {
+                let raw = value("a u64 argument");
+                engine_fp = Some(parse_fp(&raw).unwrap_or_else(|| {
+                    rv_bench::fail(format!(
+                        "--engine-fp: {raw:?} is not a u64 (decimal or 0x-hex)"
+                    ))
+                }));
+            }
+            "--check" => check = Some(value("a path argument")),
+            "--diff" => diff = Some((value("two path arguments"), value("two path arguments"))),
+            _ => rv_bench::fail(format!("unknown argument {flag:?}")),
+        }
+    }
+    let sweep = Sweep {
+        smoke,
+        trials: trials.unwrap_or(if smoke { 1 } else { 5 }),
+        only,
+        engine_fp: engine_fp.unwrap_or(rv_store::ENGINE_FINGERPRINT),
+    };
+    Args {
+        sweep,
+        out,
+        store,
+        check,
+        diff,
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let trials = args
-        .iter()
-        .position(|a| a == "--trials")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&t| t > 0)
-                .unwrap_or_else(|| rv_bench::fail("--trials requires a positive integer"))
-        })
-        .unwrap_or(if smoke { 1 } else { 5 });
-    let only = args.iter().position(|a| a == "--only").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| rv_bench::fail("--only requires a substring argument"))
-            .clone()
-    });
-    let engine_fp = args
-        .iter()
-        .position(|a| a == "--engine-fp")
-        .map(|i| {
-            let raw = args
-                .get(i + 1)
-                .unwrap_or_else(|| rv_bench::fail("--engine-fp requires a u64 argument"));
-            parse_fp(raw).unwrap_or_else(|| {
-                rv_bench::fail(format!(
-                    "--engine-fp: {raw:?} is not a u64 (decimal or 0x-hex)"
-                ))
-            })
-        })
-        .unwrap_or(rv_store::ENGINE_FINGERPRINT);
-
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args
-            .get(i + 1)
-            .unwrap_or_else(|| rv_bench::fail("--check requires a path argument"));
-        check(path);
+    let Args {
+        sweep,
+        out,
+        store,
+        check: check_path,
+        diff: diff_pair,
+    } = parse_args(std::env::args().skip(1));
+    if let Some(path) = check_path {
+        check(&path);
         return;
     }
-    if let Some(i) = args.iter().position(|a| a == "--diff") {
-        let a = args
-            .get(i + 1)
-            .unwrap_or_else(|| rv_bench::fail("--diff requires two path arguments"));
-        let b = args
-            .get(i + 2)
-            .unwrap_or_else(|| rv_bench::fail("--diff requires two path arguments"));
-        diff(a, b, smoke, trials, only.as_deref(), engine_fp);
+    if let Some((a, b)) = diff_pair {
+        diff(&a, &b, &sweep);
         return;
     }
 
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| rv_bench::fail("--out requires a path argument"))
-                .clone()
-        })
-        .unwrap_or_else(|| "MATRIX_baseline.jsonl".to_string());
-    let store_dir = args.iter().position(|a| a == "--store").map(|i| {
-        PathBuf::from(
-            args.get(i + 1)
-                .unwrap_or_else(|| rv_bench::fail("--store requires a directory argument")),
-        )
-    });
-    let checkpoint = args.iter().position(|a| a == "--checkpoint").map(|i| {
-        PathBuf::from(
-            args.get(i + 1)
-                .unwrap_or_else(|| rv_bench::fail("--checkpoint requires a directory argument")),
-        )
-    });
-    let resume = args.iter().any(|a| a == "--resume");
-    if resume && checkpoint.is_none() {
-        rv_bench::fail("--resume requires --checkpoint DIR");
-    }
-    if store_dir.is_some() && checkpoint.is_some() {
-        rv_bench::fail(
-            "--store and --checkpoint are mutually exclusive (a checkpoint *is* a \
-             sweep-private store; point --store at a shared directory instead)",
-        );
-    }
-
-    let meta = CheckpointMeta {
-        smoke,
-        trials,
-        only: only.clone(),
-    };
-    if let Some(dir) = &checkpoint {
-        if resume {
-            refuse_meta_mismatch(dir, &meta);
-        }
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            rv_bench::fail(format!(
-                "cannot create checkpoint directory {}: {e}",
-                dir.display()
-            ))
-        });
-        let meta_json = serde_json::to_string(&meta).expect("meta serialises");
-        rv_bench::write_atomic(dir.join("meta.json"), format!("{meta_json}\n"))
-            .unwrap_or_else(|e| rv_bench::fail(format!("cannot write checkpoint meta: {e}")));
-    }
-
-    // The store: shared (`--store`) or sweep-private (`--checkpoint`).
-    // Warm serving is unconditional for a shared store; a checkpoint
-    // serves only under `--resume` (a fresh checkpointed run recomputes,
-    // exactly as the durable sweeps always did).
-    let serve_warm = store_dir.is_some() || resume;
-    let mut store = store_dir.as_ref().or(checkpoint.as_ref()).map(|dir| {
-        let s = Store::open(dir).unwrap_or_else(|e| {
+    let out_path = out.unwrap_or_else(|| "MATRIX_baseline.jsonl".to_string());
+    let mut store = store.map(|dir| {
+        let s = Store::open(&dir).unwrap_or_else(|e| {
             rv_bench::fail(format!("cannot open store {}: {e}", dir.display()))
         });
         let report = s.open_report();
@@ -288,42 +279,25 @@ fn main() {
         s
     });
 
+    let trials = sweep.trials;
     let mut lines = String::new();
-    let mut rows = 0usize;
     let mut hits = 0usize;
     let mut executed = 0usize;
-    for spec in cells() {
+    for (spec, cutoff, key) in sweep.cells() {
         let scenario = spec.scenario_id();
-        if let Some(filter) = &only {
-            if !scenario.contains(filter.as_str()) {
-                continue;
-            }
-        }
-        let cutoff = spec.cutoff(smoke);
-        let key = StoreKey {
-            cell: spec.content_key(trials, cutoff),
-            engine: engine_fp,
-        };
         // A warm cell is served as its stored row *line*, verbatim —
         // re-measuring would only perturb the timing column; everything
         // else is deterministic and must come out identical anyway.
-        if serve_warm {
-            if let Some(line) = store.as_ref().and_then(|s| s.get(key)) {
-                let line = std::str::from_utf8(line).unwrap_or_else(|_| {
-                    rv_bench::fail(format!("store row for {scenario} is not UTF-8"))
-                });
-                lines.push_str(line);
-                lines.push('\n');
-                rows += 1;
-                hits += 1;
-                continue;
-            }
+        if let Some(line) = store.as_ref().and_then(|s| stored_line(s, key, &scenario)) {
+            lines.push_str(line);
+            lines.push('\n');
+            hits += 1;
+            continue;
         }
         let row = run_cell(&spec, trials, cutoff);
         let line = serde_json::to_string(&row).expect("rows serialise");
         lines.push_str(&line);
         lines.push('\n');
-        rows += 1;
         executed += 1;
         if let Some(s) = store.as_mut() {
             // Durability before progress: the record is on disk (atomic
@@ -333,26 +307,14 @@ fn main() {
                 rv_bench::fail(format!("cannot append {scenario} to the store: {e}"))
             });
         }
-        if let Some(dir) = &checkpoint {
-            // Legacy observability surface: the finished prefix as plain
-            // JSON lines, atomically rewritten per cell (the chaos gates
-            // poll this file to time their SIGKILL).
-            rv_bench::write_atomic(dir.join("rows.jsonl"), &lines).unwrap_or_else(|e| {
-                rv_bench::fail(format!("cannot checkpoint rows to {}: {e}", dir.display()))
-            });
-        }
     }
     rv_bench::write_atomic(&out_path, &lines)
         .unwrap_or_else(|e| rv_bench::fail(format!("cannot write {out_path}: {e}")));
-    if store_dir.is_some() {
+    let rows = hits + executed;
+    if store.is_some() {
         println!(
             "wrote {rows} rows ({trials} trials per cell, {hits}/{rows} from store, \
              {executed} executed) to {out_path}"
-        );
-    } else if resume {
-        println!(
-            "wrote {rows} rows ({trials} trials per cell, {hits} reused from checkpoint) \
-             to {out_path}"
         );
     } else {
         println!("wrote {rows} rows ({trials} trials per cell) to {out_path}");
@@ -368,93 +330,56 @@ fn parse_fp(raw: &str) -> Option<u64> {
     }
 }
 
-/// `--resume` guard: a checkpoint written under a different configuration
-/// is refused, not silently spliced. A missing checkpoint is an empty one
-/// (the sweep simply starts over).
-fn refuse_meta_mismatch(dir: &Path, meta: &CheckpointMeta) {
-    let meta_path = dir.join("meta.json");
-    let text = match std::fs::read_to_string(&meta_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return,
-        Err(e) => rv_bench::fail(format!("cannot read {}: {e}", meta_path.display())),
-    };
-    let v = serde_json::from_str(&text).unwrap_or_else(|e| {
-        rv_bench::fail(format!("{} is not valid JSON: {e}", meta_path.display()))
-    });
-    let found = CheckpointMeta {
-        smoke: v.get("smoke").and_then(|x| x.as_bool()).unwrap_or_else(|| {
-            rv_bench::fail(format!("{} has no smoke flag", meta_path.display()))
-        }),
-        trials: v.get("trials").and_then(|x| x.as_u64()).unwrap_or_else(|| {
-            rv_bench::fail(format!("{} has no trial count", meta_path.display()))
-        }) as usize,
-        only: v.get("only").filter(|x| !x.is_null()).map(|x| {
-            x.as_str()
-                .unwrap_or_else(|| {
-                    rv_bench::fail(format!(
-                        "{} only-filter must be a string",
-                        meta_path.display()
-                    ))
-                })
-                .to_string()
-        }),
-    };
-    if &found != meta {
-        rv_bench::fail(format!(
-            "checkpoint {} was written by a different configuration \
-             ({found:?}, this run is {meta:?}); refusing to splice",
-            dir.display()
-        ));
-    }
+/// A cell's stored row line, if the store holds its key.
+fn stored_line<'s>(store: &'s Store, key: StoreKey, scenario: &str) -> Option<&'s str> {
+    store.get(key).map(|line| {
+        std::str::from_utf8(line)
+            .unwrap_or_else(|_| rv_bench::fail(format!("store row for {scenario} is not UTF-8")))
+    })
 }
 
-/// Loads one `--diff` source as raw row lines: a file is read as JSON
-/// lines; a directory is opened as a store and materialised in declared
-/// cell order under this invocation's configuration (`--smoke`,
-/// `--trials`, `--only`, `--engine-fp`), failing loudly on any missing
-/// cell — a half-populated store must not diff clean.
-fn load_rows(
-    src: &str,
-    smoke: bool,
-    trials: usize,
-    only: Option<&str>,
-    engine_fp: u64,
-) -> Vec<String> {
+/// Loads one `--diff` source as raw row lines, restricted to the cells
+/// `--only` selects: a file is read as JSON lines; a directory is opened
+/// as a store and materialised in declared cell order under this
+/// invocation's configuration (`--smoke`, `--trials`, `--engine-fp`),
+/// failing loudly on any missing cell — a half-populated store must not
+/// diff clean.
+fn load_rows(src: &str, sweep: &Sweep) -> Vec<String> {
     if !Path::new(src).is_dir() {
         let text = std::fs::read_to_string(src)
             .unwrap_or_else(|e| rv_bench::fail(format!("cannot read {src}: {e}")));
-        return text.lines().map(str::to_string).collect();
+        return text
+            .lines()
+            .enumerate()
+            .filter(|&(lineno, line)| {
+                sweep.only.is_none() || {
+                    let row: Value = serde_json::from_str(line).unwrap_or_else(|e| {
+                        rv_bench::fail(format!("{src}:{} is not valid JSON: {e}", lineno + 1))
+                    });
+                    row.get("scenario")
+                        .and_then(Value::as_str)
+                        .is_some_and(|scenario| sweep.selects(scenario))
+                }
+            })
+            .map(|(_, line)| line.to_string())
+            .collect();
     }
     let store = Store::open(src)
         .unwrap_or_else(|e| rv_bench::fail(format!("cannot open store {src}: {e}")));
-    let mut out = Vec::new();
-    for spec in cells() {
-        let scenario = spec.scenario_id();
-        if let Some(filter) = only {
-            if !scenario.contains(filter) {
-                continue;
-            }
-        }
-        let cutoff = spec.cutoff(smoke);
-        let key = StoreKey {
-            cell: spec.content_key(trials, cutoff),
-            engine: engine_fp,
-        };
-        let line = store.get(key).unwrap_or_else(|| {
-            rv_bench::fail(format!(
-                "store {src} has no row for {scenario} under this configuration \
-                 (smoke={smoke}, trials={trials}, engine_fp={engine_fp:#018x})"
-            ))
-        });
-        out.push(
-            std::str::from_utf8(line)
-                .unwrap_or_else(|_| {
-                    rv_bench::fail(format!("store row for {scenario} is not UTF-8"))
-                })
-                .to_string(),
-        );
-    }
-    out
+    let (smoke, trials, engine_fp) = (sweep.smoke, sweep.trials, sweep.engine_fp);
+    sweep
+        .cells()
+        .map(|(spec, _, key)| {
+            let scenario = spec.scenario_id();
+            let line = stored_line(&store, key, &scenario).unwrap_or_else(|| {
+                rv_bench::fail(format!(
+                    "store {src} has no row for {scenario} under this configuration \
+                     (smoke={smoke}, trials={trials}, engine_fp={engine_fp:#018x})"
+                ))
+            });
+            line.to_string()
+        })
+        .collect()
 }
 
 /// The schema-aware comparable form of a row line: parsed, the wall-clock
@@ -477,11 +402,11 @@ fn comparable(line: &str, src: &str, lineno: usize) -> Value {
 
 /// `--diff A B`: compares two row sources cell by cell, ignoring only the
 /// wall-clock column. This is the chaos-recovery *and* store-identity
-/// gate: a resumed sweep — or a fully store-served one — must reproduce
+/// gate: a sweep rerun after a kill — or a fully store-served one — must reproduce
 /// the reference table exactly, timing aside.
-fn diff(a: &str, b: &str, smoke: bool, trials: usize, only: Option<&str>, engine_fp: u64) {
-    let la = load_rows(a, smoke, trials, only, engine_fp);
-    let lb = load_rows(b, smoke, trials, only, engine_fp);
+fn diff(a: &str, b: &str, sweep: &Sweep) {
+    let la = load_rows(a, sweep);
+    let lb = load_rows(b, sweep);
     let mut differences = 0usize;
     if la.len() != lb.len() {
         eprintln!("{a} has {} rows, {b} has {}", la.len(), lb.len());

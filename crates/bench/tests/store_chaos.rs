@@ -9,7 +9,9 @@
 //!   (everything recomputes), and the flipped population then serves warm
 //!   under the same flip;
 //! * `--diff` is schema-aware: a field-order permutation of the same rows
-//!   diffs clean, a value change does not.
+//!   diffs clean, a value change does not — and `--only` filters a row
+//!   file the same way it filters a store;
+//! * an unknown argument fails instead of running the default sweep.
 
 // Chaos harness: polling and killing a child process is inherently
 // wall-clock; the sweep under test stays deterministic.
@@ -273,6 +275,85 @@ fn diff_is_schema_aware_not_positional() {
     assert!(
         !run(&["--diff", "a.jsonl", "c.jsonl"], &dir).success(),
         "a non-timing value change must fail the diff"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_arguments_fail_and_write_no_rows() {
+    let dir = tmp_root("args");
+    // A misspelt flag and a flag the runner does not have are both
+    // unknown arguments: the run must fail rather than sweep the default
+    // configuration.
+    for (bad, value) in [("--tirals", "3"), ("--checkpoint", "ck")] {
+        let status = run(
+            &[
+                "--smoke",
+                "--only",
+                "ring8/round-robin/paper",
+                bad,
+                value,
+                "--out",
+                "y.jsonl",
+            ],
+            &dir,
+        );
+        assert!(!status.success(), "{bad} must be refused");
+        assert!(
+            !dir.join("y.jsonl").exists(),
+            "a refused {bad} must write no row file"
+        );
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn diff_applies_only_to_row_files_as_to_stores() {
+    let dir = tmp_root("only");
+    let diff_paper_row = |file: &str| {
+        let args = [
+            "--smoke",
+            "--only",
+            "ring8/round-robin/paper",
+            "--diff",
+            file,
+            "st",
+        ];
+        run(&args, &dir).success()
+    };
+
+    // A 7-row slice file and a store holding the same cells.
+    assert!(
+        run(
+            &[
+                "--smoke",
+                "--only",
+                "ring8/round-robin",
+                "--store",
+                "st",
+                "--out",
+                "slice.jsonl",
+            ],
+            &dir
+        )
+        .success(),
+        "slice sweep failed"
+    );
+    assert!(
+        diff_paper_row("slice.jsonl"),
+        "--only must filter the row file like the store"
+    );
+
+    // A real value change inside the filtered slice still fails.
+    let text = std::fs::read_to_string(dir.join("slice.jsonl")).expect("slice rows");
+    let changed = text.replace(r#""variant":"paper""#, r#""variant":"changed""#);
+    assert_ne!(changed, text, "the paper row must be in the slice");
+    std::fs::write(dir.join("changed.jsonl"), changed).expect("write changed");
+    assert!(
+        !diff_paper_row("changed.jsonl"),
+        "a value change inside the --only slice must fail the diff"
     );
 
     std::fs::remove_dir_all(&dir).ok();

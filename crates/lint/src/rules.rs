@@ -26,8 +26,8 @@ pub const FINGERPRINT_CRATES: &[&str] = &["sim", "protocols", "trajectory", "cor
 /// materialising views.
 pub const NO_TO_VEC_CRATES: &[&str] = &["sim", "protocols", "explore"];
 
-/// Source tree whose binaries write results artifacts (row files, metadata,
-/// checkpoints) that chaos gates SIGKILL mid-write: every output write there
+/// Source tree whose binaries write results artifacts (row files, store
+/// segments) that chaos gates SIGKILL mid-write: every output write there
 /// must go through `rv_bench::write_atomic` (temp + rename), never a direct
 /// in-place `fs::write` / `File::create`.
 pub const ATOMIC_OUTPUT_PATH: &str = "crates/bench/src";
@@ -399,9 +399,10 @@ fn api_to_vec(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// `api-atomic-output-write`: in the experiment-binary tree
 /// (`crates/bench/src`), no direct `fs::write(…)` or `File::create(…)`.
 /// The chaos gates SIGKILL these binaries mid-sweep, and a torn half-written
-/// row file or `meta.json` then poisons every later resume; writes must go
-/// through `rv_bench::write_atomic` (same-directory temp + atomic rename),
-/// which makes every artifact either the old complete bytes or the new ones.
+/// row file or store segment then poisons every later `--diff` or rerun
+/// that reads it; writes must go through `rv_bench::write_atomic`
+/// (same-directory temp + atomic rename), which makes every artifact
+/// either the old complete bytes or the new ones.
 /// The store's segment writer (`rv_store`) is the one place allowed to
 /// manage its own file handles, and it lives outside this tree.
 fn api_atomic_output_write(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {

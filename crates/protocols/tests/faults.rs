@@ -14,10 +14,7 @@ use rv_explore::SeededUxs;
 use rv_graph::{generators, NodeId};
 use rv_protocols::{SglBehavior, SglConfig};
 use rv_sim::adversary::AdversaryKind;
-use rv_sim::{
-    and_then, AdaptiveThreshold, CrashFault, EarlyQuiescence, FaultPlan, FixedCutoff, RunConfig,
-    RunEnd, Runtime,
-};
+use rv_sim::{AdaptiveThreshold, CrashFault, FaultPlan, RunConfig, RunEnd, Runtime};
 
 /// Traversal backstop: generous enough for a clean k=3 SGL run on
 /// ring(8), tight enough that a wedged run fails the suite quickly.
@@ -50,12 +47,10 @@ fn run_crashed_sgl(victim: usize, at_action: u64, kind: AdversaryKind, seed: u64
         vec![],
     ));
     let mut adv = kind.build(seed);
-    // The scenario matrix's protocol detector stack, with a tighter
-    // stall window so a stalled-by-crash run is classified in test time.
-    let mut policy = and_then(
-        EarlyQuiescence,
-        and_then(AdaptiveThreshold::new(200_000, 4), FixedCutoff::new(CUTOFF)),
-    );
+    // The scenario matrix's protocol detector, with a tighter stall
+    // window so a stalled-by-crash run is classified in test time; the
+    // config budget backstops it.
+    let mut policy = AdaptiveThreshold::new(200_000, 4);
     let out = rt.run_with_policy(adv.as_mut(), &mut policy);
     assert!(
         rt.crashed(victim),

@@ -21,7 +21,7 @@ use rv_explore::SeededUxs;
 use rv_graph::{GraphFamily, NodeId};
 use rv_protocols::{SglBehavior, SglConfig};
 use rv_sim::adversary::AdversaryKind;
-use rv_sim::{AdaptiveThreshold, EarlyQuiescence, RunConfig, RunEnd, RunOutcome, Runtime};
+use rv_sim::{AdaptiveThreshold, RunConfig, RunEnd, RunOutcome, Runtime};
 
 /// Matrix constants: graph seed, adversary seed, SGL labels.
 const GRAPH_SEED: u64 = 5;
@@ -206,35 +206,6 @@ fn adaptive_policy_is_invisible_on_converging_cells() {
         assert_eq!(plain.meetings, detected.meetings);
         assert_eq!(plain_outputs, detected_outputs);
     }
-}
-
-/// The census-based quiescence check agrees with the run loop's own
-/// AllParked detection: same outcome, bit for bit.
-#[test]
-fn early_quiescence_matches_natural_quiescence() {
-    let (plain, plain_outputs) = run_cell(
-        GraphFamily::Ring,
-        6,
-        2,
-        AdversaryKind::RoundRobin,
-        30_000_000,
-        None,
-    );
-    assert_eq!(plain.end, RunEnd::AllParked);
-    let mut policy = EarlyQuiescence;
-    let (early, early_outputs) = run_cell(
-        GraphFamily::Ring,
-        6,
-        2,
-        AdversaryKind::RoundRobin,
-        30_000_000,
-        Some(&mut policy),
-    );
-    assert_eq!(plain.end, early.end);
-    assert_eq!(plain.total_traversals, early.total_traversals);
-    assert_eq!(plain.actions, early.actions);
-    assert_eq!(plain.meetings, early.meetings);
-    assert_eq!(plain_outputs, early_outputs);
 }
 
 /// A rendezvous-order protocol cell quiesces under the adaptive policy —

@@ -66,12 +66,12 @@ pub trait Behavior {
     /// done flag, aggregated into [`crate::stop::Progress`] by
     /// [`crate::Runtime::progress`]. The default reports no progress,
     /// which keeps scripted test behaviors trivially compatible with
-    /// census- and cutoff-based policies (`FixedCutoff`,
-    /// `EarlyQuiescence`). **Metric-watching detectors read a permanently
-    /// flat metric as stagnation**: running a default-progress behavior
-    /// under `DivergenceDetector`/`AdaptiveThreshold` will fire once the
-    /// window elapses — wire those detectors only to behaviors that
-    /// override this with a real metric.
+    /// plain runs and the config budget. **Metric-watching detectors read
+    /// a permanently flat metric as stagnation**: running a
+    /// default-progress behavior under
+    /// `DivergenceDetector`/`AdaptiveThreshold` will fire once the window
+    /// elapses — wire those detectors only to behaviors that override
+    /// this with a real metric.
     fn progress(&self) -> crate::stop::BehaviorProgress {
         crate::stop::BehaviorProgress::default()
     }

@@ -96,6 +96,6 @@ pub use runtime::{
     ActionKind, Choice, ChoiceInfo, Place, RunConfig, RunEnd, RunOutcome, Runtime, RuntimeSnapshot,
 };
 pub use stop::{
-    and_then, AdaptiveThreshold, BehaviorProgress, DivergenceDetector, EarlyQuiescence,
-    FixedCutoff, Progress, StarvationCensus, StarvationReport, StopPolicy, SuspensionReport,
+    AdaptiveThreshold, BehaviorProgress, DivergenceDetector, Progress, StarvationCensus,
+    StarvationReport, StopPolicy, SuspensionReport,
 };

@@ -163,12 +163,11 @@ impl RunConfig {
 
     /// Replaces the traversal cutoff.
     ///
-    /// This is the **compatibility shim** over the stop-policy layer: the
-    /// run loop checks this budget inline before every action (exactly
-    /// the semantics of a [`crate::stop::FixedCutoff`] policy at cadence
-    /// 1), so it doubles as the hard backstop under
-    /// [`Runtime::run_with_policy`] — detectors fire first when they have
-    /// something to say, the budget catches everything else.
+    /// The run loop checks this budget inline before every action, so a
+    /// `Cutoff` run stops at exactly this cost. It is also the hard
+    /// backstop under [`Runtime::run_with_policy`] — detectors fire first
+    /// when they have something to say, the budget catches everything
+    /// else, and it wins a tie with a detector.
     pub fn with_cutoff(mut self, max: u64) -> Self {
         self.max_total_traversals = max;
         self

@@ -14,12 +14,15 @@
 //! * [`StopPolicy`] — a pluggable termination rule consulted every
 //!   [`StopPolicy::cadence`] adversary actions by
 //!   [`crate::Runtime::run_with_policy`];
-//! * the built-in policies — [`FixedCutoff`] (the policy form of the
-//!   legacy `RunConfig::with_cutoff` plumbing, which survives as a thin
-//!   compatibility shim and hard backstop), [`DivergenceDetector`]
-//!   (rendezvous piece-number stagnation), [`AdaptiveThreshold`]
-//!   (protocol-mode stall detection with a progress-scaled patience
-//!   window), and [`EarlyQuiescence`] (census-based quiescence check).
+//! * the two detectors — [`DivergenceDetector`] (rendezvous piece-number
+//!   stagnation) and [`AdaptiveThreshold`] (protocol-mode stall detection
+//!   with a progress-scaled patience window).
+//!
+//! The traversal budget is not a policy: [`crate::RunConfig::with_cutoff`]
+//! is checked inline before every action and wins ties under
+//! [`crate::Runtime::run_with_policy`], so it backstops every detector.
+//! Quiescence needs no policy either — the run loop classifies a state
+//! with no legal choices as `AllParked`, `SurvivorsParked` or `AllCrashed`.
 //!
 //! Policies are deterministic: they read action/traversal counters, never
 //! the clock, so a policy-terminated run is exactly reproducible and the
@@ -111,45 +114,14 @@ pub struct Progress {
 pub trait StopPolicy {
     /// Adversary actions between checks. Checks cost O(agents), so the
     /// default keeps the overhead invisible next to the run loop while
-    /// bounding detection latency; [`FixedCutoff`] overrides it to 1 for
-    /// exactness.
+    /// bounding detection latency; [`DivergenceDetector`] overrides it to
+    /// 256.
     fn cadence(&self) -> u64 {
         1024
     }
 
     /// Inspects the progress record; `Some(end)` stops the run.
     fn check(&mut self, progress: &Progress) -> Option<RunEnd>;
-}
-
-/// Stops at a traversal budget — the [`StopPolicy`] form of the legacy
-/// [`crate::RunConfig::with_cutoff`] plumbing (which remains available as
-/// a compatibility shim and always-on backstop: the run loop checks the
-/// config cutoff inline before every action). Cadence 1, so a
-/// policy-driven cutoff stops at exactly the configured cost, matching
-/// the shim bit for bit.
-#[derive(Clone, Copy, Debug)]
-pub struct FixedCutoff {
-    /// Stop once total traversals reach this.
-    pub max_total_traversals: u64,
-}
-
-impl FixedCutoff {
-    /// Cutoff at `max` total traversals.
-    pub fn new(max: u64) -> Self {
-        FixedCutoff {
-            max_total_traversals: max,
-        }
-    }
-}
-
-impl StopPolicy for FixedCutoff {
-    fn cadence(&self) -> u64 {
-        1
-    }
-
-    fn check(&mut self, p: &Progress) -> Option<RunEnd> {
-        (p.total_traversals >= self.max_total_traversals).then_some(RunEnd::Cutoff)
-    }
 }
 
 /// Rendezvous divergence: the max piece number ([`BehaviorProgress::
@@ -382,59 +354,6 @@ impl StarvationCensus {
     }
 }
 
-/// Census-based quiescence check: ends the run `AllParked` as soon as
-/// every agent is awake, at a node, and parked — the same condition the
-/// run loop detects by enumerating legal choices and finding none, read
-/// directly off the incremental census instead. Composes with detectors
-/// whose custom drivers want quiescence checks without enumeration; by
-/// construction it never changes what a run computes, only (at most) how
-/// its final no-choices probe is spelled.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EarlyQuiescence;
-
-impl StopPolicy for EarlyQuiescence {
-    fn check(&mut self, p: &Progress) -> Option<RunEnd> {
-        if p.asleep != 0 || p.moving != 0 || p.parked + p.crashed != p.agents {
-            return None;
-        }
-        // Mirror the run loop's own classification of a choiceless state
-        // (fault-free runs keep getting plain `AllParked`).
-        Some(if p.crashed == p.agents {
-            RunEnd::AllCrashed
-        } else if p.crashed > 0 {
-            RunEnd::SurvivorsParked
-        } else {
-            RunEnd::AllParked
-        })
-    }
-}
-
-/// Consults `a` then `b` at the finer of the two cadences — policy
-/// combinators compose left to right, first hit wins. Built by
-/// [`and_then`].
-#[derive(Clone, Copy, Debug)]
-pub struct Chain<A, B> {
-    a: A,
-    b: B,
-}
-
-/// Chains two policies: check `a`, then `b`; the first `Some(end)` stops
-/// the run. The chain runs at the finer cadence of the two, so each
-/// policy is checked at least as often as it asked for.
-pub fn and_then<A: StopPolicy, B: StopPolicy>(a: A, b: B) -> Chain<A, B> {
-    Chain { a, b }
-}
-
-impl<A: StopPolicy, B: StopPolicy> StopPolicy for Chain<A, B> {
-    fn cadence(&self) -> u64 {
-        self.a.cadence().min(self.b.cadence())
-    }
-
-    fn check(&mut self, p: &Progress) -> Option<RunEnd> {
-        self.a.check(p).or_else(|| self.b.check(p))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,14 +382,6 @@ mod tests {
             longest_hold_actions: actions,
             longest_hold_agent: 0,
         }
-    }
-
-    #[test]
-    fn fixed_cutoff_fires_at_the_budget() {
-        let mut p = FixedCutoff::new(100);
-        assert_eq!(p.check(&progress(10, 99, 0, 0)), None);
-        assert_eq!(p.check(&progress(11, 100, 0, 0)), Some(RunEnd::Cutoff));
-        assert_eq!(p.cadence(), 1, "exact cutoffs need per-action checks");
     }
 
     #[test]
@@ -546,19 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn early_quiescence_reads_the_census() {
-        let mut q = EarlyQuiescence;
-        let mut p = progress(5, 3, 0, 0);
-        assert_eq!(q.check(&p), None, "an agent is mid-edge");
-        p.moving = 0;
-        p.parked = 2;
-        assert_eq!(q.check(&p), Some(RunEnd::AllParked));
-        p.asleep = 1;
-        p.parked = 1;
-        assert_eq!(q.check(&p), None, "asleep agents can still be woken");
-    }
-
-    #[test]
     fn starvation_census_tracks_the_flat_minimum() {
         let mut c = StarvationCensus::default();
         assert_eq!(c.report(), None, "unprimed census has no verdict");
@@ -607,15 +505,5 @@ mod tests {
         assert_eq!(report.agent, 1);
         assert_eq!(report.silent_actions, 240);
         assert_eq!(report.traversals, 2);
-    }
-
-    #[test]
-    fn chain_checks_left_then_right_at_the_finer_cadence() {
-        let mut c = and_then(FixedCutoff::new(50), DivergenceDetector::new(10));
-        assert_eq!(c.cadence(), 1);
-        assert_eq!(c.check(&progress(1, 50, 1, 1)), Some(RunEnd::Cutoff));
-        let mut c = and_then(DivergenceDetector::new(10), FixedCutoff::new(1_000));
-        assert_eq!(c.check(&progress(1, 0, 1, 1)), None);
-        assert_eq!(c.check(&progress(2, 10, 1, 1)), Some(RunEnd::Diverged));
     }
 }

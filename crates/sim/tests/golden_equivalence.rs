@@ -17,7 +17,7 @@ use rv_graph::{GraphFamily, NodeId};
 use rv_sim::adversary::{
     Adversary, AdversaryKind, EagerMeet, GreedyAvoid, Lazy, RandomAdversary, RoundRobin,
 };
-use rv_sim::{RunConfig, Runtime, RvBehavior};
+use rv_sim::{RunConfig, RunEnd, Runtime, RvBehavior};
 use rv_trajectory::{Spec, TrajectoryCursor};
 
 const CUTOFF: u64 = 4_000_000;
@@ -305,34 +305,25 @@ fn policy_fingerprint(i: usize, policy: &mut dyn rv_sim::StopPolicy) -> String {
 /// The stop-policy contract on converging runs: a detector may change
 /// *when* a non-converging run stops, never *what* a converging run
 /// computes. Every golden case converges, so running it under the
-/// divergence detector — alone, chained with a policy-level cutoff, or
-/// with the census-based quiescence check — must reproduce the golden
-/// fingerprint bit for bit, adversary RNG streams included.
+/// divergence detector must reproduce the golden fingerprint bit for bit,
+/// adversary RNG streams included.
 #[test]
 fn detector_enabled_runs_match_golden_fingerprints() {
-    use rv_sim::{and_then, DivergenceDetector, EarlyQuiescence, FixedCutoff};
     for (i, golden) in GOLDEN_RUNS.iter().enumerate() {
-        let mut detector = DivergenceDetector::default();
+        let mut detector = rv_sim::DivergenceDetector::default();
         assert_eq!(
             policy_fingerprint(i, &mut detector),
             *golden,
             "divergence detector changed converging case {i}"
         );
-        let mut chained = and_then(
-            EarlyQuiescence,
-            and_then(DivergenceDetector::default(), FixedCutoff::new(CUTOFF)),
-        );
-        assert_eq!(
-            policy_fingerprint(i, &mut chained),
-            *golden,
-            "chained policies changed converging case {i}"
-        );
     }
 }
 
-/// A policy-level [`rv_sim::FixedCutoff`] stops at exactly the same point
-/// as the legacy `with_cutoff` plumbing it replaces: same end, same
-/// traversal count, same meeting log — on a cutoff-bound run.
+/// The config budget is the backstop under a detector too: on a
+/// cutoff-bound run, `run_with_policy` under the divergence detector
+/// stops at exactly the same point as a plain `run()` with the same
+/// `with_cutoff` — same end, traversal count, action count and meeting
+/// log.
 #[test]
 fn policy_cutoff_matches_the_with_cutoff_shim() {
     let uxs = SeededUxs::quadratic();
@@ -344,22 +335,50 @@ fn policy_cutoff_matches_the_with_cutoff_shim() {
         ]
     };
     for budget in [1u64, 7, 25, 40] {
-        // Shim: the budget lives in the config.
-        let mut rt = Runtime::new(&g, make(), RunConfig::rendezvous().with_cutoff(budget));
-        let mut adv = RoundRobin::new();
-        let shim = rt.run(&mut adv);
-        // Policy: generous config backstop, the policy carries the budget.
-        let mut rt = Runtime::new(&g, make(), RunConfig::rendezvous().with_cutoff(CUTOFF));
-        let mut adv = RoundRobin::new();
-        let mut policy = rv_sim::FixedCutoff::new(budget);
-        let via_policy = rt.run_with_policy(&mut adv, &mut policy);
-        assert_eq!(shim.end, via_policy.end, "budget {budget}");
+        let config = RunConfig::rendezvous().with_cutoff(budget);
+        let mut rt = Runtime::new(&g, make(), config);
+        let plain = rt.run(&mut RoundRobin::new());
+        let mut rt = Runtime::new(&g, make(), config);
+        let mut policy = rv_sim::DivergenceDetector::default();
+        let via_policy = rt.run_with_policy(&mut RoundRobin::new(), &mut policy);
+        assert_eq!(plain.end, RunEnd::Cutoff, "budget {budget}");
+        assert_eq!(plain.end, via_policy.end, "budget {budget}");
         assert_eq!(
-            shim.total_traversals, via_policy.total_traversals,
+            plain.total_traversals, via_policy.total_traversals,
             "budget {budget}"
         );
-        assert_eq!(shim.actions, via_policy.actions, "budget {budget}");
-        assert_eq!(shim.meetings, via_policy.meetings, "budget {budget}");
+        assert_eq!(plain.actions, via_policy.actions, "budget {budget}");
+        assert_eq!(plain.meetings, via_policy.meetings, "budget {budget}");
+    }
+}
+
+/// The config budget wins a tie with a policy: a policy that would call
+/// the run `Diverged` at exactly the budget must not relabel a run the
+/// backstop has already exhausted. Detector ends mean "retired strictly
+/// under the budget", which the matrix's `--check` relies on.
+#[test]
+fn config_budget_wins_a_tie_with_the_policy() {
+    /// Fires `Diverged` once the budget is reached, checked every action.
+    struct FiresAtBudget(u64);
+    impl rv_sim::StopPolicy for FiresAtBudget {
+        fn cadence(&self) -> u64 {
+            1
+        }
+        fn check(&mut self, p: &rv_sim::Progress) -> Option<RunEnd> {
+            (p.total_traversals >= self.0).then_some(RunEnd::Diverged)
+        }
+    }
+    let uxs = SeededUxs::quadratic();
+    let g = GraphFamily::Ring.generate(12, 5);
+    for budget in [1u64, 7, 25, 40] {
+        let agents = vec![
+            RvBehavior::new(&g, uxs, NodeId(0), Label::new(6).unwrap()),
+            RvBehavior::new(&g, uxs, NodeId(6), Label::new(9).unwrap()),
+        ];
+        let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(budget));
+        let out = rt.run_with_policy(&mut RoundRobin::new(), &mut FiresAtBudget(budget));
+        assert_eq!(out.end, RunEnd::Cutoff, "budget {budget}");
+        assert_eq!(out.total_traversals, budget, "budget {budget}");
     }
 }
 
