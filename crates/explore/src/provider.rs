@@ -92,8 +92,16 @@ impl<P: ExplorationProvider> RWalker<P> {
         }
         let x = self.provider.increment(self.k, self.step);
         self.step += 1;
+        let d = degree as u64;
         let p = entry.map(|p| p.0 as u64).unwrap_or(0);
-        Some(PortId(((p + x) % degree as u64) as usize))
+        // `x` spans all of u64. When `p + x` overflows, reduce `x` first:
+        // `p < d`, so both arms give `(p + x) mod d`. The common arm keeps
+        // a single division on this hot path.
+        let exit = match p.checked_add(x) {
+            Some(sum) => sum % d,
+            None => (p + x % d) % d,
+        };
+        Some(PortId(exit as usize))
     }
 }
 
@@ -127,6 +135,16 @@ mod tests {
         let x1 = uxs.increment(4, 1);
         let exit = w.next_exit(Some(PortId(2)), 3).unwrap();
         assert_eq!(exit.0 as u64, (2 + x1) % 3);
+    }
+
+    #[test]
+    fn full_range_increments_do_not_overflow() {
+        // 2^64 - 1 ≡ 0 (mod 3), so from entry port 1 the exit is 1; the
+        // unreduced sum 1 + (2^64 - 1) would overflow.
+        let uxs = crate::TableUxs::new(vec![vec![u64::MAX, u64::MAX]]);
+        let mut w = RWalker::new(&uxs, 3);
+        assert_eq!(w.next_exit(Some(PortId(1)), 3), Some(PortId(1)));
+        assert_eq!(w.next_exit(Some(PortId(2)), 3), Some(PortId(2)));
     }
 
     #[test]

@@ -96,8 +96,8 @@ pub trait Behavior {
     }
 
     /// Performs any one-time lazy setup the first [`Behavior::next_port`]
-    /// would do — materialising schedule state, evaluating repetition
-    /// counts — **without consuming a port**. Forks taken after warming
+    /// would do — materialising schedule state, expanding trajectory
+    /// frames — **without consuming a port**. Forks taken after warming
     /// inherit the materialised state, so a search that snapshots one root
     /// and restores it across thousands of branches (see `crate::minimax`)
     /// pays the setup once instead of once per branch. Must commute with
@@ -213,8 +213,9 @@ impl<'g, P: ExplorationProvider + Clone> Behavior for RvBehavior<'g, P> {
     }
 
     /// Primes the cursor to its next traversal: the first spec push and its
-    /// frame expansion (repetition-count evaluation, walker construction)
-    /// happen now, so forks answer their first `next_port` in O(1).
+    /// frame expansion (walker construction) happen now, so forks answer
+    /// their first `next_port` in O(1). Repetition counts are read later,
+    /// when a repeat's first body ends.
     fn warm(&mut self) {
         while !self.cursor.prime() {
             let spec = self.algorithm.next_spec(); // the RV schedule never ends

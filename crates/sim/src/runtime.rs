@@ -678,7 +678,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 
     /// Warms every behavior (see [`Behavior::warm`]): one-time lazy setup —
-    /// first spec materialisation, repetition-count evaluation — happens
+    /// first spec push and frame expansion — happens
     /// now instead of inside the first `Start` applied to each agent.
     /// Snapshots taken afterwards carry the warm state into every restore,
     /// so branchy searches (see [`crate::minimax`]) pay it once rather than

@@ -66,14 +66,9 @@ fn run_fingerprint(
     )
 }
 
-/// Streams `spec` for up to `steps` traversals and fingerprints the exact
-/// (from, exit, to, entry) sequence plus the final position.
-fn cursor_fingerprint(fam: GraphFamily, n: usize, gseed: u64, spec: Spec, steps: u64) -> u64 {
-    let uxs = SeededUxs::quadratic();
-    let g = fam.generate(n, gseed);
-    let mut c = TrajectoryCursor::new(&g, uxs, NodeId(0));
-    c.push(spec);
-    let mut h = Fnv::new();
+/// Streams up to `steps` traversals of `c` into `h`, one
+/// (from, exit, to, entry) record each; stops early if `c` drains.
+fn hash_stream(c: &mut TrajectoryCursor<'_, SeededUxs>, steps: u64, h: &mut Fnv) {
     for _ in 0..steps {
         match c.next_traversal() {
             None => break,
@@ -85,6 +80,36 @@ fn cursor_fingerprint(fam: GraphFamily, n: usize, gseed: u64, spec: Spec, steps:
             }
         }
     }
+}
+
+/// Streams `spec` for up to `steps` traversals and fingerprints the exact
+/// (from, exit, to, entry) sequence plus the final position.
+fn cursor_fingerprint(fam: GraphFamily, n: usize, gseed: u64, spec: Spec, steps: u64) -> u64 {
+    let uxs = SeededUxs::quadratic();
+    let g = fam.generate(n, gseed);
+    let mut c = TrajectoryCursor::new(&g, uxs, NodeId(0));
+    c.push(spec);
+    let mut h = Fnv::new();
+    hash_stream(&mut c, steps, &mut h);
+    h.write_usize(c.position().0);
+    h.write(&c.steps().to_le_bytes());
+    h.0
+}
+
+/// Pushes specs into a walk already in flight: `outer`, `split` steps,
+/// `X(1)`, 5 steps, `Q(2)`, then drains. Fingerprints the whole stream
+/// like [`cursor_fingerprint`].
+fn interrupted_fingerprint(fam: GraphFamily, n: usize, gseed: u64, outer: Spec, split: u64) -> u64 {
+    let uxs = SeededUxs::quadratic();
+    let g = fam.generate(n, gseed);
+    let mut c = TrajectoryCursor::new(&g, uxs, NodeId(0));
+    let mut h = Fnv::new();
+    c.push(outer);
+    hash_stream(&mut c, split, &mut h);
+    c.push(Spec::X(1));
+    hash_stream(&mut c, 5, &mut h);
+    c.push(Spec::Q(2));
+    hash_stream(&mut c, u64::MAX, &mut h);
     h.write_usize(c.position().0);
     h.write(&c.steps().to_le_bytes());
     h.0
@@ -105,10 +130,28 @@ const RUN_CASES: [(GraphFamily, usize, u64, AdversaryKind, u64); 12] = [
     (GraphFamily::Lollipop, 12, 5, AdversaryKind::LazyFirst, 0),
 ];
 
-const CURSOR_CASES: [(GraphFamily, usize, u64, Spec, u64); 3] = [
+/// The last three cross repeat-body boundaries within their 50k steps
+/// (164 `Y(1)`s, 9 `Y(2)`s and 3,125 `X(1)`s under the quadratic
+/// provider), so they cover each repeat's count, not just its first body.
+const CURSOR_CASES: [(GraphFamily, usize, u64, Spec, u64); 6] = [
     (GraphFamily::Ring, 12, 5, Spec::Y(3), 50_000),
     (GraphFamily::Gnp, 16, 9, Spec::B(8), 50_000),
     (GraphFamily::Lollipop, 12, 5, Spec::A(2), 50_000),
+    (GraphFamily::Ring, 12, 5, Spec::B(1), 50_000),
+    (GraphFamily::Gnp, 16, 9, Spec::B(2), 50_000),
+    (GraphFamily::Lollipop, 12, 5, Spec::K(1), 50_000),
+];
+
+/// Cases for [`interrupted_fingerprint`] under the quadratic provider:
+/// `X(3)` split inside its forward half; `Y(2)` split right after the
+/// first spine step of `Y′(2)` (one `Q(2)` of 80 traversals, then the
+/// step); `A(1)` likewise after one `Z(1)` of 304 traversals.
+const INTERRUPTED_CASES: [(GraphFamily, usize, u64, Spec, u64); 5] = [
+    (GraphFamily::Ring, 12, 5, Spec::X(3), 7),
+    (GraphFamily::Gnp, 16, 9, Spec::X(3), 7),
+    (GraphFamily::Lollipop, 12, 5, Spec::X(3), 7),
+    (GraphFamily::Gnp, 16, 9, Spec::Y(2), 81),
+    (GraphFamily::Lollipop, 12, 5, Spec::A(1), 305),
 ];
 
 /// Captured from the seed implementation — see module docs.
@@ -128,7 +171,24 @@ const GOLDEN_RUNS: [&str; 12] = [
 ];
 
 /// Captured from the seed implementation — see module docs.
-const GOLDEN_CURSORS: [u64; 3] = [0x40c8887426cfba35, 0x6ceaa7ecb7a77d4e, 0x1668da4b08c4f477];
+const GOLDEN_CURSORS: [u64; 6] = [
+    0x40c8887426cfba35,
+    0x6ceaa7ecb7a77d4e,
+    0x1668da4b08c4f477,
+    0x698750a5e5047ce4,
+    0x5c9bc67e9dde4e0e,
+    0x998773acd7ba3864,
+];
+
+/// Captured from the materialising-sweep cursor (per-task `X` logs,
+/// repeat counts evaluated at push) — see module docs.
+const GOLDEN_INTERRUPTED: [u64; 5] = [
+    0x7f69698b5931b055,
+    0x5d6915ff61a06395,
+    0x4ec9bc7388208755,
+    0x62246e58d133866e,
+    0xc5a9e1be282e5c9e,
+];
 
 #[test]
 fn run_outcomes_match_seed_implementation() {
@@ -148,6 +208,17 @@ fn cursor_streams_match_seed_implementation() {
         assert_eq!(
             got, GOLDEN_CURSORS[i],
             "traversal stream drifted from the seed implementation: {fam} n={n} {spec}"
+        );
+    }
+}
+
+#[test]
+fn interrupted_cursor_streams_match_golden() {
+    for (i, &(fam, n, gseed, outer, split)) in INTERRUPTED_CASES.iter().enumerate() {
+        assert_eq!(
+            interrupted_fingerprint(fam, n, gseed, outer, split),
+            GOLDEN_INTERRUPTED[i],
+            "{outer} interrupted at {split} by X(1)/Q(2) drifted: {fam} n={n}"
         );
     }
 }
@@ -393,6 +464,12 @@ fn capture_fingerprints() {
         println!(
             "CUR{i}\t{:#018x}",
             cursor_fingerprint(fam, n, gseed, spec, steps)
+        );
+    }
+    for (i, &(fam, n, gseed, outer, split)) in INTERRUPTED_CASES.iter().enumerate() {
+        println!(
+            "INT{i}\t{:#018x}",
+            interrupted_fingerprint(fam, n, gseed, outer, split)
         );
     }
     for (i, &depth) in MINIMAX_CASES.iter().enumerate() {

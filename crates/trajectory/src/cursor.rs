@@ -1,9 +1,11 @@
 //! Lazy streaming execution of trajectory specs.
 //!
 //! [`TrajectoryCursor`] plays any [`Spec`] as a stream of edge traversals
-//! using an explicit frame stack, in O(nesting depth · P(k)) memory — never
-//! materialising a trajectory (`|Ω(1)|` ≈ 10²² traversals under the
-//! default provider).
+//! using an explicit frame stack, never materialising a trajectory
+//! (`|Ω(1)|` ≈ 10²² traversals under the default provider). Memory is
+//! O(nesting depth + Σ P(k)) over the live frames: a forward sweep holds
+//! just a walker, a reverse sweep holds the `P(k)` entry ports of its
+//! spine, and all `X` walks share one stacked replay log.
 //!
 //! **Agent-model honesty.** The cursor reads the graph only through
 //! [`rv_graph::Graph::traverse`] — the local operation the paper grants an
@@ -17,7 +19,7 @@
 use crate::lengths::Lengths;
 use crate::spec::Spec;
 use rv_arith::RepCount;
-use rv_explore::{r_trajectory, ConcreteTrajectory, ExplorationProvider, RWalker};
+use rv_explore::{ExplorationProvider, RWalker};
 use rv_graph::{Graph, NodeId, PortId};
 use std::sync::Arc;
 
@@ -42,47 +44,69 @@ pub(crate) enum Inner {
     Z,
 }
 
-/// Body of a repetition combinator: `Y(k)` for `B`, `X(k)` for `K`/`Ω`.
+/// A repetition combinator: `B` repeats `Y(k)`, `K` and `Ω` repeat `X(k)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Body {
-    X,
-    Y,
+pub(crate) enum Rep {
+    B,
+    K,
+    Omega,
+}
+
+impl Rep {
+    /// The repeated body.
+    pub(crate) fn body(self, k: u64) -> Spec {
+        match self {
+            Rep::B => Spec::Y(k),
+            Rep::K | Rep::Omega => Spec::X(k),
+        }
+    }
+
+    /// The repetition count, from the (shared) length memo.
+    fn count<P: ExplorationProvider>(self, lengths: &Lengths<P>, k: u64) -> RepCount {
+        RepCount::from(match self {
+            Rep::B => lengths.b_reps(k),
+            Rep::K => lengths.k_reps(k),
+            Rep::Omega => lengths.omega_reps(k),
+        })
+    }
 }
 
 #[derive(Clone)]
 pub(crate) enum Task<P> {
     /// `R(k, ·)` from the current node.
     RFwd { walker: RWalker<P> },
-    /// `X(k, ·) = R R̄`: walk forward logging entry ports, then replay the
-    /// log backwards.
+    /// `X(k, ·) = R R̄`: walk forward appending entry ports to the cursor's
+    /// shared log, then replay (and pop) them backwards down to `base`, the
+    /// log length when the walk started. The log is stacked like the
+    /// frames, so a walk pushed mid-`X` leaves it as it found it.
     X {
         walker: Option<RWalker<P>>,
-        log: Vec<PortId>,
-        rev: usize,
+        base: usize,
     },
     /// `X(1)…X(k)` ascending (Q) or `X(k)…X(1)` descending (Q̄ — valid
     /// because `X` is a walk-palindrome: `rev(R R̄) = R R̄`).
     XChain { k: u64, i: u64, descending: bool },
     /// `Y(1)…Y(k)` ascending (Z) or descending (Z̄; `Y` is a palindrome too).
     YChain { k: u64, i: u64, descending: bool },
-    /// Forward sweep `Y′`/`A′`: insert `inner` at every node of `R(k, v)`.
-    /// The materialised spine is immutable once computed and snapshot forks
-    /// (see the struct docs) clone the frame stack freely, so it is shared
-    /// behind an `Arc`: a fork bumps a refcount instead of copying three
-    /// vectors.
+    /// Forward sweep `Y′`/`A′`: insert `inner` at every node of `R(k, v)`,
+    /// streaming the spine. `spine_entry` is the port the last spine step
+    /// entered by (`None` at `v`), recorded when that step executes: the
+    /// inner chain in between moves the cursor's own entry port.
     SweepFwd {
         k: u64,
         inner: Inner,
-        r: Option<Arc<ConcreteTrajectory>>,
-        idx: usize,
+        walker: RWalker<P>,
+        spine_entry: Option<PortId>,
         inner_pushed: bool,
     },
-    /// Reverse sweep `Y̅′`/`A̅′`: replay from the stored forward start node.
+    /// Reverse sweep `Y̅′`/`A̅′`: leave through the forward spine's entry
+    /// ports, last first (`ports[..idx]` remain). The ports are recomputed
+    /// from the forward start node and never change, so snapshot forks
+    /// share them behind an `Arc`.
     SweepRev {
         k: u64,
         inner: Inner,
-        start: NodeId,
-        r: Option<Arc<ConcreteTrajectory>>,
+        ports: Arc<Vec<PortId>>,
         idx: usize,
         inner_pushed: bool,
     },
@@ -94,14 +118,76 @@ pub(crate) enum Task<P> {
         start: Option<NodeId>,
         phase: u8,
     },
-    /// `body(k)` repeated `remaining` more times (`B`, `K`, `Ω`). The
-    /// counter is native `u64` until the repetition count exceeds `2^64`
-    /// (see [`RepCount`]) — decrements dominate deep-combinator streaming.
+    /// `rep`'s body (`Y(k)` or `X(k)`) repeated `remaining` more times.
+    /// [`TrajectoryCursor::push`] stacks the first body above this frame
+    /// at once, and `remaining` stays `None` until that body ends: only
+    /// then is the count read from the length memo. Runs that stop inside
+    /// the first body never evaluate it. The counter is native `u64` until
+    /// the count exceeds `2^64` (see [`RepCount`]) — decrements dominate
+    /// deep-combinator streaming.
     Repeat {
-        body: Body,
+        rep: Rep,
         k: u64,
-        remaining: RepCount,
+        remaining: Option<RepCount>,
     },
+}
+
+/// The frame that plays `spec`; an `X` walk is based at `log_len`.
+fn task_for<P: ExplorationProvider + Clone>(spec: Spec, provider: &P, log_len: usize) -> Task<P> {
+    let palindrome = |k, inner| Task::Palindrome {
+        k,
+        inner,
+        start: None,
+        phase: 0,
+    };
+    let repeat = |rep, k| Task::Repeat {
+        rep,
+        k,
+        remaining: None,
+    };
+    match spec {
+        Spec::R(k) => Task::RFwd {
+            walker: RWalker::new(provider.clone(), k),
+        },
+        Spec::X(k) => Task::X {
+            walker: Some(RWalker::new(provider.clone(), k)),
+            base: log_len,
+        },
+        Spec::Q(k) => chain_task(Inner::Q, k, false),
+        Spec::Y(k) => palindrome(k, Inner::Q),
+        Spec::Z(k) => chain_task(Inner::Z, k, false),
+        Spec::A(k) => palindrome(k, Inner::Z),
+        Spec::B(k) => repeat(Rep::B, k),
+        Spec::K(k) => repeat(Rep::K, k),
+        Spec::Omega(k) => repeat(Rep::Omega, k),
+    }
+}
+
+fn chain_task<P>(inner: Inner, k: u64, descending: bool) -> Task<P> {
+    let i = if descending { k } else { 1 };
+    match inner {
+        Inner::Q => Task::XChain { k, i, descending },
+        Inner::Z => Task::YChain { k, i, descending },
+    }
+}
+
+/// The entry ports of `R(k, v)`, in walk order, and the node it ends at.
+fn r_entry_ports<P: ExplorationProvider + Clone>(
+    g: &Graph,
+    provider: &P,
+    k: u64,
+    v: NodeId,
+) -> (Vec<PortId>, NodeId) {
+    let mut walker = RWalker::new(provider.clone(), k);
+    let mut ports = Vec::with_capacity(walker.total_steps() as usize);
+    let (mut cur, mut entry) = (v, None);
+    while let Some(exit) = walker.next_exit(entry, g.degree(cur)) {
+        let arr = g.traverse(cur, exit);
+        ports.push(arr.entry_port);
+        cur = arr.node;
+        entry = Some(arr.entry_port);
+    }
+    (ports, cur)
 }
 
 enum Outcome {
@@ -109,6 +195,16 @@ enum Outcome {
     /// The task to push was stored in the caller-provided slot.
     Push,
     Pop,
+}
+
+/// What [`TrajectoryCursor::advance`] reads besides the top frame and the
+/// shared `X` log.
+struct Env<'a, P> {
+    g: &'a Graph,
+    provider: &'a P,
+    lengths: &'a Lengths<P>,
+    cur: NodeId,
+    entry: Option<PortId>,
 }
 
 /// Streaming executor of trajectory [`Spec`]s over a graph.
@@ -121,17 +217,20 @@ enum Outcome {
 ///
 /// The cursor is `Clone`, and cloning is a **fork**: the clone captures the
 /// complete mid-stream state — position, entry port, the frame stack with
-/// its replay logs and repetition counters, and the warm [`Lengths`] memo —
-/// in O(state), so original and clone continue with bit-identical traversal
-/// streams. The simulator's snapshot/restore machinery
-/// (`rv_sim::Runtime::snapshot`) relies on this to explore schedule trees
-/// without replaying trajectory prefixes.
+/// its repetition counters, the shared `X` replay log, and the warm
+/// [`Lengths`] memo — in O(state), so original and clone continue with
+/// bit-identical traversal streams. The simulator's snapshot/restore
+/// machinery (`rv_sim::Runtime::snapshot`) relies on this to explore
+/// schedule trees without replaying trajectory prefixes.
 #[derive(Clone)]
 pub struct TrajectoryCursor<'g, P> {
     g: &'g Graph,
     provider: P,
     lengths: Lengths<P>,
     pub(crate) stack: Vec<Task<P>>,
+    /// Entry ports of the `X` walks in flight, stacked: each `X` frame owns
+    /// the entries from its `base` up.
+    pub(crate) log: Vec<PortId>,
     cur: NodeId,
     entry: Option<PortId>,
     steps: u64,
@@ -154,6 +253,7 @@ impl<'g, P: ExplorationProvider + Clone> TrajectoryCursor<'g, P> {
             provider: provider.clone(),
             lengths: Lengths::new(provider),
             stack: Vec::new(),
+            log: Vec::new(),
             cur: start,
             entry: None,
             steps: 0,
@@ -199,57 +299,16 @@ impl<'g, P: ExplorationProvider + Clone> TrajectoryCursor<'g, P> {
             self.pending.is_none(),
             "cannot push a spec while a primed traversal is pending"
         );
-        let task = self.task_for(spec);
+        let task = task_for(spec, &self.provider, self.log.len());
+        // A repeat's first body starts at once, before its count is known.
+        let first_body = match task {
+            Task::Repeat { rep, k, .. } => Some(rep.body(k)),
+            _ => None,
+        };
         self.stack.push(task);
-    }
-
-    fn task_for(&self, spec: Spec) -> Task<P> {
-        match spec {
-            Spec::R(k) => Task::RFwd {
-                walker: RWalker::new(self.provider.clone(), k),
-            },
-            Spec::X(k) => Task::X {
-                walker: Some(RWalker::new(self.provider.clone(), k)),
-                log: Vec::new(),
-                rev: 0,
-            },
-            Spec::Q(k) => Task::XChain {
-                k,
-                i: 1,
-                descending: false,
-            },
-            Spec::Y(k) => Task::Palindrome {
-                k,
-                inner: Inner::Q,
-                start: None,
-                phase: 0,
-            },
-            Spec::Z(k) => Task::YChain {
-                k,
-                i: 1,
-                descending: false,
-            },
-            Spec::A(k) => Task::Palindrome {
-                k,
-                inner: Inner::Z,
-                start: None,
-                phase: 0,
-            },
-            Spec::B(k) => Task::Repeat {
-                body: Body::Y,
-                k,
-                remaining: RepCount::from(self.lengths.b_reps(k)),
-            },
-            Spec::K(k) => Task::Repeat {
-                body: Body::X,
-                k,
-                remaining: RepCount::from(self.lengths.k_reps(k)),
-            },
-            Spec::Omega(k) => Task::Repeat {
-                body: Body::X,
-                k,
-                remaining: RepCount::from(self.lengths.omega_reps(k)),
-            },
+        if let Some(body) = first_body {
+            self.stack
+                .push(task_for(body, &self.provider, self.log.len()));
         }
     }
 
@@ -265,10 +324,11 @@ impl<'g, P: ExplorationProvider + Clone> TrajectoryCursor<'g, P> {
     /// Advances the frame stack to the next exit port **without executing
     /// the traversal**, and returns `true` if one is ready. A primed cursor
     /// answers its next [`TrajectoryCursor::next_traversal`] in O(1); clones
-    /// inherit the materialised stack, so priming once before a fan-out of
-    /// forks amortises the spec-expansion cost (repetition-count evaluation,
-    /// walker construction) across all of them. Priming commutes with
-    /// streaming: the traversal sequence is bit-identical either way.
+    /// inherit the expanded stack, so priming once before a fan-out of
+    /// forks amortises the frame expansion (walker construction, and a
+    /// repetition count when the expansion crosses the end of a repeat's
+    /// first body) across all of them. Priming commutes with streaming:
+    /// the traversal sequence is bit-identical either way.
     pub fn prime(&mut self) -> bool {
         if self.pending.is_none() {
             self.pending = self.advance_to_yield();
@@ -284,9 +344,15 @@ impl<'g, P: ExplorationProvider + Clone> TrajectoryCursor<'g, P> {
             // yields are returned to the caller for execution.
             let mut push_task: Option<Task<P>> = None;
             let outcome = {
-                let (g, provider, cur, entry) = (self.g, &self.provider, self.cur, self.entry);
+                let env = Env {
+                    g: self.g,
+                    provider: &self.provider,
+                    lengths: &self.lengths,
+                    cur: self.cur,
+                    entry: self.entry,
+                };
                 let top = self.stack.last_mut()?;
-                Self::advance(top, g, provider, cur, entry, &mut push_task)
+                Self::advance(top, &env, &mut self.log, &mut push_task)
             };
             match outcome {
                 Outcome::Pop => {
@@ -301,8 +367,9 @@ impl<'g, P: ExplorationProvider + Clone> TrajectoryCursor<'g, P> {
         }
     }
 
-    /// Performs the traversal, updates position, and feeds the entry port
-    /// back to a logging `X` task.
+    /// Performs the traversal, updates position, and records the entry
+    /// port where the yielding frame needs it: the shared log for an `X`
+    /// walk's forward half, the spine entry for a forward sweep.
     fn execute(&mut self, port: PortId) -> Traversal {
         debug_assert!(port.0 < self.g.degree(self.cur), "invalid exit port");
         let from = self.cur;
@@ -310,13 +377,12 @@ impl<'g, P: ExplorationProvider + Clone> TrajectoryCursor<'g, P> {
         self.cur = arr.node;
         self.entry = Some(arr.entry_port);
         self.steps += 1;
-        if let Some(Task::X {
-            walker: Some(_),
-            log,
-            ..
-        }) = self.stack.last_mut()
-        {
-            log.push(arr.entry_port);
+        match self.stack.last_mut() {
+            Some(Task::X {
+                walker: Some(_), ..
+            }) => self.log.push(arr.entry_port),
+            Some(Task::SweepFwd { spine_entry, .. }) => *spine_entry = Some(arr.entry_port),
+            _ => {}
         }
         Traversal {
             from,
@@ -328,33 +394,30 @@ impl<'g, P: ExplorationProvider + Clone> TrajectoryCursor<'g, P> {
 
     fn advance(
         task: &mut Task<P>,
-        g: &Graph,
-        provider: &P,
-        cur: NodeId,
-        entry: Option<PortId>,
+        env: &Env<'_, P>,
+        log: &mut Vec<PortId>,
         push_task: &mut Option<Task<P>>,
     ) -> Outcome {
+        let degree = || env.g.degree(env.cur);
         match task {
-            Task::RFwd { walker } => match walker.next_exit(entry, g.degree(cur)) {
+            Task::RFwd { walker } => match walker.next_exit(env.entry, degree()) {
                 Some(port) => Outcome::Yield(port),
                 None => Outcome::Pop,
             },
-            Task::X { walker, log, rev } => {
+            Task::X { walker, base } => {
                 if let Some(w) = walker {
-                    if let Some(port) = w.next_exit(entry, g.degree(cur)) {
+                    if let Some(port) = w.next_exit(env.entry, degree()) {
                         return Outcome::Yield(port);
                     }
-                    *rev = log.len();
                     *walker = None;
                 }
-                if *rev > 0 {
-                    *rev -= 1;
-                    Outcome::Yield(log[*rev])
+                if log.len() > *base {
+                    Outcome::Yield(log.pop().expect("log holds this walk's entries"))
                 } else {
                     Outcome::Pop
                 }
             }
-            Task::XChain { k, i, descending } => {
+            Task::XChain { k, i, descending } | Task::YChain { k, i, descending } => {
                 let next = if *descending {
                     if *i == 0 {
                         return Outcome::Pop;
@@ -370,88 +433,50 @@ impl<'g, P: ExplorationProvider + Clone> TrajectoryCursor<'g, P> {
                     *i += 1;
                     v
                 };
-                *push_task = Some(Task::X {
-                    walker: Some(RWalker::new(provider.clone(), next)),
-                    log: Vec::new(),
-                    rev: 0,
-                });
-                Outcome::Push
-            }
-            Task::YChain { k, i, descending } => {
-                let next = if *descending {
-                    if *i == 0 {
-                        return Outcome::Pop;
-                    }
-                    let v = *i;
-                    *i -= 1;
-                    v
+                let spec = if matches!(task, Task::XChain { .. }) {
+                    Spec::X(next)
                 } else {
-                    if *i > *k {
-                        return Outcome::Pop;
-                    }
-                    let v = *i;
-                    *i += 1;
-                    v
+                    Spec::Y(next)
                 };
-                *push_task = Some(Task::Palindrome {
-                    k: next,
-                    inner: Inner::Q,
-                    start: None,
-                    phase: 0,
-                });
+                *push_task = Some(task_for(spec, env.provider, log.len()));
                 Outcome::Push
             }
             Task::SweepFwd {
                 k,
                 inner,
-                r,
-                idx,
+                walker,
+                spine_entry,
                 inner_pushed,
             } => {
-                let traj = r.get_or_insert_with(|| Arc::new(r_trajectory(g, provider, *k, cur)));
                 if !*inner_pushed {
                     *inner_pushed = true;
                     *push_task = Some(chain_task(*inner, *k, false));
                     return Outcome::Push;
                 }
-                if *idx < traj.len() {
-                    let port = traj.exit_ports[*idx];
-                    *idx += 1;
-                    *inner_pushed = false;
-                    Outcome::Yield(port)
-                } else {
-                    Outcome::Pop
+                match walker.next_exit(*spine_entry, degree()) {
+                    Some(port) => {
+                        *inner_pushed = false;
+                        Outcome::Yield(port)
+                    }
+                    None => Outcome::Pop,
                 }
             }
             Task::SweepRev {
                 k,
                 inner,
-                start,
-                r,
+                ports,
                 idx,
                 inner_pushed,
             } => {
-                if r.is_none() {
-                    let traj = Arc::new(r_trajectory(g, provider, *k, *start));
-                    debug_assert_eq!(
-                        traj.nodes.last(),
-                        Some(&cur),
-                        "reverse sweep must begin at the forward sweep's end"
-                    );
-                    *idx = traj.len();
-                    *r = Some(traj);
-                }
-                let traj = r.as_ref().expect("just initialised");
                 if !*inner_pushed {
                     *inner_pushed = true;
                     *push_task = Some(chain_task(*inner, *k, true));
                     return Outcome::Push;
                 }
                 if *idx > 0 {
-                    let port = traj.entry_ports[*idx - 1];
                     *idx -= 1;
                     *inner_pushed = false;
-                    Outcome::Yield(port)
+                    Outcome::Yield(ports[*idx])
                 } else {
                     Outcome::Pop
                 }
@@ -463,59 +488,51 @@ impl<'g, P: ExplorationProvider + Clone> TrajectoryCursor<'g, P> {
                 phase,
             } => match *phase {
                 0 => {
-                    *start = Some(cur);
+                    *start = Some(env.cur);
                     *phase = 1;
                     *push_task = Some(Task::SweepFwd {
                         k: *k,
                         inner: *inner,
-                        r: None,
-                        idx: 0,
+                        walker: RWalker::new(env.provider.clone(), *k),
+                        spine_entry: None,
                         inner_pushed: false,
                     });
                     Outcome::Push
                 }
                 1 => {
                     *phase = 2;
+                    let start = start.expect("phase 0 sets start");
+                    let (ports, end) = r_entry_ports(env.g, env.provider, *k, start);
+                    debug_assert_eq!(
+                        end, env.cur,
+                        "reverse sweep must begin at the forward sweep's end"
+                    );
                     *push_task = Some(Task::SweepRev {
                         k: *k,
                         inner: *inner,
-                        start: start.expect("phase 0 sets start"),
-                        r: None,
-                        idx: 0,
+                        idx: ports.len(),
+                        ports: Arc::new(ports),
                         inner_pushed: false,
                     });
                     Outcome::Push
                 }
                 _ => Outcome::Pop,
             },
-            Task::Repeat { body, k, remaining } => {
+            Task::Repeat { rep, k, remaining } => {
+                let remaining = remaining.get_or_insert_with(|| {
+                    // The first body, pushed with this frame, just ended.
+                    let mut count = rep.count(env.lengths, *k);
+                    let counted = count.try_decrement();
+                    debug_assert!(counted, "every repetition count is at least 1");
+                    count
+                });
                 if !remaining.try_decrement() {
                     return Outcome::Pop;
                 }
-                *push_task = Some(match body {
-                    Body::X => Task::X {
-                        walker: Some(RWalker::new(provider.clone(), *k)),
-                        log: Vec::new(),
-                        rev: 0,
-                    },
-                    Body::Y => Task::Palindrome {
-                        k: *k,
-                        inner: Inner::Q,
-                        start: None,
-                        phase: 0,
-                    },
-                });
+                *push_task = Some(task_for(rep.body(*k), env.provider, log.len()));
                 Outcome::Push
             }
         }
-    }
-}
-
-fn chain_task<P>(inner: Inner, k: u64, descending: bool) -> Task<P> {
-    let i = if descending { k } else { 1 };
-    match inner {
-        Inner::Q => Task::XChain { k, i, descending },
-        Inner::Z => Task::YChain { k, i, descending },
     }
 }
 
@@ -601,8 +618,8 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "plays ~2.4M steps; run with --ignored for the full check"]
     fn omega_length_with_unit_provider() {
+        // ~2.4M steps: the one end-to-end check of a lazily read Ω count.
         let g = generators::ring(3);
         let uxs = TableUxs::new(vec![vec![1]]);
         let lengths = Lengths::new(uxs.clone());
@@ -708,22 +725,31 @@ mod tests {
 
     #[test]
     fn repeat_counters_use_the_native_fast_path() {
-        // B(1) under the unit provider repeats Y(1) a tiny number of times;
-        // the counter must be the inline u64 variant.
+        // B(1) under the unit provider repeats Y(1) (10 traversals) a tiny
+        // number of times. The count is unread while the first body plays;
+        // once it ends, the counter holds the count less the two bodies
+        // started so far, in the inline u64 variant.
         let g = generators::ring(3);
         let uxs = TableUxs::new(vec![vec![1]]);
         let mut c = TrajectoryCursor::new(&g, uxs, NodeId(0));
         c.push(Spec::B(1));
-        match c.stack.last() {
-            Some(Task::Repeat { remaining, .. }) => {
-                assert!(
-                    !remaining.is_spilled(),
-                    "small repetition counts stay inline"
-                );
-                assert_eq!(remaining.to_big(), c.lengths().b_reps(1));
-            }
-            other => panic!("expected a Repeat task, found {:?}", other.is_some()),
+        let counter = |c: &TrajectoryCursor<'_, TableUxs>| match c.stack.first() {
+            Some(Task::Repeat { remaining, .. }) => remaining.clone(),
+            _ => panic!("expected a Repeat frame at the bottom"),
+        };
+        assert_eq!(counter(&c), None, "the count is read lazily");
+        let body = c.lengths().y(1).to_u128().unwrap();
+        for _ in 0..body {
+            c.next_traversal().unwrap();
         }
+        assert_eq!(counter(&c), None, "still unread at the body's last step");
+        assert!(c.prime());
+        let remaining = counter(&c).expect("read when the first body ended");
+        assert!(
+            !remaining.is_spilled(),
+            "small repetition counts stay inline"
+        );
+        assert_eq!(remaining.to_big() + 2u64, c.lengths().b_reps(1));
     }
 
     #[test]

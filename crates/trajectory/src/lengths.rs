@@ -45,9 +45,10 @@ pub struct Lengths<P> {
     /// provider, so every fork of a cursor can safely read and extend one
     /// common memo. Sharing (rather than deep-copying) makes cloning O(1)
     /// — the minimax search forks cursors once per schedule-tree node —
-    /// and keeps the chain warm for all of them. Accesses are rare (only
-    /// [`crate::TrajectoryCursor::push`] consults lengths; steady-state
-    /// streaming never does), so the mutex is effectively uncontended.
+    /// and keeps the chain warm for all of them. Accesses are rare (a
+    /// cursor reads one repetition count per `B`/`K`/`Ω` frame, when that
+    /// frame's first body ends; all other streaming never does), so the
+    /// mutex is effectively uncontended.
     memo: Arc<Mutex<BTreeMap<(Kind, u64), Big>>>,
 }
 
@@ -91,8 +92,9 @@ impl<P: ExplorationProvider> Lengths<P> {
     /// Takes the memo lock **once** and evaluates `kind(k)` — the whole
     /// recurrence chain runs under the one guard (`eval` recursion passes
     /// the map down), so a cold evaluation pays a single lock rather than
-    /// one per sub-term. Uncontended in practice: lengths are consulted
-    /// only when specs are pushed, never in steady-state streaming.
+    /// one per sub-term. Uncontended in practice: a cursor consults lengths
+    /// only when a repeat's first body ends, never in steady-state
+    /// streaming.
     fn locked(&self, kind: Kind, k: u64) -> Big {
         let mut memo = self.memo.lock().expect("memo poisoned");
         self.eval(kind, k, &mut memo)

@@ -5,10 +5,11 @@
 //! [`TrajectoryCursor`]'s `Debug` output lives here beside [`describe`] so
 //! the two stay consistent: a forked cursor printed by a failing test shows
 //! one short combinator-notation frame per stack entry (e.g.
-//! `Y(2)^311040` or `X fwd@17/32`) instead of megabytes of replay logs,
-//! and without requiring the provider to be `Debug`.
+//! `Y(2)^311040`, `Y(2)^?` or `X fwd@17/32`) and the replay log's length
+//! instead of megabytes of ports, without requiring the provider to be
+//! `Debug`.
 
-use crate::cursor::{Body, Inner, Task, TrajectoryCursor};
+use crate::cursor::{Inner, Task, TrajectoryCursor};
 use crate::spec::Spec;
 use rv_explore::ExplorationProvider;
 use std::fmt;
@@ -27,35 +28,34 @@ impl<P: ExplorationProvider> fmt::Debug for Task<P> {
             }
             Task::X {
                 walker: Some(w),
-                log,
-                ..
+                base,
             } => write!(
                 f,
-                "X fwd@{}/{} (log {})",
+                "X fwd@{}/{} (log from {base})",
                 w.steps_taken(),
-                w.total_steps(),
-                log.len()
+                w.total_steps()
             ),
-            Task::X {
-                walker: None, rev, ..
-            } => write!(f, "X rev@{rev}"),
+            Task::X { walker: None, base } => write!(f, "X rev to {base}"),
             Task::XChain { k, i, descending } => {
                 write!(f, "{}({k})@X({i})", if *descending { "Q̄" } else { "Q" })
             }
             Task::YChain { k, i, descending } => {
                 write!(f, "{}({k})@Y({i})", if *descending { "Z̄" } else { "Z" })
             }
-            Task::SweepFwd { k, inner, idx, .. } => write!(f, "{}′({k})@{idx}", sweep(inner)),
+            Task::SweepFwd {
+                k, inner, walker, ..
+            } => write!(f, "{}′({k})@{}", sweep(inner), walker.steps_taken()),
             Task::SweepRev { k, inner, idx, .. } => write!(f, "{}̅′({k})@{idx}", sweep(inner)),
             Task::Palindrome {
                 k, inner, phase, ..
             } => write!(f, "{}({k}) phase {phase}", sweep(inner)),
-            Task::Repeat { body, k, remaining } => {
-                let body = match body {
-                    Body::X => "X",
-                    Body::Y => "Y",
-                };
-                write!(f, "{body}({k})^{remaining}")
+            Task::Repeat { rep, k, remaining } => {
+                write!(f, "{}^", rep.body(*k))?;
+                match remaining {
+                    Some(n) => write!(f, "{n}"),
+                    // Not read until the first body ends.
+                    None => f.write_str("?"),
+                }
             }
         }
     }
@@ -68,6 +68,7 @@ impl<P: ExplorationProvider + Clone> fmt::Debug for TrajectoryCursor<'_, P> {
             .field("entry", &self.last_entry())
             .field("steps", &self.steps())
             .field("stack", &self.stack)
+            .field("log", &self.log.len())
             .finish()
     }
 }
@@ -194,8 +195,8 @@ mod tests {
         let dump = format!("{c:?}");
         assert!(dump.contains("steps: 1"), "missing step count: {dump}");
         assert!(
-            dump.contains("Y(1)^"),
-            "Repeat frames print in combinator notation: {dump}"
+            dump.contains("Y(1)^?"),
+            "Repeat frames print in combinator notation, `?` while the count is unread: {dump}"
         );
         // Megabyte-scale replay logs must never leak into Debug output.
         assert!(dump.len() < 500, "Debug output not compact: {dump}");

@@ -100,4 +100,104 @@ proptest! {
         };
         prop_assert_eq!(count(&ga), count(&gb));
     }
+
+    /// A repeat's count is read when its first body ends, so forks taken
+    /// just before and just after that point must carry the count (or the
+    /// lack of one) across: the fork streams exactly like the original.
+    #[test]
+    fn repeat_forks_stream_identically_across_the_first_body_end(
+        n in 4usize..10,
+        gseed in any::<u64>(),
+        use_k in any::<bool>(),
+        offset in 0u64..40,
+    ) {
+        let g = generators::gnp_connected(n, 0.5, gseed);
+        let uxs = SeededUxs::default();
+        let lengths = Lengths::new(uxs);
+        let (spec, body) = if use_k {
+            (Spec::K(1), lengths.x(1))
+        } else {
+            (Spec::B(1), lengths.y(1))
+        };
+        let body = body.to_u128().unwrap() as u64;
+        // Split points from 20 steps before the body's end to 20 after.
+        let split = (body + offset).saturating_sub(20);
+        let mut original = TrajectoryCursor::new(&g, uxs, NodeId(0));
+        original.push(spec);
+        for _ in 0..split {
+            original.next_traversal().unwrap();
+        }
+        let mut fork = original.clone();
+        for _ in 0..3 * body {
+            prop_assert_eq!(
+                original.next_traversal(),
+                fork.next_traversal(),
+                "{} fork at {} diverged", spec, split
+            );
+        }
+    }
+
+    /// `prime()` only moves frame expansion earlier: a fork of a primed
+    /// cursor streams exactly like a cursor that was never primed.
+    #[test]
+    fn priming_before_a_fork_changes_nothing(
+        n in 4usize..10,
+        gseed in any::<u64>(),
+        which in 0usize..4,
+        split in 0u64..200,
+    ) {
+        let g = generators::gnp_connected(n, 0.5, gseed);
+        let uxs = SeededUxs::default();
+        let spec = [Spec::B(1), Spec::K(1), Spec::Y(2), Spec::A(1)][which];
+        let mut plain = TrajectoryCursor::new(&g, uxs, NodeId(0));
+        plain.push(spec);
+        for _ in 0..split {
+            plain.next_traversal().unwrap();
+        }
+        let mut primed = plain.clone();
+        prop_assert!(primed.prime());
+        let mut fork = primed.clone();
+        for _ in 0..400 {
+            let want = plain.next_traversal();
+            prop_assert_eq!(fork.next_traversal(), want, "{} split {}", spec, split);
+            prop_assert_eq!(primed.next_traversal(), want, "{} split {}", spec, split);
+        }
+    }
+
+    /// `X` walks share one stacked replay log: an `X(1)` pushed anywhere
+    /// inside an `X(k)` walk plays whole, and the outer walk still
+    /// retraces its own entries — one contiguous walk of `|X(k)| + |X(1)|`
+    /// traversals back to the start.
+    #[test]
+    fn x_pushed_inside_an_x_walk_keeps_the_log_stacked(
+        n in 4usize..12,
+        gseed in any::<u64>(),
+        k in 1u64..4,
+        split_sel in any::<u64>(),
+    ) {
+        let g = generators::gnp_connected(n, 0.4, gseed);
+        let uxs = SeededUxs::default();
+        let lengths = Lengths::new(uxs);
+        let outer = lengths.x(k).to_u128().unwrap() as u64;
+        let split = split_sel % outer;
+        let mut c = TrajectoryCursor::new(&g, uxs, NodeId(0));
+        c.push(Spec::X(k));
+        let mut prev = NodeId(0);
+        let mut step = |c: &mut TrajectoryCursor<'_, SeededUxs>| {
+            let t = c.next_traversal();
+            if let Some(t) = t {
+                assert_eq!(t.from, prev, "contiguity");
+                assert_eq!(g.traverse(t.from, t.exit).node, t.to);
+                prev = t.to;
+            }
+            t.is_some()
+        };
+        for _ in 0..split {
+            prop_assert!(step(&mut c));
+        }
+        c.push(Spec::X(1));
+        while step(&mut c) {}
+        prop_assert_eq!(Big::from(c.steps()), lengths.x(k) + lengths.x(1));
+        prop_assert_eq!(c.position(), NodeId(0));
+    }
 }
