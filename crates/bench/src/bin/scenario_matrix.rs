@@ -3,10 +3,10 @@
 //!
 //! Sweeps the declarative cell table of [`rv_bench::cells`] and emits
 //! **one JSON row per cell** (JSON-lines, like the `expt_*` binaries).
-//! Where `perf_baseline` tracks seven hand-picked hot-path scenarios over
-//! time, this runner measures *breadth*: how cost and wall-clock behave
-//! across every combination, so PRs can quantify scenario diversity
-//! instead of overfitting to the baseline seven. The table itself — four
+//! Speed is measured by the `perfbench` benchmark; this runner measures
+//! *breadth*: how cost and wall-clock behave across every combination,
+//! so a change can quantify scenario diversity instead of overfitting to
+//! a few hot paths. The table itself — four
 //! sub-tables sharing the family × adversary axes (rendezvous, protocol,
 //! seeded-fault chaos, minimax) — lives in `rv_bench::cells`; this binary
 //! is a *consumer*: it runs specs, renders rows, and keeps both fresh.

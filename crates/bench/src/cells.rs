@@ -136,9 +136,10 @@ pub const LABELS: (u64, u64) = (6, 9);
 pub const SGL_LABELS: [u64; 4] = [6, 9, 14, 21];
 
 /// Minimax cells: `(family, stem, order, horizon)` — the memoized
-/// symmetry-quotiented worst-case searches (the `perf_baseline` minimax
-/// scenarios plus the depth-14 headline). Small instances only: each cell
-/// enumerates a full schedule DAG.
+/// symmetry-quotiented worst-case searches, also run by `perfbench`'s
+/// `minimax_search` workload (depth 14 is the headline the plain
+/// enumeration cannot reach). Small instances only: each cell enumerates
+/// a full schedule DAG.
 pub const MINIMAX_CELLS: [(GraphFamily, &str, usize, usize); 5] = [
     (GraphFamily::Path, "path", 3, 10),
     (GraphFamily::Path, "path", 3, 12),

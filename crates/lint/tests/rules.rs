@@ -117,7 +117,7 @@ pub fn f(m: &std::collections::HashMap<u8, u8>) -> u8 { *m.get(&0).unwrap() }
 #[test]
 fn bench_crate_is_exempt_from_panic_and_determinism_packs() {
     let src = "\
-// lint-fixture: as=crates/bench/src/bin/perf_baseline.rs
+// lint-fixture: as=crates/bench/src/bin/scenario_matrix.rs
 pub fn t() -> std::time::Instant { std::time::Instant::now() }
 ";
     let report = scan_src("bench", src);

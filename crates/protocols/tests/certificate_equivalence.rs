@@ -251,7 +251,9 @@ fn certified_early_runs_preserve_outputs_and_completeness() {
 /// Regime 3: on the suspension cells the explorer certifies, the
 /// evidence meets the policy floors, and the run quiesces with the
 /// paper's postconditions intact — several-fold under where the
-/// certificate-free run would still be walking.
+/// certificate-free run would still be walking. Each cell's certified
+/// quiescence cost is pinned exactly (`ring(16)/lazy(1)/k2` needs about
+/// 19.6M traversals without the certificate).
 #[test]
 fn suspension_cells_certify_and_quiesce_complete() {
     let policy = SuspensionPolicy::default();
@@ -262,6 +264,7 @@ fn suspension_cells_certify_and_quiesce_complete() {
             3,
             AdversaryKind::LazySecond,
             2_500_000,
+            491_352,
         ),
         (
             GraphFamily::RandomTree,
@@ -269,6 +272,7 @@ fn suspension_cells_certify_and_quiesce_complete() {
             3,
             AdversaryKind::GreedyAvoid,
             2_500_000,
+            491_392,
         ),
         (
             GraphFamily::Gnp,
@@ -276,6 +280,7 @@ fn suspension_cells_certify_and_quiesce_complete() {
             4,
             AdversaryKind::GreedyAvoid,
             2_500_000,
+            485_301,
         ),
         (
             GraphFamily::Ring,
@@ -283,6 +288,7 @@ fn suspension_cells_certify_and_quiesce_complete() {
             2,
             AdversaryKind::LazySecond,
             50_000_000,
+            814_799,
         ),
         (
             GraphFamily::Ring,
@@ -290,14 +296,19 @@ fn suspension_cells_certify_and_quiesce_complete() {
             2,
             AdversaryKind::LazySecond,
             50_000_000,
+            645_705,
         ),
     ];
-    for (family, n, k, kind, cutoff) in cells {
+    for (family, n, k, kind, cutoff, cost) in cells {
         let r = run_cell(family, n, k, kind, cutoff, Some(policy));
         assert_eq!(
             r.end,
             RunEnd::AllParked,
             "{family}({n})/{kind}/k{k} must quiesce certified"
+        );
+        assert_eq!(
+            r.cost, cost,
+            "{family}({n})/{kind}/k{k}: certified quiescence cost"
         );
         let cert = r
             .certificates

@@ -66,7 +66,7 @@ const CASES: [(GraphFamily, usize, u64, AdversaryKind, u64); 12] = [
     (GraphFamily::Lollipop, 12, 5, AdversaryKind::LazyFirst, 0),
 ];
 
-/// The acceptance criterion for the fault layer's zero-cost claim:
+/// The acceptance test for the fault layer's zero-cost claim:
 /// installing the empty plan (which still constructs and consults a
 /// `FaultClock` every step — the *stronger* form of the claim) changes no
 /// observable bit of any run in the adversary suite.
