@@ -23,8 +23,10 @@ use rv_trajectory::TrajectoryCursor;
 /// to identical meeting deliveries — including the state of any internal
 /// RNG or memoisation. Stepping either copy must never affect the other.
 /// This is what lets [`crate::Runtime::snapshot`] freeze a mid-run
-/// configuration and the minimax search re-enter it without replaying the
-/// schedule prefix. Behaviors whose state is plain data implement it as
+/// configuration and the minimax search's plain enumeration re-enter it
+/// without re-executing the schedule prefix. (Its memoized walk forks no
+/// behavior: it runs on replays of the ports [`Behavior::future_ports`]
+/// previews.) Behaviors whose state is plain data implement it as
 /// `self.clone()`.
 pub trait Behavior {
     /// Information revealed to peers at a meeting. The runtime takes one
@@ -90,7 +92,9 @@ pub trait Behavior {
     /// are precisely what `next_port` will produce as long as no meeting is
     /// delivered in between (meetings may redirect an agent, but the
     /// minimax search treats meetings as leaves, so the preview is never
-    /// consulted across one).
+    /// consulted across one). The memoized search calls this once per
+    /// agent at its root and then plays the preview back in place of the
+    /// behavior, which it never forks, steps or warms.
     fn future_ports(&self, _out: &mut Vec<PortId>, _limit: usize) -> bool {
         false
     }
@@ -99,8 +103,9 @@ pub trait Behavior {
     /// would do — materialising schedule state, expanding trajectory
     /// frames — **without consuming a port**. Forks taken after warming
     /// inherit the materialised state, so a search that snapshots one root
-    /// and restores it across thousands of branches (see `crate::minimax`)
-    /// pays the setup once instead of once per branch. Must commute with
+    /// and restores it across thousands of branches (the minimax search's
+    /// plain enumeration, see `crate::minimax`) pays the setup once
+    /// instead of once per branch. Must commute with
     /// the port stream: `warm(); next_port()` and `next_port()` alone must
     /// return identical ports with identical subsequent behavior. The
     /// default does nothing.

@@ -50,10 +50,10 @@
 //!   behavior construction (fresh cursors, cold length memos).
 //! * [`Runtime::restore`] returns to a **mid-run** state frozen earlier by
 //!   [`Runtime::snapshot`] — use it to branch execution from a common
-//!   prefix (the minimax search), to retry a suffix, or to seed a fresh
-//!   runtime ([`Runtime::from_snapshot`]). Behaviors come back via
-//!   [`Behavior::fork`] in O(state) with all accumulated context intact:
-//!   no prefix replay, no reconstruction.
+//!   prefix (the minimax search's plain enumeration), to retry a suffix,
+//!   or to seed a fresh runtime ([`Runtime::from_snapshot`]). Behaviors
+//!   come back via [`Behavior::fork`] in O(state) with all accumulated
+//!   context intact: no prefix replay, no reconstruction.
 //!
 //! Rule of thumb: *new agents → `reset`; same agents, earlier point in
 //! time → `restore`*.

@@ -37,6 +37,14 @@
 //! are the right quotient once behavior futures are resolved to node
 //! sequences.
 //!
+//! # Replays
+//!
+//! The same argument that makes one root resolution serve every
+//! fingerprint — behaviors are deterministic port sequences, and meetings
+//! end the search — lets the search drop the real behaviors altogether:
+//! [`FutureTable::replays`] hands out one `Copy` [`Replay`] cursor per
+//! agent over the resolved ports, and the memoized walk runs on those.
+//!
 //! # Single-owner table
 //!
 //! The search is sequential, so [`MemoTable`] is a plain owned map:
@@ -146,18 +154,31 @@ impl MemoValue {
 
 const BUCKETS: usize = 64;
 
-/// Deterministic transposition table: 64 buckets, each a flat unsorted
-/// vector scanned linearly. The bucket index consumes a mixed
-/// fingerprint, so entries spread near-uniformly and a bucket holds a
-/// handful of entries even on the deepest searches the harness runs
-/// (depth-14 ring: 78 entries across 64 buckets) — at that occupancy a
-/// contiguous scan of small pairs beats any node- or probe-based
-/// structure, and layout is trivially deterministic (insertion order;
-/// never iterated).
+/// End of a bucket chain.
+const NIL: u32 = u32::MAX;
+
+/// Deterministic transposition table: one flat entry vector in insertion
+/// order, with each of 64 buckets chained through it from a head array
+/// (newest entry first). The bucket index consumes a mixed fingerprint,
+/// so entries spread near-uniformly and a chain holds a handful of
+/// entries even on the deepest searches the harness runs (depth-14 ring:
+/// 78 entries across 64 buckets). One allocation, grown by doubling,
+/// serves the whole table, and the layout is trivially deterministic
+/// (insertion order; never iterated).
 pub(crate) struct MemoTable {
-    buckets: Vec<Vec<(MemoKey, MemoValue)>>,
+    /// Index in `entries` of each bucket's newest entry (`NIL`: empty).
+    heads: [u32; BUCKETS],
+    entries: Vec<Entry>,
     probes: u64,
     hits: u64,
+}
+
+/// One stored subtree value and the link to the next-older entry of its
+/// bucket.
+struct Entry {
+    key: MemoKey,
+    value: MemoValue,
+    next: u32,
 }
 
 /// Table instrumentation, surfaced through `crate::minimax::SearchReport`.
@@ -176,7 +197,8 @@ pub struct MemoStats {
 impl MemoTable {
     pub(crate) fn new() -> Self {
         MemoTable {
-            buckets: vec![Vec::new(); BUCKETS],
+            heads: [NIL; BUCKETS],
+            entries: Vec::new(),
             probes: 0,
             hits: 0,
         }
@@ -187,32 +209,51 @@ impl MemoTable {
         mix64(fp as u64 ^ (fp >> 64) as u64) as usize & (BUCKETS - 1)
     }
 
+    /// The entry of `key`, if any, found by walking its bucket's chain.
+    fn find(&self, key: MemoKey) -> Option<&Entry> {
+        let mut i = self.heads[Self::bucket(&key)];
+        while i != NIL {
+            let e = &self.entries[i as usize];
+            if e.key == key {
+                return Some(e);
+            }
+            i = e.next;
+        }
+        None
+    }
+
     /// The stored value of `key`, if any.
     pub(crate) fn get(&mut self, key: MemoKey) -> Option<MemoValue> {
         self.probes += 1;
-        let found = self.buckets[Self::bucket(&key)]
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, v)| v);
+        let found = self.find(key).map(|e| e.value);
         self.hits += found.is_some() as u64;
         found
     }
 
     /// Stores the finished value of a subtree whose lookup missed.
     pub(crate) fn insert(&mut self, key: MemoKey, value: MemoValue) {
-        let bucket = &mut self.buckets[Self::bucket(&key)];
         debug_assert!(
-            bucket.iter().all(|(k, _)| *k != key),
+            self.find(key).is_none(),
             "a key is inserted once, after its lookup missed"
         );
-        bucket.push((key, value));
+        let index = u32::try_from(self.entries.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("transposition table overflows u32 indices");
+        let head = &mut self.heads[Self::bucket(&key)];
+        self.entries.push(Entry {
+            key,
+            value,
+            next: *head,
+        });
+        *head = index;
     }
 
     pub(crate) fn stats(&self) -> MemoStats {
         MemoStats {
             probes: self.probes,
             hits: self.hits,
-            entries: self.buckets.iter().map(|b| b.len() as u64).sum(),
+            entries: self.entries.len() as u64,
         }
     }
 }
@@ -224,6 +265,10 @@ struct AgentFuture {
     /// committed/in-flight arrival if any. With `k` traversals completed
     /// since the anchor, the agent's next arrival is `arrivals[k]`.
     arrivals: Vec<NodeId>,
+    /// The exit ports the agent's next `next_port` calls return, in order
+    /// (the committed/in-flight move, if any, is not among them): the
+    /// stream a [`Replay`] plays back.
+    ports: Vec<PortId>,
     /// The agent's traversal count at the anchor.
     base_traversals: u64,
     /// `arrivals` is the agent's *entire* future (the behavior parks at
@@ -231,8 +276,9 @@ struct AgentFuture {
     complete: bool,
 }
 
-/// Every agent's future arrival-node sequence, resolved **once per
-/// search** from the root state and read by every fingerprint.
+/// Every agent's future port stream and arrival-node sequence, resolved
+/// **once per search** from the root state: every fingerprint reads the
+/// arrivals, and the memoized walk's [`Replay`]s play back the ports.
 ///
 /// This is sound because behaviors are deterministic port sequences — the
 /// adversary controls *timing*, never routing — and the only event that
@@ -254,18 +300,22 @@ impl FutureTable {
     /// completed at most `(t - 1) / 2` traversals per agent (a traversal
     /// is a Start plus a Finish, after a Wake) and fingerprints a window
     /// of at most `(horizon - t + 1) / 2` more arrivals, so
-    /// `k + need ≤ horizon / 2`; the `+ 1` is slack. Keeping the
-    /// resolution tight matters because draining ports at the root can
-    /// cross schedule-phase boundaries, and each boundary pays the
-    /// algorithm's next-spec arithmetic.
+    /// `k + need ≤ horizon / 2`; the `+ 1` is slack. The same bound covers
+    /// the [`Replay`]s: the walk applies at most `horizon - 1` actions
+    /// along a path (children at the horizon are counted, not entered),
+    /// and `t` actions commit at most `1 + (t - 1) / 2` ports per agent
+    /// (the Wake's, then one per Finish), which is at most `horizon / 2`.
+    /// Keeping the resolution tight matters because draining ports at the
+    /// root can cross schedule-phase boundaries, and each boundary pays
+    /// the algorithm's next-spec arithmetic.
     pub(crate) fn resolve<B: Behavior>(rt: &Runtime<'_, B>, horizon: usize) -> Self {
         let g = rt.graph();
         let resolve = horizon / 2 + 1;
         let mut agents = Vec::with_capacity(rt.agent_count());
-        let mut ports: Vec<PortId> = Vec::new();
         for (i, st) in rt.agent_states().iter().enumerate() {
             let mut fut = AgentFuture {
                 arrivals: Vec::new(),
+                ports: Vec::new(),
                 base_traversals: st.traversals,
                 complete: true,
             };
@@ -294,16 +344,15 @@ impl FutureTable {
                 }
             };
             if let Some(start) = walk_from {
-                ports.clear();
-                if !rt.behavior(i).future_ports(&mut ports, resolve) {
+                if !rt.behavior(i).future_ports(&mut fut.ports, resolve) {
                     return FutureTable {
                         agents,
                         supported: false,
                     };
                 }
-                fut.complete = ports.len() < resolve;
+                fut.complete = fut.ports.len() < resolve;
                 let mut cur = start;
-                for &p in &ports {
+                for &p in &fut.ports {
                     cur = g.traverse(cur, p).node;
                     fut.arrivals.push(cur);
                 }
@@ -320,6 +369,87 @@ impl FutureTable {
     /// fingerprints are unavailable and the search runs unmemoized.
     pub(crate) fn is_supported(&self) -> bool {
         self.supported
+    }
+
+    /// One [`Replay`] per agent of `rt`, the runtime this table was
+    /// resolved from, each playing back its agent's resolved port stream.
+    /// A runtime over the replays built with [`Runtime::new`] reproduces
+    /// `rt` action for action as long as `rt` is still in its initial
+    /// state and no replay is driven past its resolution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is unsupported (some future was never
+    /// resolved).
+    pub(crate) fn replays<B: Behavior>(&self, rt: &Runtime<'_, B>) -> Vec<Replay<'_>> {
+        assert!(self.supported, "replays need every future resolved");
+        self.agents
+            .iter()
+            .enumerate()
+            .map(|(i, fut)| Replay {
+                start: rt.behavior(i).start_node(),
+                ports: &fut.ports,
+                next: 0,
+                complete: fut.complete,
+            })
+            .collect()
+    }
+}
+
+/// A behavior that plays back one agent's port stream as resolved by a
+/// [`FutureTable`]: the memoized minimax walk runs on these instead of the
+/// real behaviors. The ports are borrowed from the one resolution, so a
+/// replay is a `Copy` cursor — `next_port` is an index read and
+/// [`Behavior::fork`] a 32-byte copy, which is what lets
+/// [`Runtime::apply_undoable`] and [`Runtime::undo`] run without
+/// allocating.
+///
+/// A replay never sees a meeting (the memoized walk applies only
+/// meeting-free choices), so its port stream is the real behavior's.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Replay<'f> {
+    start: NodeId,
+    ports: &'f [PortId],
+    /// Index in `ports` of the next port to play.
+    next: u32,
+    /// `ports` is the agent's whole future: past its end the agent parks.
+    /// Otherwise the stream was truncated at the resolution limit and
+    /// nothing past it is known.
+    complete: bool,
+}
+
+impl Behavior for Replay<'_> {
+    type Info = ();
+
+    fn start_node(&self) -> NodeId {
+        self.start
+    }
+
+    /// # Panics
+    ///
+    /// Panics when driven past a truncated resolution: the port the real
+    /// behavior would commit is unknown, and parking instead would
+    /// silently change the searched schedule space.
+    fn next_port(&mut self) -> Option<PortId> {
+        match self.ports.get(self.next as usize) {
+            Some(&p) => {
+                self.next += 1;
+                Some(p)
+            }
+            None if self.complete => None,
+            None => panic!(
+                "replay driven past its truncated resolution of {} ports",
+                self.ports.len()
+            ),
+        }
+    }
+
+    fn info(&self) {}
+
+    fn on_meeting(&mut self, _place: crate::meeting::MeetingPlace, _peers: &[()]) {}
+
+    fn fork(&self) -> Self {
+        *self
     }
 }
 
@@ -544,6 +674,88 @@ mod tests {
         assert_eq!(table.get((42, 6)), None);
         let stats = table.stats();
         assert_eq!((stats.probes, stats.hits, stats.entries), (3, 1, 1));
+    }
+
+    #[test]
+    fn chained_buckets_keep_every_entry() {
+        // 200 keys that all land in bucket 0, plus 100 spread anywhere:
+        // every one is retrievable through its chain, and no key aliases
+        // another in the same bucket.
+        let mut table = MemoTable::new();
+        let value = |i: u64| MemoValue {
+            max_delta: Some(i),
+            avoids: i.is_multiple_of(2),
+            leaves: i + 1,
+        };
+        let crowded: Vec<MemoKey> = (0u128..)
+            .map(|fp| (fp * 0x9e37_79b9_7f4a_7c15, 5))
+            .filter(|k| MemoTable::bucket(k) == 0)
+            .take(200)
+            .collect();
+        let spread: Vec<MemoKey> = (0u32..100).map(|i| (i as u128, i)).collect();
+        let keys: Vec<MemoKey> = crowded.iter().chain(&spread).copied().collect();
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(table.get(k), None);
+            table.insert(k, value(i as u64));
+        }
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(table.get(k), Some(value(i as u64)), "key {i}");
+        }
+        // A key of the crowded bucket that was never inserted misses.
+        assert_eq!(table.get((crowded[0].0, 6)), None);
+        let stats = table.stats();
+        assert_eq!(
+            (stats.probes, stats.hits, stats.entries),
+            (
+                2 * keys.len() as u64 + 1,
+                keys.len() as u64,
+                keys.len() as u64
+            )
+        );
+    }
+
+    /// A two-walker runtime on ring(6): agent 0 with `script`, agent 1
+    /// with none.
+    fn replay_runtime(g: &Graph, script: Vec<usize>) -> Runtime<'_, ScriptBehavior> {
+        let team = vec![
+            ScriptBehavior::new(NodeId(0), script),
+            ScriptBehavior::new(NodeId(3), []),
+        ];
+        Runtime::new(g, team, RunConfig::rendezvous())
+    }
+
+    #[test]
+    fn a_complete_replay_parks_for_good() {
+        // Horizon 10 resolves 6 ports; a 3-port script is complete.
+        let g = generators::ring(6);
+        let rt = replay_runtime(&g, vec![0, 1, 0]);
+        let futures = FutureTable::resolve(&rt, 10);
+        let mut replay = futures.replays(&rt)[0];
+        assert_eq!(std::mem::size_of::<Replay<'_>>(), 32);
+        let fork = replay.fork();
+        let played: Vec<_> = std::iter::from_fn(|| replay.next_port()).collect();
+        assert_eq!(played, [PortId(0), PortId(1), PortId(0)]);
+        for _ in 0..3 {
+            assert_eq!(replay.next_port(), None, "a parked replay stays parked");
+        }
+        // The fork is an independent cursor at the old position.
+        let mut fork = fork;
+        assert_eq!(fork.next_port(), Some(PortId(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "replay driven past its truncated resolution of 6 ports")]
+    fn an_over_driven_truncated_replay_panics() {
+        // Horizon 10 resolves 6 ports; a 9-port script is truncated, and
+        // the seventh port is unknown.
+        let g = generators::ring(6);
+        let rt = replay_runtime(&g, vec![0; 9]);
+        let futures = FutureTable::resolve(&rt, 10);
+        let mut replay = futures.replays(&rt)[0];
+        for _ in 0..6 {
+            assert_eq!(replay.next_port(), Some(PortId(0)));
+        }
+        replay.next_port();
     }
 
     #[test]

@@ -13,17 +13,34 @@
 //! otherwise. The plain enumeration is also what `memo: false` runs, and
 //! it is the oracle the memoized walk is tested bit-identical against.
 //!
-//! # Replay-free enumeration
+//! Either way the agents are instantiated **once** (the factory is
+//! `FnOnce`) and no schedule prefix is ever re-executed.
 //!
-//! Since behaviors implement the [`Behavior::fork`] contract, the search
-//! never re-executes a schedule prefix. The agents are instantiated
-//! **once** (the factory is `FnOnce`); from then on every state the plain
-//! enumeration needs again is captured as a [`Runtime::snapshot`] in
-//! O(state) and re-entered with [`Runtime::restore`] — entering a sibling
-//! branch costs one behavior fork instead of a full prefix replay, and the
-//! last sibling takes the snapshot by move ([`Runtime::restore_owned`])
-//! and pays no fork at all. Interior nodes with a single legal action
-//! never snapshot.
+//! # The plain enumeration: snapshot/restore
+//!
+//! Since behaviors implement the [`Behavior::fork`] contract, every
+//! state the plain enumeration needs again is captured as a
+//! [`Runtime::snapshot`] in O(state) and re-entered with
+//! [`Runtime::restore`] — entering a sibling branch costs one behavior
+//! fork instead of a full prefix replay, and the last sibling takes the
+//! snapshot by move ([`Runtime::restore_owned`]) and pays no fork at all.
+//! Interior nodes with a single legal action never snapshot. The
+//! behaviors are warmed first ([`Behavior::warm`]), so every restored
+//! fork inherits their materialised first-move state.
+//!
+//! # The memoized walk: replay cursors
+//!
+//! Behaviors are deterministic port sequences and meetings are leaves of
+//! the search, so every agent's port stream is the same in every
+//! schedule. The memoized walk resolves each stream once at the root
+//! (`crate::memo::FutureTable`, through [`Behavior::future_ports`]) and
+//! then runs on a second runtime whose agents are `Copy` replays of those
+//! streams (`crate::memo::Replay`): `next_port` is an index read and a
+//! fork is a 32-byte copy. So the apply/undo brackets around every
+//! descent never allocate, and the real behaviors are never forked —
+//! not even warmed. The resolution covers every port the walk can
+//! commit; a replay driven past a truncated one panics instead of
+//! parking.
 //!
 //! # Transposition table over canonical fingerprints
 //!
@@ -46,7 +63,7 @@
 //! directly: the walk is deterministic, so retrying it would panic again.
 
 use crate::behavior::Behavior;
-use crate::memo::{Fingerprinter, FutureTable, MemoStats, MemoTable, MemoValue};
+use crate::memo::{Fingerprinter, FutureTable, MemoStats, MemoTable, MemoValue, Replay};
 use crate::runtime::{ChoiceInfo, RunConfig, Runtime, RuntimeSnapshot};
 use rv_graph::{Automorphisms, Graph};
 
@@ -135,8 +152,8 @@ pub struct SearchReport {
 /// Exhaustively explores every adversary schedule of at most `max_actions`
 /// actions over the agents produced by `make_behaviors` — which is called
 /// exactly once, before the search starts; all further state reuse is
-/// apply/undo or snapshot/restore ([`Behavior::fork`]), never
-/// re-instantiation.
+/// apply/undo over replays of the agents' resolved port streams, or
+/// snapshot/restore ([`Behavior::fork`]), never re-instantiation.
 pub fn exhaustive_worst_case<B, F>(g: &Graph, make_behaviors: F, max_actions: usize) -> WorstCase
 where
     B: Behavior,
@@ -167,23 +184,22 @@ where
         }
     };
     let mut rt = Runtime::new(g, make_behaviors(), RunConfig::rendezvous());
-    // Materialise each behavior's lazy first-move state before the search:
-    // every branch starts from this state, so cold-start work done here is
-    // paid once instead of once per branch. Commutes with the port stream
-    // (see `Behavior::warm`).
-    rt.warm_behaviors();
     let mut worst = WorstCase::empty();
     // Behaviors are deterministic and meetings are terminal, so every
-    // agent's arrival sequence is fixed for the whole search: resolve it
-    // once here.
+    // agent's port stream is fixed for the whole search: resolve it once
+    // here.
     let futures = if opts.memo {
         let f = FutureTable::resolve(&rt, max_actions);
         f.is_supported().then_some(f)
     } else {
         None
     };
-    let memo = match futures {
+    let memo = match &futures {
         Some(futures) => {
+            // The walk runs on replays of the resolved streams: the root
+            // is the initial state, which `Runtime::new` reproduces, and
+            // the resolution covers every port the walk commits.
+            let mut replay = Runtime::new(g, futures.replays(&rt), RunConfig::rendezvous());
             let mut search = MemoSearch {
                 table: MemoTable::new(),
                 autos,
@@ -193,11 +209,17 @@ where
                 meetings: Vec::new(),
                 max_actions,
             };
-            let t_root = rt.total_traversals();
-            worst.absorb_value(search.explore(&mut rt, 0), t_root);
+            let t_root = replay.total_traversals();
+            worst.absorb_value(search.explore(&mut replay, 0), t_root);
             Some(search.table.stats())
         }
         None => {
+            // Materialise each behavior's lazy first-move state before the
+            // enumeration: every branch starts from this state, so
+            // cold-start work done here is paid once instead of once per
+            // restored snapshot. Commutes with the port stream (see
+            // `Behavior::warm`).
+            rt.warm_behaviors();
             explore_subtree(&mut rt, max_actions, &mut worst);
             // A table that was asked for but never consulted reports zeros.
             opts.memo.then(MemoStats::default)
@@ -216,8 +238,9 @@ struct MemoSearch<'a> {
     table: MemoTable,
     /// The symmetry group fingerprints are canonicalized under.
     autos: &'a Automorphisms,
-    /// Every agent's arrival sequence, resolved once at the root.
-    futures: FutureTable,
+    /// Every agent's port and arrival sequence, resolved once at the
+    /// root; the replays the walk runs on borrow its ports.
+    futures: &'a FutureTable,
     fpr: Fingerprinter,
     /// One choice buffer per depth, so restored siblings skip
     /// re-enumeration.
@@ -239,17 +262,14 @@ impl MemoSearch<'_> {
     /// is consulted: a hit returns the stored value, a miss searches and
     /// inserts. The residual depth is part of the key and strictly falls
     /// along a path, so a node never meets its own key on the way down.
-    fn explore<B: Behavior>(&mut self, rt: &mut Runtime<'_, B>, depth: usize) -> MemoValue {
+    fn explore(&mut self, rt: &mut Runtime<'_, Replay<'_>>, depth: usize) -> MemoValue {
         if depth >= self.max_actions {
             return MemoValue::avoid_leaf();
         }
         let residual = self.max_actions - depth;
         let mut key = None;
         if residual >= MEMO_MIN_RESIDUAL {
-            if let Some(fp) = self
-                .fpr
-                .fingerprint(rt, residual, self.autos, &self.futures)
-            {
+            if let Some(fp) = self.fpr.fingerprint(rt, residual, self.autos, self.futures) {
                 let k = (fp, residual as u32);
                 if let Some(v) = self.table.get(k) {
                     return v;
@@ -269,8 +289,9 @@ impl MemoSearch<'_> {
             // Undo discipline: every descent is bracketed by
             // [`Runtime::apply_undoable`]/[`Runtime::undo`], so this function
             // returns with `rt` exactly as it entered — no snapshots, no
-            // whole-runtime forks, and a `Start` descent saves nothing but a
-            // few `Copy` fields. The bracket requires meeting-free applies:
+            // whole-runtime forks, and a token is a few `Copy` fields (a
+            // replay's fork is a copy too). The bracket requires
+            // meeting-free applies:
             // children annotated `causes_meeting` are terminal (record the
             // foreseen delta directly, never enter them), and `Wake` — the one
             // unannotated kind — is split by [`Runtime::wake_would_meet`] into
@@ -478,8 +499,8 @@ mod tests {
 
     #[test]
     fn factory_is_called_exactly_once() {
-        // The replay-free contract: behaviors are instantiated once, all
-        // re-entry is apply/undo or snapshot/restore.
+        // No prefix is ever re-executed: behaviors are instantiated once,
+        // all re-entry is apply/undo or snapshot/restore.
         let calls = std::cell::Cell::new(0usize);
         let g = generators::ring(4);
         let res = exhaustive_worst_case(
@@ -553,54 +574,158 @@ mod tests {
         }
     }
 
+    /// A script walker whose every fork panics; `previews` says whether it
+    /// reports its future (and so admits the memoized walk).
+    struct Brittle {
+        script: ScriptBehavior,
+        previews: bool,
+    }
+
+    impl Behavior for Brittle {
+        type Info = ();
+        fn start_node(&self) -> NodeId {
+            self.script.start_node()
+        }
+        fn next_port(&mut self) -> Option<rv_graph::PortId> {
+            self.script.next_port()
+        }
+        fn info(&self) {}
+        fn on_meeting(&mut self, _place: crate::meeting::MeetingPlace, _peers: &[()]) {}
+        fn fork(&self) -> Self {
+            panic!("behavior bug");
+        }
+        fn future_ports(&self, out: &mut Vec<rv_graph::PortId>, limit: usize) -> bool {
+            self.previews && self.script.future_ports(out, limit)
+        }
+    }
+
+    fn brittle_walkers(previews: bool) -> Vec<Brittle> {
+        ring4_walkers()
+            .into_iter()
+            .map(|script| Brittle { script, previews })
+            .collect()
+    }
+
     #[test]
     #[should_panic(expected = "behavior bug")]
     fn a_panic_in_a_behavior_reaches_the_caller() {
-        /// A script walker whose every fork panics: the first snapshot
-        /// or undoable wake aborts the search.
-        struct Brittle(ScriptBehavior);
-        impl Behavior for Brittle {
-            type Info = ();
-            fn start_node(&self) -> NodeId {
-                self.0.start_node()
-            }
-            fn next_port(&mut self) -> Option<rv_graph::PortId> {
-                self.0.next_port()
-            }
-            fn info(&self) {}
-            fn on_meeting(&mut self, _place: crate::meeting::MeetingPlace, _peers: &[()]) {}
-            fn fork(&self) -> Self {
-                panic!("behavior bug");
-            }
-        }
+        // No preview, so the search is the plain enumeration: the first
+        // snapshot aborts it.
         let g = generators::ring(4);
-        let make = || ring4_walkers().into_iter().map(Brittle).collect();
-        let _ = exhaustive_worst_case(&g, make, 8);
+        let _ = exhaustive_worst_case(&g, || brittle_walkers(false), 8);
+    }
+
+    #[test]
+    fn memoized_search_forks_no_behavior() {
+        // The memoized walk runs on replays of the resolved futures, so a
+        // behavior whose fork panics is never forked — and the result is
+        // the plain enumeration's over the same scripts.
+        let g = generators::ring(4);
+        for depth in [1, 2, 5, 8, 12] {
+            let brittle = search_worst_case(
+                &g,
+                || brittle_walkers(true),
+                depth,
+                &SearchOptions::default(),
+            );
+            let plain = SearchOptions {
+                memo: false,
+                ..SearchOptions::default()
+            };
+            let reference = search_worst_case(&g, ring4_walkers, depth, &plain).worst;
+            assert_eq!(brittle.worst, reference, "depth {depth}");
+            assert!(brittle.memo.is_some_and(|m| depth < 2 || m.probes > 0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "behavior bug")]
+    fn plain_search_still_forks_a_previewing_behavior() {
+        let g = generators::ring(4);
+        let plain = SearchOptions {
+            memo: false,
+            ..SearchOptions::default()
+        };
+        let _ = search_worst_case(&g, || brittle_walkers(true), 8, &plain);
+    }
+
+    /// SplitMix64 step, for the property test's team generator.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `agents` scripted random walkers at distinct random nodes of `g`,
+    /// each `0..=max_len` ports long over every port of its nodes.
+    fn random_walkers(g: &Graph, agents: usize, max_len: u64, seed: u64) -> Vec<ScriptBehavior> {
+        let mut rng = seed;
+        let mut nodes: Vec<usize> = (0..g.order()).collect();
+        for j in (1..nodes.len()).rev() {
+            nodes.swap(j, splitmix(&mut rng) as usize % (j + 1));
+        }
+        nodes[..agents]
+            .iter()
+            .map(|&start| {
+                let mut at = NodeId(start);
+                let len = splitmix(&mut rng) % (max_len + 1);
+                let ports: Vec<usize> = (0..len)
+                    .map(|_| {
+                        let p = splitmix(&mut rng) as usize % g.degree(at);
+                        at = g.traverse(at, rv_graph::PortId(p)).node;
+                        p
+                    })
+                    .collect();
+                ScriptBehavior::new(NodeId(start), ports)
+            })
+            .collect()
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
 
-        /// The memoized walk against its oracle: random ring size, script
-        /// lengths, start offsets and horizon must reproduce the plain
-        /// enumeration bit for bit, under the identity group and the
-        /// ring's full dihedral group alike.
+        /// The memoized walk on replays against its oracle, the plain
+        /// enumeration over the real behaviors: random graph (ring, path,
+        /// star or gnp), two- or three-agent teams of random walkers over
+        /// every port, and horizons up to 12 must reproduce the plain
+        /// result bit for bit, under the identity group and the family's
+        /// own group alike. Scripts run from empty to longer than the
+        /// resolution (`horizon / 2 + 1` ports), so both complete and
+        /// truncated futures are replayed.
         #[test]
         fn memoized_search_matches_plain_enumeration(
-            n in 3usize..7,
-            script_len in 1usize..6,
-            offset in 1usize..6,
-            horizon in 1usize..9,
+            family in 0u64..4,
+            n in 4usize..8,
+            three in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+            horizon in 1usize..13,
         ) {
-            let g = generators::ring(n);
-            let autos = rv_graph::GraphFamily::Ring.automorphisms(&g);
-            let offset = 1 + (offset % (n - 1)); // distinct start nodes
-            let make = || {
-                vec![
-                    ScriptBehavior::new(NodeId(0), vec![0; script_len]),
-                    ScriptBehavior::new(NodeId(offset), vec![0; script_len]),
-                ]
+            let (g, autos) = match family {
+                0 => {
+                    let g = generators::ring(n);
+                    let autos = rv_graph::GraphFamily::Ring.automorphisms(&g);
+                    (g, autos)
+                }
+                1 => {
+                    let g = generators::path(n);
+                    let autos = rv_graph::GraphFamily::Path.automorphisms(&g);
+                    (g, autos)
+                }
+                2 => {
+                    let g = generators::star(n);
+                    let autos = Automorphisms::identity(g.order());
+                    (g, autos)
+                }
+                _ => {
+                    let g = generators::gnp_connected(n, 0.4, seed);
+                    let autos = Automorphisms::identity(g.order());
+                    (g, autos)
+                }
             };
+            let agents = if three { 3 } else { 2 };
+            let make = || random_walkers(&g, agents, 9, seed);
             let search = |memo, automorphisms| {
                 let opts = SearchOptions { memo, automorphisms, ..SearchOptions::default() };
                 search_worst_case(&g, make, horizon, &opts).worst
@@ -609,7 +734,7 @@ mod tests {
             proptest::prop_assert_eq!(search(true, None), reference.clone());
             proptest::prop_assert_eq!(
                 search(true, Some(&autos)), reference,
-                "n={} script_len={} offset={} horizon={}", n, script_len, offset, horizon
+                "family={} n={} agents={} seed={} horizon={}", family, n, agents, seed, horizon
             );
         }
     }

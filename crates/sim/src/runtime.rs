@@ -349,7 +349,10 @@ fn enumerate_choices(
 /// runtime state a meeting-free apply can mutate, keyed by action kind.
 /// [`Runtime::undo`] consumes it to rewind the apply in O(1) — the
 /// memoized minimax search pairs apply/undo around every descent instead
-/// of forking whole runtimes (see `crate::minimax::explore_memo`).
+/// of forking whole runtimes (see `crate::minimax`). The `Finish` and
+/// `Wake` tokens carry a forked behavior; the search runs on `Copy`
+/// replays of the agents' resolved port streams (`crate::memo::Replay`),
+/// whose fork is a plain copy, so its tokens never allocate.
 #[derive(Debug)]
 pub(crate) enum ApplyUndo<B> {
     /// A `Start` never touches the behavior: the token is the agent's
@@ -511,7 +514,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// RNG); use [`Runtime::restore`] to rewind to a **mid-run** state
     /// captured by [`Runtime::snapshot`] — restore keeps the agents'
     /// accumulated state (cursor position, warm length memos, RNG streams)
-    /// and is what the replay-free minimax search uses instead of
+    /// and is what the minimax search's plain enumeration uses instead of
     /// re-executing schedule prefixes after a `reset`.
     ///
     /// # Panics

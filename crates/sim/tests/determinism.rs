@@ -85,11 +85,10 @@ fn cutoff_is_respected_exactly() {
     let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(10));
     let mut adv = AdversaryKind::GreedyAvoid.build(3);
     let out = rt.run(adv.as_mut());
-    match out.end {
-        RunEnd::Cutoff => assert!(out.total_traversals >= 10),
-        RunEnd::Meeting => assert!(out.total_traversals <= 10),
-        other => panic!("plain RV runs end at a meeting or the cutoff, not {other:?}"),
-    }
+    // The run stops on the tenth traversal, not one later.
+    assert_eq!(out.end, RunEnd::Cutoff);
+    assert_eq!(out.total_traversals, 10);
+    assert_eq!(out.actions, 22);
 }
 
 #[test]
