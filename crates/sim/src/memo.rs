@@ -294,23 +294,30 @@ pub(crate) struct FutureTable {
 
 impl FutureTable {
     /// Resolves the futures of `rt`'s agents with `horizon` actions of
-    /// search below the current state. Resolves `horizon / 2 + 1` ports
-    /// per agent, which covers the deepest window any state within
-    /// `horizon` actions can ask for: a state `t` actions down has
-    /// completed at most `(t - 1) / 2` traversals per agent (a traversal
-    /// is a Start plus a Finish, after a Wake) and fingerprints a window
-    /// of at most `(horizon - t + 1) / 2` more arrivals, so
-    /// `k + need ≤ horizon / 2`; the `+ 1` is slack. The same bound covers
-    /// the [`Replay`]s: the walk applies at most `horizon - 1` actions
-    /// along a path (children at the horizon are counted, not entered),
-    /// and `t` actions commit at most `1 + (t - 1) / 2` ports per agent
-    /// (the Wake's, then one per Finish), which is at most `horizon / 2`.
+    /// search below the current state, `horizon / 2` ports per agent —
+    /// every port the search can read, and no more:
+    ///
+    /// * the [`Replay`]s: the walk applies at most `horizon - 1` actions
+    ///   along a path (children at the horizon are counted, not entered),
+    ///   and `t` actions commit at most `1 + (t - 1) / 2` ports per agent
+    ///   (the Wake's, then one per Finish after a Start), which is at most
+    ///   `horizon / 2`; an agent already awake commits at most one port
+    ///   per Finish, `(t + 1) / 2 ≤ horizon / 2`;
+    /// * the fingerprint windows: a state's window holds exactly the
+    ///   arrivals its agent can still complete within the residual depth,
+    ///   and an arrival completed by action `horizon` belongs to a move
+    ///   committed at least two actions earlier (a Start and a Finish
+    ///   follow the commit), so every window lies within the ports some
+    ///   path of at most `horizon - 2` actions commits — no more than the
+    ///   replays need. (An awake agent's committed or in-flight arrival
+    ///   heads its window ahead of the resolved ports.)
+    ///
     /// Keeping the resolution tight matters because draining ports at the
     /// root can cross schedule-phase boundaries, and each boundary pays
     /// the algorithm's next-spec arithmetic.
     pub(crate) fn resolve<B: Behavior>(rt: &Runtime<'_, B>, horizon: usize) -> Self {
         let g = rt.graph();
-        let resolve = horizon / 2 + 1;
+        let resolve = horizon / 2;
         let mut agents = Vec::with_capacity(rt.agent_count());
         for (i, st) in rt.agent_states().iter().enumerate() {
             let mut fut = AgentFuture {
@@ -522,7 +529,7 @@ impl Fingerprinter {
                     Place::Inside { from, to, .. } => RenderKind::Inside {
                         from,
                         to,
-                        qpos: queue_position(occ, st, i),
+                        qpos: queue_position(states, occ, i),
                     },
                 };
                 (kind, 0)
@@ -550,7 +557,7 @@ impl Fingerprinter {
                         RenderKind::Inside {
                             from,
                             to,
-                            qpos: queue_position(occ, st, i),
+                            qpos: queue_position(states, occ, i),
                         },
                         residual.div_ceil(2),
                     ),
@@ -638,15 +645,16 @@ impl Fingerprinter {
     }
 }
 
-/// The agent's position in its direction queue (0 = eldest), found
-/// through the state's cached edge geometry. Queue contents need not be
-/// hashed separately: per-agent (edge, direction, position) tuples
-/// determine every queue exactly.
-fn queue_position(occ: &[EdgeOcc], st: &AgentState, i: usize) -> u64 {
+/// Agent `i`'s position in its direction queue (0 = eldest), found
+/// through its state's cached edge geometry and counted along the queue's
+/// links. Queue contents need not be hashed separately: per-agent (edge,
+/// direction, position) tuples determine every queue exactly.
+fn queue_position(states: &[AgentState], occ: &[EdgeOcc], i: usize) -> u64 {
+    let st = &states[i];
     occ[st.edge]
         .queue(st.from_a)
-        .iter()
-        .position(|&a| a == i)
+        .iter(states)
+        .position(|a| a == i)
         .expect("inside agent must be in its direction queue") as u64
 }
 
@@ -726,7 +734,7 @@ mod tests {
 
     #[test]
     fn a_complete_replay_parks_for_good() {
-        // Horizon 10 resolves 6 ports; a 3-port script is complete.
+        // Horizon 10 resolves 5 ports; a 3-port script is complete.
         let g = generators::ring(6);
         let rt = replay_runtime(&g, vec![0, 1, 0]);
         let futures = FutureTable::resolve(&rt, 10);
@@ -744,15 +752,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "replay driven past its truncated resolution of 6 ports")]
+    #[should_panic(expected = "replay driven past its truncated resolution of 5 ports")]
     fn an_over_driven_truncated_replay_panics() {
-        // Horizon 10 resolves 6 ports; a 9-port script is truncated, and
-        // the seventh port is unknown.
+        // Horizon 10 resolves 5 ports; a 9-port script is truncated, and
+        // the sixth port is unknown.
         let g = generators::ring(6);
         let rt = replay_runtime(&g, vec![0; 9]);
         let futures = FutureTable::resolve(&rt, 10);
         let mut replay = futures.replays(&rt)[0];
-        for _ in 0..6 {
+        for _ in 0..5 {
             assert_eq!(replay.next_port(), Some(PortId(0)));
         }
         replay.next_port();

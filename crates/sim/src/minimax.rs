@@ -638,6 +638,62 @@ mod tests {
         }
     }
 
+    /// A script walker that records every look-ahead `limit` it is asked
+    /// for.
+    #[derive(Clone)]
+    struct Previewer {
+        script: ScriptBehavior,
+        limits: std::rc::Rc<std::cell::RefCell<Vec<usize>>>,
+    }
+
+    impl Behavior for Previewer {
+        type Info = ();
+        fn start_node(&self) -> NodeId {
+            self.script.start_node()
+        }
+        fn next_port(&mut self) -> Option<rv_graph::PortId> {
+            self.script.next_port()
+        }
+        fn info(&self) {}
+        fn on_meeting(&mut self, _place: crate::meeting::MeetingPlace, _peers: &[()]) {}
+        fn fork(&self) -> Self {
+            self.clone()
+        }
+        fn future_ports(&self, out: &mut Vec<rv_graph::PortId>, limit: usize) -> bool {
+            self.limits.borrow_mut().push(limit);
+            self.script.future_ports(out, limit)
+        }
+    }
+
+    #[test]
+    fn memoized_search_previews_horizon_over_two_ports() {
+        // The memoized walk commits at most `horizon / 2` ports per agent
+        // (see `FutureTable::resolve`): each agent is previewed once, that
+        // far and no further, and the search still reproduces the plain
+        // enumeration with scripts longer than the preview.
+        let g = generators::ring(4);
+        for horizon in 0..14 {
+            let limits = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let team = || {
+                ring4_walkers()
+                    .into_iter()
+                    .map(|script| Previewer {
+                        script,
+                        limits: std::rc::Rc::clone(&limits),
+                    })
+                    .collect()
+            };
+            let memo = search_worst_case(&g, team, horizon, &SearchOptions::default());
+            assert_eq!(*limits.borrow(), [horizon / 2; 2], "horizon {horizon}");
+            let plain = SearchOptions {
+                memo: false,
+                ..SearchOptions::default()
+            };
+            let reference = search_worst_case(&g, ring4_walkers, horizon, &plain).worst;
+            assert_eq!(memo.worst, reference, "horizon {horizon}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "behavior bug")]
     fn plain_search_still_forks_a_previewing_behavior() {
@@ -692,7 +748,7 @@ mod tests {
         /// every port, and horizons up to 12 must reproduce the plain
         /// result bit for bit, under the identity group and the family's
         /// own group alike. Scripts run from empty to longer than the
-        /// resolution (`horizon / 2 + 1` ports), so both complete and
+        /// resolution (`horizon / 2` ports), so both complete and
         /// truncated futures are replayed.
         #[test]
         fn memoized_search_matches_plain_enumeration(

@@ -13,20 +13,25 @@
 //! therefore walk a few cache lines however large a behavior is (an SGL
 //! agent is about 800 bytes).
 //!
-//! Edge occupancy is a dense `Vec<EdgeOcc>` indexed by
-//! [`Graph::edge_index_at`] (no hashing), one FIFO queue per direction.
-//! Committing a move caches its **edge geometry** in the agent's state:
-//! the dense edge index and the departure side, found by the same CSR
-//! lookup that resolves the arrival node, and kept while the agent is
-//! inside the edge. So a `Start` is annotated with one queue-length load,
+//! Edge occupancy is a dense table of `Copy` [`EdgeOcc`] records indexed
+//! by [`Graph::edge_index_at`] (no hashing), one FIFO queue per
+//! direction. A queue owns no memory: it is the `head`/`tail` pair of an
+//! intrusive list threaded through the scheduler table, each queued
+//! agent's [`AgentState`] linking to the next-younger entrant. Committing
+//! a move caches its **edge geometry** in the agent's state: the dense
+//! edge index and the departure side, found by the same CSR lookup that
+//! resolves the arrival node, and kept while the agent is inside the edge.
+//! So a `Start` is annotated with one load of the opposite queue's head,
 //! applying it makes no graph lookup, and a `Finish` overtakes exactly
-//! when its agent is not the front of its direction queue.
+//! when its agent is not the head of its direction queue.
 //!
-//! The hot path is allocation-free in steady state: edge queues keep their
-//! capacity across occupancy changes, and the `_into` variants of
-//! [`Runtime::legal_choices`] / [`Runtime::apply`] write into caller-owned
-//! buffers that [`Runtime::run`] and the minimax search reuse across
-//! steps.
+//! Entering, leaving and re-entering edges never allocates: linking and
+//! unlinking rewrite a few indices, and [`Runtime::new`],
+//! [`Runtime::reset`], [`Runtime::snapshot`] and [`Runtime::restore`]
+//! copy or fill one flat edge table whatever its occupancy. The `_into`
+//! variants of [`Runtime::legal_choices`] / [`Runtime::apply`] write into
+//! caller-owned buffers that [`Runtime::run`] and the minimax search
+//! reuse across steps.
 //!
 //! # State lifecycle
 //!
@@ -178,6 +183,10 @@ impl RunConfig {
 /// stands at a node with no committed move (asleep or parked).
 const NO_EDGE: usize = usize::MAX;
 
+/// No agent: the head and tail of an empty direction queue, and the link
+/// of a queue's youngest entrant or of an agent outside every edge.
+const NIL: u32 = u32::MAX;
+
 /// One agent's scheduler state: everything the scheduler reads or writes
 /// except the behavior, which lives in the runtime's separate behavior
 /// table. Being a small `Copy` record, the table of these is what choice
@@ -186,7 +195,8 @@ const NO_EDGE: usize = usize::MAX;
 ///
 /// `edge` and `from_a` cache the geometry of the agent's committed move:
 /// set when the move is committed, kept while the agent is inside the
-/// edge, and cleared on arrival.
+/// edge, and cleared on arrival. `next` is the agent's link in the
+/// direction queue it is in (see [`EdgeOcc`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct AgentState {
     pub(crate) place: Place,
@@ -203,6 +213,11 @@ pub(crate) struct AgentState {
     /// Crash-stop fault flag (see [`crate::fault`]): the agent never acts
     /// again, but its body still forces meetings where it lies.
     pub(crate) crashed: bool,
+    /// Inside an edge: the agent that entered the same direction queue
+    /// right after this one, or [`NIL`] if this agent is its youngest
+    /// entrant (the tail). Always [`NIL`] at a node, so the whole table
+    /// compares equal across an apply and its undo.
+    pub(crate) next: u32,
     pub(crate) traversals: u64,
     /// Action count at this agent's latest `Start` — the moment it entered
     /// its current edge. Meaningful iff `place` is `Inside { .. }`; while
@@ -223,6 +238,7 @@ impl AgentState {
             from_a: false,
             awake: false,
             crashed: false,
+            next: NIL,
             traversals: 0,
             entered_at: 0,
         }
@@ -330,7 +346,7 @@ fn enumerate_choices(
                 Place::Inside { to, .. } => {
                     // Overtaking: an earlier same-direction entrant is
                     // still ahead of `i` in its queue.
-                    let overtakes = edges[st.edge].queue(st.from_a).first() != Some(&i);
+                    let overtakes = edges[st.edge].queue(st.from_a).head != i as u32;
                     (
                         ActionKind::Finish,
                         overtakes || occupied_by_other(states, i, to),
@@ -356,13 +372,19 @@ fn enumerate_choices(
 #[derive(Debug)]
 pub(crate) enum ApplyUndo<B> {
     /// A `Start` never touches the behavior: the token is the agent's
-    /// pre-apply state. Undo pops the queue tail the `Start` pushed,
-    /// found through the edge geometry the agent keeps inside the edge.
-    Start { agent: usize, state: AgentState },
-    /// A meeting-free `Finish` left from the front of its direction queue
+    /// pre-apply state and the tail of the queue it joined. Undo unlinks
+    /// the agent from that tail, found through the edge geometry the agent
+    /// keeps inside the edge, and clears the old tail's link.
+    Start {
+        agent: usize,
+        state: AgentState,
+        prev_tail: u32,
+    },
+    /// A meeting-free `Finish` left from the head of its direction queue
     /// (anything else overtakes) and re-committed the behavior on
-    /// arrival: the token is the pre-apply state plus a forked behavior,
-    /// and undo puts the agent back at the queue front.
+    /// arrival: the token is the pre-apply state (whose link names the
+    /// new head) plus a forked behavior, and undo re-links the agent as
+    /// the queue head.
     Finish {
         agent: usize,
         state: AgentState,
@@ -377,27 +399,110 @@ pub(crate) enum ApplyUndo<B> {
     },
 }
 
-/// Per-edge occupancy: FIFO queues of agents inside, one per direction.
-/// Direction is identified by the departure node.
-#[derive(Clone, Debug, Default)]
+/// One direction queue of an edge: the FIFO list of the agents inside it
+/// that departed from the same endpoint, threaded through their
+/// [`AgentState::next`] links from the eldest (`head`) to the youngest
+/// (`tail`); both [`NIL`] when the queue is empty.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct DirQueue {
+    head: u32,
+    tail: u32,
+}
+
+impl DirQueue {
+    const EMPTY: DirQueue = DirQueue {
+        head: NIL,
+        tail: NIL,
+    };
+
+    #[inline]
+    fn is_empty(self) -> bool {
+        self.head == NIL
+    }
+
+    /// The queued agents, eldest first, read off the links in `states`.
+    pub(crate) fn iter(self, states: &[AgentState]) -> Queued<'_> {
+        Queued {
+            states,
+            at: self.head,
+        }
+    }
+
+    /// Appends agent `i`, which stands outside every queue (its link is
+    /// [`NIL`]), as the youngest entrant.
+    #[inline]
+    pub(crate) fn push_back(&mut self, states: &mut [AgentState], i: usize) {
+        debug_assert_eq!(states[i].next, NIL, "agent {i} is already queued");
+        match self.tail {
+            NIL => self.head = i as u32,
+            tail => states[tail as usize].next = i as u32,
+        }
+        self.tail = i as u32;
+    }
+
+    /// Unlinks agent `i`, whose predecessor in the queue is `prev` ([`NIL`]
+    /// when `i` is the head), and clears its link.
+    #[inline]
+    fn unlink(&mut self, states: &mut [AgentState], prev: u32, i: usize) {
+        let next = std::mem::replace(&mut states[i].next, NIL);
+        match prev {
+            NIL => self.head = next,
+            prev => states[prev as usize].next = next,
+        }
+        if next == NIL {
+            self.tail = prev;
+        }
+    }
+}
+
+/// Iterator over a [`DirQueue`]'s agents, eldest first.
+pub(crate) struct Queued<'a> {
+    states: &'a [AgentState],
+    at: u32,
+}
+
+impl Iterator for Queued<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        let i = match self.at {
+            NIL => return None,
+            i => i as usize,
+        };
+        self.at = self.states[i].next;
+        Some(i)
+    }
+}
+
+/// Per-edge occupancy: the two direction queues of the agents inside,
+/// identified by the departure endpoint. It holds plain indices into the
+/// agent table, so a runtime's edge table is one flat allocation that
+/// snapshots and restores copy as it is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct EdgeOcc {
-    /// Agents that entered from `edge.a`, in entry order (front = eldest).
-    pub(crate) from_a: Vec<usize>,
+    /// Agents that entered from `edge.a`, in entry order.
+    from_a: DirQueue,
     /// Agents that entered from `edge.b`, in entry order.
-    pub(crate) from_b: Vec<usize>,
+    from_b: DirQueue,
 }
 
 impl EdgeOcc {
+    pub(crate) const EMPTY: EdgeOcc = EdgeOcc {
+        from_a: DirQueue::EMPTY,
+        from_b: DirQueue::EMPTY,
+    };
+
     #[inline]
-    pub(crate) fn queue(&self, from_a_side: bool) -> &Vec<usize> {
+    pub(crate) fn queue(&self, from_a_side: bool) -> DirQueue {
         if from_a_side {
-            &self.from_a
+            self.from_a
         } else {
-            &self.from_b
+            self.from_b
         }
     }
     #[inline]
-    fn queue_mut(&mut self, from_a_side: bool) -> &mut Vec<usize> {
+    pub(crate) fn queue_mut(&mut self, from_a_side: bool) -> &mut DirQueue {
         if from_a_side {
             &mut self.from_a
         } else {
@@ -407,10 +512,10 @@ impl EdgeOcc {
 }
 
 /// A frozen mid-run [`Runtime`] state, in the runtime's own split layout:
-/// the scheduler table copied whole (cached move geometry included), the
-/// behaviors forked, plus edge occupancy, the meeting log handle and the
-/// counters. Produced by [`Runtime::snapshot`], consumed (by reference,
-/// any number of times) by [`Runtime::restore`] and
+/// the scheduler table copied whole (cached move geometry and queue links
+/// included), the behaviors forked, plus the edge table, the meeting log
+/// handle and the counters. Produced by [`Runtime::snapshot`], consumed
+/// (by reference, any number of times) by [`Runtime::restore`] and
 /// [`Runtime::from_snapshot`].
 ///
 /// The snapshot does not borrow the runtime or the graph, so it outlives
@@ -453,8 +558,8 @@ pub struct Runtime<'g, B: Behavior> {
     states: Vec<AgentState>,
     /// The agents' behaviors, indexed like `states`.
     behaviors: Vec<B>,
-    /// Occupancy per dense edge index (`edges.len() == g.size()`). Queues
-    /// of edges that empty out keep their capacity for the next occupant.
+    /// Occupancy per dense edge index (`edges.len() == g.size()`): each
+    /// direction queue's head and tail, linked through `states`.
     edges: Vec<EdgeOcc>,
     /// Append-only copy-on-write log (see [`MeetingLog`]): snapshots, the
     /// [`RunOutcome`], and forks all take O(1) handles instead of copies.
@@ -492,7 +597,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             g,
             states: Vec::new(),
             behaviors: Vec::new(),
-            edges: vec![EdgeOcc::default(); g.size()],
+            edges: vec![EdgeOcc::EMPTY; g.size()],
             meetings: MeetingLog::new(),
             actions: 0,
             total_traversals: 0,
@@ -506,8 +611,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 
     /// Rewinds the runtime to the **initial** state with a fresh set of
-    /// agents, reusing every internal allocation (edge queues, agent
-    /// tables, scratch).
+    /// agents, reusing every internal allocation (edge and agent tables,
+    /// scratch).
     ///
     /// Use `reset` when the next run should start from scratch with *new*
     /// behaviors (different labels, a different algorithm variant, a fresh
@@ -521,10 +626,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     ///
     /// As for [`Runtime::new`].
     pub fn reset(&mut self, behaviors: Vec<B>) {
-        for occ in &mut self.edges {
-            occ.from_a.clear();
-            occ.from_b.clear();
-        }
+        self.edges.fill(EdgeOcc::EMPTY);
         self.meetings.clear();
         self.actions = 0;
         self.total_traversals = 0;
@@ -808,8 +910,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// `out` (which is *not* cleared — callers owning the buffer clear it
     /// between steps).
     ///
-    /// Delivering a meeting never touches an edge queue, so the edge
-    /// meetings below are declared while reading the queue in place.
+    /// Delivering a meeting never touches an edge queue or the link of an
+    /// agent inside an edge (only agents at nodes re-commit), so the edge
+    /// meetings below are declared while walking the queue in place.
     ///
     /// # Panics
     ///
@@ -853,14 +956,20 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 let edge = self.g.edge_id(index);
                 st.place = Place::Inside { edge, from: v, to };
                 st.entered_at = self.actions;
-                self.edges[index].queue_mut(from_a).push(i);
+                self.edges[index]
+                    .queue_mut(from_a)
+                    .push_back(&mut self.states, i);
                 // Forced crossings with opposite-direction occupants, in
                 // queue order.
-                for k in 0..self.edges[index].queue(!from_a).len() {
-                    let j = self.edges[index].queue(!from_a)[k];
-                    let m =
-                        self.declare([i, j].into_iter().collect(), MeetingPlace::Edge(edge), None);
+                let mut j = self.edges[index].queue(!from_a).head;
+                while j != NIL {
+                    let m = self.declare(
+                        [i, j as usize].into_iter().collect(),
+                        MeetingPlace::Edge(edge),
+                        None,
+                    );
                     out.push(m);
+                    j = self.states[j as usize].next;
                 }
             }
             ActionKind::Finish => {
@@ -874,20 +983,25 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 st.clear_move();
                 st.traversals += 1;
                 self.total_traversals += 1;
-                let q = self.edges[index].queue_mut(from_a);
-                let my_pos = q.iter().position(|&a| a == i).expect("agent queued");
-                q.remove(my_pos);
                 // Overtaken same-direction occupants (entered earlier):
-                // the queue prefix ahead of `i`'s old position.
-                for k in 0..my_pos {
-                    let j = self.edges[index].queue(from_a)[k];
+                // the queue prefix ahead of `i`, walked to `i`'s
+                // predecessor. At the head (the common case) it is empty.
+                let mut prev = NIL;
+                let mut j = self.edges[index].queue(from_a).head;
+                while j != i as u32 {
+                    assert_ne!(j, NIL, "agent queued");
                     let m = self.declare(
-                        [i, j].into_iter().collect(),
+                        [i, j as usize].into_iter().collect(),
                         MeetingPlace::Edge(edge),
                         Some(i),
                     );
                     out.push(m);
+                    prev = j;
+                    j = self.states[j as usize].next;
                 }
+                self.edges[index]
+                    .queue_mut(from_a)
+                    .unlink(&mut self.states, prev, i);
                 // Node contact: everyone standing at the arrival node.
                 // Sleeping agents there are woken by the visit.
                 let mut present: AgentSet = self
@@ -967,7 +1081,11 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         let agent = choice.agent;
         let state = self.states[agent];
         let token = match choice.kind {
-            ActionKind::Start => ApplyUndo::Start { agent, state },
+            ActionKind::Start => ApplyUndo::Start {
+                agent,
+                state,
+                prev_tail: self.edges[state.edge].queue(state.from_a).tail,
+            },
             ActionKind::Finish => ApplyUndo::Finish {
                 agent,
                 state,
@@ -996,13 +1114,17 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     pub(crate) fn undo(&mut self, token: ApplyUndo<B>) {
         self.actions -= 1;
         match token {
-            ApplyUndo::Start { agent, state } => {
+            ApplyUndo::Start {
+                agent,
+                state,
+                prev_tail,
+            } => {
                 // A `Start` keeps the move's geometry, so the queue it
-                // pushed onto is the one `state` names.
+                // joined is the one `state` names.
                 let q = self.edges[state.edge].queue_mut(state.from_a);
-                debug_assert_eq!(q.last(), Some(&agent), "Start pushed the queue tail");
-                q.pop();
+                debug_assert_eq!(q.tail, agent as u32, "Start linked the queue tail");
                 self.states[agent] = state;
+                q.unlink(&mut self.states, prev_tail, agent);
             }
             ApplyUndo::Finish {
                 agent,
@@ -1010,9 +1132,14 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 behavior,
             } => {
                 self.total_traversals -= 1;
-                self.edges[state.edge]
-                    .queue_mut(state.from_a)
-                    .insert(0, agent);
+                // The pre-apply state still links to the agent's old
+                // successor, now the head.
+                let q = self.edges[state.edge].queue_mut(state.from_a);
+                debug_assert_eq!(q.head, state.next, "Finish left from the queue head");
+                q.head = agent as u32;
+                if q.tail == NIL {
+                    q.tail = agent as u32;
+                }
                 self.states[agent] = state;
                 self.behaviors[agent] = behavior;
             }
@@ -1340,10 +1467,50 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 }
 
+/// The representation the linked queues replaced, kept as a test model:
+/// one `Vec` per direction queue, `[from_b, from_a]` per dense edge index,
+/// replayed from the applied choices alone. A `Start` appends its agent to
+/// the queue its place names (re-derived from the graph, not from the
+/// cached geometry) and a `Finish` removes it from wherever it is queued.
+#[cfg(test)]
+#[derive(Clone, Debug, PartialEq)]
+struct QueueModel(Vec<[Vec<usize>; 2]>);
+
+#[cfg(test)]
+impl QueueModel {
+    fn new(g: &Graph) -> Self {
+        QueueModel(vec![[Vec::new(), Vec::new()]; g.size()])
+    }
+
+    /// Replays `choice`, which `rt` has just applied.
+    fn replay<B: Behavior>(&mut self, rt: &Runtime<'_, B>, choice: Choice) {
+        let i = choice.agent;
+        match choice.kind {
+            ActionKind::Wake => {}
+            ActionKind::Start => {
+                let Place::Inside { from, to, .. } = rt.states[i].place else {
+                    panic!("agent {i} is not inside an edge after its Start");
+                };
+                let index = rt.scan_edge_index(from, to);
+                self.0[index][rt.departs_a_side(index, from) as usize].push(i);
+            }
+            ActionKind::Finish => {
+                for q in self.0.iter_mut().flatten() {
+                    q.retain(|&a| a != i);
+                }
+            }
+        }
+    }
+
+    fn queue(&self, index: usize, from_a: bool) -> &[usize] {
+        &self.0[index][from_a as usize]
+    }
+}
+
 /// The scan-based enumeration the cached move geometry replaced, kept as
 /// the test oracle: every edge index and direction is re-derived from the
-/// graph and the agent's place, and a `Finish`'s overtaking test scans its
-/// queue for the agent's position.
+/// graph and the agent's place, and queue contents come from the
+/// [`QueueModel`], never from the links.
 #[cfg(test)]
 impl<B: Behavior> Runtime<'_, B> {
     /// `true` if the departure node is the canonical smaller endpoint of
@@ -1352,25 +1519,17 @@ impl<B: Behavior> Runtime<'_, B> {
         self.g.edge_id(index).a == from
     }
 
-    fn start_would_meet(&self, index: usize, from: NodeId) -> bool {
-        // Opposite direction = entered from the other endpoint.
-        !self.edges[index]
-            .queue(!self.departs_a_side(index, from))
-            .is_empty()
-    }
-
-    fn finish_would_meet(&self, i: usize, index: usize, from: NodeId, to: NodeId) -> bool {
-        // Overtaking: any same-direction occupant that entered before `i`.
-        let q = self.edges[index].queue(self.departs_a_side(index, from));
-        let my_pos = q
-            .iter()
-            .position(|&a| a == i)
-            .expect("agent must be queued");
-        my_pos > 0 || occupied_by_other(&self.states, i, to)
+    /// The dense index of the edge joining adjacent nodes `from` and `to`.
+    fn scan_edge_index(&self, from: NodeId, to: NodeId) -> usize {
+        let port = self
+            .g
+            .port_towards(from, to)
+            .expect("an occupied edge joins its endpoints");
+        self.g.edge_index_at(from, port)
     }
 
     /// The oracle's legal choices, in [`Runtime::legal_choices`] order.
-    fn oracle_choices(&self) -> Vec<ChoiceInfo> {
+    fn oracle_choices(&self, model: &QueueModel) -> Vec<ChoiceInfo> {
         let mut out = Vec::new();
         for (i, st) in self.states.iter().enumerate() {
             if st.crashed {
@@ -1392,17 +1551,22 @@ impl<B: Behavior> Runtime<'_, B> {
                         {
                             continue;
                         }
-                        (ActionKind::Start, self.start_would_meet(index, v))
+                        // Opposite direction = entered from the other endpoint.
+                        let opposite = model.queue(index, !self.departs_a_side(index, v));
+                        (ActionKind::Start, !opposite.is_empty())
                     }
                     Place::Inside { from, to, .. } => {
-                        let port = self
-                            .g
-                            .port_towards(from, to)
-                            .expect("an occupied edge joins its endpoints");
-                        let index = self.g.edge_index_at(from, port);
+                        // Overtaking: any same-direction occupant that
+                        // entered before `i`.
+                        let index = self.scan_edge_index(from, to);
+                        let q = model.queue(index, self.departs_a_side(index, from));
+                        let my_pos = q
+                            .iter()
+                            .position(|&a| a == i)
+                            .expect("agent must be queued");
                         (
                             ActionKind::Finish,
-                            self.finish_would_meet(i, index, from, to),
+                            my_pos > 0 || occupied_by_other(&self.states, i, to),
                         )
                     }
                 }
@@ -1416,10 +1580,12 @@ impl<B: Behavior> Runtime<'_, B> {
     }
 
     /// Panics unless every agent's cached move geometry is what the graph
-    /// says it is: the pending move's edge and side at a node, the occupied
-    /// edge's inside one (then the agent is queued exactly once, on that
-    /// side), nothing otherwise.
-    fn assert_geometry_consistent(&self) {
+    /// says it is — the pending move's edge and side at a node, the
+    /// occupied edge's inside one, nothing otherwise — and the linked
+    /// queues are exactly the model's: the same agents in the same order,
+    /// heads and tails on their ends, and every link [`NIL`] except an
+    /// inside agent's, which names its successor in the model.
+    fn assert_geometry_consistent(&self, model: &QueueModel) {
         for (i, st) in self.states.iter().enumerate() {
             let expected = match (st.place, st.pending) {
                 (Place::AtNode(v), Some((port, to))) => {
@@ -1433,14 +1599,15 @@ impl<B: Behavior> Runtime<'_, B> {
                         pending, None,
                         "agent {i} inside an edge with a pending move"
                     );
-                    let index = self
-                        .g
-                        .edge_index_at(from, self.g.port_towards(from, to).expect("adjacent"));
+                    let index = self.scan_edge_index(from, to);
                     assert_eq!(edge, self.g.edge_id(index), "agent {i} edge id");
                     let from_a = self.departs_a_side(index, from);
-                    let queued = self.edges[index].queue(from_a);
                     assert_eq!(
-                        queued.iter().filter(|&&a| a == i).count(),
+                        model
+                            .queue(index, from_a)
+                            .iter()
+                            .filter(|&&a| a == i)
+                            .count(),
                         1,
                         "agent {i} queued once"
                     );
@@ -1456,11 +1623,7 @@ impl<B: Behavior> Runtime<'_, B> {
                 ),
             }
         }
-        let queued: usize = self
-            .edges
-            .iter()
-            .map(|o| o.from_a.len() + o.from_b.len())
-            .sum();
+        let queued: usize = model.0.iter().flatten().map(Vec::len).sum();
         let inside = self
             .states
             .iter()
@@ -1470,6 +1633,27 @@ impl<B: Behavior> Runtime<'_, B> {
             queued, inside,
             "queues hold exactly the agents inside edges"
         );
+        let mut links = vec![NIL; self.states.len()];
+        for (index, occ) in self.edges.iter().enumerate() {
+            for from_a in [true, false] {
+                let q = occ.queue(from_a);
+                let modelled = model.queue(index, from_a);
+                // Bounded, so a link cycle fails here instead of hanging.
+                let linked: Vec<usize> = q.iter(&self.states).take(modelled.len() + 1).collect();
+                assert_eq!(linked, modelled, "edge {index} queue (from_a {from_a})");
+                let ends = |a: Option<&usize>| a.map_or(NIL, |&a| a as u32);
+                assert_eq!(
+                    (q.head, q.tail),
+                    (ends(modelled.first()), ends(modelled.last())),
+                    "edge {index} head/tail (from_a {from_a})"
+                );
+                for w in modelled.windows(2) {
+                    links[w[0]] = w[1] as u32;
+                }
+            }
+        }
+        let actual: Vec<u32> = self.states.iter().map(|s| s.next).collect();
+        assert_eq!(actual, links, "agent links");
     }
 }
 
@@ -1936,13 +2120,50 @@ mod tests {
         FaultPlan::new(crashes, outages, losses)
     }
 
+    /// An adversary that remembers the choice it made last.
+    struct Logged<'a> {
+        inner: &'a mut Uniform,
+        last: Option<Choice>,
+    }
+
+    impl crate::adversary::Adversary for Logged<'_> {
+        fn choose(&mut self, choices: &[ChoiceInfo], tick: u64) -> Choice {
+            let c = self.inner.choose(choices, tick);
+            self.last = Some(c);
+            c
+        }
+    }
+
+    /// [`Runtime::step`] under `adversary`, replaying the applied choice
+    /// (if the step took one) onto `model`.
+    fn step_modelled(
+        rt: &mut Runtime<'_, ScriptBehavior>,
+        adversary: &mut Uniform,
+        model: &mut QueueModel,
+        meetings: &mut Vec<Meeting>,
+    ) -> Option<RunEnd> {
+        let mut logged = Logged {
+            inner: adversary,
+            last: None,
+        };
+        let end = rt.step(&mut logged, meetings);
+        if let Some(c) = logged.last {
+            model.replay(rt, c);
+        }
+        end
+    }
+
     /// The fast enumeration agrees with the scan-based oracle, choice for
-    /// choice and flag for flag, and the cached geometry is sound.
-    fn agrees_with_oracle(rt: &Runtime<'_, ScriptBehavior>) -> Result<(), TestCaseError> {
-        rt.assert_geometry_consistent();
+    /// choice and flag for flag, and the cached geometry and the queue
+    /// links are sound.
+    fn agrees_with_oracle(
+        rt: &Runtime<'_, ScriptBehavior>,
+        model: &QueueModel,
+    ) -> Result<(), TestCaseError> {
+        rt.assert_geometry_consistent(model);
         prop_assert_eq!(
             rt.legal_choices(),
-            rt.oracle_choices(),
+            rt.oracle_choices(model),
             "at action {}",
             rt.actions()
         );
@@ -1950,15 +2171,130 @@ mod tests {
     }
 
     /// Everything `undo` must restore, compared as one value.
-    fn scheduler_view(rt: &Runtime<'_, ScriptBehavior>) -> String {
-        format!(
-            "{:?} {:?} {} {} {}",
-            rt.states,
-            rt.edges,
+    type SchedulerView = (Vec<AgentState>, Vec<EdgeOcc>, u64, u64, usize);
+
+    fn scheduler_view(rt: &Runtime<'_, ScriptBehavior>) -> SchedulerView {
+        (
+            rt.states.clone(),
+            rt.edges.clone(),
             rt.actions,
             rt.total_traversals,
-            rt.meetings.len()
+            rt.meetings.len(),
         )
+    }
+
+    /// How often [`undo_walk`] exercised the queue operations that rewrite
+    /// a link of some other agent.
+    #[derive(Debug, Default)]
+    struct UndoCoverage {
+        /// Undone `Start`s that had joined an occupied queue.
+        starts_behind: usize,
+        /// Undone `Finish`es that had left a successor behind.
+        finishes_ahead: usize,
+        /// Edge meetings (crossings and overtakings) along the schedules.
+        edge_meetings: usize,
+    }
+
+    /// Applies every meeting-free legal choice through `apply_undoable`,
+    /// checks the links against the queue model while it is applied, and
+    /// undoes it: the agent table and the edge table must come back `==`.
+    fn undo_every_choice(
+        rt: &mut Runtime<'_, ScriptBehavior>,
+        model: &QueueModel,
+        coverage: &mut UndoCoverage,
+    ) -> Result<(), TestCaseError> {
+        let before = scheduler_view(rt);
+        let mut meetings = Vec::new();
+        for c in rt.legal_choices() {
+            let wake_meets =
+                c.choice.kind == ActionKind::Wake && rt.wake_would_meet(c.choice.agent);
+            if c.causes_meeting || wake_meets {
+                continue;
+            }
+            let token = rt.apply_undoable(c.choice, &mut meetings);
+            match &token {
+                ApplyUndo::Start { prev_tail, .. } if *prev_tail != NIL => {
+                    coverage.starts_behind += 1
+                }
+                ApplyUndo::Finish { state, .. } if state.next != NIL => {
+                    coverage.finishes_ahead += 1
+                }
+                _ => {}
+            }
+            let mut applied = model.clone();
+            applied.replay(rt, c.choice);
+            agrees_with_oracle(rt, &applied)?;
+            rt.undo(token);
+            prop_assert_eq!(&scheduler_view(rt), &before, "undo of {:?}", c.choice);
+        }
+        Ok(())
+    }
+
+    /// A random protocol-mode schedule of a crowded team on a small graph,
+    /// meetings included, that undoes every meeting-free choice at every
+    /// step (see `undo_every_choice`).
+    fn undo_walk(
+        family: u64,
+        k: usize,
+        seed: u64,
+        coverage: &mut UndoCoverage,
+    ) -> Result<(), TestCaseError> {
+        let mut rng = seed;
+        let g = match family {
+            0 => generators::path(3),
+            1 => generators::ring(3),
+            2 => generators::star(4),
+            _ => generators::complete(4),
+        };
+        let k = k.min(g.order());
+        let team = random_team(&g, k, &mut rng);
+        let mut rt = Runtime::new(&g, team, RunConfig::protocol());
+        let mut model = QueueModel::new(&g);
+        let mut adversary = Uniform(splitmix(&mut rng));
+        let mut meetings = Vec::new();
+        for _ in 0..200 {
+            undo_every_choice(&mut rt, &model, coverage)?;
+            let end = step_modelled(&mut rt, &mut adversary, &mut model, &mut meetings);
+            coverage.edge_meetings += meetings
+                .iter()
+                .filter(|m| matches!(m.place, MeetingPlace::Edge(_)))
+                .count();
+            agrees_with_oracle(&rt, &model)?;
+            if end.is_some() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn undo_walks_cover_multi_occupant_queues() {
+        let mut coverage = UndoCoverage::default();
+        for seed in 0..64 {
+            undo_walk(seed % 4, 6, seed, &mut coverage).expect("undo walk");
+        }
+        assert!(
+            coverage.starts_behind >= 100
+                && coverage.finishes_ahead >= 100
+                && coverage.edge_meetings >= 100,
+            "{coverage:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random crowded teams and schedules, crossings and overtakings
+        /// included: every meeting-free apply is undone to an `==` agent
+        /// table and edge table (see `undo_walk`).
+        #[test]
+        fn undo_restores_the_agent_and_edge_tables(
+            family in 0u64..4,
+            k in 2usize..7,
+            seed in any::<u64>(),
+        ) {
+            undo_walk(family, k, seed, &mut UndoCoverage::default())?;
+        }
     }
 
     proptest! {
@@ -1969,8 +2305,9 @@ mod tests {
         /// equal the scan-based oracle's, in order and with the same
         /// meeting flags — including right after a snapshot/restore
         /// detour, a `SnapshotWire` round trip (which must rebuild the
-        /// cached geometry exactly), and inside every `apply_undoable` of
-        /// a meeting-free choice, whose `undo` must restore the state.
+        /// cached geometry and the queue links exactly), and inside every
+        /// `apply_undoable` of a meeting-free choice, whose `undo` must
+        /// restore the state.
         #[test]
         fn cached_geometry_matches_the_scan_oracle(
             family in 0u64..5,
@@ -1993,6 +2330,7 @@ mod tests {
             if faulty == 1 {
                 rt.set_fault_plan(random_faults(&g, k, &mut rng));
             }
+            let mut model = QueueModel::new(&g);
             let mut adversary = Uniform(splitmix(&mut rng));
             let mut meetings = Vec::new();
             for _ in 0..400 {
@@ -2000,19 +2338,21 @@ mod tests {
                 // too (it is idempotent) so the lists compared are the
                 // ones the adversary is about to see.
                 rt.apply_due_faults();
-                agrees_with_oracle(&rt)?;
+                agrees_with_oracle(&rt, &model)?;
                 match splitmix(&mut rng) % 6 {
                     0 => {
                         let snap = rt.snapshot();
                         let before = scheduler_view(&rt);
+                        let saved = model.clone();
                         let mut detour = adversary.clone();
                         for _ in 0..3 {
-                            if rt.step(&mut detour, &mut meetings).is_some() {
+                            if step_modelled(&mut rt, &mut detour, &mut model, &mut meetings).is_some() {
                                 break;
                             }
-                            agrees_with_oracle(&rt)?;
+                            agrees_with_oracle(&rt, &model)?;
                         }
                         rt.restore(&snap);
+                        model = saved;
                         prop_assert_eq!(scheduler_view(&rt), before);
                     }
                     1 => {
@@ -2023,30 +2363,20 @@ mod tests {
                             Ok(snap) => snap,
                             Err(e) => return Err(TestCaseError::Fail(format!("wire rejected a live state: {e}"))),
                         };
-                        prop_assert_eq!(&back.states, &rt.states, "the wire rebuilt other geometry");
+                        prop_assert_eq!(&back.states, &rt.states, "the wire rebuilt other geometry or links");
+                        prop_assert_eq!(&back.edges, &rt.edges, "the wire rebuilt other queue ends");
                         rt.restore(&back);
                     }
                     2 if rt.faults.is_none() => {
-                        let before = scheduler_view(&rt);
-                        for c in rt.legal_choices() {
-                            let wake_meets = c.choice.kind == ActionKind::Wake
-                                && rt.wake_would_meet(c.choice.agent);
-                            if c.causes_meeting || wake_meets {
-                                continue;
-                            }
-                            let token = rt.apply_undoable(c.choice, &mut meetings);
-                            agrees_with_oracle(&rt)?;
-                            rt.undo(token);
-                            prop_assert_eq!(scheduler_view(&rt), before.clone(), "undo of {:?}", c.choice);
-                        }
+                        undo_every_choice(&mut rt, &model, &mut UndoCoverage::default())?;
                     }
                     _ => {}
                 }
-                if rt.step(&mut adversary, &mut meetings).is_some() {
+                if step_modelled(&mut rt, &mut adversary, &mut model, &mut meetings).is_some() {
                     break;
                 }
             }
-            agrees_with_oracle(&rt)?;
+            agrees_with_oracle(&rt, &model)?;
         }
     }
 }

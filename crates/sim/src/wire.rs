@@ -90,7 +90,10 @@ pub struct MeetingWire {
 pub struct SnapshotWire {
     /// Per-agent state, in agent order.
     pub agents: Vec<AgentWire>,
-    /// Per-edge occupancy queues `(from_a, from_b)`, dense edge order.
+    /// Per-edge occupancy queues `(from_a, from_b)`, dense edge order,
+    /// each listing its agents eldest first. The runtime keeps a queue as
+    /// links through its agent table; encoding walks the links into these
+    /// lists and decoding links the lists back.
     pub edges: Vec<(Vec<usize>, Vec<usize>)>,
     /// The full meeting log, in declaration order.
     pub meetings: Vec<MeetingWire>,
@@ -136,7 +139,10 @@ impl SnapshotWire {
         let edges = snap
             .edges
             .iter()
-            .map(|occ| (occ.from_a.clone(), occ.from_b.clone()))
+            .map(|occ| {
+                let list = |from_a| occ.queue(from_a).iter(&snap.states).collect();
+                (list(true), list(false))
+            })
             .collect();
         let meetings = snap
             .meetings
@@ -244,14 +250,14 @@ impl SnapshotWire {
             behaviors.push(decode(&a.behavior).map_err(|e| format!("agent {i} behavior: {e}"))?);
         }
         self.check_queues(&states)?;
-        let edges = self
-            .edges
-            .iter()
-            .map(|(from_a, from_b)| EdgeOcc {
-                from_a: from_a.clone(),
-                from_b: from_b.clone(),
-            })
-            .collect();
+        let mut edges = vec![EdgeOcc::EMPTY; self.edges.len()];
+        for (occ, (from_a, from_b)) in edges.iter_mut().zip(&self.edges) {
+            for (side_a, list) in [(true, from_a), (false, from_b)] {
+                for &agent in list {
+                    occ.queue_mut(side_a).push_back(&mut states, agent);
+                }
+            }
+        }
         let mut meetings = MeetingLog::new();
         for (i, m) in self.meetings.iter().enumerate() {
             let place = match (m.at_node, m.edge_a, m.edge_b) {

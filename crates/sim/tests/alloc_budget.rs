@@ -1,0 +1,104 @@
+//! Allocation budget of the run loop: entering an edge never allocates.
+//!
+//! A counting global allocator tallies the allocations the current thread
+//! makes inside [`Runtime::run_with_policy`]. A scripted sweep that enters
+//! a fresh edge at every step costs the same small constant number of
+//! allocations on a small ring and on a large one: the scratch buffers,
+//! the meeting log and the outcome, never one per edge the run enters.
+
+use rv_graph::{generators, NodeId};
+use rv_sim::adversary::RoundRobin;
+use rv_sim::stop::DivergenceDetector;
+use rv_sim::{RunConfig, RunEnd, Runtime, ScriptBehavior};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting this thread's allocations.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees are this allocator's; the counter
+// is a const-initialised thread-local that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged (see the impl).
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged (see the impl).
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged (see the impl).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged (see the impl).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Runs agent 0 once around `ring(n)` towards agent 1, which sleeps at
+/// the node just behind agent 0's start, so the sweep enters `n - 1`
+/// distinct edges before its arrival wakes agent 1 in the one meeting.
+/// Returns the allocations made inside `run_with_policy`.
+fn sweep_allocations(n: usize) -> u64 {
+    let g = generators::ring(n);
+    let ports: Vec<usize> = (0..n - 1)
+        .map(|v| {
+            g.port_towards(NodeId(v), NodeId(v + 1))
+                .expect("ring neighbours")
+                .0
+        })
+        .collect();
+    let team = vec![
+        ScriptBehavior::new(NodeId(0), ports),
+        ScriptBehavior::new(NodeId(n - 1), []),
+    ];
+    let mut rt = Runtime::new(&g, team, RunConfig::rendezvous());
+    let mut adversary = RoundRobin::new();
+    let mut policy = DivergenceDetector::default();
+    let before = allocations();
+    let out = rt.run_with_policy(&mut adversary, &mut policy);
+    let made = allocations() - before;
+    assert_eq!(out.end, RunEnd::Meeting, "ring({n})");
+    assert_eq!(out.total_traversals, n as u64 - 1, "ring({n})");
+    made
+}
+
+#[test]
+fn run_allocations_do_not_grow_with_the_edges_entered() {
+    let small = sweep_allocations(16);
+    let large = sweep_allocations(256);
+    assert_eq!(
+        small, large,
+        "ring(16) made {small} allocations, ring(256) made {large}"
+    );
+    assert!(small <= 8, "a sweep made {small} allocations");
+}
