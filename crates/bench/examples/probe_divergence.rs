@@ -6,82 +6,41 @@
 //! cutoff — the cost at which each piece number was first entered. Used to
 //! calibrate the divergence detector's piece threshold.
 
-use rv_core::{Label, RvVariant};
+use rv_bench::cells::{
+    variants, ADVERSARIES, ADVERSARY_SEED, CUTOFF, FAMILIES, GRAPH_SEED, LABELS, SIZES,
+};
+use rv_core::Label;
 use rv_explore::SeededUxs;
-use rv_graph::{GraphFamily, NodeId};
-use rv_sim::adversary::AdversaryKind;
+use rv_graph::NodeId;
 use rv_sim::{RunConfig, RunEnd, Runtime, RvBehavior};
-
-const CUTOFF: u64 = 100_000;
-
-fn variants() -> [(&'static str, RvVariant); 4] {
-    let paper = RvVariant::default();
-    [
-        ("paper", paper),
-        (
-            "single-atoms",
-            RvVariant {
-                doubled_atoms: false,
-                ..paper
-            },
-        ),
-        (
-            "unscaled",
-            RvVariant {
-                scaled_params: false,
-                ..paper
-            },
-        ),
-        (
-            "raw-label",
-            RvVariant {
-                modified_label: false,
-                ..paper
-            },
-        ),
-    ]
-}
 
 fn main() {
     let uxs = SeededUxs::quadratic();
-    let families = [
-        (GraphFamily::Ring, "ring"),
-        (GraphFamily::Path, "path"),
-        (GraphFamily::RandomTree, "tree"),
-        (GraphFamily::Gnp, "gnp"),
-        (GraphFamily::Lollipop, "lollipop"),
-    ];
-    let adversaries = [
-        AdversaryKind::RoundRobin,
-        AdversaryKind::LazySecond,
-        AdversaryKind::GreedyAvoid,
-        AdversaryKind::EagerMeet,
-    ];
     let mut max_converging_piece = 0u64;
-    for (family, fname) in families {
-        for n in [8usize, 12, 16] {
-            for adversary in adversaries {
+    for (family, fname) in FAMILIES {
+        for n in SIZES {
+            for adversary in ADVERSARIES {
                 for (vname, variant) in variants() {
-                    let g = family.generate(n, 5);
+                    let g = family.generate(n, GRAPH_SEED);
                     let agents = vec![
                         RvBehavior::with_variant(
                             &g,
                             uxs,
                             NodeId(0),
-                            Label::new(6).unwrap(),
+                            Label::new(LABELS.0).unwrap(),
                             variant,
                         ),
                         RvBehavior::with_variant(
                             &g,
                             uxs,
                             NodeId(g.order() / 2),
-                            Label::new(9).unwrap(),
+                            Label::new(LABELS.1).unwrap(),
                             variant,
                         ),
                     ];
                     let mut rt =
                         Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(CUTOFF));
-                    let mut adv = adversary.build(3);
+                    let mut adv = adversary.build(ADVERSARY_SEED);
                     let mut meetings = Vec::new();
                     let mut piece_entry_costs: Vec<(u64, u64)> = Vec::new(); // (piece, cost)
                     let mut last_piece = 0u64;

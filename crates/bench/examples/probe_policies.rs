@@ -5,7 +5,11 @@
 
 // Timing harness: wall-clock here is the product, not a determinism leak.
 #![allow(clippy::disallowed_methods)]
-use rv_core::{Label, RvVariant};
+use rv_bench::cells::{
+    variants, ADVERSARY_SEED, CUTOFF, FAMILIES, GRAPH_SEED, LABELS, LARGE_PROTOCOL_CUTOFF,
+    PROTOCOL_CUTOFF, SGL_LABELS,
+};
+use rv_core::Label;
 use rv_explore::SeededUxs;
 use rv_graph::{GraphFamily, NodeId};
 use rv_protocols::{SglBehavior, SglConfig};
@@ -13,44 +17,30 @@ use rv_sim::adversary::AdversaryKind;
 use rv_sim::{AdaptiveThreshold, DivergenceDetector, RunConfig, Runtime, RvBehavior};
 use std::time::Instant;
 
-const GRAPH_SEED: u64 = 5;
-const ADVERSARY_SEED: u64 = 3;
-const SGL_LABELS: [u64; 4] = [6, 9, 14, 21];
-
+/// The matrix family whose scenario-id stem is `name`.
 fn family(name: &str) -> GraphFamily {
-    match name {
-        "ring" => GraphFamily::Ring,
-        "path" => GraphFamily::Path,
-        "tree" => GraphFamily::RandomTree,
-        "gnp" => GraphFamily::Gnp,
-        "lollipop" => GraphFamily::Lollipop,
-        other => panic!("unknown family {other}"),
-    }
+    let found = FAMILIES.iter().find(|&&(_, stem)| stem == name);
+    found.unwrap_or_else(|| panic!("unknown family {name}")).0
 }
 
 fn rendezvous(fname: &str, n: usize, kind: AdversaryKind, vname: &str) {
-    let paper = RvVariant::default();
-    let variant = match vname {
-        "paper" => paper,
-        "unscaled" => RvVariant {
-            scaled_params: false,
-            ..paper
-        },
-        _ => panic!("unknown variant"),
-    };
+    let (_, variant) = variants()
+        .into_iter()
+        .find(|&(name, _)| name == vname)
+        .unwrap_or_else(|| panic!("unknown variant {vname}"));
     let uxs = SeededUxs::quadratic();
     let g = family(fname).generate(n, GRAPH_SEED);
     let agents = vec![
-        RvBehavior::with_variant(&g, uxs, NodeId(0), Label::new(6).unwrap(), variant),
+        RvBehavior::with_variant(&g, uxs, NodeId(0), Label::new(LABELS.0).unwrap(), variant),
         RvBehavior::with_variant(
             &g,
             uxs,
             NodeId(g.order() / 2),
-            Label::new(9).unwrap(),
+            Label::new(LABELS.1).unwrap(),
             variant,
         ),
     ];
-    let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(100_000));
+    let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(CUTOFF));
     let mut adv = kind.build(ADVERSARY_SEED);
     let mut policy = DivergenceDetector::default();
     let start = Instant::now();
@@ -112,19 +102,31 @@ fn main() {
     rendezvous("lollipop", 16, AdversaryKind::LazySecond, "paper");
 
     println!("--- protocol outliers (expect Stalled under 2.5M) ---");
-    protocol("tree", 8, 3, AdversaryKind::LazySecond, 2_500_000);
-    protocol("tree", 8, 3, AdversaryKind::GreedyAvoid, 2_500_000);
-    protocol("gnp", 8, 4, AdversaryKind::GreedyAvoid, 2_500_000);
+    for (f, n, k, a) in [
+        ("tree", 8, 3, AdversaryKind::LazySecond),
+        ("tree", 8, 3, AdversaryKind::GreedyAvoid),
+        ("gnp", 8, 4, AdversaryKind::GreedyAvoid),
+    ] {
+        protocol(f, n, k, a, PROTOCOL_CUTOFF);
+    }
 
     println!("--- worst converging protocol cells (expect AllParked, unchanged) ---");
-    protocol("tree", 8, 2, AdversaryKind::GreedyAvoid, 2_500_000);
-    protocol("lollipop", 8, 4, AdversaryKind::GreedyAvoid, 2_500_000);
-    protocol("lollipop", 8, 2, AdversaryKind::EagerMeet, 2_500_000);
+    for (f, n, k, a) in [
+        ("tree", 8, 2, AdversaryKind::GreedyAvoid),
+        ("lollipop", 8, 4, AdversaryKind::GreedyAvoid),
+        ("lollipop", 8, 2, AdversaryKind::EagerMeet),
+    ] {
+        protocol(f, n, k, a, PROTOCOL_CUTOFF);
+    }
 
     println!("--- large-order cells under the adaptive policy (expect AllParked) ---");
-    protocol("ring", 12, 2, AdversaryKind::RoundRobin, 50_000_000);
-    protocol("ring", 12, 3, AdversaryKind::GreedyAvoid, 50_000_000);
-    protocol("ring", 16, 2, AdversaryKind::RoundRobin, 50_000_000);
-    protocol("ring", 16, 3, AdversaryKind::EagerMeet, 50_000_000);
-    protocol("ring", 16, 2, AdversaryKind::GreedyAvoid, 50_000_000);
+    for (f, n, k, a) in [
+        ("ring", 12, 2, AdversaryKind::RoundRobin),
+        ("ring", 12, 3, AdversaryKind::GreedyAvoid),
+        ("ring", 16, 2, AdversaryKind::RoundRobin),
+        ("ring", 16, 3, AdversaryKind::EagerMeet),
+        ("ring", 16, 2, AdversaryKind::GreedyAvoid),
+    ] {
+        protocol(f, n, k, a, LARGE_PROTOCOL_CUTOFF);
+    }
 }

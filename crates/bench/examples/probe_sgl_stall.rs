@@ -23,6 +23,10 @@
 
 // Timing harness: wall-clock here is the product, not a determinism leak.
 #![allow(clippy::disallowed_methods)]
+use rv_bench::cells::{
+    ADVERSARIES, ADVERSARY_SEED, FAMILIES, GRAPH_SEED, PROTOCOL_CUTOFF, PROTOCOL_SIZES, SGL_LABELS,
+    TEAM_SIZES,
+};
 use rv_core::Label;
 use rv_explore::SeededUxs;
 use rv_graph::{GraphFamily, NodeId};
@@ -30,10 +34,6 @@ use rv_protocols::{SglBehavior, SglConfig};
 use rv_sim::adversary::AdversaryKind;
 use rv_sim::{RunConfig, Runtime};
 use std::time::Instant;
-
-const GRAPH_SEED: u64 = 5;
-const ADVERSARY_SEED: u64 = 3;
-const SGL_LABELS: [u64; 4] = [6, 9, 14, 21];
 
 fn behaviors<'g>(
     g: &'g rv_graph::Graph,
@@ -56,15 +56,10 @@ fn behaviors<'g>(
         .collect()
 }
 
+/// The matrix family whose scenario-id stem is `name`.
 fn family(name: &str) -> GraphFamily {
-    match name {
-        "ring" => GraphFamily::Ring,
-        "path" => GraphFamily::Path,
-        "tree" => GraphFamily::RandomTree,
-        "gnp" => GraphFamily::Gnp,
-        "lollipop" => GraphFamily::Lollipop,
-        other => panic!("unknown family {other}"),
-    }
+    let found = FAMILIES.iter().find(|&&(_, stem)| stem == name);
+    found.unwrap_or_else(|| panic!("unknown family {name}")).0
 }
 
 fn adversary(name: &str) -> AdversaryKind {
@@ -83,7 +78,7 @@ fn trace_outlier(fname: &str, k: usize, kind: AdversaryKind) {
     let mut rt = Runtime::new(
         &g,
         behaviors(&g, k, uxs),
-        RunConfig::protocol().with_cutoff(2_500_000),
+        RunConfig::protocol().with_cutoff(PROTOCOL_CUTOFF),
     );
     let mut adv = kind.build(ADVERSARY_SEED);
     let mut meetings = Vec::new();
@@ -133,23 +128,16 @@ fn trace_outlier(fname: &str, k: usize, kind: AdversaryKind) {
 
 fn silent_windows() {
     let uxs = SeededUxs::quadratic();
-    let families = ["ring", "path", "tree", "gnp", "lollipop"];
-    let adversaries = [
-        AdversaryKind::RoundRobin,
-        AdversaryKind::LazySecond,
-        AdversaryKind::GreedyAvoid,
-        AdversaryKind::EagerMeet,
-    ];
     let mut worst = (0u64, String::new());
-    for fname in families {
-        for n in [5usize, 6, 8] {
-            for kind in adversaries {
-                for k in [2usize, 3, 4] {
-                    let g = family(fname).generate(n, GRAPH_SEED);
+    for (family, fname) in FAMILIES {
+        for n in PROTOCOL_SIZES {
+            for kind in ADVERSARIES {
+                for k in TEAM_SIZES {
+                    let g = family.generate(n, GRAPH_SEED);
                     let mut rt = Runtime::new(
                         &g,
                         behaviors(&g, k, uxs),
-                        RunConfig::protocol().with_cutoff(2_500_000),
+                        RunConfig::protocol().with_cutoff(PROTOCOL_CUTOFF),
                     );
                     let mut adv = kind.build(ADVERSARY_SEED);
                     let mut meetings = Vec::new();
@@ -401,7 +389,7 @@ fn main() {
             let cutoff: u64 = args
                 .get(6)
                 .and_then(|s| s.parse().ok())
-                .unwrap_or(2_500_000);
+                .unwrap_or(PROTOCOL_CUTOFF);
             places(&args[2], n, k, adversary(&args[5]), cutoff);
         }
         Some("nocert") => {
@@ -410,7 +398,7 @@ fn main() {
             let cutoff: u64 = args
                 .get(6)
                 .and_then(|s| s.parse().ok())
-                .unwrap_or(2_500_000);
+                .unwrap_or(PROTOCOL_CUTOFF);
             nocert(&args[2], n, k, adversary(&args[5]), cutoff);
         }
         Some("large") => {

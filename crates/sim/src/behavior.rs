@@ -322,8 +322,7 @@ impl ScriptBehavior {
     }
 
     /// The unplayed tail of the script, in play order — together with
-    /// [`Behavior::start_node`] this is the complete mid-run state, which
-    /// is what the serde wire layer persists (see `rv_sim::wire`).
+    /// [`Behavior::start_node`] this is the complete mid-run state.
     pub fn remaining_ports(&self) -> impl Iterator<Item = PortId> + '_ {
         self.ports.iter().copied()
     }

@@ -184,57 +184,6 @@ impl FaultPlan {
             .collect();
         FaultPlan::new(crashes, outages, log_losses)
     }
-
-    /// Parses a plan back from the JSON that [`serde_json::to_string`]
-    /// renders for it (the vendored serde has no generic deserialisation,
-    /// so the reverse direction is by hand over [`serde_json::Value`]).
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let v = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        let field = |name: &str| -> Result<&[serde_json::Value], String> {
-            v.get(name)
-                .and_then(|f| f.as_array())
-                .ok_or_else(|| format!("FaultPlan JSON: missing array field `{name}`"))
-        };
-        let num = |v: &serde_json::Value, ctx: &str| -> Result<u64, String> {
-            v.as_u64().ok_or_else(|| format!("FaultPlan JSON: {ctx}"))
-        };
-        let mut crashes = Vec::new();
-        for c in field("crashes")? {
-            crashes.push(CrashFault {
-                at_action: num(
-                    c.get("at_action").unwrap_or(&serde_json::Value::Null),
-                    "crash at_action",
-                )?,
-                agent: num(
-                    c.get("agent").unwrap_or(&serde_json::Value::Null),
-                    "crash agent",
-                )? as usize,
-            });
-        }
-        let mut outages = Vec::new();
-        for o in field("outages")? {
-            outages.push(OutageFault {
-                at_action: num(
-                    o.get("at_action").unwrap_or(&serde_json::Value::Null),
-                    "outage at_action",
-                )?,
-                edge_index: num(
-                    o.get("edge_index").unwrap_or(&serde_json::Value::Null),
-                    "outage edge_index",
-                )? as usize,
-                duration_actions: num(
-                    o.get("duration_actions")
-                        .unwrap_or(&serde_json::Value::Null),
-                    "outage duration_actions",
-                )?,
-            });
-        }
-        let log_losses = field("log_losses")?
-            .iter()
-            .map(|x| num(x, "log_loss action"))
-            .collect::<Result<Vec<u64>, String>>()?;
-        Ok(FaultPlan::new(crashes, outages, log_losses))
-    }
 }
 
 /// The runtime's cursor into a [`FaultPlan`]: which crashes have fired,
@@ -359,52 +308,6 @@ mod tests {
             assert!(o.edge_index < profile().edges);
             assert!(o.duration_actions >= 1);
         }
-    }
-
-    #[test]
-    fn json_round_trips_through_the_vendored_stack() {
-        let plan = FaultPlan::seeded(7, &profile());
-        let json = serde_json::to_string(&plan).expect("vendored to_string is infallible");
-        let back = FaultPlan::from_json(&json).expect("rendered plan must parse");
-        assert_eq!(plan, back);
-        assert_eq!(
-            FaultPlan::from_json(
-                &serde_json::to_string(&FaultPlan::empty()).expect("render empty plan")
-            )
-            .expect("empty plan must parse"),
-            FaultPlan::empty()
-        );
-        assert!(FaultPlan::from_json("{}").is_err(), "missing fields error");
-    }
-
-    #[test]
-    fn a_decoded_plan_round_trips_exactly_or_is_an_error() {
-        let exact = serde_json::MAX_EXACT_U64;
-        for big in [exact - 1, exact, exact + 1, exact + 2, 1 << 60, u64::MAX] {
-            let plan = FaultPlan::new(
-                vec![CrashFault {
-                    at_action: big,
-                    agent: 1,
-                }],
-                vec![OutageFault {
-                    at_action: 3,
-                    edge_index: 2,
-                    duration_actions: big,
-                }],
-                vec![big],
-            );
-            let json = serde_json::to_string(&plan).expect("vendored to_string is infallible");
-            match FaultPlan::from_json(&json) {
-                Ok(back) => assert_eq!(back, plan, "{big} decoded to a different plan"),
-                Err(e) => assert!(big > exact, "{big} is exact but failed: {e}"),
-            }
-        }
-        let losses = |n: &str| format!(r#"{{"crashes":[],"outages":[],"log_losses":[{n}]}}"#);
-        assert_eq!(
-            FaultPlan::from_json(&losses("7")).map(|p| p.log_losses),
-            Ok(vec![7])
-        );
-        assert!(FaultPlan::from_json(&losses("1e30")).is_err());
     }
 
     #[test]

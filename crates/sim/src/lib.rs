@@ -39,24 +39,16 @@
 //! completes its current traversal before parking, which keeps the SGL
 //! token inside one extended edge).
 //!
-//! # `reset` vs `restore`
+//! # Rewinding
 //!
-//! A [`Runtime`] offers two ways to rewind, and they answer different
-//! questions:
-//!
-//! * [`Runtime::reset`] returns to the **initial** state with *newly
-//!   constructed* behaviors — use it when the next run is a genuinely new
-//!   experiment (different labels, variant, or adversary seed). It re-pays
-//!   behavior construction (fresh cursors, cold length memos).
-//! * [`Runtime::restore`] returns to a **mid-run** state frozen earlier by
-//!   [`Runtime::snapshot`] — use it to branch execution from a common
-//!   prefix (the minimax search's plain enumeration), to retry a suffix,
-//!   or to seed a fresh runtime ([`Runtime::from_snapshot`]). Behaviors
-//!   come back via [`Behavior::fork`] in O(state) with all accumulated
-//!   context intact: no prefix replay, no reconstruction.
-//!
-//! Rule of thumb: *new agents → `reset`; same agents, earlier point in
-//! time → `restore`*.
+//! [`Runtime::restore`] returns a [`Runtime`] to a **mid-run** state
+//! frozen earlier by [`Runtime::snapshot`] — use it to branch execution
+//! from a common prefix (the minimax search's plain enumeration), to
+//! retry a suffix, or to seed a fresh runtime
+//! ([`Runtime::from_snapshot`]). Behaviors come back via
+//! [`Behavior::fork`] in O(state) with all accumulated context intact: no
+//! prefix replay, no reconstruction. A new experiment (different labels,
+//! variant, or adversary seed) builds a new runtime with [`Runtime::new`].
 //!
 //! # Examples
 //!
@@ -85,7 +77,6 @@ mod memo;
 pub mod minimax;
 mod runtime;
 pub mod stop;
-pub mod wire;
 
 pub use behavior::{Behavior, NaiveBehavior, RvBehavior, ScriptBehavior, SpecBehavior};
 pub use fault::{CrashFault, FaultClock, FaultPlan, FaultProfile, OutageFault};

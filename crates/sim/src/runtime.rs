@@ -27,9 +27,9 @@
 //!
 //! Entering, leaving and re-entering edges never allocates: linking and
 //! unlinking rewrite a few indices, and [`Runtime::new`],
-//! [`Runtime::reset`], [`Runtime::snapshot`] and [`Runtime::restore`]
-//! copy or fill one flat edge table whatever its occupancy. The `_into`
-//! variants of [`Runtime::legal_choices`] / [`Runtime::apply`] write into
+//! [`Runtime::snapshot`] and [`Runtime::restore`] build or copy one flat
+//! edge table whatever its occupancy. The `_into` variants of
+//! [`Runtime::legal_choices`] / [`Runtime::apply`] write into
 //! caller-owned buffers that [`Runtime::run`] and the minimax search
 //! reuse across steps.
 //!
@@ -42,9 +42,6 @@
 //! [`RuntimeSnapshot`], and [`Runtime::restore`] /
 //! [`Runtime::from_snapshot`] re-enter that state — on the same runtime
 //! or a fresh one — without replaying the schedule prefix.
-//! [`Runtime::reset`] is the other rewind: back to the *initial* state
-//! with brand-new behaviors (see its docs for the reset-vs-restore rule of
-//! thumb).
 
 use crate::behavior::Behavior;
 use crate::fault::{FaultClock, FaultPlan};
@@ -522,12 +519,12 @@ impl EdgeOcc {
 /// the runtime that took it and can seed a fresh one.
 #[derive(Debug)]
 pub struct RuntimeSnapshot<B> {
-    pub(crate) states: Vec<AgentState>,
-    pub(crate) behaviors: Vec<B>,
-    pub(crate) edges: Vec<EdgeOcc>,
-    pub(crate) meetings: MeetingLog,
-    pub(crate) actions: u64,
-    pub(crate) total_traversals: u64,
+    states: Vec<AgentState>,
+    behaviors: Vec<B>,
+    edges: Vec<EdgeOcc>,
+    meetings: MeetingLog,
+    actions: u64,
+    total_traversals: u64,
 }
 
 impl<B: Behavior> RuntimeSnapshot<B> {
@@ -593,10 +590,30 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// [`AgentSet`] — or if two agents share a start node (the model
     /// places agents at distinct nodes).
     pub fn new(g: &'g Graph, behaviors: Vec<B>, config: RunConfig) -> Self {
-        let mut rt = Runtime {
+        assert!(behaviors.len() >= 2, "the model has at least two agents");
+        assert!(
+            behaviors.len() <= AgentSet::CAPACITY,
+            "a runtime holds at most AgentSet::CAPACITY = {} agents, got {}",
+            AgentSet::CAPACITY,
+            behaviors.len()
+        );
+        for (i, b) in behaviors.iter().enumerate() {
+            assert!(
+                behaviors[..i]
+                    .iter()
+                    .all(|o| o.start_node() != b.start_node()),
+                "agents must start at distinct nodes (duplicate {:?})",
+                b.start_node()
+            );
+        }
+        Runtime {
             g,
-            states: Vec::new(),
-            behaviors: Vec::new(),
+            states: behaviors
+                .iter()
+                .map(|b| AgentState::asleep_at(b.start_node()))
+                .collect(),
+            // The caller's vector becomes the behavior table as is.
+            behaviors,
             edges: vec![EdgeOcc::EMPTY; g.size()],
             meetings: MeetingLog::new(),
             actions: 0,
@@ -605,32 +622,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             info_scratch: Vec::new(),
             choice_scratch: Vec::new(),
             faults: None,
-        };
-        rt.install(behaviors);
-        rt
-    }
-
-    /// Rewinds the runtime to the **initial** state with a fresh set of
-    /// agents, reusing every internal allocation (edge and agent tables,
-    /// scratch).
-    ///
-    /// Use `reset` when the next run should start from scratch with *new*
-    /// behaviors (different labels, a different algorithm variant, a fresh
-    /// RNG); use [`Runtime::restore`] to rewind to a **mid-run** state
-    /// captured by [`Runtime::snapshot`] — restore keeps the agents'
-    /// accumulated state (cursor position, warm length memos, RNG streams)
-    /// and is what the minimax search's plain enumeration uses instead of
-    /// re-executing schedule prefixes after a `reset`.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Runtime::new`].
-    pub fn reset(&mut self, behaviors: Vec<B>) {
-        self.edges.fill(EdgeOcc::EMPTY);
-        self.meetings.clear();
-        self.actions = 0;
-        self.total_traversals = 0;
-        self.install(behaviors);
+        }
     }
 
     /// Freezes the complete mid-run state — agent behaviors (via
@@ -658,8 +650,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 
     /// Rewinds this runtime to the mid-run state captured by `snap`,
-    /// reusing internal allocations where possible. See [`Runtime::reset`]
-    /// for when to reset instead.
+    /// reusing internal allocations where possible.
     ///
     /// The snapshot is borrowed, not consumed: the same snapshot can seed
     /// any number of restores (the plain minimax enumeration re-enters
@@ -707,9 +698,10 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 
     /// Builds a fresh runtime positioned at the mid-run state captured by
-    /// `snap`, with the given configuration — e.g. to resume a decoded
-    /// [`crate::wire::SnapshotWire`] or to branch a run without touching
-    /// the original runtime.
+    /// `snap`, with the given configuration — e.g. to branch a run
+    /// without touching the original runtime. The fault plan is not part
+    /// of a snapshot: the new runtime has none until
+    /// [`Runtime::set_fault_plan`] installs one.
     ///
     /// # Panics
     ///
@@ -733,33 +725,6 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             choice_scratch: Vec::new(),
             faults: None,
         }
-    }
-
-    fn install(&mut self, behaviors: Vec<B>) {
-        assert!(behaviors.len() >= 2, "the model has at least two agents");
-        assert!(
-            behaviors.len() <= AgentSet::CAPACITY,
-            "a runtime holds at most AgentSet::CAPACITY = {} agents, got {}",
-            AgentSet::CAPACITY,
-            behaviors.len()
-        );
-        for (i, b) in behaviors.iter().enumerate() {
-            assert!(
-                behaviors[..i]
-                    .iter()
-                    .all(|o| o.start_node() != b.start_node()),
-                "agents must start at distinct nodes (duplicate {:?})",
-                b.start_node()
-            );
-        }
-        self.states.clear();
-        self.states.extend(
-            behaviors
-                .iter()
-                .map(|b| AgentState::asleep_at(b.start_node())),
-        );
-        // The caller's vector becomes the behavior table as is.
-        self.behaviors = behaviors;
     }
 
     /// Current position of agent `i`.
@@ -837,12 +802,6 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// run bit-identical.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(FaultClock::new(plan));
-    }
-
-    /// Removes the fault plan (fault branches go back to one `Option`
-    /// check that never takes the slow path).
-    pub fn clear_fault_plan(&mut self) {
-        self.faults = None;
     }
 
     /// The installed fault plan, if any.
@@ -1236,9 +1195,10 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// and no action was taken this call (for `Cutoff`/`AllParked`) or
     /// the configured stop fired (`Meeting`).
     ///
-    /// `run` is a loop over `step`, so callers driving a run step-by-step
-    /// — the perf harness's checkpointing loop, the snapshot-detour
-    /// golden suites — stay in lockstep with `run()` by construction.
+    /// `run` and `run_with_policy` are loops over `step`, so callers
+    /// driving a run step-by-step — the snapshot-detour golden suites,
+    /// and the probes that read agent progress between decisions — stay
+    /// in lockstep with `run()` by construction.
     pub fn step(
         &mut self,
         adversary: &mut dyn crate::adversary::Adversary,
@@ -1663,7 +1623,6 @@ mod tests {
     use crate::adversary::RoundRobin;
     use crate::behavior::ScriptBehavior;
     use crate::fault::{CrashFault, OutageFault};
-    use crate::wire::{decode_script, encode_script, SnapshotWire};
     use proptest::prelude::*;
     use rv_graph::generators;
     use std::cell::Cell;
@@ -2304,8 +2263,9 @@ mod tests {
         /// log-loss faults in some cases): at every step the legal choices
         /// equal the scan-based oracle's, in order and with the same
         /// meeting flags — including right after a snapshot/restore
-        /// detour, a `SnapshotWire` round trip (which must rebuild the
-        /// cached geometry and the queue links exactly), and inside every
+        /// detour, a rebuild of the runtime by `Runtime::from_snapshot`
+        /// (with the fault plan installed again, stepped in lockstep
+        /// with the runtime it replaces), and inside every
         /// `apply_undoable` of a meeting-free choice, whose `undo` must
         /// restore the state.
         #[test]
@@ -2356,16 +2316,27 @@ mod tests {
                         prop_assert_eq!(scheduler_view(&rt), before);
                     }
                     1 => {
-                        let json = SnapshotWire::from_snapshot(&rt.snapshot(), encode_script).to_json();
-                        let back = SnapshotWire::from_json(&json)
-                            .and_then(|w| w.into_snapshot(&g, decode_script));
-                        let back = match back {
-                            Ok(snap) => snap,
-                            Err(e) => return Err(TestCaseError::Fail(format!("wire rejected a live state: {e}"))),
-                        };
-                        prop_assert_eq!(&back.states, &rt.states, "the wire rebuilt other geometry or links");
-                        prop_assert_eq!(&back.edges, &rt.edges, "the wire rebuilt other queue ends");
-                        rt.restore(&back);
+                        // A fresh runtime from the run's own snapshot. The
+                        // fault plan is configuration, not snapshot state,
+                        // so it is installed again; its new clock must
+                        // re-derive the crashes and live outages, which the
+                        // original runtime checks by running in lockstep.
+                        let mut rebuilt = Runtime::from_snapshot(&g, &rt.snapshot(), RunConfig::protocol());
+                        if let Some(plan) = rt.fault_plan() {
+                            rebuilt.set_fault_plan(plan.clone());
+                        }
+                        prop_assert_eq!(scheduler_view(&rebuilt), scheduler_view(&rt));
+                        let mut original = std::mem::replace(&mut rt, rebuilt);
+                        let mut shadow = adversary.clone();
+                        for _ in 0..3 {
+                            let end = step_modelled(&mut rt, &mut adversary, &mut model, &mut meetings);
+                            prop_assert_eq!(original.step(&mut shadow, &mut Vec::new()), end);
+                            prop_assert_eq!(scheduler_view(&rt), scheduler_view(&original));
+                            if end.is_some() {
+                                break;
+                            }
+                            agrees_with_oracle(&rt, &model)?;
+                        }
                     }
                     2 if rt.faults.is_none() => {
                         undo_every_choice(&mut rt, &model, &mut UndoCoverage::default())?;
