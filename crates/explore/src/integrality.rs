@@ -12,16 +12,31 @@
 //!   every start node, i.e. literal universality of the sequence for that
 //!   parameter.
 
-use crate::provider::ExplorationProvider;
-use crate::trajectory_r::r_trajectory;
+use crate::provider::{ExplorationProvider, RWalker};
 use rv_graph::{EdgeSet, Graph, GraphBuilder, NodeId};
 
 /// Returns `true` if `R(k, start)` traverses every edge of `g`.
+///
+/// Streams the walk instead of materialising the trajectory, and stops at
+/// the first step that completes the cover: an integral `R(k, v)` usually
+/// covers the graph long before its `P(k)` steps run out.
+///
+/// # Panics
+///
+/// Panics if `start` is out of range for `g`.
 pub fn is_integral<P: ExplorationProvider>(g: &Graph, provider: P, k: u64, start: NodeId) -> bool {
-    let t = r_trajectory(g, provider, k, start);
+    assert!(start.0 < g.order(), "start node out of range");
+    let mut walker = RWalker::new(provider, k);
     let mut covered = EdgeSet::new(g);
-    for i in 0..t.len() {
-        covered.insert(g.edge_index_at(t.nodes[i], t.exit_ports[i]));
+    let mut cur = start;
+    let mut entry = None;
+    while let Some(exit) = walker.next_exit(entry, g.degree(cur)) {
+        let (arr, edge) = g.traverse_indexed(cur, exit);
+        if covered.insert(edge) && covered.is_full() {
+            return true;
+        }
+        cur = arr.node;
+        entry = Some(arr.entry_port);
     }
     covered.is_full()
 }
@@ -187,6 +202,61 @@ mod tests {
         let t = TableUxs::new(vec![vec![1]]);
         let g = generators::ring(12);
         assert!(!is_integral(&g, &t, 1, NodeId(0)));
+    }
+
+    /// The materialised reference: whether the concrete trajectory
+    /// `R(k, start)` crosses every edge of `g`.
+    fn materialised_cover<P: ExplorationProvider>(
+        g: &Graph,
+        provider: P,
+        k: u64,
+        start: NodeId,
+    ) -> bool {
+        let t = crate::r_trajectory(g, provider, k, start);
+        let mut covered = EdgeSet::new(g);
+        for i in 0..t.len() {
+            covered.insert(g.edge_index_at(t.nodes[i], t.exit_ports[i]));
+        }
+        covered.is_full()
+    }
+
+    /// The streamed check answers as the materialised trajectory does —
+    /// on every port graph of order 2 to 4 from every start with k in
+    /// 1..=6, and on the generated families at orders 6 to 24 — and both
+    /// answers occur. The provider is the quadratic one the experiments
+    /// check their graphs with.
+    #[test]
+    fn streamed_integrality_matches_the_materialised_cover() {
+        let provider = SeededUxs::quadratic();
+        let mut outcomes = [0usize; 2];
+        let mut check = |g: &Graph, k: u64, start: NodeId| {
+            let want = materialised_cover(g, provider, k, start);
+            assert_eq!(
+                is_integral(g, provider, k, start),
+                want,
+                "k={k} start={start:?} on {g:?}"
+            );
+            outcomes[want as usize] += 1;
+        };
+        for n in 2..=4 {
+            for g in enumerate_port_graphs(n) {
+                for start in g.nodes() {
+                    for k in 1..=6 {
+                        check(&g, k, start);
+                    }
+                }
+            }
+        }
+        for family in rv_graph::GraphFamily::ALL {
+            for n in 6..=24 {
+                let g = family.generate(n, n as u64);
+                let order = g.order() as u64;
+                for k in [order / 4, order / 2, order] {
+                    check(&g, k, NodeId(0));
+                }
+            }
+        }
+        assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
     }
 
     #[test]

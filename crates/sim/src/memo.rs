@@ -25,11 +25,15 @@
 //! [`Behavior::future_ports`] and capped at what is reachable within the
 //! residual search depth. Including the future makes the fingerprint exact:
 //! two states with equal fingerprints generate identical residual subtrees
-//! action for action. The digest uses SplitMix64-style mixing over two
-//! independent lanes (128 bits total) — no `std::hash` machinery, per the
-//! workspace determinism rules. The *canonical* fingerprint is the minimum
-//! digest over every declared graph automorphism ([`rv_graph::Automorphisms`]),
-//! which quotients the table by the family's symmetry group.
+//! action for action. The state is rendered to a sequence of words in one
+//! pass, and the *canonical* rendering is the lexicographically least one
+//! over every declared graph automorphism ([`rv_graph::Automorphisms`]),
+//! which quotients the table by the family's symmetry group. Only that
+//! rendering is hashed, into two independent 64-bit lanes (128 bits
+//! total): one multiply-rotate step per word per lane, then one
+//! SplitMix64 avalanche per lane — no `std::hash` machinery, per the
+//! workspace determinism rules. For a fixed word each step is a bijection
+//! of the lane, and for a fixed lane a bijection of the word.
 //!
 //! Because the runtime's meeting semantics on a simple graph depend only on
 //! which *edge* an agent occupies — determined by its endpoints — and never
@@ -71,7 +75,13 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Two independent SplitMix64 lanes, combined into a 128-bit digest.
+/// Two independent 64-bit lanes, combined into a 128-bit digest. Each
+/// rendered word costs one multiply-rotate step per lane — lane `a` folds
+/// the word in by xor, lane `b` by addition, with different odd
+/// multipliers and rotations — and the digest avalanches each lane once.
+/// For a fixed word a step is a bijection of the lane, and for a fixed
+/// lane a bijection of the word, so two renderings of equal length that
+/// differ in one word never collide (see `docs/MINIMAX.md`).
 struct Lanes {
     a: u64,
     b: u64,
@@ -79,19 +89,27 @@ struct Lanes {
 
 impl Lanes {
     fn new(agents: usize) -> Self {
-        Lanes {
-            a: mix64(0x5157_c318_a5c7_9d01 ^ agents as u64),
-            b: mix64(0x71c9_4f8b_23d5_16a3 ^ agents as u64),
-        }
+        let mut lanes = Lanes {
+            a: 0x5157_c318_a5c7_9d01,
+            b: 0x71c9_4f8b_23d5_16a3,
+        };
+        lanes.push(agents as u64);
+        lanes
     }
 
     fn push(&mut self, v: u64) {
-        self.a = mix64(self.a ^ v);
-        self.b = mix64(self.b.wrapping_add(v).rotate_left(23));
+        self.a = (self.a ^ v)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+        self.b = self
+            .b
+            .wrapping_add(v)
+            .wrapping_mul(0xc2b2_ae3d_27d4_eb4f)
+            .rotate_left(23);
     }
 
     fn digest(&self) -> u128 {
-        ((self.a as u128) << 64) | self.b as u128
+        ((mix64(self.a) as u128) << 64) | mix64(self.b) as u128
     }
 }
 
@@ -162,9 +180,10 @@ const NIL: u32 = u32::MAX;
 /// (newest entry first). The bucket index consumes a mixed fingerprint,
 /// so entries spread near-uniformly and a chain holds a handful of
 /// entries even on the deepest searches the harness runs (depth-14 ring:
-/// 78 entries across 64 buckets). One allocation, grown by doubling,
-/// serves the whole table, and the layout is trivially deterministic
-/// (insertion order; never iterated).
+/// 78 entries across 64 buckets). One allocation, sized up front by the
+/// caller and grown by doubling past that, serves the whole table, and
+/// the layout is trivially deterministic (insertion order; never
+/// iterated).
 pub(crate) struct MemoTable {
     /// Index in `entries` of each bucket's newest entry (`NIL`: empty).
     heads: [u32; BUCKETS],
@@ -195,10 +214,11 @@ pub struct MemoStats {
 }
 
 impl MemoTable {
-    pub(crate) fn new() -> Self {
+    /// An empty table with room for `capacity` entries before it grows.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         MemoTable {
             heads: [NIL; BUCKETS],
-            entries: Vec::new(),
+            entries: Vec::with_capacity(capacity),
             probes: 0,
             hits: 0,
         }
@@ -460,41 +480,40 @@ impl Behavior for Replay<'_> {
     }
 }
 
-/// Per-agent render of the current state, precomputed once per fingerprint
-/// so the per-automorphism loop is pure hashing.
-enum RenderKind {
-    Asleep(NodeId),
-    Parked(NodeId),
-    Committed(NodeId),
-    Inside { from: NodeId, to: NodeId, qpos: u64 },
-}
-
-struct Render {
-    kind: RenderKind,
-    crashed: bool,
-    wstart: usize,
-    wend: usize,
-}
-
 /// Scratch for computing canonical fingerprints. All state lives in the
-/// [`FutureTable`]; this struct only owns reusable buffers, so the search
-/// never allocates per probe.
+/// [`FutureTable`]; this struct only owns reusable buffers, sized once
+/// from the search horizon, so the search never allocates per probe.
 pub(crate) struct Fingerprinter {
-    renders: Vec<Render>,
+    /// The state's rendering: under `perm(0)` as it is written, then
+    /// rewritten in place to the least rendering under the group.
     best: Vec<u64>,
     /// `(position in `best`, original node id)` of every node-valued entry
     /// — the only positions where two automorphisms' renderings can
-    /// differ, so minimization compares and rewrites just these.
+    /// differ, so minimization compares and rewrites just these. Recorded
+    /// only when the group is non-trivial.
     node_pos: Vec<(u32, u32)>,
 }
 
 impl Fingerprinter {
-    pub(crate) fn new() -> Self {
+    /// Buffers for fingerprinting `agents` agents with at most `horizon`
+    /// actions of search below a state: an agent renders at most a tag,
+    /// two nodes, a queue position, a window length and a window of
+    /// `horizon.div_ceil(2)` arrivals.
+    pub(crate) fn new(agents: usize, horizon: usize) -> Self {
+        let window = horizon.div_ceil(2);
         Fingerprinter {
-            renders: Vec::new(),
-            best: Vec::new(),
-            node_pos: Vec::new(),
+            best: Vec::with_capacity(agents * (5 + window)),
+            node_pos: Vec::with_capacity(agents * (2 + window)),
         }
+    }
+
+    /// Appends node `v` to the rendering under `perm0`, recording its
+    /// position when the group has other automorphisms to try.
+    fn push_node(&mut self, perm0: &[u32], track: bool, v: NodeId) {
+        if track {
+            self.node_pos.push((self.best.len() as u32, v.0 as u32));
+        }
+        self.best.push(perm0[v.0] as u64);
     }
 
     /// The canonical fingerprint of `rt`'s current state with `residual`
@@ -519,104 +538,70 @@ impl Fingerprinter {
         }
         let states = rt.agent_states();
         let occ = rt.edge_occupancy();
-        self.renders.clear();
+        let perm0 = autos.perm(0);
+        let track = autos.len() > 1;
+        self.best.clear();
+        self.node_pos.clear();
+        // One pass: each agent is rendered straight into `best` under the
+        // first automorphism — a tag with the crashed bit, the place's
+        // node(s), the queue position inside an edge, then the length and
+        // nodes of its future window.
         for (i, st) in states.iter().enumerate() {
             let fut = &futures.agents[i];
             let k = (st.traversals - fut.base_traversals) as usize;
-            let (kind, need) = if st.crashed {
-                let kind = match st.place {
-                    Place::AtNode(v) => RenderKind::Parked(v),
-                    Place::Inside { from, to, .. } => RenderKind::Inside {
-                        from,
-                        to,
-                        qpos: queue_position(states, occ, i),
-                    },
-                };
-                (kind, 0)
-            } else if !st.awake {
-                let v = match st.place {
-                    Place::AtNode(v) => v,
-                    Place::Inside { .. } => unreachable!("asleep agents are at nodes"),
-                };
-                (RenderKind::Asleep(v), residual.saturating_sub(1) / 2)
-            } else {
-                match st.place {
-                    Place::AtNode(v) => {
-                        if st.pending.is_some() {
-                            debug_assert_eq!(
-                                st.pending.map(|(_, to)| to),
-                                fut.arrivals.get(k).copied(),
-                                "committed arrival must head the future window"
-                            );
-                            (RenderKind::Committed(v), residual / 2)
-                        } else {
-                            (RenderKind::Parked(v), 0)
-                        }
-                    }
-                    Place::Inside { from, to, .. } => (
-                        RenderKind::Inside {
-                            from,
-                            to,
-                            qpos: queue_position(states, occ, i),
-                        },
-                        residual.div_ceil(2),
-                    ),
+            let crashed = st.crashed as u64;
+            let need = match st.place {
+                Place::AtNode(v) => {
+                    let (tag, need) = if st.crashed {
+                        (0x20, 0) // parked for good
+                    } else if !st.awake {
+                        (0x10, residual.saturating_sub(1) / 2)
+                    } else if st.pending.is_some() {
+                        debug_assert_eq!(
+                            st.pending.map(|(_, to)| to),
+                            fut.arrivals.get(k).copied(),
+                            "committed arrival must head the future window"
+                        );
+                        (0x30, residual / 2)
+                    } else {
+                        (0x20, 0) // parked
+                    };
+                    self.best.push(tag | crashed);
+                    self.push_node(perm0, track, v);
+                    need
+                }
+                Place::Inside { from, to, .. } => {
+                    let need = if st.crashed {
+                        0
+                    } else if st.awake {
+                        residual.div_ceil(2)
+                    } else {
+                        unreachable!("asleep agents are at nodes")
+                    };
+                    self.best.push(0x40 | crashed);
+                    self.push_node(perm0, track, from);
+                    self.push_node(perm0, track, to);
+                    self.best.push(queue_position(states, occ, i));
+                    need
                 }
             };
             let len = fut.arrivals.len();
             if k + need > len && !fut.complete {
                 return None; // resolution horizon too short for this window
             }
-            self.renders.push(Render {
-                kind,
-                crashed: st.crashed,
-                wstart: k.min(len),
-                wend: (k + need).min(len),
-            });
-        }
-        // Canonicalize, then hash once: materialize the value sequence
-        // under the first automorphism, then lexicographically minimize
-        // over the rest. Renderings under two automorphisms agree at every
-        // structural position (tags, queue positions, window lengths) and
-        // can differ only where a node id was mapped, so both the compare
-        // and the rewrite touch just the recorded node positions — a
-        // non-canonical automorphism costs a handful of array reads.
-        self.best.clear();
-        self.node_pos.clear();
-        let perm0 = autos.perm(0);
-        for (i, r) in self.renders.iter().enumerate() {
-            let best = &mut self.best;
-            let node_pos = &mut self.node_pos;
-            let node = |best: &mut Vec<u64>, node_pos: &mut Vec<(u32, u32)>, v: NodeId| {
-                node_pos.push((best.len() as u32, v.0 as u32));
-                best.push(perm0[v.0] as u64);
-            };
-            match r.kind {
-                RenderKind::Asleep(v) => {
-                    best.push(0x10 | r.crashed as u64);
-                    node(best, node_pos, v);
-                }
-                RenderKind::Parked(v) => {
-                    best.push(0x20 | r.crashed as u64);
-                    node(best, node_pos, v);
-                }
-                RenderKind::Committed(v) => {
-                    best.push(0x30 | r.crashed as u64);
-                    node(best, node_pos, v);
-                }
-                RenderKind::Inside { from, to, qpos } => {
-                    best.push(0x40 | r.crashed as u64);
-                    node(best, node_pos, from);
-                    node(best, node_pos, to);
-                    best.push(qpos);
-                }
-            }
-            let window = &futures.agents[i].arrivals[r.wstart..r.wend];
-            best.push(window.len() as u64);
+            let window = &fut.arrivals[k.min(len)..(k + need).min(len)];
+            self.best.push(window.len() as u64);
             for &w in window {
-                node(best, node_pos, w);
+                self.push_node(perm0, track, w);
             }
         }
+        // Canonicalize, then hash once: lexicographically minimize over
+        // the rest of the group. Renderings under two automorphisms agree
+        // at every structural position (tags, queue positions, window
+        // lengths) and can differ only where a node id was mapped, so both
+        // the compare and the rewrite touch just the recorded node
+        // positions — a non-canonical automorphism costs a handful of
+        // array reads.
         for k in 1..autos.len() {
             let perm = autos.perm(k);
             let mut smaller = false;
@@ -668,7 +653,7 @@ mod tests {
 
     #[test]
     fn get_insert_roundtrip() {
-        let mut table = MemoTable::new();
+        let mut table = MemoTable::with_capacity(0);
         let key = (42u128, 7u32);
         assert_eq!(table.get(key), None);
         let value = MemoValue {
@@ -689,7 +674,7 @@ mod tests {
         // 200 keys that all land in bucket 0, plus 100 spread anywhere:
         // every one is retrievable through its chain, and no key aliases
         // another in the same bucket.
-        let mut table = MemoTable::new();
+        let mut table = MemoTable::with_capacity(0);
         let value = |i: u64| MemoValue {
             max_delta: Some(i),
             avoids: i.is_multiple_of(2),
@@ -860,8 +845,8 @@ mod tests {
             let mut rt_a = Runtime::new(&g, original, RunConfig::rendezvous());
             let mut rt_b = Runtime::new(&g, image, RunConfig::rendezvous());
 
-            let mut fpr_a = Fingerprinter::new();
-            let mut fpr_b = Fingerprinter::new();
+            let mut fpr_a = Fingerprinter::new(2, horizon);
+            let mut fpr_b = Fingerprinter::new(2, horizon);
             let fut_a = FutureTable::resolve(&rt_a, horizon);
             let fut_b = FutureTable::resolve(&rt_b, horizon);
             prop_assert!(fut_a.is_supported() && fut_b.is_supported());
@@ -892,7 +877,7 @@ mod tests {
         };
         let rt_a = Runtime::new(&g, mk(0, 3), RunConfig::rendezvous());
         let rt_b = Runtime::new(&g, mk(1, 3), RunConfig::rendezvous());
-        let mut fpr = Fingerprinter::new();
+        let mut fpr = Fingerprinter::new(2, 10);
         let fut_a = FutureTable::resolve(&rt_a, 10);
         let fp_a = fpr.fingerprint(&rt_a, 10, &autos, &fut_a);
         let fut_b = FutureTable::resolve(&rt_b, 10);
@@ -917,7 +902,7 @@ mod tests {
         let picks: Vec<usize> = vec![0, 1, 2, 0, 1];
 
         let mut rt_root = Runtime::new(&g, mk(), RunConfig::rendezvous());
-        let mut fpr = Fingerprinter::new();
+        let mut fpr = Fingerprinter::new(2, horizon);
         let fut_root = FutureTable::resolve(&rt_root, horizon);
         let applied = apply_steps(&mut rt_root, &picks);
         let fp_from_root = fpr.fingerprint(&rt_root, horizon - applied, &autos, &fut_root);
@@ -931,6 +916,114 @@ mod tests {
         assert_eq!(mid + applied_rest, applied);
         assert!(fp_from_root.is_some());
         assert_eq!(fp_from_root, fp_from_mid);
+    }
+
+    /// Digest maps of the [`digest_is_exact_on_the_workload_searches`]
+    /// test: each canonical rendering with its digest, and each 64-bit
+    /// lane value with the rendering it came from.
+    #[derive(Default)]
+    struct DigestMaps {
+        digests: std::collections::BTreeMap<Vec<u64>, u128>,
+        lanes: [std::collections::BTreeMap<u64, Vec<u64>>; 2],
+    }
+
+    impl DigestMaps {
+        /// Records one (rendering, digest) pair, failing on a pair that
+        /// breaks injectivity in either direction. Each lane is checked
+        /// on its own; when both are injective, so is the whole digest.
+        fn record(&mut self, rendering: &[u64], digest: u128) {
+            let known = self.digests.entry(rendering.to_vec()).or_insert(digest);
+            assert_eq!(*known, digest, "one rendering, two digests");
+            let halves = [(digest >> 64) as u64, digest as u64];
+            for (lane, half) in self.lanes.iter_mut().zip(halves) {
+                let first = lane.entry(half).or_insert_with(|| rendering.to_vec());
+                assert_eq!(
+                    first.as_slice(),
+                    rendering,
+                    "two renderings, one lane value"
+                );
+            }
+        }
+    }
+
+    /// Fingerprints every state the memoized walk can probe below `rt`'s —
+    /// the walk's discipline without the table: only meeting-free children
+    /// are entered, none at the horizon, and states with residual depth
+    /// below 2 are not fingerprinted — recording each canonical rendering
+    /// with its digest.
+    fn record_probes(
+        rt: &mut Runtime<'_, Replay<'_>>,
+        residual: usize,
+        fpr: &mut Fingerprinter,
+        autos: &Automorphisms,
+        futures: &FutureTable,
+        maps: &mut DigestMaps,
+    ) {
+        if residual < 2 {
+            return;
+        }
+        let fp = fpr
+            .fingerprint(rt, residual, autos, futures)
+            .expect("the root resolution covers every probe");
+        maps.record(&fpr.best, fp);
+        let mut meetings = Vec::new();
+        for info in rt.legal_choices() {
+            let wake_meets = matches!(info.choice.kind, crate::ActionKind::Wake)
+                && rt.wake_would_meet(info.choice.agent);
+            if info.causes_meeting || wake_meets {
+                continue;
+            }
+            let token = rt.apply_undoable(info.choice, &mut meetings);
+            record_probes(rt, residual - 1, fpr, autos, futures, maps);
+            rt.undo(token);
+        }
+    }
+
+    /// The 128-bit digest is exact on real searches: over every state the
+    /// benchmark's six minimax searches can probe — the scenario matrix's
+    /// five cells under their family's group, and F5c's path(3) at depth
+    /// 12 under the identity — distinct canonical renderings get distinct
+    /// digests, and so does each 64-bit lane on its own.
+    #[test]
+    fn digest_is_exact_on_the_workload_searches() {
+        use rv_core::Label;
+        use rv_explore::SeededUxs;
+        use rv_graph::GraphFamily;
+        let uxs = SeededUxs::quadratic();
+        let searches = [
+            (GraphFamily::Path, 10, true),
+            (GraphFamily::Path, 12, true),
+            (GraphFamily::Ring, 8, true),
+            (GraphFamily::Ring, 12, true),
+            (GraphFamily::Ring, 14, true),
+            (GraphFamily::Path, 12, false),
+        ];
+        let mut maps = DigestMaps::default();
+        for (family, horizon, grouped) in searches {
+            let g = match family {
+                GraphFamily::Path => generators::path(3),
+                _ => generators::ring(4),
+            };
+            let autos = if grouped {
+                family.automorphisms(&g)
+            } else {
+                Automorphisms::identity(g.order())
+            };
+            let team = vec![
+                crate::RvBehavior::new(&g, uxs, NodeId(0), Label::new(1).unwrap()),
+                crate::RvBehavior::new(&g, uxs, NodeId(2), Label::new(2).unwrap()),
+            ];
+            let rt = Runtime::new(&g, team, RunConfig::rendezvous());
+            let futures = FutureTable::resolve(&rt, horizon);
+            let mut replay = Runtime::new(&g, futures.replays(&rt), RunConfig::rendezvous());
+            let mut fpr = Fingerprinter::new(2, horizon);
+            record_probes(&mut replay, horizon, &mut fpr, &autos, &futures, &mut maps);
+        }
+        assert!(
+            maps.digests.len() > 100,
+            "only {} renderings",
+            maps.digests.len()
+        );
     }
 
     #[test]
@@ -961,7 +1054,7 @@ mod tests {
         let futures = FutureTable::resolve(&rt, 10);
         assert!(!futures.is_supported());
         let autos = Automorphisms::identity(g.order());
-        let mut fpr = Fingerprinter::new();
+        let mut fpr = Fingerprinter::new(2, 10);
         assert_eq!(fpr.fingerprint(&rt, 10, &autos, &futures), None);
     }
 }

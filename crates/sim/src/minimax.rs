@@ -200,12 +200,18 @@ where
             // is the initial state, which `Runtime::new` reproduces, and
             // the resolution covers every port the walk commits.
             let mut replay = Runtime::new(g, futures.replays(&rt), RunConfig::rendezvous());
+            // Buffers sized from the horizon, so the walk never grows them:
+            // a node offers at most one choice per agent, and the searches
+            // the matrix and F5c run keep fewer than `horizon² / 2` table
+            // entries (depth-14 ring: 78).
+            let agents = rt.agent_count();
             let mut search = MemoSearch {
-                table: MemoTable::new(),
+                table: MemoTable::with_capacity(max_actions * max_actions / 2),
                 autos,
                 futures,
-                fpr: Fingerprinter::new(),
-                pool: Vec::new(),
+                fpr: Fingerprinter::new(agents, max_actions),
+                scratch: Vec::with_capacity(agents),
+                stack: Vec::with_capacity(agents * max_actions),
                 meetings: Vec::new(),
                 max_actions,
             };
@@ -233,7 +239,7 @@ where
 const MEMO_MIN_RESIDUAL: usize = 2;
 
 /// The memoized walk's state: the table, the fingerprinting gear, and
-/// per-depth choice buffers.
+/// one flat stack of the choices of every node on the current path.
 struct MemoSearch<'a> {
     table: MemoTable,
     /// The symmetry group fingerprints are canonicalized under.
@@ -242,9 +248,13 @@ struct MemoSearch<'a> {
     /// root; the replays the walk runs on borrow its ports.
     futures: &'a FutureTable,
     fpr: Fingerprinter,
-    /// One choice buffer per depth, so restored siblings skip
-    /// re-enumeration.
-    pool: Vec<Vec<ChoiceInfo>>,
+    /// The legal choices of the node being entered, before they move onto
+    /// `stack`.
+    scratch: Vec<ChoiceInfo>,
+    /// The choices of every node on the current path, the root's first: a
+    /// node pushes its own on entry and truncates them on exit, so its
+    /// children are entered without re-enumerating it.
+    stack: Vec<ChoiceInfo>,
     meetings: Vec<crate::Meeting>,
     max_actions: usize,
 }
@@ -253,10 +263,10 @@ impl MemoSearch<'_> {
     /// Depth-first memoized search of the subtree whose root state `rt` is
     /// **already positioned at**, returning the subtree's value *relative
     /// to its own root* (see [`MemoValue`]). The recursion depth is
-    /// bounded by `max_actions` (tiny by this module's charter), and each
-    /// depth owns a pooled choice buffer (`pool[depth]`) — the list of
-    /// legal choices at a node is a pure function of its state, which the
-    /// undo reproduces.
+    /// bounded by `max_actions` (tiny by this module's charter), and a
+    /// node's choices sit on the flat choice stack, above its ancestors',
+    /// while its children are searched — the list of legal choices at a
+    /// node is a pure function of its state, which the undo reproduces.
     ///
     /// At every node with residual depth ≥ [`MEMO_MIN_RESIDUAL`] the table
     /// is consulted: a hit returns the stored value, a miss searches and
@@ -277,15 +287,13 @@ impl MemoSearch<'_> {
                 key = Some(k);
             }
         }
-        if self.pool.len() <= depth {
-            self.pool.push(Vec::new());
-        }
-        let mut choices = std::mem::take(&mut self.pool[depth]);
-        rt.legal_choices_into(&mut choices);
-        let value = if choices.is_empty() {
+        rt.legal_choices_into(&mut self.scratch);
+        let value = if self.scratch.is_empty() {
             // All parked counts as an avoiding schedule.
             MemoValue::avoid_leaf()
         } else {
+            let base = self.stack.len();
+            self.stack.extend_from_slice(&self.scratch);
             // Undo discipline: every descent is bracketed by
             // [`Runtime::apply_undoable`]/[`Runtime::undo`], so this function
             // returns with `rt` exactly as it entered — no snapshots, no
@@ -299,7 +307,8 @@ impl MemoSearch<'_> {
             let t_node = rt.total_traversals();
             let horizon = depth + 1 == self.max_actions;
             let mut acc = MemoValue::empty();
-            for info in choices.iter() {
+            for j in base..self.stack.len() {
+                let info = self.stack[j];
                 if info.causes_meeting {
                     let delta = matches!(info.choice.kind, crate::ActionKind::Finish) as u64;
                     acc.record_meeting_delta(delta);
@@ -326,9 +335,9 @@ impl MemoSearch<'_> {
                 acc.absorb(child, t_child - t_node);
                 rt.undo(token);
             }
+            self.stack.truncate(base);
             acc
         };
-        self.pool[depth] = choices;
         if let Some(k) = key {
             self.table.insert(k, value);
         }

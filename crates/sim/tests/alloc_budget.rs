@@ -1,15 +1,23 @@
-//! Allocation budget of the run loop: entering an edge never allocates.
+//! Allocation budgets: entering an edge never allocates, and a worst-case
+//! search allocates a pinned number of times.
 //!
 //! A counting global allocator tallies the allocations the current thread
-//! makes inside [`Runtime::run_with_policy`]. A scripted sweep that enters
-//! a fresh edge at every step costs the same small constant number of
-//! allocations on a small ring and on a large one: the scratch buffers,
-//! the meeting log and the outcome, never one per edge the run enters.
+//! makes. A scripted sweep that enters a fresh edge at every step costs
+//! the same small constant number of allocations inside
+//! [`Runtime::run_with_policy`] on a small ring and on a large one: the
+//! scratch buffers, the meeting log and the outcome, never one per edge
+//! the run enters. A memoized [`search_worst_case`] sizes its table,
+//! fingerprint and choice buffers from the horizon up front, so its count
+//! is pinned exactly.
 
-use rv_graph::{generators, NodeId};
+use rv_core::Label;
+use rv_explore::SeededUxs;
+use rv_graph::{generators, Graph, GraphFamily, NodeId};
 use rv_sim::adversary::RoundRobin;
 use rv_sim::stop::DivergenceDetector;
-use rv_sim::{RunConfig, RunEnd, Runtime, ScriptBehavior};
+use rv_sim::{
+    search_worst_case, RunConfig, RunEnd, Runtime, RvBehavior, ScriptBehavior, SearchOptions,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -101,4 +109,47 @@ fn run_allocations_do_not_grow_with_the_edges_entered() {
         "ring(16) made {small} allocations, ring(256) made {large}"
     );
     assert!(small <= 8, "a sweep made {small} allocations");
+}
+
+/// Allocations made by one memoized `search_worst_case` over the two RV
+/// agents of the scenario matrix's minimax cells, with the family's
+/// group (`grouped`) or the identity group, and its leaf count.
+fn search_allocations(g: &Graph, family: GraphFamily, depth: usize, grouped: bool) -> (u64, u64) {
+    let uxs = SeededUxs::quadratic();
+    let autos = family.automorphisms(g);
+    let opts = SearchOptions {
+        automorphisms: grouped.then_some(&autos),
+        ..SearchOptions::default()
+    };
+    let make = || {
+        vec![
+            RvBehavior::new(g, uxs, NodeId(0), Label::new(1).expect("label 1")),
+            RvBehavior::new(g, uxs, NodeId(2), Label::new(2).expect("label 2")),
+        ]
+    };
+    let before = allocations();
+    let report = search_worst_case(g, make, depth, &opts);
+    (allocations() - before, report.worst.schedules_explored)
+}
+
+/// The searches of the benchmark's minimax workload: ring(4) at depths 8,
+/// 12 and 14 under its dihedral group, and path(3) at depth 12 under the
+/// identity (F5c). Each allocates the same pinned number of times on
+/// every run.
+///
+/// Before the search kept one flat choice stack and sized its buffers
+/// from the horizon, these searches made 45, 59, 62 and 61 allocations:
+/// one choice buffer per depth, and a table and fingerprint buffers that
+/// every search grew again.
+#[test]
+fn search_allocations_are_pinned() {
+    let ring = generators::ring(4);
+    let path = generators::path(3);
+    let got = [
+        search_allocations(&ring, GraphFamily::Ring, 8, true),
+        search_allocations(&ring, GraphFamily::Ring, 12, true),
+        search_allocations(&ring, GraphFamily::Ring, 14, true),
+        search_allocations(&path, GraphFamily::Path, 12, false),
+    ];
+    assert_eq!(got, [(30, 196), (36, 2836), (36, 11284), (38, 2236)]);
 }

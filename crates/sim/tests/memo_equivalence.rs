@@ -123,6 +123,36 @@ fn memoized_search_is_bit_identical_to_golden_enumeration() {
     }
 }
 
+/// `(tt_hits, tt_entries)` of every [`CASES`] entry under
+/// `SearchOptions::default()` — the identity group, so no symmetry folds
+/// states together and every entry is one exact state class. Captured
+/// before the fingerprint's mixing was last changed: a digest collision
+/// would merge two classes and move these counts.
+const IDENTITY_TT: [(u64, u64); 5] = [(6, 15), (25, 38), (36, 49), (14, 27), (42, 65)];
+
+#[test]
+fn identity_group_table_stats_are_pinned() {
+    let uxs = SeededUxs::quadratic();
+    for (case, tt) in CASES.iter().zip(IDENTITY_TT) {
+        let g = graph_for(case);
+        let stats = search_worst_case(
+            &g,
+            || behaviors(&g, uxs),
+            case.depth,
+            &SearchOptions::default(),
+        )
+        .memo
+        .expect("memo is on by default");
+        assert_eq!(
+            (stats.hits, stats.entries),
+            tt,
+            "{}: identity-group table statistics drifted",
+            case.name
+        );
+        assert_eq!(stats.probes, stats.hits + stats.entries, "{}", case.name);
+    }
+}
+
 /// Memoized stats are deterministic: same probes/hits/entries on every
 /// run.
 #[test]
