@@ -23,43 +23,31 @@
 
 // Timing harness: wall-clock here is the product, not a determinism leak.
 #![allow(clippy::disallowed_methods)]
-use rv_bench::cells::{
-    ADVERSARIES, ADVERSARY_SEED, FAMILIES, GRAPH_SEED, PROTOCOL_CUTOFF, PROTOCOL_SIZES, SGL_LABELS,
-    TEAM_SIZES,
-};
-use rv_core::Label;
+use rv_bench::cells::{cells, CellKind, CellSpec, FAMILIES, PROTOCOL_CUTOFF, PROTOCOL_SIZES};
 use rv_explore::SeededUxs;
-use rv_graph::{GraphFamily, NodeId};
-use rv_protocols::{SglBehavior, SglConfig};
+use rv_protocols::SglBehavior;
 use rv_sim::adversary::AdversaryKind;
-use rv_sim::{RunConfig, Runtime};
+use rv_sim::Runtime;
 use std::time::Instant;
 
-fn behaviors<'g>(
-    g: &'g rv_graph::Graph,
-    k: usize,
-    uxs: SeededUxs,
-) -> Vec<SglBehavior<'g, SeededUxs>> {
-    SGL_LABELS[..k]
+/// The fault-free SGL cell `fname<n>/adversary/sgl-k<k>`, declared in
+/// the matrix or not.
+fn cell(fname: &str, n: usize, k: usize, adversary: AdversaryKind) -> CellSpec {
+    let &(family, fname) = FAMILIES
         .iter()
-        .enumerate()
-        .map(|(i, &l)| {
-            SglBehavior::new(
-                g,
-                uxs,
-                NodeId(i * g.order() / k),
-                Label::new(l).unwrap(),
-                l + 1000,
-                SglConfig::default(),
-            )
-        })
-        .collect()
-}
-
-/// The matrix family whose scenario-id stem is `name`.
-fn family(name: &str) -> GraphFamily {
-    let found = FAMILIES.iter().find(|&&(_, stem)| stem == name);
-    found.unwrap_or_else(|| panic!("unknown family {name}")).0
+        .find(|&&(_, stem)| stem == fname)
+        .unwrap_or_else(|| panic!("unknown family {fname}"));
+    CellSpec {
+        family,
+        fname,
+        n,
+        adversary,
+        kind: CellKind::Sgl {
+            k,
+            fault_seed: None,
+            certify: true,
+        },
+    }
 }
 
 fn adversary(name: &str) -> AdversaryKind {
@@ -72,43 +60,11 @@ fn adversary(name: &str) -> AdversaryKind {
     }
 }
 
-fn trace_outlier(fname: &str, k: usize, kind: AdversaryKind) {
-    let uxs = SeededUxs::quadratic();
-    let g = family(fname).generate(8, GRAPH_SEED);
-    let mut rt = Runtime::new(
-        &g,
-        behaviors(&g, k, uxs),
-        RunConfig::protocol().with_cutoff(PROTOCOL_CUTOFF),
-    );
-    let mut adv = kind.build(ADVERSARY_SEED);
-    let mut meetings = Vec::new();
-    let mut next_report = 1000u64;
-    println!("=== {fname}8/{kind}/sgl-k{k} ===");
-    let end = loop {
-        if let Some(end) = rt.step(adv.as_mut(), &mut meetings) {
-            break end;
-        }
-        if rt.total_traversals() >= next_report {
-            next_report *= 4;
-            let summary: Vec<String> = (0..rt.agent_count())
-                .map(|i| {
-                    let p = rt.behavior(i).quiescence_progress();
-                    format!(
-                        "a{i}[{:?} {:?} bag={} out={} ticks={} esst={:?}]",
-                        p.state, p.phase, p.bag_len, p.has_output, p.ticks, p.esst_phase
-                    )
-                })
-                .collect();
-            println!(
-                "  cost={} actions={} meetings={} {}",
-                rt.total_traversals(),
-                rt.actions(),
-                rt.meetings().len(),
-                summary.join(" ")
-            );
-        }
-    };
-    let summary: Vec<String> = (0..rt.agent_count())
+type SglRuntime<'g> = Runtime<'g, SglBehavior<'g, SeededUxs>>;
+
+/// Each agent's state, phase, bag, output flag, ticks and ESST phase.
+fn team_summary(rt: &SglRuntime<'_>) -> String {
+    let agents: Vec<String> = (0..rt.agent_count())
         .map(|i| {
             let p = rt.behavior(i).quiescence_progress();
             format!(
@@ -117,74 +73,104 @@ fn trace_outlier(fname: &str, k: usize, kind: AdversaryKind) {
             )
         })
         .collect();
-    println!(
-        "  END {end:?} cost={} actions={} meetings={} {}",
+    agents.join(" ")
+}
+
+/// The longest stretch of adversary actions during which the team's
+/// summed progress ticks did not advance, and the worst ratio of a
+/// stretch of 100k actions or more to the actions before it.
+#[derive(Default)]
+struct Silence {
+    last_sum: u64,
+    since: u64,
+    /// `(length, start)` of the longest silent stretch.
+    longest: (u64, u64),
+    worst_ratio: f64,
+}
+
+impl Silence {
+    /// Called after each step: a tick advance closes the current stretch.
+    fn observe(&mut self, rt: &SglRuntime<'_>) {
+        let sum: u64 = (0..rt.agent_count())
+            .map(|i| rt.behavior(i).quiescence_progress().ticks)
+            .sum();
+        if sum > self.last_sum {
+            self.last_sum = sum;
+            self.close(rt.actions());
+            self.since = rt.actions();
+        }
+    }
+
+    /// Ends the stretch that runs from the last advance to `actions`.
+    fn close(&mut self, actions: u64) {
+        let len = actions - self.since;
+        if len > self.longest.0 {
+            self.longest = (len, self.since);
+        }
+        if len >= 100_000 {
+            self.worst_ratio = self.worst_ratio.max(len as f64 / self.since.max(1) as f64);
+        }
+    }
+}
+
+/// Total traversals, actions and meetings so far.
+fn counters(rt: &SglRuntime<'_>) -> String {
+    format!(
+        "cost={} actions={} meetings={}",
         rt.total_traversals(),
         rt.actions(),
-        rt.meetings().len(),
-        summary.join(" ")
+        rt.meetings().len()
+    )
+}
+
+fn trace_outlier(spec: CellSpec) {
+    let g = spec.graph();
+    let mut run = spec.open_sgl(&g, PROTOCOL_CUTOFF);
+    let mut next_report = 1000u64;
+    println!("=== {} ===", spec.scenario_id());
+    let end = run.step_through(|rt| {
+        if rt.total_traversals() >= next_report {
+            next_report *= 4;
+            println!("  {} {}", counters(rt), team_summary(rt));
+        }
+    });
+    println!(
+        "  END {end:?} {} {}",
+        counters(&run.rt),
+        team_summary(&run.rt)
     );
 }
 
 fn silent_windows() {
-    let uxs = SeededUxs::quadratic();
     let mut worst = (0u64, String::new());
-    for (family, fname) in FAMILIES {
-        for n in PROTOCOL_SIZES {
-            for kind in ADVERSARIES {
-                for k in TEAM_SIZES {
-                    let g = family.generate(n, GRAPH_SEED);
-                    let mut rt = Runtime::new(
-                        &g,
-                        behaviors(&g, k, uxs),
-                        RunConfig::protocol().with_cutoff(PROTOCOL_CUTOFF),
-                    );
-                    let mut adv = kind.build(ADVERSARY_SEED);
-                    let mut meetings = Vec::new();
-                    let mut last_sum = 0u64;
-                    let mut action_at_advance = 0u64;
-                    let mut longest = (0u64, 0u64); // (length, start)
-                    let mut worst_ratio = 0f64;
-                    let end = loop {
-                        if let Some(end) = rt.step(adv.as_mut(), &mut meetings) {
-                            break end;
-                        }
-                        let sum: u64 = (0..rt.agent_count())
-                            .map(|i| rt.behavior(i).quiescence_progress().ticks)
-                            .sum();
-                        if sum > last_sum {
-                            last_sum = sum;
-                            let len = rt.actions() - action_at_advance;
-                            if len > longest.0 {
-                                longest = (len, action_at_advance);
-                            }
-                            if len >= 100_000 {
-                                worst_ratio =
-                                    worst_ratio.max(len as f64 / action_at_advance.max(1) as f64);
-                            }
-                            action_at_advance = rt.actions();
-                        }
-                    };
-                    let len = rt.actions() - action_at_advance;
-                    if len > longest.0 {
-                        longest = (len, action_at_advance);
-                    }
-                    if len >= 100_000 {
-                        worst_ratio = worst_ratio.max(len as f64 / action_at_advance.max(1) as f64);
-                    }
-                    let id = format!("{fname}{n}/{kind}/sgl-k{k}");
-                    println!(
-                        "{id}: end={end:?} cost={} actions={} longest_silent={} from={} ratio={worst_ratio:.2}",
-                        rt.total_traversals(),
-                        rt.actions(),
-                        longest.0,
-                        longest.1,
-                    );
-                    if format!("{end:?}") != "Cutoff" && longest.0 > worst.0 {
-                        worst = (longest.0, id);
-                    }
-                }
+    for spec in cells() {
+        let regular = matches!(
+            spec.kind,
+            CellKind::Sgl {
+                fault_seed: None,
+                certify: true,
+                ..
             }
+        ) && PROTOCOL_SIZES.contains(&spec.n);
+        if !regular {
+            continue;
+        }
+        let g = spec.graph();
+        let mut run = spec.open_sgl(&g, PROTOCOL_CUTOFF);
+        let mut silence = Silence::default();
+        let end = run.step_through(|rt| silence.observe(rt));
+        silence.close(run.rt.actions());
+        let id = spec.scenario_id();
+        println!(
+            "{id}: end={end:?} cost={} actions={} longest_silent={} from={} ratio={:.2}",
+            run.rt.total_traversals(),
+            run.rt.actions(),
+            silence.longest.0,
+            silence.longest.1,
+            silence.worst_ratio,
+        );
+        if format!("{end:?}") != "Cutoff" && silence.longest.0 > worst.0 {
+            worst = (silence.longest.0, id);
         }
     }
     println!(
@@ -193,71 +179,32 @@ fn silent_windows() {
     );
 }
 
-fn large(fname: &str, n: usize, k: usize, kind: AdversaryKind) {
-    let uxs = SeededUxs::quadratic();
-    let g = family(fname).generate(n, GRAPH_SEED);
-    let mut rt = Runtime::new(
-        &g,
-        behaviors(&g, k, uxs),
-        RunConfig::protocol().with_cutoff(u64::MAX),
-    );
-    let mut adv = kind.build(ADVERSARY_SEED);
-    let mut meetings = Vec::new();
-    let mut last_sum = 0u64;
-    let mut action_at_advance = 0u64;
-    let mut longest = (0u64, 0u64);
+fn large(spec: CellSpec) {
+    let g = spec.graph();
+    let mut run = spec.open_sgl(&g, u64::MAX);
+    let mut silence = Silence::default();
     let start = Instant::now();
-    let end = loop {
-        if let Some(end) = rt.step(adv.as_mut(), &mut meetings) {
-            break end;
-        }
-        let sum: u64 = (0..rt.agent_count())
-            .map(|i| rt.behavior(i).quiescence_progress().ticks)
-            .sum();
-        if sum > last_sum {
-            last_sum = sum;
-            let len = rt.actions() - action_at_advance;
-            if len > longest.0 {
-                longest = (len, action_at_advance);
-            }
-            action_at_advance = rt.actions();
-        }
-    };
-    let len = rt.actions() - action_at_advance;
-    if len > longest.0 {
-        longest = (len, action_at_advance);
-    }
+    let end = run.step_through(|rt| silence.observe(rt));
+    silence.close(run.rt.actions());
     println!(
-        "{fname}{n}/{kind}/sgl-k{k}: end={end:?} cost={} actions={} meetings={} \
-         longest_silent={} from={} wall={:?}",
-        rt.total_traversals(),
-        rt.actions(),
-        rt.meetings().len(),
-        longest.0,
-        longest.1,
+        "{}: end={end:?} {} longest_silent={} from={} wall={:?}",
+        spec.scenario_id(),
+        counters(&run.rt),
+        silence.longest.0,
+        silence.longest.1,
         start.elapsed()
     );
 }
 
 /// Runs one of the outlier cells with a large cutoff, tracing ESST phase
 /// transitions (cost at which each new ESST phase was entered).
-fn outlier_deep(fname: &str, k: usize, kind: AdversaryKind, cutoff: u64) {
-    let uxs = SeededUxs::quadratic();
-    let g = family(fname).generate(8, GRAPH_SEED);
-    let mut rt = Runtime::new(
-        &g,
-        behaviors(&g, k, uxs),
-        RunConfig::protocol().with_cutoff(cutoff),
-    );
-    let mut adv = kind.build(ADVERSARY_SEED);
-    let mut meetings = Vec::new();
+fn outlier_deep(spec: CellSpec, cutoff: u64) {
+    let g = spec.graph();
+    let mut run = spec.open_sgl(&g, cutoff);
     let mut last: Vec<(Option<rv_protocols::SglPhase>, Option<u64>)> =
-        vec![(None, None); rt.agent_count()];
+        vec![(None, None); spec.agents()];
     let start = Instant::now();
-    let end = loop {
-        if let Some(end) = rt.step(adv.as_mut(), &mut meetings) {
-            break end;
-        }
+    let end = run.step_through(|rt| {
         for (i, seen) in last.iter_mut().enumerate() {
             let p = rt.behavior(i).quiescence_progress();
             if (p.phase, p.esst_phase) != *seen {
@@ -272,11 +219,11 @@ fn outlier_deep(fname: &str, k: usize, kind: AdversaryKind, cutoff: u64) {
                 *seen = (p.phase, p.esst_phase);
             }
         }
-    };
+    });
     println!(
         "END {end:?} cost={} actions={} wall={:?}",
-        rt.total_traversals(),
-        rt.actions(),
+        run.rt.total_traversals(),
+        run.rt.actions(),
         start.elapsed()
     );
 }
@@ -285,38 +232,22 @@ fn outlier_deep(fname: &str, k: usize, kind: AdversaryKind, cutoff: u64) {
 /// detector — the ablation measurement: does the conjunctive detector
 /// (silence window AND structural mid-edge hold) still classify the cell,
 /// or does it burn the budget to `Cutoff`?
-fn nocert(fname: &str, n: usize, k: usize, kind: AdversaryKind, cutoff: u64) {
-    let uxs = SeededUxs::quadratic();
-    let g = family(fname).generate(n, GRAPH_SEED);
-    let config = SglConfig {
-        suspension: None,
-        ..SglConfig::default()
-    };
-    let behaviors: Vec<_> = SGL_LABELS[..k]
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| {
-            SglBehavior::new(
-                &g,
-                uxs,
-                NodeId(i * g.order() / k),
-                Label::new(l).unwrap(),
-                l + 1000,
-                config,
-            )
-        })
-        .collect();
-    let mut rt = Runtime::new(&g, behaviors, RunConfig::protocol().with_cutoff(cutoff));
-    let mut adv = kind.build(ADVERSARY_SEED);
-    let mut policy = rv_sim::AdaptiveThreshold::default();
+fn nocert(mut spec: CellSpec, cutoff: u64) {
+    if let CellKind::Sgl { certify, .. } = &mut spec.kind {
+        *certify = false;
+    }
+    let g = spec.graph();
+    let mut run = spec.open_sgl(&g, cutoff);
     let start = Instant::now();
-    let out = rt.run_with_policy(adv.as_mut(), &mut policy);
-    let suspect = policy
+    let out = run.run();
+    let suspect = run
+        .policy
         .suspension()
         .map(|s| format!("a{} held {}", s.agent, s.held_actions))
         .unwrap_or_else(|| "none".into());
     println!(
-        "{fname}{n}/{kind}/sgl-k{k}+nocert: end={:?} cost={} actions={} suspect={suspect} wall={:?}",
+        "{}: end={:?} cost={} actions={} suspect={suspect} wall={:?}",
+        spec.scenario_id(),
         out.end,
         out.total_traversals,
         out.actions,
@@ -328,26 +259,16 @@ fn nocert(fname: &str, n: usize, k: usize, kind: AdversaryKind, cutoff: u64) {
 /// pending move, hold length) at fixed action intervals — locates the
 /// token ghost during a pinned phase, i.e. whether the adversary parks it
 /// at a node with an unscheduled `Start` or suspends it mid-crossing.
-fn places(fname: &str, n: usize, k: usize, kind: AdversaryKind, cutoff: u64) {
-    let uxs = SeededUxs::quadratic();
-    let g = family(fname).generate(n, GRAPH_SEED);
-    let mut rt = Runtime::new(
-        &g,
-        behaviors(&g, k, uxs),
-        RunConfig::protocol().with_cutoff(cutoff),
-    );
-    let mut adv = kind.build(ADVERSARY_SEED);
-    let mut meetings = Vec::new();
+fn places(spec: CellSpec, cutoff: u64) {
+    let g = spec.graph();
+    let mut run = spec.open_sgl(&g, cutoff);
     let mut next = 0u64;
-    println!("=== {fname}{n}/{kind}/sgl-k{k} places ===");
-    let end = loop {
-        if let Some(end) = rt.step(adv.as_mut(), &mut meetings) {
-            break end;
-        }
+    println!("=== {} places ===", spec.scenario_id());
+    let end = run.step_through(|rt| {
         if rt.actions() >= next {
             next = (next * 2).max(4096);
             let p = rt.progress();
-            let summary: Vec<String> = (0..rt.agent_count())
+            let summary: Vec<String> = (0..spec.agents())
                 .map(|i| format!("a{i}@{:?}", rt.place(i)))
                 .collect();
             println!(
@@ -359,53 +280,47 @@ fn places(fname: &str, n: usize, k: usize, kind: AdversaryKind, cutoff: u64) {
                 summary.join(" ")
             );
         }
-    };
+    });
     println!(
         "END {end:?} cost={} actions={}",
-        rt.total_traversals(),
-        rt.actions()
+        run.rt.total_traversals(),
+        run.rt.actions()
     );
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    // `places`, `nocert` and `large` name their cell:
+    // <family> <n> <k> <adversary> [cutoff].
+    let named = || {
+        let (n, k) = (args[3].parse().unwrap(), args[4].parse().unwrap());
+        let cutoff = args.get(6).and_then(|s| s.parse().ok());
+        (
+            cell(&args[2], n, k, adversary(&args[5])),
+            cutoff.unwrap_or(PROTOCOL_CUTOFF),
+        )
+    };
+    let tree8_lazy = cell("tree", 8, 3, AdversaryKind::LazySecond);
     match args.get(1).map(String::as_str) {
         Some("outliers") => {
-            trace_outlier("tree", 3, AdversaryKind::LazySecond);
-            trace_outlier("tree", 3, AdversaryKind::GreedyAvoid);
-            trace_outlier("gnp", 4, AdversaryKind::GreedyAvoid);
+            trace_outlier(tree8_lazy);
+            trace_outlier(cell("tree", 8, 3, AdversaryKind::GreedyAvoid));
+            trace_outlier(cell("gnp", 8, 4, AdversaryKind::GreedyAvoid));
         }
         Some("deep") => {
-            let cutoff: u64 = args
-                .get(2)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(20_000_000);
-            outlier_deep("tree", 3, AdversaryKind::LazySecond, cutoff);
+            let cutoff = args.get(2).and_then(|s| s.parse().ok());
+            outlier_deep(tree8_lazy, cutoff.unwrap_or(20_000_000));
         }
         Some("windows") => silent_windows(),
         Some("places") => {
-            let n: usize = args[3].parse().unwrap();
-            let k: usize = args[4].parse().unwrap();
-            let cutoff: u64 = args
-                .get(6)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(PROTOCOL_CUTOFF);
-            places(&args[2], n, k, adversary(&args[5]), cutoff);
+            let (spec, cutoff) = named();
+            places(spec, cutoff);
         }
         Some("nocert") => {
-            let n: usize = args[3].parse().unwrap();
-            let k: usize = args[4].parse().unwrap();
-            let cutoff: u64 = args
-                .get(6)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(PROTOCOL_CUTOFF);
-            nocert(&args[2], n, k, adversary(&args[5]), cutoff);
+            let (spec, cutoff) = named();
+            nocert(spec, cutoff);
         }
-        Some("large") => {
-            let n: usize = args[3].parse().unwrap();
-            let k: usize = args[4].parse().unwrap();
-            large(&args[2], n, k, adversary(&args[5]));
-        }
+        Some("large") => large(named().0),
         _ => panic!("usage: probe_sgl_stall outliers|windows|large <n> <k> <adversary>"),
     }
 }

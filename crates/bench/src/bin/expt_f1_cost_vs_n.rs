@@ -5,14 +5,16 @@
 //! adversary suite, with several (label, seed) repetitions, and reports the
 //! median measured cost to rendezvous plus the empirical log-log slope per
 //! (family, adversary). Runs that hit the cutoff are reported separately
-//! (the fence-trap phenomenon — see EXPERIMENTS.md).
+//! (the fence-trap phenomenon — see `fence_trap_under_exact_lockstep` in
+//! `crates/sim/tests/rendezvous.rs`).
 //!
 //! Shape to reproduce: every run meets (Theorem 3.1), and the measured cost
 //! grows polynomially in n with small degree — far below the worst-case
 //! bound Π(n, m), which is also printed for scale.
 //!
 //! Integrality of the exploration sequences is verified on every generated
-//! graph before running (the substitution contract of DESIGN.md §4).
+//! graph before running (the substitution contract in the `rv_explore`
+//! crate docs).
 
 use rv_bench::{loglog_slope, median, print_table, Sample};
 use rv_core::{pi_bound, Label};

@@ -8,7 +8,7 @@
 //! * every agent outputs the complete label set (and all values — gossip),
 //! * derived team size / leader / renaming are consistent and correct,
 //! * the post-hoc check behind the completion-threshold substitution
-//!   (DESIGN.md §4): when the minimal agent finished Phase 2, no traveller
+//!   (see the `rv_protocols` crate docs): when the minimal agent finished Phase 2, no traveller
 //!   or dormant agent remained (verified here by the protocol having
 //!   terminated with every agent outputting).
 //!

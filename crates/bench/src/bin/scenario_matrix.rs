@@ -20,7 +20,8 @@
 //! their seeded crash-stop [`rv_sim::FaultPlan`] (the `faults` column;
 //! `end == "SurvivorsParked"` / `"AllCrashed"` appear only there).
 //! Protocol rows that quiesce fault-free also carry the **post-hoc
-//! completeness check** (`complete` column, DESIGN.md §4), and record any
+//! completeness check** (`complete` column; the completion-threshold
+//! substitution in the `rv_protocols` crate docs), and record any
 //! **suspended-token certificate** their explorers closed Phase 1 on
 //! (`certificate` column; the `+nocert` ablation cell runs with the
 //! census disarmed and keeps the certificate-free behavior measured).
@@ -66,17 +67,13 @@
 
 // Timing harness: wall-clock here is the product, not a determinism leak.
 #![allow(clippy::disallowed_methods)]
-use rv_bench::cells::{cells, CellKind, CellSpec, ADVERSARY_SEED, LABELS, SGL_LABELS};
-use rv_core::Label;
-use rv_explore::SeededUxs;
-use rv_graph::NodeId;
-use rv_protocols::{SglBehavior, SglConfig};
-use rv_sim::{AdaptiveThreshold, DivergenceDetector, RunConfig, RunEnd, Runtime, RvBehavior};
+use rv_bench::cells::{cells, CellKind, CellSpec};
+use rv_sim::{RunEnd, RunOutcome};
 use rv_store::{Store, StoreKey};
 use serde::Serialize;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One measured cell, serialised as a JSON-lines row.
 #[derive(Clone, Debug, Serialize)]
@@ -439,91 +436,45 @@ struct CellOutcome {
     certificate: Option<String>,
 }
 
-/// Runs one cell `trials` times under its stop policy (and, for chaos
-/// cells, its seeded fault plan); reports the outcome of the
-/// (deterministic) run and the median wall time.
+impl CellOutcome {
+    /// The outcome of a rendezvous or protocol run, with the given cost.
+    fn of(out: &RunOutcome, cost: Option<u64>) -> Self {
+        CellOutcome {
+            end: format!("{:?}", out.end),
+            cost,
+            traversals: out.total_traversals,
+            actions: out.actions,
+            complete: None,
+            tt: None,
+            certificate: None,
+        }
+    }
+}
+
+/// Runs one cell `trials` times, opened from its spec (stop policy and,
+/// for chaos cells, seeded fault plan included); reports the outcome of
+/// the (deterministic) run and the median wall time.
 fn run_cell(spec: &CellSpec, trials: usize, cutoff: u64) -> Row {
     let g = spec.graph();
-    let uxs = SeededUxs::quadratic();
     let mut outcome: Option<CellOutcome> = None;
     let mut samples = Vec::with_capacity(trials);
     for trial in 0..trials {
-        let mut adv = spec.adversary.build(ADVERSARY_SEED);
         let (elapsed, out) = match spec.kind {
-            CellKind::Rendezvous { variant, .. } => {
-                let agents = vec![
-                    RvBehavior::with_variant(
-                        &g,
-                        uxs,
-                        NodeId(0),
-                        Label::new(LABELS.0).unwrap(),
-                        variant,
-                    ),
-                    RvBehavior::with_variant(
-                        &g,
-                        uxs,
-                        NodeId(g.order() / 2),
-                        Label::new(LABELS.1).unwrap(),
-                        variant,
-                    ),
-                ];
-                let config = RunConfig::rendezvous().with_cutoff(cutoff);
-                let mut rt = Runtime::new(&g, agents, config);
-                let mut policy = DivergenceDetector::default();
-                let start = Instant::now();
-                let out = rt.run_with_policy(adv.as_mut(), &mut policy);
-                let elapsed = start.elapsed();
-                (
-                    elapsed,
-                    CellOutcome {
-                        end: format!("{:?}", out.end),
-                        cost: (out.end == RunEnd::Meeting).then_some(out.total_traversals),
-                        traversals: out.total_traversals,
-                        actions: out.actions,
-                        complete: None,
-                        tt: None,
-                        certificate: None,
-                    },
-                )
+            CellKind::Rendezvous { .. } => {
+                let mut run = spec.open_rendezvous(&g, cutoff);
+                let (elapsed, out) = timed(|| run.run());
+                let cost = (out.end == RunEnd::Meeting).then_some(out.total_traversals);
+                (elapsed, CellOutcome::of(&out, cost))
             }
-            CellKind::Sgl {
-                k,
-                fault_seed,
-                certify,
-            } => {
-                let sgl_config = SglConfig {
-                    suspension: SglConfig::default().suspension.filter(|_| certify),
-                    ..SglConfig::default()
-                };
-                let behaviors: Vec<_> = SGL_LABELS[..k]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &l)| {
-                        SglBehavior::new(
-                            &g,
-                            uxs,
-                            NodeId(i * g.order() / k),
-                            Label::new(l).unwrap(),
-                            l + 1000,
-                            sgl_config,
-                        )
-                    })
-                    .collect();
-                let config = RunConfig::protocol().with_cutoff(cutoff);
-                let mut rt = Runtime::new(&g, behaviors, config);
-                if let Some(plan) = spec.fault_plan() {
-                    rt.set_fault_plan(plan);
-                }
-                let mut policy = AdaptiveThreshold::default();
-                let start = Instant::now();
-                let out = rt.run_with_policy(adv.as_mut(), &mut policy);
-                let elapsed = start.elapsed();
+            CellKind::Sgl { fault_seed, .. } => {
+                let mut run = spec.open_sgl(&g, cutoff);
+                let (elapsed, out) = timed(|| run.run());
                 // Stalled-cell diagnostic: name the starving agent and
                 // the structural suspension evidence the verdict rests
                 // on, once per cell (the run is deterministic across
                 // trials).
                 if trial == 0 && out.end == RunEnd::Stalled {
-                    if let Some(report) = policy.starvation() {
+                    if let Some(report) = run.policy.starvation() {
                         eprintln!(
                             "note: {}: stalled — agent {} gained no traversals for {} actions \
                              (flat minimum {})",
@@ -533,7 +484,7 @@ fn run_cell(spec: &CellSpec, trials: usize, cutoff: u64) -> Row {
                             report.traversals
                         );
                     }
-                    if let Some(report) = policy.suspension() {
+                    if let Some(report) = run.policy.suspension() {
                         eprintln!(
                             "note: {}: suspension evidence — agent {} held its committed \
                              crossing for {} actions",
@@ -547,24 +498,23 @@ fn run_cell(spec: &CellSpec, trials: usize, cutoff: u64) -> Row {
                 // quiescence: a crashed agent can neither output nor be
                 // met, so the chaos tier reports `null` by construction.
                 let complete = (out.end == RunEnd::AllParked && fault_seed.is_none())
-                    .then(|| sgl_complete(&rt, &SGL_LABELS[..k]));
-                let certs: Vec<String> = (0..rt.agent_count())
+                    .then(|| spec.sgl_complete(&run.rt));
+                let certs: Vec<String> = (0..run.rt.agent_count())
                     .filter_map(|i| {
-                        rt.behavior(i)
-                            .certificate()
-                            .map(|c| format!("a{i}:phase{}/s{}/sp{}", c.phase, c.sightings, c.span))
+                        let c = run.rt.behavior(i).certificate()?;
+                        Some(format!(
+                            "a{i}:phase{}/s{}/sp{}",
+                            c.phase, c.sightings, c.span
+                        ))
                     })
                     .collect();
+                let certificate = (!certs.is_empty()).then(|| certs.join(","));
                 (
                     elapsed,
                     CellOutcome {
-                        end: format!("{:?}", out.end),
-                        cost: None,
-                        traversals: out.total_traversals,
-                        actions: out.actions,
                         complete,
-                        tt: None,
-                        certificate: (!certs.is_empty()).then(|| certs.join(",")),
+                        certificate,
+                        ..CellOutcome::of(&out, None)
                     },
                 )
             }
@@ -574,19 +524,9 @@ fn run_cell(spec: &CellSpec, trials: usize, cutoff: u64) -> Row {
                     automorphisms: Some(&autos),
                     ..rv_sim::SearchOptions::default()
                 };
-                let start = Instant::now();
-                let report = rv_sim::search_worst_case(
-                    &g,
-                    || {
-                        vec![
-                            RvBehavior::new(&g, uxs, NodeId(0), Label::new(1).unwrap()),
-                            RvBehavior::new(&g, uxs, NodeId(2), Label::new(2).unwrap()),
-                        ]
-                    },
-                    depth,
-                    &opts,
-                );
-                let elapsed = start.elapsed();
+                let (elapsed, report) = timed(|| {
+                    rv_sim::search_worst_case(&g, || spec.rendezvous_pair(&g), depth, &opts)
+                });
                 let stats = report.memo.expect("memoized search reports table stats");
                 (
                     elapsed,
@@ -631,11 +571,12 @@ fn run_cell(spec: &CellSpec, trials: usize, cutoff: u64) -> Row {
     }
 }
 
-/// The post-hoc completeness check on a quiesced SGL runtime — the
-/// shared [`rv_bench::sgl_postcondition_violations`] core (also behind
-/// `expt_f4_sgl`'s verdicts) with this matrix's gossip-value convention.
-fn sgl_complete(rt: &Runtime<SglBehavior<SeededUxs>>, labels: &[u64]) -> bool {
-    rv_bench::sgl_postcondition_violations(rt, labels, |l| l + 1000).is_empty()
+/// The wall time of `f` alone, and its result: the cell's setup stays
+/// outside the window.
+fn timed<T>(f: impl FnOnce() -> T) -> (Duration, T) {
+    let start = Instant::now();
+    let out = f();
+    (start.elapsed(), out)
 }
 
 /// `--check`: the CI gate. Every line must parse as a JSON object with the

@@ -9,6 +9,17 @@
 //! `--check` gate, the content-addressed store, tests) share one source
 //! of truth instead of each re-deriving the cartesian product.
 //!
+//! A spec is also the **recipe** of its run. It builds the agents of the
+//! cell it declares — the rendezvous pair ([`CellSpec::rendezvous_pair`]),
+//! which also serves the minimax searches, and the SGL team with its
+//! [`SglConfig`] ([`CellSpec::sgl_team`]) — and opens the cell as a
+//! [`CellRun`]: a runtime under the cell's [`RunConfig`] and cutoff, the
+//! chaos tier's fault plan installed, the seeded adversary and the stop
+//! policy ([`CellSpec::open_rendezvous`], [`CellSpec::open_sgl`]). The
+//! matrix runner, the probes and the tests all open cells here, so the
+//! start nodes, labels, gossip values and suspension switch are decided
+//! once.
+//!
 //! A spec also knows its **canonical serialisation**
 //! ([`CellSpec::canonical`]): a versioned, line-oriented rendering of
 //! every knob that influences the measured result — including the run
@@ -34,10 +45,15 @@
 //!   are two cells.
 //! * **Minimax** — the memoized symmetry-quotiented worst-case searches.
 
-use rv_core::RvVariant;
-use rv_graph::GraphFamily;
-use rv_sim::adversary::AdversaryKind;
-use rv_sim::{FaultPlan, FaultProfile};
+use rv_core::{Label, RvVariant};
+use rv_explore::SeededUxs;
+use rv_graph::{Graph, GraphFamily, NodeId};
+use rv_protocols::{SglBehavior, SglConfig};
+use rv_sim::adversary::{Adversary, AdversaryKind};
+use rv_sim::{
+    AdaptiveThreshold, Behavior, DivergenceDetector, FaultPlan, FaultProfile, RunConfig, RunEnd,
+    RunOutcome, Runtime, RvBehavior, StopPolicy,
+};
 
 /// Graph families swept, with their scenario-id stem.
 pub const FAMILIES: [(GraphFamily, &str); 5] = [
@@ -134,6 +150,14 @@ pub const PROTOCOL_SMOKE_CUTOFF: u64 = 40_000;
 pub const LABELS: (u64, u64) = (6, 9);
 /// SGL labels by agent index (protocol cells take the first k).
 pub const SGL_LABELS: [u64; 4] = [6, 9, 14, 21];
+/// Labels of the minimax pair, which starts at nodes 0 and 2.
+pub(crate) const MINIMAX_LABELS: [u64; 2] = [1, 2];
+
+/// The gossip value an SGL agent with label `label` carries: the
+/// completeness check expects every output to pair each label with it.
+pub(crate) fn sgl_value(label: u64) -> u64 {
+    label + 1000
+}
 
 /// Minimax cells: `(family, stem, order, horizon)` — the memoized
 /// symmetry-quotiented worst-case searches, also run by `perfbench`'s
@@ -384,6 +408,110 @@ impl CellSpec {
         }
     }
 
+    /// The agents' labels, by agent index: [`LABELS`] for the rendezvous
+    /// pair, the first k of [`SGL_LABELS`] for an SGL team, and
+    /// [`MINIMAX_LABELS`] for the minimax pair.
+    pub(crate) fn labels(&self) -> &'static [u64] {
+        const RENDEZVOUS_LABELS: [u64; 2] = [LABELS.0, LABELS.1];
+        match self.kind {
+            CellKind::Rendezvous { .. } => &RENDEZVOUS_LABELS,
+            CellKind::Sgl { k, .. } => &SGL_LABELS[..k],
+            CellKind::Minimax { .. } => &MINIMAX_LABELS,
+        }
+    }
+
+    /// The cell's agents, agent `i` built by `make` from its start node
+    /// and label. Agents start evenly spaced round the node numbering
+    /// (`i · order / agents`), except the minimax pair, which starts at
+    /// nodes 0 and 2.
+    fn build_agents<B>(&self, g: &Graph, make: impl Fn(NodeId, Label) -> B) -> Vec<B> {
+        let start = |i: usize| match self.kind {
+            CellKind::Minimax { .. } => NodeId(2 * i),
+            _ => NodeId(i * g.order() / self.agents()),
+        };
+        let labels = self.labels().iter().enumerate();
+        labels
+            .map(|(i, &l)| make(start(i), Label::new(l).expect("matrix labels are positive")))
+            .collect()
+    }
+
+    /// The RV-asynch-poly pair of a rendezvous or minimax cell, running
+    /// the cell's variant (the paper's algorithm for minimax cells).
+    ///
+    /// # Panics
+    /// On an SGL cell.
+    pub fn rendezvous_pair<'g>(&self, g: &'g Graph) -> Vec<RvBehavior<'g, SeededUxs>> {
+        let variant = match self.kind {
+            CellKind::Rendezvous { variant, .. } => variant,
+            CellKind::Minimax { .. } => RvVariant::default(),
+            CellKind::Sgl { .. } => panic!("{} runs an SGL team", self.scenario_id()),
+        };
+        let uxs = SeededUxs::quadratic();
+        self.build_agents(g, |start, label| {
+            RvBehavior::with_variant(g, uxs, start, label, variant)
+        })
+    }
+
+    /// The SGL configuration of the cell's team: the engine default, with
+    /// the suspended-token census disarmed on the `+nocert` cell.
+    pub(crate) fn sgl_config(&self) -> SglConfig {
+        let default = SglConfig::default();
+        SglConfig {
+            suspension: default.suspension.filter(|_| self.certify()),
+            ..default
+        }
+    }
+
+    /// The SGL team of a protocol cell: each agent carries its label and
+    /// the gossip value `label + 1000`.
+    ///
+    /// # Panics
+    /// Off the protocol sub-tables.
+    pub fn sgl_team<'g>(&self, g: &'g Graph) -> Vec<SglBehavior<'g, SeededUxs>> {
+        let CellKind::Sgl { .. } = self.kind else {
+            panic!("{} runs no SGL team", self.scenario_id())
+        };
+        let (uxs, config) = (SeededUxs::quadratic(), self.sgl_config());
+        self.build_agents(g, |start, label| {
+            SglBehavior::new(g, uxs, start, label, sgl_value(label.value()), config)
+        })
+    }
+
+    /// Opens a rendezvous cell on `g` (the cell's [`CellSpec::graph`])
+    /// under `cutoff`: its pair, stopped by the divergence detector.
+    pub fn open_rendezvous<'g>(&self, g: &'g Graph, cutoff: u64) -> RendezvousRun<'g> {
+        let config = RunConfig::rendezvous().with_cutoff(cutoff);
+        self.open(Runtime::new(g, self.rendezvous_pair(g), config))
+    }
+
+    /// Opens a protocol cell on `g` (the cell's [`CellSpec::graph`])
+    /// under `cutoff`: its team, the chaos tier's fault plan installed,
+    /// stopped by the adaptive stall detector.
+    pub fn open_sgl<'g>(&self, g: &'g Graph, cutoff: u64) -> SglRun<'g> {
+        let config = RunConfig::protocol().with_cutoff(cutoff);
+        let mut rt = Runtime::new(g, self.sgl_team(g), config);
+        if let Some(plan) = self.fault_plan() {
+            rt.set_fault_plan(plan);
+        }
+        self.open(rt)
+    }
+
+    fn open<'g, B: Behavior, P: Default>(&self, rt: Runtime<'g, B>) -> CellRun<'g, B, P> {
+        let adversary = self.adversary.build(ADVERSARY_SEED);
+        CellRun {
+            rt,
+            adversary,
+            policy: P::default(),
+        }
+    }
+
+    /// Whether a quiesced SGL runtime of this cell meets the postcondition
+    /// core of [`crate::sgl_postcondition_violations`] under the cell's
+    /// labels and gossip values.
+    pub fn sgl_complete(&self, rt: &Runtime<'_, SglBehavior<'_, SeededUxs>>) -> bool {
+        crate::sgl_postcondition_violations(rt, self.labels(), sgl_value).is_empty()
+    }
+
     /// The canonical serialisation of the cell under a run configuration
     /// — the preimage of [`CellSpec::content_key`]. Versioned (`v1`
     /// header), line-oriented, and exhaustive over everything that can
@@ -398,35 +526,24 @@ impl CellSpec {
         out.push_str(&format!("policy={}\n", self.policy()));
         out.push_str(&format!("graph_seed={GRAPH_SEED}\n"));
         out.push_str(&format!("adversary_seed={ADVERSARY_SEED}\n"));
+        let labels: Vec<String> = self.labels().iter().map(|l| l.to_string()).collect();
+        out.push_str(&format!("labels={}\n", labels.join(",")));
         match self.kind {
-            CellKind::Rendezvous { variant, .. } => {
-                out.push_str(&format!("labels={},{}\n", LABELS.0, LABELS.1));
-                out.push_str(&format!(
-                    "variant_flags=doubled_atoms:{},scaled_params:{},modified_label:{}\n",
-                    variant.doubled_atoms, variant.scaled_params, variant.modified_label
-                ));
-            }
-            CellKind::Sgl { k, certify, .. } => {
-                let labels: Vec<String> = SGL_LABELS[..k].iter().map(|l| l.to_string()).collect();
-                out.push_str(&format!("labels={}\n", labels.join(",")));
-                // The suspension policy is part of what the cell asks:
-                // the derived thresholds are spelled out (not just a
-                // flag), so retuning the engine default moves the key.
-                match if certify {
-                    rv_protocols::SglConfig::default().suspension
-                } else {
-                    None
-                } {
-                    Some(p) => out.push_str(&format!(
-                        "suspension=sightings:{},span:{}\n",
-                        p.min_sightings, p.min_span
-                    )),
-                    None => out.push_str("suspension=none\n"),
-                }
-            }
-            CellKind::Minimax { .. } => {
-                out.push_str("labels=1,2\n");
-            }
+            CellKind::Rendezvous { variant, .. } => out.push_str(&format!(
+                "variant_flags=doubled_atoms:{},scaled_params:{},modified_label:{}\n",
+                variant.doubled_atoms, variant.scaled_params, variant.modified_label
+            )),
+            // The suspension policy is part of what the cell asks: the
+            // derived thresholds are spelled out (not just a flag), so
+            // retuning the engine default moves the key.
+            CellKind::Sgl { .. } => match self.sgl_config().suspension {
+                Some(p) => out.push_str(&format!(
+                    "suspension=sightings:{},span:{}\n",
+                    p.min_sightings, p.min_span
+                )),
+                None => out.push_str("suspension=none\n"),
+            },
+            CellKind::Minimax { .. } => {}
         }
         let faults = match self.fault_plan() {
             Some(plan) => serde_json::to_string(&plan).expect("fault plans serialise"),
@@ -444,6 +561,45 @@ impl CellSpec {
     /// stored result.
     pub fn content_key(&self, trials: usize, cutoff: u64) -> u64 {
         rv_store::content_hash(self.canonical(trials, cutoff).as_bytes())
+    }
+}
+
+/// A cell opened for running ([`CellSpec::open_rendezvous`],
+/// [`CellSpec::open_sgl`]): the runtime, the seeded adversary that
+/// schedules it and the stop policy that retires it. The fields are
+/// public so a probe can step the runtime itself.
+pub struct CellRun<'g, B: Behavior, P> {
+    /// The runtime, at its initial state until run or stepped.
+    pub rt: Runtime<'g, B>,
+    /// The cell's adversary, seeded with [`ADVERSARY_SEED`].
+    pub adversary: Box<dyn Adversary>,
+    /// The cell's stop policy, backstopped by the runtime's cutoff.
+    pub policy: P,
+}
+
+/// A rendezvous cell opened for running.
+pub type RendezvousRun<'g> = CellRun<'g, RvBehavior<'g, SeededUxs>, DivergenceDetector>;
+/// A protocol cell opened for running.
+pub type SglRun<'g> = CellRun<'g, SglBehavior<'g, SeededUxs>, AdaptiveThreshold>;
+
+impl<'g, B: Behavior, P: StopPolicy> CellRun<'g, B, P> {
+    /// Runs the cell to its end under its stop policy.
+    pub fn run(&mut self) -> RunOutcome {
+        self.rt
+            .run_with_policy(self.adversary.as_mut(), &mut self.policy)
+    }
+
+    /// Steps the cell to its end without the stop policy (the cutoff
+    /// still holds), handing the runtime to `each` after every step that
+    /// does not end the run.
+    pub fn step_through(&mut self, mut each: impl FnMut(&Runtime<'g, B>)) -> RunEnd {
+        let mut meetings = Vec::new();
+        loop {
+            if let Some(end) = self.rt.step(self.adversary.as_mut(), &mut meetings) {
+                return end;
+            }
+            each(&self.rt);
+        }
     }
 }
 
@@ -616,6 +772,63 @@ mod tests {
             cell.content_key(5, cell.cutoff(false)),
             "trials and cutoff participate in the key"
         );
+    }
+
+    fn cell(id: &str) -> CellSpec {
+        cells()
+            .into_iter()
+            .find(|c| c.scenario_id() == id)
+            .unwrap_or_else(|| panic!("{id} is a declared cell"))
+    }
+
+    #[test]
+    fn content_keys_are_pinned_for_one_cell_of_each_kind() {
+        // `rv_bench` is outside the engine fingerprint, so the content key
+        // alone keeps an edit to the cell recipe from serving (or
+        // orphaning) stored rows. A key that moves here must move on
+        // purpose. Columns: smoke (1 trial, smoke cutoff), full (5 trials,
+        // full cutoff).
+        for (id, smoke, full) in [
+            (
+                "ring8/round-robin/paper",
+                0x87b7f819f2e60c26,
+                0x3a981e8cad12d249,
+            ),
+            (
+                "ring8/greedy-avoid/sgl-k4",
+                0xb2c0e090f1bf6f71,
+                0x88df7c1a13ec30ec,
+            ),
+            (
+                "gnp8/greedy-avoid/sgl-k4+nocert",
+                0xfbbccf45d7c5fe75,
+                0xced5fe281391d3c1,
+            ),
+            (
+                "ring6/round-robin/sgl-k3+f1",
+                0x58e0f2f96fa5f95c,
+                0x072a2673a9928a95,
+            ),
+            (
+                "ring4/worst-case/memo-d14",
+                0xbca7169b219fb22e,
+                0xf66c8f53d66ec857,
+            ),
+        ] {
+            let c = cell(id);
+            assert_eq!(c.content_key(1, c.cutoff(true)), smoke, "{id} smoke key");
+            assert_eq!(c.content_key(5, c.cutoff(false)), full, "{id} full key");
+        }
+    }
+
+    #[test]
+    fn the_divergence_detector_retires_ring16_round_robin_unscaled() {
+        let spec = cell("ring16/round-robin/unscaled");
+        let g = spec.graph();
+        let out = spec.open_rendezvous(&g, spec.cutoff(false)).run();
+        assert_eq!(out.end, RunEnd::Diverged);
+        assert_eq!(out.total_traversals, 5118);
+        assert_eq!(out.actions, 10_240);
     }
 
     #[test]

@@ -1,7 +1,22 @@
 #![forbid(unsafe_code)]
-//! Shared infrastructure for the experiment binaries (`src/bin/expt_*`)
-//! that regenerate every table and figure of the paper — see DESIGN.md §3
-//! for the experiment index and EXPERIMENTS.md for recorded results.
+//! The evaluation of the reproduction: the scenario matrix and the
+//! experiment binaries that regenerate the paper's tables and figures.
+//!
+//! * [`cells`] declares the scenario matrix as pure [`cells::CellSpec`]
+//!   values and is the one recipe that turns a spec into a run: agents,
+//!   run configuration, fault plan, adversary and stop policy. The
+//!   `scenario_matrix` binary runs the declared cells into JSON-lines rows
+//!   (`--only ID --trials 1` replays one cell), the probes under
+//!   `examples/` open cells from it, and its content keys address the
+//!   rows `rv_store` keeps.
+//! * The `expt_*` binaries each reproduce one table or figure, and their
+//!   crate docs say what and how: T1 (the length recurrences), T2 (the
+//!   bound `Π(n, m)`), F1 (cost vs graph order), F2 (cost vs labels), F3
+//!   (ESST), F4 (SGL and its applications), F5 (adversary strength) and
+//!   F6 (ablations). They build their own instances, which differ from
+//!   the matrix cells by design.
+//! * This module holds what they share: the SGL postcondition check,
+//!   JSON-lines samples, table rendering and small statistics.
 
 use serde::Serialize;
 
@@ -65,7 +80,7 @@ pub fn sgl_postcondition_violations<P: rv_explore::ExplorationProvider + Clone>(
         }
     }
     // The completion-threshold substitution's soundness condition
-    // (DESIGN.md §4): the minimal agent heard from everyone — directly
+    // (see the `rv_protocols` crate docs): the minimal agent heard from everyone — directly
     // suffices, because its collection sweep visits every ghost.
     let min_idx = (0..rt.agent_count())
         .min_by_key(|&i| rt.behavior(i).label().value())

@@ -1,16 +1,13 @@
 //! An exact protocol-mode `Cutoff` prefix: the smoke matrix's
-//! `ring8/greedy-avoid/sgl-k4` cell, built the way `scenario_matrix`
-//! builds it, run under the plain traversal budget with no stop policy.
-//! The run must stop on exactly the budget's traversal, and the actions
-//! and meetings on the way there are pinned, so any change to the SGL
-//! protocol, the runtime's scheduling or its budget check shows here.
+//! `ring8/greedy-avoid/sgl-k4` cell, opened from its spec the way
+//! `scenario_matrix` opens it, run under the plain traversal budget with
+//! no stop policy. The run must stop on exactly the budget's traversal,
+//! and the actions and meetings on the way there are pinned, so any
+//! change to the SGL protocol, the runtime's scheduling or its budget
+//! check shows here.
 
-use rv_bench::cells::{cells, CellKind, ADVERSARY_SEED, PROTOCOL_SMOKE_CUTOFF, SGL_LABELS};
-use rv_core::Label;
-use rv_explore::SeededUxs;
-use rv_graph::NodeId;
-use rv_protocols::{SglBehavior, SglConfig};
-use rv_sim::{RunConfig, RunEnd, Runtime};
+use rv_bench::cells::{cells, CellKind, PROTOCOL_SMOKE_CUTOFF};
+use rv_sim::RunEnd;
 
 #[test]
 fn ring8_greedy_avoid_sgl_k4_stops_exactly_at_the_smoke_cutoff() {
@@ -19,7 +16,7 @@ fn ring8_greedy_avoid_sgl_k4_stops_exactly_at_the_smoke_cutoff() {
         .find(|c| c.scenario_id() == "ring8/greedy-avoid/sgl-k4")
         .expect("the cell is declared");
     let CellKind::Sgl {
-        k,
+        k: 4,
         fault_seed: None,
         certify: true,
     } = spec.kind
@@ -29,24 +26,8 @@ fn ring8_greedy_avoid_sgl_k4_stops_exactly_at_the_smoke_cutoff() {
     let cutoff = spec.cutoff(true);
     assert_eq!(cutoff, PROTOCOL_SMOKE_CUTOFF);
     let g = spec.graph();
-    let uxs = SeededUxs::quadratic();
-    let behaviors: Vec<_> = SGL_LABELS[..k]
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| {
-            SglBehavior::new(
-                &g,
-                uxs,
-                NodeId(i * g.order() / k),
-                Label::new(l).unwrap(),
-                l + 1000,
-                SglConfig::default(),
-            )
-        })
-        .collect();
-    let mut rt = Runtime::new(&g, behaviors, RunConfig::protocol().with_cutoff(cutoff));
-    let mut adv = spec.adversary.build(ADVERSARY_SEED);
-    let out = rt.run(adv.as_mut());
+    let mut run = spec.open_sgl(&g, cutoff);
+    let out = run.rt.run(run.adversary.as_mut());
     assert_eq!(out.end, RunEnd::Cutoff);
     assert_eq!(out.total_traversals, 40_000);
     assert_eq!(out.actions, 80_006);

@@ -16,7 +16,7 @@ use rv_explore::ExplorationProvider;
 /// Ω*_k = (2k−1)·K*_k·X*_k
 /// ```
 ///
-/// **Reproduction erratum** (recorded in EXPERIMENTS.md): the paper's
+/// **Reproduction erratum**: the paper's
 /// `Y*_k = 2P(k)·Q*_k` does *not* dominate the exact
 /// `|Y(k)| = 2(P(k)+1)·|Q(k)| + 2P(k)` for small `k` (e.g. `k ≤ 4` under
 /// `P(k) = 4k³`) — the paper's constant bookkeeping is loose, which is

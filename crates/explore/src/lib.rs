@@ -13,7 +13,7 @@
 //!    replaces that construction (galactic constants, irrelevant to the
 //!    rendezvous logic) by seeded deterministic sequences with the exact same
 //!    interface, plus machinery to *verify* universality — see
-//!    [`SeededUxs`], [`verify_universal`] and DESIGN.md §4.
+//!    [`SeededUxs`] and [`verify_universal`].
 //!
 //! 2. **Procedure ESST** — exploration with a semi-stationary token: a
 //!    single agent explores a graph of unknown size with the help of a

@@ -1,6 +1,6 @@
 //! Concrete exploration-sequence providers.
 //!
-//! **Substitution note (DESIGN.md §4).** The paper invokes Reingold's
+//! **Substitution note.** The paper invokes Reingold's
 //! log-space universal exploration sequences only as an existence result
 //! with polynomial length `P(k)`. Reproducing Reingold's zig-zag-product
 //! construction would add enormous constants while changing nothing about

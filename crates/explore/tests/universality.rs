@@ -1,7 +1,8 @@
-//! Universality and integrality guarantees for the UXS substitution
-//! (DESIGN.md §4): the default provider must behave, on every graph this
-//! workspace ever runs, exactly like the universal exploration sequences
-//! whose existence the paper imports from Reingold's theorem.
+//! Universality and integrality guarantees for the UXS substitution (the
+//! substitution note of `rv_explore`'s `uxs` module): the default provider
+//! must behave, on every graph this workspace ever runs, exactly like the
+//! universal exploration sequences whose existence the paper imports from
+//! Reingold's theorem.
 
 use proptest::prelude::*;
 use rv_explore::{is_integral, verify_universal, SeededUxs};

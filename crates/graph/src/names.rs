@@ -4,7 +4,8 @@ use crate::{generators, Graph};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The graph families swept by the evaluation (DESIGN.md §3, experiment F1).
+/// The graph families swept by the evaluation (experiment F1,
+/// `expt_f1_cost_vs_n`, and the scenario matrix).
 ///
 /// Each family maps a target order `n` to a concrete graph of order *close
 /// to* `n` (exactly `n` wherever the family allows it); [`GraphFamily::generate`]

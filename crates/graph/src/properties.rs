@@ -1,7 +1,9 @@
 //! Structural graph properties used by the experiments and their analysis.
 //!
-//! The fence-trap analysis (EXPERIMENTS.md) hinges on bipartite parity and
-//! on how symmetric a graph's port numbering is; the exploration bounds
+//! The fence-trap analysis (`fence_trap_under_exact_lockstep` in
+//! `rv_sim`'s rendezvous tests, and the `probe_trap` example of
+//! `rv_bench`) hinges on bipartite parity and on how symmetric a graph's
+//! port numbering is; the exploration bounds
 //! depend on degree statistics. This module computes those properties.
 
 use crate::{Graph, NodeId, PortId};

@@ -28,7 +28,7 @@
 //!   globally smallest agent walks `R(E(n), ·)` collecting every ghost's
 //!   bag, then walks it backwards announcing the complete label set.
 //!
-//! Two documented substitutions from the paper (DESIGN.md §4): `E(n)` is
+//! Two substitutions from the paper, recorded here: `E(n)` is
 //! the ESST *termination phase* rather than its cost (both are valid
 //! computable upper bounds on `n`; the phase keeps `R(E(n), ·)` walkable),
 //! and the Phase-2 completion threshold `Π(E(n), |L|)` is pluggable

@@ -3,7 +3,7 @@
 //! paper's continuous walk model (§1, "The model"), with pluggable
 //! adversary strategies and forced-meeting detection.
 //!
-//! # The abstraction (DESIGN.md §2.1)
+//! # The abstraction
 //!
 //! In the paper, an agent picks its *route* (a sequence of edges) while an
 //! adversary designs the *walk* — arbitrary continuous motion along the

@@ -177,8 +177,8 @@ const NIL: u32 = u32::MAX;
 
 /// Deterministic transposition table: one flat entry vector in insertion
 /// order, with each of 64 buckets chained through it from a head array
-/// (newest entry first). The bucket index consumes a mixed fingerprint,
-/// so entries spread near-uniformly and a chain holds a handful of
+/// (newest entry first). The bucket index is the fingerprint's low bits,
+/// already avalanched by the digest, so entries spread near-uniformly and a chain holds a handful of
 /// entries even on the deepest searches the harness runs (depth-14 ring:
 /// 78 entries across 64 buckets). One allocation, sized up front by the
 /// caller and grown by doubling past that, serves the whole table, and
@@ -224,9 +224,10 @@ impl MemoTable {
         }
     }
 
+    /// The low bits of the fingerprint: each digest lane ends in a
+    /// SplitMix64 avalanche, so they are already near-uniform.
     fn bucket(key: &MemoKey) -> usize {
-        let fp = key.0;
-        mix64(fp as u64 ^ (fp >> 64) as u64) as usize & (BUCKETS - 1)
+        key.0 as usize & (BUCKETS - 1)
     }
 
     /// The entry of `key`, if any, found by walking its bucket's chain.
@@ -350,6 +351,9 @@ impl FutureTable {
                 agents.push(fut); // a crashed body never moves again
                 continue;
             }
+            // At most the committed arrival plus one per resolved port.
+            fut.arrivals.reserve_exact(resolve + 1);
+            fut.ports.reserve_exact(resolve);
             // Where the port walk resumes from: the committed/in-flight
             // arrival if there is one, else the node an asleep agent will
             // wake at. A parked agent has no future.

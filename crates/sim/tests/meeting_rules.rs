@@ -1,5 +1,5 @@
-//! Soundness of the forced-meeting rules (DESIGN.md §2.1), exercised with
-//! scripted agents on hand-built graphs.
+//! Soundness of the forced-meeting rules (the `rv_sim` crate docs, "The
+//! abstraction"), exercised with scripted agents on hand-built graphs.
 
 use rv_graph::{generators, EdgeId, NodeId};
 use rv_sim::adversary::{Adversary, GreedyAvoid};

@@ -63,8 +63,8 @@ fn rendezvous_on_every_family_under_every_adversary() {
 /// loops never interact, so no feasible horizon produces a meeting. The
 /// guarantee of Theorem 3.1 only engages at pieces k ≥ n+l, i.e. within the
 /// astronomical bound Π(n,m); this is the algorithm's galactic-constant
-/// nature, not a bug (every other adversary meets in a handful of steps —
-/// see the probe results recorded in EXPERIMENTS.md).
+/// nature, not a bug (every other adversary meets in a handful of steps;
+/// `rv_bench`'s `probe_trap` example searches for such trapped starts).
 #[test]
 fn fence_trap_under_exact_lockstep() {
     let g = generators::hypercube(3);
