@@ -520,10 +520,7 @@ fn run_cell(spec: &CellSpec, trials: usize, cutoff: u64) -> Row {
             }
             CellKind::Minimax { depth } => {
                 let autos = spec.family.automorphisms(&g);
-                let opts = rv_sim::SearchOptions {
-                    automorphisms: Some(&autos),
-                    ..rv_sim::SearchOptions::default()
-                };
+                let opts = spec.search_options(&autos);
                 let (elapsed, report) = timed(|| {
                     rv_sim::search_worst_case(&g, || spec.rendezvous_pair(&g), depth, &opts)
                 });

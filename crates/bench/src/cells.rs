@@ -47,12 +47,12 @@
 
 use rv_core::{Label, RvVariant};
 use rv_explore::SeededUxs;
-use rv_graph::{Graph, GraphFamily, NodeId};
+use rv_graph::{Automorphisms, Graph, GraphFamily, NodeId};
 use rv_protocols::{SglBehavior, SglConfig};
 use rv_sim::adversary::{Adversary, AdversaryKind};
 use rv_sim::{
     AdaptiveThreshold, Behavior, DivergenceDetector, FaultPlan, FaultProfile, RunConfig, RunEnd,
-    RunOutcome, Runtime, RvBehavior, StopPolicy,
+    RunOutcome, Runtime, RvBehavior, SearchOptions, StopPolicy,
 };
 
 /// Graph families swept, with their scenario-id stem.
@@ -420,18 +420,24 @@ impl CellSpec {
         }
     }
 
+    /// The agents' start nodes on `g`, by agent index: evenly spaced
+    /// round the node numbering (`i · order / agents`), except the minimax
+    /// pair, which starts at nodes 0 and 2.
+    pub fn start_nodes(&self, g: &Graph) -> Vec<NodeId> {
+        (0..self.agents())
+            .map(|i| match self.kind {
+                CellKind::Minimax { .. } => NodeId(2 * i),
+                _ => NodeId(i * g.order() / self.agents()),
+            })
+            .collect()
+    }
+
     /// The cell's agents, agent `i` built by `make` from its start node
-    /// and label. Agents start evenly spaced round the node numbering
-    /// (`i · order / agents`), except the minimax pair, which starts at
-    /// nodes 0 and 2.
+    /// and label.
     fn build_agents<B>(&self, g: &Graph, make: impl Fn(NodeId, Label) -> B) -> Vec<B> {
-        let start = |i: usize| match self.kind {
-            CellKind::Minimax { .. } => NodeId(2 * i),
-            _ => NodeId(i * g.order() / self.agents()),
-        };
-        let labels = self.labels().iter().enumerate();
-        labels
-            .map(|(i, &l)| make(start(i), Label::new(l).expect("matrix labels are positive")))
+        let starts = self.start_nodes(g).into_iter().zip(self.labels());
+        starts
+            .map(|(v, &l)| make(v, Label::new(l).expect("matrix labels are positive")))
             .collect()
     }
 
@@ -477,6 +483,16 @@ impl CellSpec {
         })
     }
 
+    /// The options of a minimax cell's search on a graph whose symmetry
+    /// group is `group`: memoized, with fingerprints quotiented by the
+    /// group.
+    pub fn search_options<'a>(&self, group: &'a Automorphisms) -> SearchOptions<'a> {
+        SearchOptions {
+            automorphisms: Some(group),
+            ..SearchOptions::default()
+        }
+    }
+
     /// Opens a rendezvous cell on `g` (the cell's [`CellSpec::graph`])
     /// under `cutoff`: its pair, stopped by the divergence detector.
     pub fn open_rendezvous<'g>(&self, g: &'g Graph, cutoff: u64) -> RendezvousRun<'g> {
@@ -513,37 +529,57 @@ impl CellSpec {
     }
 
     /// The canonical serialisation of the cell under a run configuration
-    /// — the preimage of [`CellSpec::content_key`]. Versioned (`v1`
+    /// — the preimage of [`CellSpec::content_key`]. Versioned (`v2`
     /// header), line-oriented, and exhaustive over everything that can
     /// change the measured row short of the engine itself: identity axes,
-    /// stop policy, seeds, agent labels, trials, cutoff, variant flags,
-    /// and the **derived** fault plan (not just its seed, so a change to
-    /// the derivation or profile moves the key honestly).
+    /// stop policy, seeds, agent labels and start nodes, trials, cutoff,
+    /// variant flags, the SGL gossip values and suspension thresholds, the
+    /// minimax search options, and the **derived** fault plan (not just
+    /// its seed, so a change to the derivation or profile moves the key
+    /// honestly). Each recipe line is read off the accessor that builds
+    /// the run, so the key cannot miss a recipe edit.
     pub fn canonical(&self, trials: usize, cutoff: u64) -> String {
-        let mut out = String::from("rv-cell-v1\n");
+        fn list<T: std::fmt::Display>(xs: impl IntoIterator<Item = T>) -> String {
+            let xs: Vec<String> = xs.into_iter().map(|x| x.to_string()).collect();
+            xs.join(",")
+        }
+        let g = self.graph();
+        let mut out = String::from("rv-cell-v2\n");
         out.push_str(&format!("scenario={}\n", self.scenario_id()));
         out.push_str(&format!("mode={}\n", self.mode()));
         out.push_str(&format!("policy={}\n", self.policy()));
         out.push_str(&format!("graph_seed={GRAPH_SEED}\n"));
         out.push_str(&format!("adversary_seed={ADVERSARY_SEED}\n"));
-        let labels: Vec<String> = self.labels().iter().map(|l| l.to_string()).collect();
-        out.push_str(&format!("labels={}\n", labels.join(",")));
+        out.push_str(&format!("labels={}\n", list(self.labels())));
+        let starts = self.start_nodes(&g).into_iter().map(|v| v.0);
+        out.push_str(&format!("starts={}\n", list(starts)));
         match self.kind {
             CellKind::Rendezvous { variant, .. } => out.push_str(&format!(
                 "variant_flags=doubled_atoms:{},scaled_params:{},modified_label:{}\n",
                 variant.doubled_atoms, variant.scaled_params, variant.modified_label
             )),
-            // The suspension policy is part of what the cell asks: the
-            // derived thresholds are spelled out (not just a flag), so
-            // retuning the engine default moves the key.
-            CellKind::Sgl { .. } => match self.sgl_config().suspension {
-                Some(p) => out.push_str(&format!(
-                    "suspension=sightings:{},span:{}\n",
-                    p.min_sightings, p.min_span
-                )),
-                None => out.push_str("suspension=none\n"),
-            },
-            CellKind::Minimax { .. } => {}
+            CellKind::Sgl { .. } => {
+                let values = self.labels().iter().map(|&l| sgl_value(l));
+                out.push_str(&format!("values={}\n", list(values)));
+                // The suspension policy is part of what the cell asks: the
+                // derived thresholds are spelled out (not just a flag), so
+                // retuning the engine default moves the key.
+                match self.sgl_config().suspension {
+                    Some(p) => out.push_str(&format!(
+                        "suspension=sightings:{},span:{}\n",
+                        p.min_sightings, p.min_span
+                    )),
+                    None => out.push_str("suspension=none\n"),
+                }
+            }
+            CellKind::Minimax { .. } => {
+                let group = self.family.automorphisms(&g);
+                let opts = self.search_options(&group);
+                let group = opts
+                    .automorphisms
+                    .map_or("identity".to_string(), |a| format!("order:{}", a.len()));
+                out.push_str(&format!("search=memo:{},group:{group}\n", opts.memo));
+            }
         }
         let faults = match self.fault_plan() {
             Some(plan) => serde_json::to_string(&plan).expect("fault plans serialise"),
@@ -787,32 +823,32 @@ mod tests {
         // alone keeps an edit to the cell recipe from serving (or
         // orphaning) stored rows. A key that moves here must move on
         // purpose. Columns: smoke (1 trial, smoke cutoff), full (5 trials,
-        // full cutoff).
+        // full cutoff). The `rv-cell-v2` form moved every key.
         for (id, smoke, full) in [
             (
                 "ring8/round-robin/paper",
-                0x87b7f819f2e60c26,
-                0x3a981e8cad12d249,
+                0x3697ff1cbd668961,
+                0x344ae4dd347d6d35,
             ),
             (
                 "ring8/greedy-avoid/sgl-k4",
-                0xb2c0e090f1bf6f71,
-                0x88df7c1a13ec30ec,
+                0xb2f042db01108c6c,
+                0x22519c7e5642e9e6,
             ),
             (
                 "gnp8/greedy-avoid/sgl-k4+nocert",
-                0xfbbccf45d7c5fe75,
-                0xced5fe281391d3c1,
+                0x9d9fd8b6cf11de84,
+                0xf2fc32ca5a5979fe,
             ),
             (
                 "ring6/round-robin/sgl-k3+f1",
-                0x58e0f2f96fa5f95c,
-                0x072a2673a9928a95,
+                0x20662dc3b2c82b5d,
+                0xc9af13decad6576b,
             ),
             (
                 "ring4/worst-case/memo-d14",
-                0xbca7169b219fb22e,
-                0xf66c8f53d66ec857,
+                0x3ffa94d35693ac36,
+                0x61ca660544cd7131,
             ),
         ] {
             let c = cell(id);
@@ -873,7 +909,7 @@ mod tests {
     fn canonical_serialisation_is_versioned_and_exhaustive() {
         let cell = &cells()[0];
         let c = cell.canonical(5, cell.cutoff(false));
-        assert!(c.starts_with("rv-cell-v1\n"), "the preimage is versioned");
+        assert!(c.starts_with("rv-cell-v2\n"), "the preimage is versioned");
         for field in [
             "scenario=",
             "mode=",
@@ -881,6 +917,7 @@ mod tests {
             "graph_seed=",
             "adversary_seed=",
             "labels=",
+            "starts=",
             "variant_flags=",
             "faults=",
             "trials=",
@@ -897,5 +934,48 @@ mod tests {
         assert!(chaos
             .canonical(5, chaos.cutoff(false))
             .contains("\"crashes\":[{\"at_action\":"));
+    }
+
+    /// The recipe lines of every cell's canonical form against the run
+    /// the cell opens: start nodes and gossip values are read off the
+    /// built agents, and the search line off the matrix's search options.
+    /// A recipe accessor that stops feeding the key fails here.
+    #[test]
+    fn canonical_records_the_recipe_the_cell_runs() {
+        let has = |c: &str, key: &str, xs: Vec<String>| {
+            assert!(
+                c.contains(&format!("\n{key}={}\n", xs.join(","))),
+                "{key} in\n{c}"
+            );
+        };
+        for spec in cells() {
+            let c = spec.canonical(1, spec.cutoff(true));
+            let g = spec.graph();
+            let starts: Vec<NodeId> = match spec.kind {
+                CellKind::Sgl { .. } => {
+                    let team = spec.sgl_team(&g);
+                    let values = team.iter().flat_map(|b| b.bag().iter());
+                    has(&c, "values", values.map(|(_, v)| v.to_string()).collect());
+                    team.iter().map(|b| b.start_node()).collect()
+                }
+                _ => spec
+                    .rendezvous_pair(&g)
+                    .iter()
+                    .map(|b| b.start_node())
+                    .collect(),
+            };
+            has(
+                &c,
+                "starts",
+                starts.iter().map(|v| v.0.to_string()).collect(),
+            );
+            if let CellKind::Minimax { .. } = spec.kind {
+                let group = spec.family.automorphisms(&g);
+                let opts = spec.search_options(&group);
+                let order = opts.automorphisms.map_or(0, |a| a.len());
+                let search = format!("memo:{},group:order:{order}", opts.memo);
+                has(&c, "search", vec![search]);
+            }
+        }
     }
 }

@@ -49,9 +49,9 @@ pub struct Sample {
 /// by the scenario matrix's `complete` column and `expt_f4_sgl` so the
 /// two cannot drift: every agent output exactly the full label set with
 /// the right gossip values (`value_of(label)`), and the minimal agent
-/// met every teammate — read off the meeting log's per-agent views, no
-/// `to_vec()` of a potentially million-exchange log. Returns one message
-/// per violation (empty = postcondition holds). Callers layer their own
+/// met every teammate — one bit test each in the runtime's who-met-whom
+/// table ([`rv_sim::MeetingTally::pair_met`]). Returns one message per
+/// violation (empty = postcondition holds). Callers layer their own
 /// extras on top (expt F4 adds the `solve`-derived team-size / leader /
 /// renaming consistency checks).
 pub fn sgl_postcondition_violations<P: rv_explore::ExplorationProvider + Clone>(
@@ -85,9 +85,9 @@ pub fn sgl_postcondition_violations<P: rv_explore::ExplorationProvider + Clone>(
     let min_idx = (0..rt.agent_count())
         .min_by_key(|&i| rt.behavior(i).label().value())
         .expect("at least two agents");
-    let log = rt.meetings();
+    let tally = rt.meetings();
     for j in 0..rt.agent_count() {
-        if j != min_idx && !log.pair_met(min_idx, j) {
+        if j != min_idx && !tally.pair_met(min_idx, j) {
             out.push(format!("the minimal agent never met agent {j}"));
         }
     }

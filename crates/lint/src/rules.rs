@@ -21,9 +21,9 @@ use crate::{Finding, SourceKind};
 /// re-exports only) is held to the same bar.
 pub const FINGERPRINT_CRATES: &[&str] = &["sim", "protocols", "trajectory", "core", "explore"];
 
-/// Crates where `.to_vec()` is banned in library sources: these own the
-/// COW `MeetingLog` / ESST walk machinery whose whole point is not
-/// materialising views.
+/// Crates where `.to_vec()` is banned in library sources: the engine
+/// crates, whose ESST walk views are borrowed so that a walk of a whole
+/// exploration is never copied out.
 pub const NO_TO_VEC_CRATES: &[&str] = &["sim", "protocols", "explore"];
 
 /// Source tree whose binaries write results artifacts (row files, store
@@ -366,10 +366,12 @@ fn crate_forbids_unsafe(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 
 // ----------------------------------------------------------------- api-misuse
 
-/// `api-meetinglog-to-vec`: no `.to_vec()` in the crates owning the COW
-/// `MeetingLog` and the ESST walk machinery. Their views exist precisely
-/// so million-entry logs are never materialised; a `to_vec()` on one is an
-/// O(run length) copy hiding in an O(1) API.
+/// `api-meetinglog-to-vec`: no `.to_vec()` in the engine crates. The ESST
+/// walk views (`walk_entries()`) are borrowed slices so a run-length walk
+/// is never materialised; a `to_vec()` on one is an O(run length) copy
+/// hiding behind an O(1) accessor, where `into_walk_entries()` moves the
+/// walk out. The id names the copy-on-write meeting log the rule was
+/// first written for, which is gone.
 fn api_to_vec(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if !ctx.in_crate(NO_TO_VEC_CRATES) {
         return;
@@ -387,7 +389,7 @@ fn api_to_vec(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 ctx.finding(
                     toks[i + 1].line,
                     "api-meetinglog-to-vec",
-                    "`.to_vec()` in a COW-log crate: iterate the view or take \
+                    "`.to_vec()` in an engine crate: iterate the view or take \
                  ownership with an `into_…` accessor instead of materialising"
                         .to_string(),
                 ),

@@ -4,7 +4,7 @@
 //! 1. **Sub-floor invisibility** — on every golden cell that converges
 //!    before the evidence floors ([`SuspensionPolicy`]) are reachable,
 //!    the armed census is **bit-identical** to a certificate-free run:
-//!    same end, same cost, same action count, same meeting log, same
+//!    same end, same cost, same action count, same meeting sequence, same
 //!    per-agent protocol state, and no certificate. This is the
 //!    "provably free" claim made concrete: the census only ever *reads*
 //!    the driver's attestation bit, so the sole way it can change a run
@@ -29,14 +29,15 @@ use rv_explore::SeededUxs;
 use rv_graph::{GraphFamily, NodeId};
 use rv_protocols::{SglBehavior, SglConfig};
 use rv_sim::adversary::AdversaryKind;
-use rv_sim::{RunConfig, RunEnd, RunOutcome, Runtime};
+use rv_sim::{Meeting, MeetingTally, RunConfig, RunEnd, Runtime};
 
 /// Matrix constants: graph seed, adversary seed, SGL labels.
 const GRAPH_SEED: u64 = 5;
 const ADVERSARY_SEED: u64 = 3;
 const SGL_LABELS: [u64; 4] = [6, 9, 14, 21];
 
-/// FNV-1a-style mix for the meeting log (full `Debug` would be megabytes).
+/// FNV-1a-style mix for the meeting sequence (full `Debug` would be
+/// megabytes).
 struct Fnv(u64);
 
 impl Fnv {
@@ -49,34 +50,33 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x1_0000_01b3);
         }
     }
+    fn push(&mut self, m: &Meeting) {
+        self.write_u64(m.agents.len() as u64);
+        for a in m.agents.iter() {
+            self.write_u64(a as u64);
+        }
+        self.write_u64(m.at_cost);
+        self.write_u64(m.at_action);
+        self.write_u64(match m.place {
+            rv_sim::MeetingPlace::Node(v) => v.0 as u64,
+            rv_sim::MeetingPlace::Edge(e) => (1 << 32) | ((e.a.0 as u64) << 16) | e.b.0 as u64,
+        });
+    }
 }
 
 /// One finished run, reduced to everything observable: outcome counters,
-/// a hash of the complete meeting log, per-agent protocol state, the
+/// a hash of every meeting declared, per-agent protocol state, the
 /// rendered gossip outputs, and the certificates (if any).
 struct RunReport {
     fingerprint: String,
     end: RunEnd,
     cost: u64,
-    meetings: rv_sim::MeetingLog,
+    meetings: MeetingTally,
     outputs: Vec<Option<String>>,
     certificates: Vec<Option<SuspendedTokenCert>>,
 }
 
-fn fingerprint(out: &RunOutcome, rt: &Runtime<SglBehavior<SeededUxs>>) -> String {
-    let mut h = Fnv::new();
-    for m in &out.meetings {
-        h.write_u64(m.agents.len() as u64);
-        for a in m.agents.iter() {
-            h.write_u64(a as u64);
-        }
-        h.write_u64(m.at_cost);
-        h.write_u64(m.at_action);
-        h.write_u64(match m.place {
-            rv_sim::MeetingPlace::Node(v) => v.0 as u64,
-            rv_sim::MeetingPlace::Edge(e) => (1 << 32) | ((e.a.0 as u64) << 16) | e.b.0 as u64,
-        });
-    }
+fn fingerprint(end: RunEnd, rt: &Runtime<SglBehavior<SeededUxs>>, h: &Fnv) -> String {
     let agents: Vec<String> = (0..rt.agent_count())
         .map(|i| {
             let b = rt.behavior(i);
@@ -90,13 +90,12 @@ fn fingerprint(out: &RunOutcome, rt: &Runtime<SglBehavior<SeededUxs>>) -> String
             )
         })
         .collect();
+    let per: Vec<u64> = (0..rt.agent_count()).map(|i| rt.traversals(i)).collect();
     format!(
-        "{:?} cost={} actions={} per={:?} meetings={}#{:016x} agents={agents:?}",
-        out.end,
-        out.total_traversals,
-        out.actions,
-        out.per_agent,
-        out.meetings.len(),
+        "{end:?} cost={} actions={} per={per:?} meetings={}#{:016x} agents={agents:?}",
+        rt.total_traversals(),
+        rt.actions(),
+        rt.meetings().len(),
         h.0,
     )
 }
@@ -131,11 +130,19 @@ fn run_cell(
         .collect();
     let mut rt = Runtime::new(&g, behaviors, RunConfig::protocol().with_cutoff(cutoff));
     let mut adv = kind.build(ADVERSARY_SEED);
-    let out = rt.run(adv.as_mut());
+    // `run()` is this loop over `step`; stepping hands out the meetings.
+    let (mut h, mut meetings) = (Fnv::new(), Vec::new());
+    let end = loop {
+        let end = rt.step(adv.as_mut(), &mut meetings);
+        meetings.iter().for_each(|m| h.push(m));
+        if let Some(end) = end {
+            break end;
+        }
+    };
     RunReport {
-        fingerprint: fingerprint(&out, &rt),
-        end: out.end,
-        cost: out.total_traversals,
+        fingerprint: fingerprint(end, &rt, &h),
+        end,
+        cost: rt.total_traversals(),
         outputs: (0..rt.agent_count())
             .map(|i| {
                 rt.behavior(i)
@@ -146,7 +153,7 @@ fn run_cell(
         certificates: (0..rt.agent_count())
             .map(|i| rt.behavior(i).certificate())
             .collect(),
-        meetings: out.meetings,
+        meetings: rt.meetings().clone(),
     }
 }
 

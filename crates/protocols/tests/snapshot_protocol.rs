@@ -1,21 +1,23 @@
 //! Golden-equivalence for protocol-runtime snapshots under SGL contention:
 //! freezing a mid-run [`Runtime::snapshot`] and continuing **both** the
 //! original runtime and a restored copy must be invisible — identical run
-//! outcome, meeting log, gossip bags, outputs, and adversary RNG streams
+//! outcome, meeting sequence, gossip bags, outputs, and adversary RNG streams
 //! (the forked adversary continues the seeded stream mid-way).
 //!
 //! This is the protocol-mode counterpart of the rendezvous detour proptest
 //! in `rv_sim` (`golden_equivalence.rs`): protocol runs keep going through
 //! every meeting, so the snapshot must capture agents mid-gossip — bags,
-//! phase machinery, token flags — and a copy-on-write handle onto a
-//! meeting log that keeps growing on both sides of the fork afterwards.
+//! phase machinery, token flags — and the meeting tally, which keeps
+//! growing on both sides of the fork afterwards. The meeting sequence
+//! each side declares is hashed as `Runtime::step` hands it out, the
+//! prefix before the snapshot included.
 
 use rv_core::Label;
 use rv_explore::SeededUxs;
 use rv_graph::{generators, Graph, NodeId};
 use rv_protocols::{SglBehavior, SglConfig};
 use rv_sim::adversary::{Adversary, EagerMeet, RandomAdversary};
-use rv_sim::{RunConfig, RunOutcome, Runtime};
+use rv_sim::{Meeting, RunConfig, RunEnd, Runtime};
 
 type Rt<'g> = Runtime<'g, SglBehavior<'g, SeededUxs>>;
 
@@ -39,7 +41,9 @@ fn team(g: &Graph) -> Vec<SglBehavior<'_, SeededUxs>> {
         .collect()
 }
 
-/// FNV-1a-style mix for the meeting log (full `Debug` would be megabytes).
+/// FNV-1a-style mix for the meeting sequence (full `Debug` would be
+/// megabytes).
+#[derive(Clone)]
 struct Fnv(u64);
 
 impl Fnv {
@@ -52,25 +56,37 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x1_0000_01b3);
         }
     }
-}
-
-/// Everything observable about a finished protocol run, as one string:
-/// outcome counters, a hash of the complete meeting log, and per-agent
-/// protocol state (state kind, gossip bag, output set, order bound).
-fn fingerprint(out: &RunOutcome, rt: &Rt<'_>) -> String {
-    let mut h = Fnv::new();
-    for m in &out.meetings {
-        h.write_u64(m.agents.len() as u64);
+    fn push(&mut self, m: &Meeting) {
+        self.write_u64(m.agents.len() as u64);
         for a in m.agents.iter() {
-            h.write_u64(a as u64);
+            self.write_u64(a as u64);
         }
-        h.write_u64(m.at_cost);
-        h.write_u64(m.at_action);
-        h.write_u64(match m.place {
+        self.write_u64(m.at_cost);
+        self.write_u64(m.at_action);
+        self.write_u64(match m.place {
             rv_sim::MeetingPlace::Node(v) => v.0 as u64,
             rv_sim::MeetingPlace::Edge(e) => (1 << 32) | ((e.a.0 as u64) << 16) | e.b.0 as u64,
         });
     }
+}
+
+/// Steps `rt` to the end of its run (`run()` is the same loop over
+/// `step`), hashing every meeting the steps declare into `h`.
+fn step_to_end<A: Adversary>(rt: &mut Rt<'_>, adv: &mut A, h: &mut Fnv) -> RunEnd {
+    let mut meetings = Vec::new();
+    loop {
+        let end = rt.step(adv, &mut meetings);
+        meetings.iter().for_each(|m| h.push(m));
+        if let Some(end) = end {
+            return end;
+        }
+    }
+}
+
+/// Everything observable about a finished protocol run, as one string:
+/// outcome counters, the hash of every meeting declared, and per-agent
+/// protocol state (state kind, gossip bag, output set, order bound).
+fn fingerprint(end: RunEnd, rt: &Rt<'_>, h: &Fnv) -> String {
     let agents: Vec<String> = (0..rt.agent_count())
         .map(|i| {
             let b = rt.behavior(i);
@@ -84,13 +100,12 @@ fn fingerprint(out: &RunOutcome, rt: &Rt<'_>) -> String {
             )
         })
         .collect();
+    let per: Vec<u64> = (0..rt.agent_count()).map(|i| rt.traversals(i)).collect();
     format!(
-        "{:?} cost={} actions={} per={:?} meetings={}#{:016x} agents={agents:?}",
-        out.end,
-        out.total_traversals,
-        out.actions,
-        out.per_agent,
-        out.meetings.len(),
+        "{end:?} cost={} actions={} per={per:?} meetings={}#{:016x} agents={agents:?}",
+        rt.total_traversals(),
+        rt.actions(),
+        rt.meetings().len(),
         h.0,
     )
 }
@@ -99,9 +114,9 @@ fn fingerprint(out: &RunOutcome, rt: &Rt<'_>) -> String {
 /// count (so detours can split strictly mid-run).
 fn uninterrupted<A: Adversary>(g: &Graph, mut adv: A) -> (String, u64) {
     let mut rt = Runtime::new(g, team(g), RunConfig::protocol());
-    let out = rt.run(&mut adv);
-    let actions = out.actions;
-    (fingerprint(&out, &rt), actions)
+    let mut h = Fnv::new();
+    let end = step_to_end(&mut rt, &mut adv, &mut h);
+    (fingerprint(end, &rt, &h), rt.actions())
 }
 
 /// Steps a manual prefix of `split` actions via [`Runtime::step`] —
@@ -111,20 +126,24 @@ fn uninterrupted<A: Adversary>(g: &Graph, mut adv: A) -> (String, u64) {
 fn detour<A: Adversary + Clone>(g: &Graph, mut adv: A, split: u64) -> (String, String) {
     let config = RunConfig::protocol();
     let mut rt = Runtime::new(g, team(g), config);
+    let mut prefix = Fnv::new();
     let mut meetings = Vec::new();
     for _ in 0..split {
         let end = rt.step(&mut adv, &mut meetings);
         assert!(end.is_none(), "split must be strictly mid-run");
+        meetings.iter().for_each(|m| prefix.push(m));
     }
     let snap = rt.snapshot();
     let mut forked_adv = adv.clone();
 
-    let out = rt.run(&mut adv);
-    let continued = fingerprint(&out, &rt);
+    let mut h = prefix.clone();
+    let end = step_to_end(&mut rt, &mut adv, &mut h);
+    let continued = fingerprint(end, &rt, &h);
 
     let mut restored = Runtime::from_snapshot(g, &snap, config);
-    let out = restored.run(&mut forked_adv);
-    let resumed = fingerprint(&out, &restored);
+    let mut h = prefix;
+    let end = step_to_end(&mut restored, &mut forked_adv, &mut h);
+    let resumed = fingerprint(end, &restored, &h);
     (continued, resumed)
 }
 

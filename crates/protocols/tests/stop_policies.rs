@@ -187,7 +187,7 @@ fn ablation_separates_suspension_stalls_from_slow_cells() {
 }
 
 /// On a converging cell the stall detector is invisible: same end, same
-/// cost, same action count, same meeting log, same outputs as a plain
+/// cost, same action count, same meeting tally, same outputs as a plain
 /// `run()` — including under the adversary the outliers stall under.
 #[test]
 fn adaptive_policy_is_invisible_on_converging_cells() {
@@ -226,8 +226,9 @@ fn order_12_cell_quiesces_under_the_adaptive_policy() {
     );
     assert_eq!(out.end, RunEnd::AllParked, "ring(12) must quiesce");
     assert!(outputs.iter().all(|&o| o), "every agent must output");
-    // The post-hoc completeness check, via the meeting log's per-agent
-    // views: the minimal agent (index 0, label 6) met every teammate.
+    // The post-hoc completeness check, via the meeting tally's
+    // who-met-whom table: the minimal agent (index 0, label 6) met every
+    // teammate.
     assert!(
         (1..outputs.len()).all(|j| out.meetings.pair_met(0, j)),
         "the minimal agent must have met every teammate"

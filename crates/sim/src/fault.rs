@@ -15,9 +15,10 @@
 //!   agent may *start* a traversal of the edge (agents already inside may
 //!   finish — the outage blocks entry, not exit).
 //! * **Log loss** ([`FaultPlan::log_losses`]): a meeting declared at a
-//!   listed action is delivered to its participants but its append to the
-//!   runtime's [`crate::MeetingLog`] is dropped — modelling durable-log
-//!   write loss in protocol mode without perturbing agent state.
+//!   listed action is delivered to its participants but the runtime's
+//!   [`crate::MeetingTally`] never records it (not in the count, the last
+//!   meeting or the who-met-whom table) — modelling durable-log write
+//!   loss in protocol mode without perturbing agent state.
 //!
 //! # Determinism contract
 //!

@@ -80,7 +80,7 @@ pub mod stop;
 
 pub use behavior::{Behavior, NaiveBehavior, RvBehavior, ScriptBehavior, SpecBehavior};
 pub use fault::{CrashFault, FaultClock, FaultPlan, FaultProfile, OutageFault};
-pub use meeting::{AgentMeetings, AgentSet, AgentSetIter, Meeting, MeetingLog, MeetingPlace};
+pub use meeting::{AgentSet, AgentSetIter, Meeting, MeetingPlace, MeetingTally};
 pub use memo::MemoStats;
 pub use minimax::{search_worst_case, SearchOptions, SearchReport};
 pub use runtime::{

@@ -45,7 +45,7 @@
 
 use crate::behavior::Behavior;
 use crate::fault::{FaultClock, FaultPlan};
-use crate::meeting::{AgentSet, Meeting, MeetingLog, MeetingPlace};
+use crate::meeting::{AgentSet, Meeting, MeetingPlace, MeetingTally};
 use rv_graph::{EdgeId, Graph, NodeId, PortId};
 
 /// Agent position at the abstraction level of the model (see crate docs).
@@ -129,10 +129,9 @@ pub struct RunOutcome {
     pub total_traversals: u64,
     /// Completed traversals per agent.
     pub per_agent: Vec<u64>,
-    /// All meetings declared, in order — an O(1) handle onto the runtime's
-    /// copy-on-write log, not a deep copy (protocol runs log a meeting per
-    /// exchange; the outcome must not double peak memory).
-    pub meetings: MeetingLog,
+    /// The meetings declared: their count, the last one and who met whom
+    /// (see [`MeetingTally`]). [`Runtime::step`] hands out the sequence.
+    pub meetings: MeetingTally,
     /// Number of adversary actions executed.
     pub actions: u64,
 }
@@ -510,8 +509,8 @@ impl EdgeOcc {
 
 /// A frozen mid-run [`Runtime`] state, in the runtime's own split layout:
 /// the scheduler table copied whole (cached move geometry and queue links
-/// included), the behaviors forked, plus the edge table, the meeting log
-/// handle and the counters. Produced by [`Runtime::snapshot`], consumed
+/// included), the behaviors forked, plus the edge table, the meeting tally
+/// and the counters. Produced by [`Runtime::snapshot`], consumed
 /// (by reference, any number of times) by [`Runtime::restore`] and
 /// [`Runtime::from_snapshot`].
 ///
@@ -522,7 +521,7 @@ pub struct RuntimeSnapshot<B> {
     states: Vec<AgentState>,
     behaviors: Vec<B>,
     edges: Vec<EdgeOcc>,
-    meetings: MeetingLog,
+    meetings: MeetingTally,
     actions: u64,
     total_traversals: u64,
 }
@@ -536,12 +535,6 @@ impl<B: Behavior> RuntimeSnapshot<B> {
     /// Adversary actions executed at the moment of the snapshot.
     pub fn actions(&self) -> u64 {
         self.actions
-    }
-
-    /// The meeting log as of the snapshot (an O(1) copy-on-write handle;
-    /// the snapshot shares sealed chunks with the runtime it froze).
-    pub fn meetings(&self) -> &MeetingLog {
-        &self.meetings
     }
 }
 
@@ -558,9 +551,8 @@ pub struct Runtime<'g, B: Behavior> {
     /// Occupancy per dense edge index (`edges.len() == g.size()`): each
     /// direction queue's head and tail, linked through `states`.
     edges: Vec<EdgeOcc>,
-    /// Append-only copy-on-write log (see [`MeetingLog`]): snapshots, the
-    /// [`RunOutcome`], and forks all take O(1) handles instead of copies.
-    meetings: MeetingLog,
+    /// The meetings declared so far (see [`MeetingTally`]).
+    meetings: MeetingTally,
     actions: u64,
     total_traversals: u64,
     config: RunConfig,
@@ -571,6 +563,9 @@ pub struct Runtime<'g, B: Behavior> {
     /// Reusable legal-choice buffer for [`Runtime::step`] (transient, not
     /// part of the frozen state — snapshots never carry it).
     choice_scratch: Vec<ChoiceInfo>,
+    /// Reusable buffer of one step's meetings for the run loop (transient
+    /// like `choice_scratch`).
+    meeting_scratch: Vec<Meeting>,
     /// Fault-injection cursor (see [`crate::fault`]); `None` = no plan
     /// installed, which keeps every fault branch a single `Option` check.
     /// Like [`RunConfig`], the plan is run *configuration*: snapshots do
@@ -615,26 +610,27 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             // The caller's vector becomes the behavior table as is.
             behaviors,
             edges: vec![EdgeOcc::EMPTY; g.size()],
-            meetings: MeetingLog::new(),
+            meetings: MeetingTally::new(),
             actions: 0,
             total_traversals: 0,
             config,
             info_scratch: Vec::new(),
             choice_scratch: Vec::new(),
+            meeting_scratch: Vec::new(),
             faults: None,
         }
     }
 
     /// Freezes the complete mid-run state — agent behaviors (via
     /// [`Behavior::fork`]), the scheduler table (positions, committed
-    /// moves, flags, counters), edge occupancy, meeting history, and
+    /// moves, flags, counters), edge occupancy, the meeting tally, and
     /// counters — into an **O(agents + edges)** snapshot that can be
     /// [`Runtime::restore`]d any number of times, on this runtime or on a
-    /// fresh one built with [`Runtime::from_snapshot`]. The meeting
-    /// history is captured as an O(1) [`MeetingLog`] handle, so snapshot
-    /// cost is independent of how many meetings the run has accumulated —
-    /// protocol runs snapshot as cheaply at their millionth exchange as at
-    /// their first.
+    /// fresh one built with [`Runtime::from_snapshot`]. The
+    /// [`MeetingTally`] is a fixed-size value, so snapshot cost is
+    /// independent of how many meetings the run has declared — protocol
+    /// runs snapshot as cheaply at their millionth exchange as at their
+    /// first.
     ///
     /// Snapshots are independent of the runtime that produced them: taking
     /// one never perturbs the run, and a snapshot outlives its runtime.
@@ -723,6 +719,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             config,
             info_scratch: Vec::new(),
             choice_scratch: Vec::new(),
+            meeting_scratch: Vec::new(),
             faults: None,
         }
     }
@@ -791,8 +788,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         self.actions
     }
 
-    /// Meetings declared so far.
-    pub fn meetings(&self) -> &MeetingLog {
+    /// The meetings declared so far: count, last meeting and who met whom.
+    pub fn meetings(&self) -> &MeetingTally {
         &self.meetings
     }
 
@@ -1198,7 +1195,10 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// `run` and `run_with_policy` are loops over `step`, so callers
     /// driving a run step-by-step — the snapshot-detour golden suites,
     /// and the probes that read agent progress between decisions — stay
-    /// in lockstep with `run()` by construction.
+    /// in lockstep with `run()` by construction. Stepping is also how a
+    /// caller sees the whole meeting sequence, which the runtime's
+    /// [`MeetingTally`] does not keep; `new_meetings` includes meetings a
+    /// log-loss fault keeps out of the tally.
     pub fn step(
         &mut self,
         adversary: &mut dyn crate::adversary::Adversary,
@@ -1250,18 +1250,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 
     /// Runs under `adversary` until a terminal condition (see [`RunEnd`]).
-    ///
-    /// The returned outcome's meeting list is an O(1) handle onto the
-    /// runtime's copy-on-write log — constructing the outcome costs
-    /// O(agents) however many meetings the run declared.
     pub fn run(&mut self, adversary: &mut dyn crate::adversary::Adversary) -> RunOutcome {
-        let mut new_meetings: Vec<Meeting> = Vec::new();
-        let end = loop {
-            if let Some(end) = self.step(adversary, &mut new_meetings) {
-                break end;
-            }
-        };
-        self.outcome(end)
+        self.run_loop(adversary, None)
     }
 
     /// Earliest action at which an outage currently blocking a live
@@ -1402,11 +1392,23 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         adversary: &mut dyn crate::adversary::Adversary,
         policy: &mut dyn crate::stop::StopPolicy,
     ) -> RunOutcome {
-        let cadence = policy.cadence().max(1);
+        self.run_loop(adversary, Some(policy))
+    }
+
+    /// The loop of [`Runtime::run`] and [`Runtime::run_with_policy`]:
+    /// [`Runtime::step`] into the runtime's own meeting buffer until the
+    /// run ends, consulting `policy` (if any) every cadence. Without a
+    /// policy no [`Runtime::progress`] record is ever assembled.
+    fn run_loop(
+        &mut self,
+        adversary: &mut dyn crate::adversary::Adversary,
+        mut policy: Option<&mut dyn crate::stop::StopPolicy>,
+    ) -> RunOutcome {
+        let cadence = policy.as_ref().map_or(0, |p| p.cadence().max(1));
         let mut next_check = self.actions;
-        let mut new_meetings: Vec<Meeting> = Vec::new();
+        let mut new_meetings = std::mem::take(&mut self.meeting_scratch);
         let end = loop {
-            if self.actions >= next_check {
+            if let Some(policy) = policy.as_deref_mut().filter(|_| self.actions >= next_check) {
                 // The config budget wins ties: if the backstop is already
                 // exhausted, this run IS a cutoff — a detector firing in
                 // the same cadence gap must not relabel it (detector ends
@@ -1423,6 +1425,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 break end;
             }
         };
+        self.meeting_scratch = new_meetings;
         self.outcome(end)
     }
 }
@@ -1691,60 +1694,6 @@ mod tests {
         assert_eq!(b, c);
     }
 
-    /// Runs a protocol-mode schedule long enough to accumulate meetings,
-    /// then checks the O(agents + edges) snapshot contract structurally:
-    /// the snapshot's meeting log *shares* the runtime's sealed chunks
-    /// instead of copying them, at any log length.
-    #[test]
-    fn protocol_snapshots_share_the_meeting_log() {
-        let g = generators::ring(4);
-        // Two scripted walkers marching in lockstep on a small ring meet
-        // constantly; protocol mode keeps going through every meeting.
-        let behaviors = vec![
-            ScriptBehavior::new(NodeId(0), [0; 600]),
-            ScriptBehavior::new(NodeId(1), [0; 600]),
-        ];
-        let mut rt = Runtime::new(&g, behaviors, RunConfig::protocol());
-        let mut choices = Vec::new();
-        let mut meetings = Vec::new();
-        let mut checked = 0;
-        loop {
-            rt.legal_choices_into(&mut choices);
-            let Some(c) = choices.first() else { break };
-            meetings.clear();
-            rt.apply_into(c.choice, &mut meetings);
-            if rt.actions().is_multiple_of(64) {
-                let snap = rt.snapshot();
-                assert!(
-                    snap.meetings().shares_storage_with(rt.meetings()),
-                    "snapshot at action {} copied the meeting log",
-                    rt.actions()
-                );
-                assert_eq!(snap.meetings().len(), rt.meetings().len());
-                checked += 1;
-            }
-        }
-        assert!(checked > 5, "the schedule must snapshot repeatedly");
-        assert!(
-            rt.meetings().len() > 100,
-            "the schedule must accumulate meetings (got {})",
-            rt.meetings().len()
-        );
-    }
-
-    #[test]
-    fn run_outcome_shares_the_meeting_log() {
-        let g = generators::ring(6);
-        let mut rt = Runtime::new(&g, two_walkers(&g), RunConfig::protocol());
-        let out = rt.run(&mut RoundRobin::new());
-        assert_eq!(out.end, RunEnd::AllParked);
-        assert!(
-            out.meetings.shares_storage_with(rt.meetings()) || rt.meetings().len() < 32, // short logs have no sealed chunks to share
-            "RunOutcome must hand out the COW log, not a deep copy"
-        );
-        assert_eq!(out.meetings.len(), rt.meetings().len());
-    }
-
     /// What a [`Recorder`] reveals: its agent index and how many
     /// deliveries it had received when the info was taken. Cloning one
     /// bumps a counter shared by the whole team.
@@ -1817,15 +1766,18 @@ mod tests {
         }
     }
 
+    /// A scripted run: the runtime after the script, the meetings its
+    /// steps declared in order, and the team's clone counter.
+    type Played<'g> = (Runtime<'g, Recorder>, Vec<Meeting>, Rc<Cell<usize>>);
+
     /// Recorders, one per `(start node, ports in order)` entry, play
-    /// `script` with `faults` installed first. Returns the runtime after
-    /// the script and the team's clone counter.
+    /// `script` with `faults` installed first.
     fn scripted_recorders<'g>(
         g: &'g Graph,
         team: &[(usize, &[usize])],
         script: Vec<Choice>,
         faults: FaultPlan,
-    ) -> (Runtime<'g, Recorder>, Rc<Cell<usize>>) {
+    ) -> Played<'g> {
         let clones = Rc::new(Cell::new(0));
         let team = team
             .iter()
@@ -1842,11 +1794,12 @@ mod tests {
         rt.set_fault_plan(faults);
         let steps = script.len();
         let mut adversary = Scripted(script.into_iter());
-        let mut meetings = Vec::new();
+        let (mut meetings, mut log) = (Vec::new(), Vec::new());
         for _ in 0..steps {
             assert_eq!(rt.step(&mut adversary, &mut meetings), None);
+            log.extend_from_slice(&meetings);
         }
-        (rt, clones)
+        (rt, log, clones)
     }
 
     /// Builds a script from `(agent, kind)` pairs.
@@ -1859,10 +1812,9 @@ mod tests {
 
     /// Four recorders on the leaves of a five-node star walk into the hub
     /// in the order 2, 0, 3, 1, so the arrivals declare node meetings of
-    /// two, three and four agents. `faults` is installed before the run.
-    /// Returns the runtime after the twelve scripted actions and the
-    /// team's clone counter.
-    fn hub_meetings(g: &Graph, faults: FaultPlan) -> (Runtime<'_, Recorder>, Rc<Cell<usize>>) {
+    /// two, three and four agents. `faults` is installed before the run,
+    /// which plays twelve scripted actions.
+    fn hub_meetings(g: &Graph, faults: FaultPlan) -> Played<'_> {
         let mut actions: Vec<_> = (0..4).map(|a| (a, ActionKind::Wake)).collect();
         for a in [2, 0, 3, 1] {
             actions.push((a, ActionKind::Start));
@@ -1872,14 +1824,18 @@ mod tests {
         scripted_recorders(g, &team, script(&actions), faults)
     }
 
-    /// What each agent should have received: replays the meeting log,
-    /// giving every live participant its peers in ascending agent order,
-    /// each with the delivery count it had *before* the meeting.
-    fn expected_deliveries(rt: &Runtime<'_, Recorder>) -> Vec<Vec<Vec<(usize, usize)>>> {
+    /// What each agent should have received: replays the declared
+    /// meetings, giving every live participant its peers in ascending
+    /// agent order, each with the delivery count it had *before* the
+    /// meeting.
+    fn expected_deliveries(
+        rt: &Runtime<'_, Recorder>,
+        log: &[Meeting],
+    ) -> Vec<Vec<Vec<(usize, usize)>>> {
         let n = rt.agent_count();
         let mut expected = vec![Vec::new(); n];
         let mut delivered = vec![0; n];
-        for m in rt.meetings().iter() {
+        for m in log {
             let before = delivered.clone();
             for j in m.agents.iter().filter(|&j| !rt.crashed(j)) {
                 let peers = m.agents.iter().filter(|&p| p != j);
@@ -1903,11 +1859,11 @@ mod tests {
     #[test]
     fn delivery_gives_each_participant_its_peers_in_agent_order() {
         let g = generators::star(5);
-        let (rt, clones) = hub_meetings(&g, FaultPlan::empty());
-        let sizes: Vec<usize> = rt.meetings().iter().map(|m| m.agents.len()).collect();
+        let (rt, log, clones) = hub_meetings(&g, FaultPlan::empty());
+        let sizes: Vec<usize> = log.iter().map(|m| m.agents.len()).collect();
         assert_eq!(sizes, vec![2, 3, 4]);
         let received: Vec<_> = (0..4).map(|i| rt.behavior(i).received.clone()).collect();
-        assert_eq!(received, expected_deliveries(&rt));
+        assert_eq!(received, expected_deliveries(&rt, &log));
         // Spelled out for the four-agent meeting: agents 0 and 2 had two
         // deliveries, agent 3 one, agent 1 none.
         assert_eq!(received[1], vec![vec![(0, 2), (2, 2), (3, 1)]]);
@@ -1923,12 +1879,13 @@ mod tests {
             at_action: 6,
             agent: 2,
         };
-        let (rt, clones) = hub_meetings(&g, FaultPlan::new(vec![crash], Vec::new(), Vec::new()));
+        let (rt, log, clones) =
+            hub_meetings(&g, FaultPlan::new(vec![crash], Vec::new(), Vec::new()));
         assert!(rt.crashed(2));
-        assert_eq!(rt.meetings().len(), 3);
+        assert_eq!((log.len(), rt.meetings().len()), (3, 3));
         assert!(rt.behavior(2).received.is_empty());
         let received: Vec<_> = (0..4).map(|i| rt.behavior(i).received.clone()).collect();
-        assert_eq!(received, expected_deliveries(&rt));
+        assert_eq!(received, expected_deliveries(&rt, &log));
         assert_eq!(
             received[0][0],
             vec![(2, 0)],
@@ -1937,10 +1894,9 @@ mod tests {
         assert_eq!(clones.get(), 0, "delivery cloned an info");
     }
 
-    /// The places of the logged meetings, `true` for an edge.
-    fn inside_edges(rt: &Runtime<'_, Recorder>) -> Vec<bool> {
-        rt.meetings()
-            .iter()
+    /// The places of the declared meetings, `true` for an edge.
+    fn inside_edges(log: &[Meeting]) -> Vec<bool> {
+        log.iter()
             .map(|m| matches!(m.place, MeetingPlace::Edge(_)))
             .collect()
     }
@@ -1964,10 +1920,10 @@ mod tests {
             (2, Start),
             (0, Start),
         ];
-        let (rt, clones) = scripted_recorders(&g, &team, script(&actions), FaultPlan::empty());
-        assert_eq!(inside_edges(&rt), vec![false, true, true]);
+        let (rt, log, clones) = scripted_recorders(&g, &team, script(&actions), FaultPlan::empty());
+        assert_eq!(inside_edges(&log), vec![false, true, true]);
         let received: Vec<_> = (0..3).map(|i| rt.behavior(i).received.clone()).collect();
-        assert_eq!(received, expected_deliveries(&rt));
+        assert_eq!(received, expected_deliveries(&rt, &log));
         // Each side gets the other's pre-meeting count: agent 0 had one
         // delivery when it crossed agent 2.
         assert_eq!(received[0], vec![vec![(1, 1)], vec![(2, 1)]]);
@@ -1995,10 +1951,10 @@ mod tests {
             (1, Finish),
             (0, Finish),
         ];
-        let (rt, clones) = scripted_recorders(&g, &team, script(&actions), FaultPlan::empty());
-        assert_eq!(inside_edges(&rt), vec![false, true, false]);
+        let (rt, log, clones) = scripted_recorders(&g, &team, script(&actions), FaultPlan::empty());
+        assert_eq!(inside_edges(&log), vec![false, true, false]);
         let received: Vec<_> = (0..2).map(|i| rt.behavior(i).received.clone()).collect();
-        assert_eq!(received, expected_deliveries(&rt));
+        assert_eq!(received, expected_deliveries(&rt, &log));
         assert_eq!(received[0], vec![vec![(1, 0)], vec![(1, 1)], vec![(1, 2)]]);
         assert_eq!(received[1], vec![vec![(0, 0)], vec![(0, 1)], vec![(0, 2)]]);
         assert_eq!(clones.get(), 0, "delivery cloned an info");
@@ -2238,6 +2194,101 @@ mod tests {
                 && coverage.edge_meetings >= 100,
             "{coverage:?}"
         );
+    }
+
+    /// How much of the tally's input the [`tally_walk`]s exercised.
+    #[derive(Debug, Default)]
+    struct TallyCoverage {
+        /// Logged meetings of three or more agents.
+        crowded: usize,
+        /// Meetings a log-loss fault kept out of the tally.
+        lost: usize,
+    }
+
+    /// A random protocol-mode schedule of a crowded team of `k` scripted
+    /// walkers on a five-node graph, under a random fault plan whose log
+    /// losses hit about a third of the first 200 actions, driven through
+    /// `step`. After every step the tally must agree with the meetings
+    /// `step` handed out, minus those declared at a lost action: the same
+    /// count, the same last meeting, and `pair_met` true for exactly the
+    /// pairs (an agent with itself included) that shared a meeting.
+    fn tally_walk(
+        family: u64,
+        k: usize,
+        seed: u64,
+        coverage: &mut TallyCoverage,
+    ) -> Result<(), TestCaseError> {
+        let mut rng = seed;
+        let g = match family {
+            0 => generators::star(5),
+            1 => generators::complete(5),
+            2 => generators::ring(5),
+            _ => generators::path(5),
+        };
+        let team = random_team(&g, k, &mut rng);
+        let mut rt = Runtime::new(&g, team, RunConfig::protocol());
+        let plan = random_faults(&g, k, &mut rng);
+        let losses = (1..200)
+            .filter(|_| splitmix(&mut rng).is_multiple_of(3))
+            .collect();
+        rt.set_fault_plan(FaultPlan::new(plan.crashes, plan.outages, losses));
+        let mut adversary = Uniform(splitmix(&mut rng));
+        let (mut meetings, mut logged) = (Vec::new(), Vec::<Meeting>::new());
+        loop {
+            let end = rt.step(&mut adversary, &mut meetings);
+            let action = rt.actions();
+            let plan = rt.fault_plan().expect("installed");
+            if plan.log_losses.contains(&action) {
+                coverage.lost += meetings.len();
+            } else {
+                coverage.crowded += meetings.iter().filter(|m| m.agents.len() >= 3).count();
+                logged.extend_from_slice(&meetings);
+            }
+            let tally = rt.meetings();
+            prop_assert_eq!(tally.len(), logged.len(), "at action {}", action);
+            prop_assert_eq!(tally.last(), logged.last(), "at action {}", action);
+            // Pair `(a, b)` at index `a·k + b`.
+            let met = |a: usize, b: usize| {
+                logged
+                    .iter()
+                    .any(|m| m.agents.contains(a) && m.agents.contains(b))
+            };
+            let expected: Vec<bool> = (0..k * k).map(|ab| met(ab / k, ab % k)).collect();
+            let got: Vec<bool> = (0..k * k)
+                .map(|ab| tally.pair_met(ab / k, ab % k))
+                .collect();
+            prop_assert_eq!(got, expected, "pair_met at action {}", action);
+            if end.is_some() {
+                return Ok(());
+            }
+        }
+    }
+
+    #[test]
+    fn tally_walks_cover_crowded_and_lost_meetings() {
+        let mut coverage = TallyCoverage::default();
+        for seed in 0..64 {
+            tally_walk(seed % 4, 2 + seed as usize % 4, seed, &mut coverage).expect("tally walk");
+        }
+        assert!(
+            coverage.crowded >= 40 && coverage.lost >= 100,
+            "{coverage:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random crowded teams, schedules and log-loss plans: the tally
+        /// agrees with the meetings `step` declared (see `tally_walk`).
+        #[test]
+        fn tally_matches_the_stepped_meetings(
+            family in 0u64..4,
+            k in 2usize..6,
+            seed in any::<u64>(),
+        ) {
+            tally_walk(family, k, seed, &mut TallyCoverage::default())?;
+        }
     }
 
     proptest! {

@@ -127,9 +127,15 @@ fn meetings_report_monotone_costs_and_valid_participants() {
     ];
     let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous());
     let mut adv = AdversaryKind::EagerMeet.build(0);
-    let out = rt.run(adv.as_mut());
+    // `run()`'s loop over `step`, keeping the meetings each step declares.
+    let (mut meetings, mut log) = (Vec::new(), Vec::new());
+    while rt.step(adv.as_mut(), &mut meetings).is_none() {
+        log.extend_from_slice(&meetings);
+    }
+    log.extend_from_slice(&meetings);
+    assert!(!log.is_empty(), "eager-meet forces a meeting");
     let mut prev = 0;
-    for m in &out.meetings {
+    for m in &log {
         assert!(m.at_cost >= prev, "meeting costs are non-decreasing");
         prev = m.at_cost;
         assert!(m.agents.len() >= 2);

@@ -6,6 +6,10 @@
 //! outcome: `RunEnd`, total/per-agent traversal counts, action counts, the
 //! full meeting list, and the exact traversal streams of the cursor.
 //!
+//! A run keeps a meeting tally, not a log. Two agents stopping at their
+//! first meeting declare at most one, so the tally's last meeting is the
+//! whole list, and [`outcome_line`] renders it as the list was captured.
+//!
 //! To re-capture after an *intentional* semantic change, run
 //! `cargo test -p rv_sim --test golden_equivalence -- --ignored --nocapture`
 //! and paste the printed table over `GOLDEN`.
@@ -17,7 +21,7 @@ use rv_graph::{GraphFamily, NodeId};
 use rv_sim::adversary::{
     Adversary, AdversaryKind, EagerMeet, GreedyAvoid, Lazy, RandomAdversary, RoundRobin,
 };
-use rv_sim::{RunConfig, RunEnd, Runtime, RvBehavior};
+use rv_sim::{RunConfig, RunEnd, RunOutcome, Runtime, RvBehavior};
 use rv_trajectory::{Spec, TrajectoryCursor};
 
 const CUTOFF: u64 = 4_000_000;
@@ -42,8 +46,20 @@ impl Fnv {
     }
 }
 
-/// One rendezvous run under a fixed adversary, rendered as a stable
-/// fingerprint line covering every observable field of the outcome.
+/// A rendezvous outcome as a stable fingerprint line covering every
+/// observable field; the meeting list is the tally's last meeting, if
+/// any (see the module docs).
+fn outcome_line(out: &RunOutcome) -> String {
+    assert!(out.meetings.len() <= 1, "{} meetings", out.meetings.len());
+    let meetings: Vec<_> = out.meetings.last().into_iter().collect();
+    format!(
+        "{:?} cost={} actions={} per={:?} meetings={meetings:?}",
+        out.end, out.total_traversals, out.actions, out.per_agent
+    )
+}
+
+/// One rendezvous run under a fixed adversary, rendered by
+/// [`outcome_line`].
 fn run_fingerprint(
     fam: GraphFamily,
     n: usize,
@@ -59,11 +75,7 @@ fn run_fingerprint(
     ];
     let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(CUTOFF));
     let mut adv = kind.build(aseed);
-    let out = rt.run(adv.as_mut());
-    format!(
-        "{:?} cost={} actions={} per={:?} meetings={:?}",
-        out.end, out.total_traversals, out.actions, out.per_agent, out.meetings
-    )
+    outcome_line(&rt.run(adv.as_mut()))
 }
 
 /// Streams up to `steps` traversals of `c` into `h`, one
@@ -310,13 +322,8 @@ fn detour_fingerprints(i: usize, split: u64) -> (String, String) {
         }
         let snap = rt.snapshot();
         let mut forked_adv = adv.clone();
-        let fingerprint = |rt: &mut Runtime<RvBehavior<SeededUxs>>, adv: &mut A| {
-            let out = rt.run(adv);
-            format!(
-                "{:?} cost={} actions={} per={:?} meetings={:?}",
-                out.end, out.total_traversals, out.actions, out.per_agent, out.meetings
-            )
-        };
+        let fingerprint =
+            |rt: &mut Runtime<RvBehavior<SeededUxs>>, adv: &mut A| outcome_line(&rt.run(adv));
         let continued = fingerprint(&mut rt, &mut adv);
         let mut restored = Runtime::from_snapshot(&g, &snap, config);
         let resumed = fingerprint(&mut restored, &mut forked_adv);
@@ -366,11 +373,7 @@ fn policy_fingerprint(i: usize, policy: &mut dyn rv_sim::StopPolicy) -> String {
     ];
     let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(CUTOFF));
     let mut adv = kind.build(aseed);
-    let out = rt.run_with_policy(adv.as_mut(), policy);
-    format!(
-        "{:?} cost={} actions={} per={:?} meetings={:?}",
-        out.end, out.total_traversals, out.actions, out.per_agent, out.meetings
-    )
+    outcome_line(&rt.run_with_policy(adv.as_mut(), policy))
 }
 
 /// The stop-policy contract on converging runs: a detector may change
