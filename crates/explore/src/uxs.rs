@@ -118,8 +118,8 @@ impl ExplorationProvider for SeededUxs {
 /// Tables are immutable once built and shared behind an
 /// [`Arc`](std::sync::Arc), so clones
 /// are O(1) — providers are cloned into every cursor, walker, and behavior
-/// fork, and the simulator's snapshot/restore machinery forks behaviors
-/// once per explored schedule-tree node.
+/// fork, and the simulator's plain minimax enumeration forks behaviors
+/// at every branching schedule-tree node.
 #[derive(Clone, Debug, Default)]
 pub struct TableUxs {
     /// `tables[j]` is the sequence for `k = j + 1`.

@@ -1,16 +1,16 @@
-//! Golden-equivalence for protocol-runtime snapshots under SGL contention:
-//! freezing a mid-run [`Runtime::snapshot`] and continuing **both** the
-//! original runtime and a restored copy must be invisible — identical run
-//! outcome, meeting sequence, gossip bags, outputs, and adversary RNG streams
-//! (the forked adversary continues the seeded stream mid-way).
+//! Golden-equivalence for protocol-runtime forks under SGL contention:
+//! taking a mid-run [`Runtime::fork`] and continuing **both** the fork and
+//! the original runtime must be invisible — identical run outcome, meeting
+//! sequence, gossip bags, outputs, and adversary RNG streams (the cloned
+//! adversary continues the seeded stream mid-way).
 //!
 //! This is the protocol-mode counterpart of the rendezvous detour proptest
 //! in `rv_sim` (`golden_equivalence.rs`): protocol runs keep going through
-//! every meeting, so the snapshot must capture agents mid-gossip — bags,
+//! every meeting, so the fork must capture agents mid-gossip — bags,
 //! phase machinery, token flags — and the meeting tally, which keeps
 //! growing on both sides of the fork afterwards. The meeting sequence
 //! each side declares is hashed as `Runtime::step` hands it out, the
-//! prefix before the snapshot included.
+//! prefix before the fork included.
 
 use rv_core::Label;
 use rv_explore::SeededUxs;
@@ -122,10 +122,10 @@ fn uninterrupted<A: Adversary>(g: &Graph, mut adv: A) -> (String, u64) {
 /// Steps a manual prefix of `split` actions via [`Runtime::step`] —
 /// `run()`'s own loop body, so the prefix is decision-for-decision
 /// identical by construction (protocol mode does *not* stop at meetings)
-/// — then snapshots, forks the adversary, and finishes both continuations.
+/// — then forks the runtime, clones the adversary, and finishes both
+/// continuations, the fork's first.
 fn detour<A: Adversary + Clone>(g: &Graph, mut adv: A, split: u64) -> (String, String) {
-    let config = RunConfig::protocol();
-    let mut rt = Runtime::new(g, team(g), config);
+    let mut rt = Runtime::new(g, team(g), RunConfig::protocol());
     let mut prefix = Fnv::new();
     let mut meetings = Vec::new();
     for _ in 0..split {
@@ -133,18 +133,17 @@ fn detour<A: Adversary + Clone>(g: &Graph, mut adv: A, split: u64) -> (String, S
         assert!(end.is_none(), "split must be strictly mid-run");
         meetings.iter().for_each(|m| prefix.push(m));
     }
-    let snap = rt.snapshot();
+    let mut fork = rt.fork();
     let mut forked_adv = adv.clone();
 
     let mut h = prefix.clone();
+    let end = step_to_end(&mut fork, &mut forked_adv, &mut h);
+    let forked = fingerprint(end, &fork, &h);
+
+    let mut h = prefix;
     let end = step_to_end(&mut rt, &mut adv, &mut h);
     let continued = fingerprint(end, &rt, &h);
-
-    let mut restored = Runtime::from_snapshot(g, &snap, config);
-    let mut h = prefix;
-    let end = step_to_end(&mut restored, &mut forked_adv, &mut h);
-    let resumed = fingerprint(end, &restored, &h);
-    (continued, resumed)
+    (continued, forked)
 }
 
 /// The detour check for one adversary over the ring(5) contention
@@ -155,27 +154,27 @@ fn check_detours<A: Adversary + Clone>(make_adv: impl Fn() -> A, name: &str) {
     let (golden, actions) = uninterrupted(&g, make_adv());
     assert!(actions > 100, "instance must be non-trivial");
     for split in [1, actions / 4, actions / 2, actions - 1] {
-        let (continued, resumed) = detour(&g, make_adv(), split);
+        let (continued, forked) = detour(&g, make_adv(), split);
         assert_eq!(
             continued, golden,
-            "{name}: continuing past a snapshot at action {split} diverged"
+            "{name}: continuing past a fork at action {split} diverged"
         );
         assert_eq!(
-            resumed, golden,
-            "{name}: restoring a snapshot at action {split} diverged"
+            forked, golden,
+            "{name}: running a fork taken at action {split} diverged"
         );
     }
 }
 
 #[test]
-fn snapshot_detour_is_invisible_under_seeded_random_contention() {
+fn fork_detour_is_invisible_under_seeded_random_contention() {
     // RandomAdversary: the fork must capture the RNG stream mid-way.
     check_detours(|| RandomAdversary::new(11), "random(11)");
 }
 
 #[test]
-fn snapshot_detour_is_invisible_under_eager_meetings() {
-    // EagerMeet maximises meeting density: every snapshot lands between
+fn fork_detour_is_invisible_under_eager_meetings() {
+    // EagerMeet maximises meeting density: every fork lands between
     // gossip exchanges and the log keeps growing on both sides.
     check_detours(EagerMeet::new, "eager-meet");
 }

@@ -22,12 +22,12 @@ use rv_trajectory::TrajectoryCursor;
 /// `next_port` streams, identical `info` snapshots, and identical reactions
 /// to identical meeting deliveries — including the state of any internal
 /// RNG or memoisation. Stepping either copy must never affect the other.
-/// This is what lets [`crate::Runtime::snapshot`] freeze a mid-run
-/// configuration and the minimax search's plain enumeration re-enter it
-/// without re-executing the schedule prefix. (Its memoized walk forks no
-/// behavior: it runs on replays of the ports [`Behavior::future_ports`]
-/// previews.) Behaviors whose state is plain data implement it as
-/// `self.clone()`.
+/// This is what lets [`crate::Runtime::fork`] copy a mid-run
+/// configuration, and the minimax search's plain enumeration branch from
+/// it, without re-executing the schedule prefix. (Its memoized walk forks
+/// no behavior: it runs on replays of the ports
+/// [`Behavior::future_ports`] previews.) Behaviors whose state is plain
+/// data implement it as `self.clone()`.
 pub trait Behavior {
     /// Information revealed to peers at a meeting. The runtime takes one
     /// per participant per meeting — protocol runs meet about once per
@@ -102,10 +102,10 @@ pub trait Behavior {
     /// Performs any one-time lazy setup the first [`Behavior::next_port`]
     /// would do — materialising schedule state, expanding trajectory
     /// frames — **without consuming a port**. Forks taken after warming
-    /// inherit the materialised state, so a search that snapshots one root
-    /// and restores it across thousands of branches (the minimax search's
-    /// plain enumeration, see `crate::minimax`) pays the setup once
-    /// instead of once per branch. Must commute with
+    /// inherit the materialised state, so a search that forks one root
+    /// into thousands of branches (the minimax search's plain
+    /// enumeration, see `crate::minimax`) pays the setup once instead of
+    /// once per branch. Must commute with
     /// the port stream: `warm(); next_port()` and `next_port()` alone must
     /// return identical ports with identical subsequent behavior. The
     /// default does nothing.

@@ -38,11 +38,11 @@
 //! choiceless state as [`crate::RunEnd::AllCrashed`] /
 //! [`crate::RunEnd::SurvivorsParked`] instead of looping, and an
 //! all-agents-blocked edge outage fast-forwards the action clock to the
-//! earliest release instead of deadlocking. Snapshots do **not** carry the
-//! plan (it is run *configuration*, like [`crate::RunConfig`]); restoring
-//! a snapshot rewinds the action clock, and the [`FaultClock`] re-derives
-//! its state from the plan on the next step. See `docs/FAULTS.md` for the
-//! full catalogue.
+//! earliest release instead of deadlocking. The runtime's cursor into
+//! the plan (`FaultClock`) only moves forward, like the action clock it
+//! follows; [`crate::Runtime::fork`] carries it as it stands, so a fork
+//! meets the plan's remaining faults at the same actions as the run it
+//! copies. See `docs/FAULTS.md` for the full catalogue.
 
 use serde::Serialize;
 
@@ -127,7 +127,7 @@ impl FaultPlan {
     }
 
     /// Builds a plan from explicit fault lists, sorting each by time (the
-    /// order [`FaultClock`] consumes them in).
+    /// order the runtime's fault clock consumes them in).
     pub fn new(
         mut crashes: Vec<CrashFault>,
         mut outages: Vec<OutageFault>,
@@ -189,49 +189,39 @@ impl FaultPlan {
 
 /// The runtime's cursor into a [`FaultPlan`]: which crashes have fired,
 /// which outages are live. Owned by [`crate::Runtime`]; advanced before
-/// every decision. Pure bookkeeping over action counts — rewinding the
-/// action clock (a snapshot restore) resets the cursor and replays the
-/// plan's prefix, so faulted runs restore as exactly as clean ones.
+/// every decision. Pure bookkeeping over action counts, which only move
+/// forward: a fork copies the cursor, and nothing rewinds it.
 #[derive(Clone, Debug)]
-pub struct FaultClock {
+pub(crate) struct FaultClock {
     plan: FaultPlan,
     crash_cursor: usize,
     outage_cursor: usize,
     /// Live outages as `(edge_index, down_until_action)` — an edge is down
     /// for actions strictly below `down_until_action`.
     active: Vec<(usize, u64)>,
-    last_action: u64,
 }
 
 impl FaultClock {
     /// A clock at the start of `plan`.
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultClock {
             plan,
             crash_cursor: 0,
             outage_cursor: 0,
             active: Vec::new(),
-            last_action: 0,
         }
     }
 
     /// The plan this clock walks.
-    pub fn plan(&self) -> &FaultPlan {
+    pub(crate) fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
-    /// Advances to `action`, reporting each crash whose time has come via
-    /// `on_crash` (crash application is idempotent, so replays after a
-    /// rewind re-mark already-crashed agents harmlessly). If the action
-    /// clock moved **backwards** — a snapshot restore — the cursor resets
-    /// and replays the plan prefix up to `action`.
-    pub fn advance(&mut self, action: u64, mut on_crash: impl FnMut(usize)) {
-        if action < self.last_action {
-            self.crash_cursor = 0;
-            self.outage_cursor = 0;
-            self.active.clear();
-        }
-        self.last_action = action;
+    /// Advances to `action`, which is never below the last action it was
+    /// advanced to, reporting each crash whose time has come via
+    /// `on_crash`. Each crash is reported once; advancing to the same
+    /// action again reports nothing new.
+    pub(crate) fn advance(&mut self, action: u64, mut on_crash: impl FnMut(usize)) {
         while let Some(c) = self.plan.crashes.get(self.crash_cursor) {
             if c.at_action > action {
                 break;
@@ -254,7 +244,7 @@ impl FaultClock {
 
     /// `true` if dense edge `edge_index` is inside an outage window at
     /// `action` (valid after [`FaultClock::advance`] to that action).
-    pub fn edge_down(&self, edge_index: usize, action: u64) -> bool {
+    pub(crate) fn edge_down(&self, edge_index: usize, action: u64) -> bool {
         self.active
             .iter()
             .any(|&(e, until)| e == edge_index && until > action)
@@ -262,7 +252,7 @@ impl FaultClock {
 
     /// The action at which every currently-live outage on `edge_index` has
     /// released (`None` if the edge is up at `action`).
-    pub fn edge_release(&self, edge_index: usize, action: u64) -> Option<u64> {
+    pub(crate) fn edge_release(&self, edge_index: usize, action: u64) -> Option<u64> {
         self.active
             .iter()
             .filter(|&&(e, until)| e == edge_index && until > action)
@@ -272,7 +262,7 @@ impl FaultClock {
 
     /// `true` if the meeting-log append at `action` is scheduled to be
     /// lost.
-    pub fn log_lost(&self, action: u64) -> bool {
+    pub(crate) fn log_lost(&self, action: u64) -> bool {
         self.plan.log_losses.binary_search(&action).is_ok()
     }
 }
@@ -340,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn clock_windows_outages_and_rewinds_replay() {
+    fn clock_windows_outages() {
         let plan = FaultPlan::new(
             vec![CrashFault {
                 at_action: 3,
@@ -354,7 +344,9 @@ mod tests {
             vec![],
         );
         let mut clock = FaultClock::new(plan);
-        clock.advance(9, |_| {});
+        let mut fired = Vec::new();
+        clock.advance(9, |a| fired.push(a));
+        assert_eq!(fired, vec![2]);
         assert!(!clock.edge_down(4, 9));
         clock.advance(10, |_| {});
         assert!(clock.edge_down(4, 10));
@@ -363,12 +355,6 @@ mod tests {
         assert!(clock.edge_down(4, 14));
         clock.advance(15, |_| {});
         assert!(!clock.edge_down(4, 15), "window is half-open");
-
-        // Rewind (snapshot restore): the prefix replays, crashes included.
-        let mut fired = Vec::new();
-        clock.advance(12, |a| fired.push(a));
-        assert_eq!(fired, vec![2], "rewind replays the crash prefix");
-        assert!(clock.edge_down(4, 12), "rewind replays live outages");
     }
 
     #[test]

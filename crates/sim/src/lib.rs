@@ -39,16 +39,17 @@
 //! completes its current traversal before parking, which keeps the SGL
 //! token inside one extended edge).
 //!
-//! # Rewinding
+//! # Forking
 //!
-//! [`Runtime::restore`] returns a [`Runtime`] to a **mid-run** state
-//! frozen earlier by [`Runtime::snapshot`] — use it to branch execution
-//! from a common prefix (the minimax search's plain enumeration), to
-//! retry a suffix, or to seed a fresh runtime
-//! ([`Runtime::from_snapshot`]). Behaviors come back via
+//! [`Runtime::fork`] copies a runtime's complete **mid-run** state into an
+//! independent runtime over the same graph — use it to branch execution
+//! from a common prefix (the minimax search's plain enumeration) or to
+//! try a suffix while keeping the original. Behaviors are copied via
 //! [`Behavior::fork`] in O(state) with all accumulated context intact: no
-//! prefix replay, no reconstruction. A new experiment (different labels,
-//! variant, or adversary seed) builds a new runtime with [`Runtime::new`].
+//! prefix replay, no reconstruction. The fork keeps the config and
+//! carries the fault clock, and either copy can be stepped without
+//! affecting the other. A new experiment (different labels, variant, or
+//! adversary seed) builds a new runtime with [`Runtime::new`].
 //!
 //! # Examples
 //!
@@ -79,13 +80,11 @@ mod runtime;
 pub mod stop;
 
 pub use behavior::{Behavior, NaiveBehavior, RvBehavior, ScriptBehavior, SpecBehavior};
-pub use fault::{CrashFault, FaultClock, FaultPlan, FaultProfile, OutageFault};
+pub use fault::{CrashFault, FaultPlan, FaultProfile, OutageFault};
 pub use meeting::{AgentSet, AgentSetIter, Meeting, MeetingPlace, MeetingTally};
 pub use memo::MemoStats;
 pub use minimax::{search_worst_case, SearchOptions, SearchReport};
-pub use runtime::{
-    ActionKind, Choice, ChoiceInfo, Place, RunConfig, RunEnd, RunOutcome, Runtime, RuntimeSnapshot,
-};
+pub use runtime::{ActionKind, Choice, ChoiceInfo, Place, RunConfig, RunEnd, RunOutcome, Runtime};
 pub use stop::{
     AdaptiveThreshold, BehaviorProgress, DivergenceDetector, Progress, StarvationCensus,
     StarvationReport, StopPolicy, SuspensionReport,

@@ -129,7 +129,7 @@ pub struct Meeting {
 
 // `Debug` output (derived, above) is the bit-exact form the golden suite
 // fingerprints; `Display` (below) is the compact human form that failing
-// snapshot/fork tests print. Keep both — they serve different readers.
+// fork tests print. Keep both — they serve different readers.
 
 impl std::fmt::Display for MeetingPlace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

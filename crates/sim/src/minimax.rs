@@ -16,17 +16,20 @@
 //! Either way the agents are instantiated **once** (the factory is
 //! `FnOnce`) and no schedule prefix is ever re-executed.
 //!
-//! # The plain enumeration: snapshot/restore
+//! # The plain enumeration: one fork per extra child
 //!
-//! Since behaviors implement the [`Behavior::fork`] contract, every
-//! state the plain enumeration needs again is captured as a
-//! [`Runtime::snapshot`] in O(state) and re-entered with
-//! [`Runtime::restore`] — entering a sibling branch costs one behavior
-//! fork instead of a full prefix replay, and the last sibling takes the
-//! snapshot by move ([`Runtime::restore_owned`]) and pays no fork at all.
-//! Interior nodes with a single legal action never snapshot. The
-//! behaviors are warmed first ([`Behavior::warm`]), so every restored
-//! fork inherits their materialised first-move state.
+//! Since behaviors implement the [`Behavior::fork`] contract, the plain
+//! enumeration is a short recursive walk that owns the runtime it
+//! explores: at a node with `w` legal actions every child but the last
+//! runs on a [`Runtime::fork`] of the node, and the last child takes the
+//! node's runtime by move — `w − 1` forks per branching node, none at a
+//! node with a single legal action, and no prefix replay. Each child is
+//! applied with [`Runtime::apply`] and scored by the meetings that apply
+//! returns, so the oracle never consults the `causes_meeting`
+//! annotations, `wake_would_meet` or apply/undo that the memoized walk
+//! relies on. The behaviors are warmed once at the root
+//! ([`Behavior::warm`]), so every fork inherits their materialised
+//! first-move state.
 //!
 //! # The memoized walk: replay cursors
 //!
@@ -64,7 +67,7 @@
 
 use crate::behavior::Behavior;
 use crate::memo::{Fingerprinter, FutureTable, MemoStats, MemoTable, MemoValue, Replay};
-use crate::runtime::{ChoiceInfo, RunConfig, Runtime, RuntimeSnapshot};
+use crate::runtime::{Choice, ChoiceInfo, RunConfig, Runtime};
 use rv_graph::{Automorphisms, Graph};
 
 /// Result of an exhaustive search.
@@ -153,7 +156,7 @@ pub struct SearchReport {
 /// actions over the agents produced by `make_behaviors` — which is called
 /// exactly once, before the search starts; all further state reuse is
 /// apply/undo over replays of the agents' resolved port streams, or
-/// snapshot/restore ([`Behavior::fork`]), never re-instantiation.
+/// [`Runtime::fork`] ([`Behavior::fork`]), never re-instantiation.
 pub fn exhaustive_worst_case<B, F>(g: &Graph, make_behaviors: F, max_actions: usize) -> WorstCase
 where
     B: Behavior,
@@ -223,10 +226,9 @@ where
             // Materialise each behavior's lazy first-move state before the
             // enumeration: every branch starts from this state, so
             // cold-start work done here is paid once instead of once per
-            // restored snapshot. Commutes with the port stream (see
-            // `Behavior::warm`).
+            // fork. Commutes with the port stream (see `Behavior::warm`).
             rt.warm_behaviors();
-            explore_subtree(&mut rt, max_actions, &mut worst);
+            enumerate(rt, 0, max_actions, &mut worst);
             // A table that was asked for but never consulted reports zeros.
             opts.memo.then(MemoStats::default)
         }
@@ -296,8 +298,8 @@ impl MemoSearch<'_> {
             self.stack.extend_from_slice(&self.scratch);
             // Undo discipline: every descent is bracketed by
             // [`Runtime::apply_undoable`]/[`Runtime::undo`], so this function
-            // returns with `rt` exactly as it entered — no snapshots, no
-            // whole-runtime forks, and a token is a few `Copy` fields (a
+            // returns with `rt` exactly as it entered — no whole-runtime
+            // forks, and a token is a few `Copy` fields (a
             // replay's fork is a copy too). The bracket requires
             // meeting-free applies:
             // children annotated `causes_meeting` are terminal (record the
@@ -345,77 +347,45 @@ impl MemoSearch<'_> {
     }
 }
 
-/// A node of the depth-first descent: its frozen state (absent when the
-/// node has a single child — nothing will ever re-enter it) and the
-/// sibling iteration cursor.
-struct Frame<B> {
-    snap: Option<RuntimeSnapshot<B>>,
-    next: usize,
-    width: usize,
+/// Plain depth-first enumeration of every schedule from `rt`, a
+/// meeting-free node at `depth`, scoring every leaf into `result`. Every
+/// child but the last runs on a fork of `rt`; the last takes `rt` itself.
+fn enumerate<B: Behavior>(
+    rt: Runtime<'_, B>,
+    depth: usize,
+    max_actions: usize,
+    result: &mut WorstCase,
+) {
+    let choices = if depth < max_actions {
+        rt.legal_choices()
+    } else {
+        Vec::new()
+    };
+    let Some((last, rest)) = choices.split_last() else {
+        // Depth cap or all parked: an avoiding schedule exists.
+        result.record_avoidance();
+        return;
+    };
+    for c in rest {
+        enumerate_child(rt.fork(), c.choice, depth, max_actions, result);
+    }
+    enumerate_child(rt, last.choice, depth, max_actions, result);
 }
 
-/// Plain depth-first enumeration of every schedule from `rt`'s current
-/// state (the search root). Scores every leaf into `result`; on exit `rt`
-/// is at an arbitrary state within the tree.
-fn explore_subtree<B: Behavior>(rt: &mut Runtime<B>, max_actions: usize, result: &mut WorstCase) {
-    let mut choices: Vec<ChoiceInfo> = Vec::new();
-    let mut meetings = Vec::new();
-    let mut stack: Vec<Frame<B>> = Vec::new();
-    loop {
-        // `rt` sits at a just-entered, meeting-free node.
-        let depth = stack.len();
-        let mut is_leaf = true;
-        if depth < max_actions {
-            rt.legal_choices_into(&mut choices);
-            if !choices.is_empty() {
-                let width = choices.len();
-                stack.push(Frame {
-                    // Single-child nodes are never re-entered: skip the fork.
-                    snap: (width > 1).then(|| rt.snapshot()),
-                    next: 0,
-                    width,
-                });
-                is_leaf = false;
-            }
-        }
-        if is_leaf {
-            // Depth cap or all parked: an avoiding schedule exists.
-            result.record_avoidance();
-        }
-        // Advance to the next unexplored child anywhere up the stack.
-        loop {
-            let Some(frame) = stack.last_mut() else {
-                return;
-            };
-            if frame.next >= frame.width {
-                stack.pop();
-                continue;
-            }
-            let i = frame.next;
-            frame.next += 1;
-            if i > 0 {
-                // Re-enter the frame's node. The final sibling takes the
-                // snapshot by move — no behavior fork.
-                if i + 1 == frame.width {
-                    let snap = frame.snap.take().expect("width > 1 frames hold a snapshot");
-                    rt.restore_owned(snap);
-                } else {
-                    rt.restore(
-                        frame
-                            .snap
-                            .as_ref()
-                            .expect("width > 1 frames hold a snapshot"),
-                    );
-                }
-                rt.legal_choices_into(&mut choices);
-            }
-            meetings.clear();
-            rt.apply_into(choices[i].choice, &mut meetings);
-            if meetings.is_empty() {
-                break; // descend: the outer loop enters the child
-            }
-            result.record_meeting(rt.total_traversals());
-        }
+/// Applies `choice` to `rt` (a node at `depth`) and scores the child: a
+/// meeting ends the schedule at the cost reached, otherwise the child's
+/// subtree is enumerated.
+fn enumerate_child<B: Behavior>(
+    mut rt: Runtime<'_, B>,
+    choice: Choice,
+    depth: usize,
+    max_actions: usize,
+    result: &mut WorstCase,
+) {
+    if rt.apply(choice).is_empty() {
+        enumerate(rt, depth + 1, max_actions, result);
+    } else {
+        result.record_meeting(rt.total_traversals());
     }
 }
 
@@ -509,7 +479,7 @@ mod tests {
     #[test]
     fn factory_is_called_exactly_once() {
         // No prefix is ever re-executed: behaviors are instantiated once,
-        // all re-entry is apply/undo or snapshot/restore.
+        // and every branch is apply/undo or a fork.
         let calls = std::cell::Cell::new(0usize);
         let g = generators::ring(4);
         let res = exhaustive_worst_case(
@@ -541,7 +511,8 @@ mod tests {
     fn leaf_counts_match_the_seed_enumeration_at_every_horizon() {
         // Each horizon must enumerate exactly the leaf set the seed's
         // sequential odometer enumeration produced (counts pinned against
-        // a reimplementation of the pre-snapshot search), memoized or not.
+        // a reimplementation of the seed's replaying search), memoized or
+        // not.
         let g = generators::ring(4);
         for (depth, expected) in [(1, 2), (2, 4), (3, 8), (5, 32), (7, 85), (8, 129)] {
             for memo in [false, true] {
@@ -619,7 +590,7 @@ mod tests {
     #[should_panic(expected = "behavior bug")]
     fn a_panic_in_a_behavior_reaches_the_caller() {
         // No preview, so the search is the plain enumeration: the first
-        // snapshot aborts it.
+        // fork aborts it.
         let g = generators::ring(4);
         let _ = exhaustive_worst_case(&g, || brittle_walkers(false), 8);
     }

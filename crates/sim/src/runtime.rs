@@ -26,22 +26,25 @@
 //! when its agent is not the head of its direction queue.
 //!
 //! Entering, leaving and re-entering edges never allocates: linking and
-//! unlinking rewrite a few indices, and [`Runtime::new`],
-//! [`Runtime::snapshot`] and [`Runtime::restore`] build or copy one flat
-//! edge table whatever its occupancy. The `_into` variants of
+//! unlinking rewrite a few indices, and [`Runtime::new`] and
+//! [`Runtime::fork`] build or copy one flat edge table whatever its
+//! occupancy. The `_into` variants of
 //! [`Runtime::legal_choices`] / [`Runtime::apply`] write into
 //! caller-owned buffers that [`Runtime::run`] and the minimax search
 //! reuse across steps.
 //!
 //! # State lifecycle
 //!
-//! A runtime state moves through construct → run → snapshot → fork →
-//! restore: [`Runtime::new`] constructs, [`Runtime::run`] / `apply` steps,
-//! [`Runtime::snapshot`] freezes the complete mid-run state (forking every
-//! behavior per the [`Behavior::fork`] contract) into a
-//! [`RuntimeSnapshot`], and [`Runtime::restore`] /
-//! [`Runtime::from_snapshot`] re-enter that state — on the same runtime
-//! or a fresh one — without replaying the schedule prefix.
+//! A runtime state moves through construct → run → fork:
+//! [`Runtime::new`] constructs, [`Runtime::run`] / `apply` steps, and
+//! [`Runtime::fork`] copies the complete mid-run state (forking every
+//! behavior per the [`Behavior::fork`] contract) into an independent
+//! runtime over the same graph. The fork and the original then continue
+//! without replaying the schedule prefix, and stepping either never
+//! affects the other. The public API has no way back: a caller that
+//! wants to return to a state forks it first and continues the fork. (The
+//! memoized search's crate-private apply/undo brackets rewind single
+//! meeting-free actions; see [`Runtime::apply_undoable`].)
 
 use crate::behavior::Behavior;
 use crate::fault::{FaultClock, FaultPlan};
@@ -187,7 +190,7 @@ const NIL: u32 = u32::MAX;
 /// except the behavior, which lives in the runtime's separate behavior
 /// table. Being a small `Copy` record, the table of these is what choice
 /// enumeration, contact scans and the progress census walk, what a
-/// snapshot copies wholesale, and what a `Start`'s undo token saves.
+/// fork copies wholesale, and what a `Start`'s undo token saves.
 ///
 /// `edge` and `from_a` cache the geometry of the agent's committed move:
 /// set when the move is committed, kept while the agent is inside the
@@ -473,8 +476,8 @@ impl Iterator for Queued<'_> {
 
 /// Per-edge occupancy: the two direction queues of the agents inside,
 /// identified by the departure endpoint. It holds plain indices into the
-/// agent table, so a runtime's edge table is one flat allocation that
-/// snapshots and restores copy as it is.
+/// agent table, so a runtime's edge table is one flat allocation that a
+/// fork copies as it is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct EdgeOcc {
     /// Agents that entered from `edge.a`, in entry order.
@@ -507,37 +510,6 @@ impl EdgeOcc {
     }
 }
 
-/// A frozen mid-run [`Runtime`] state, in the runtime's own split layout:
-/// the scheduler table copied whole (cached move geometry and queue links
-/// included), the behaviors forked, plus the edge table, the meeting tally
-/// and the counters. Produced by [`Runtime::snapshot`], consumed
-/// (by reference, any number of times) by [`Runtime::restore`] and
-/// [`Runtime::from_snapshot`].
-///
-/// The snapshot does not borrow the runtime or the graph, so it outlives
-/// the runtime that took it and can seed a fresh one.
-#[derive(Debug)]
-pub struct RuntimeSnapshot<B> {
-    states: Vec<AgentState>,
-    behaviors: Vec<B>,
-    edges: Vec<EdgeOcc>,
-    meetings: MeetingTally,
-    actions: u64,
-    total_traversals: u64,
-}
-
-impl<B: Behavior> RuntimeSnapshot<B> {
-    /// Total completed traversals at the moment of the snapshot.
-    pub fn total_traversals(&self) -> u64 {
-        self.total_traversals
-    }
-
-    /// Adversary actions executed at the moment of the snapshot.
-    pub fn actions(&self) -> u64 {
-        self.actions
-    }
-}
-
 /// The adversarial scheduler over a set of agents in one graph.
 ///
 /// See the crate documentation for the model; see
@@ -561,16 +533,15 @@ pub struct Runtime<'g, B: Behavior> {
     /// deliveries, so it holds no references into the agents' state.
     info_scratch: Vec<B::Info>,
     /// Reusable legal-choice buffer for [`Runtime::step`] (transient, not
-    /// part of the frozen state — snapshots never carry it).
+    /// part of the run state — a fork starts with an empty one).
     choice_scratch: Vec<ChoiceInfo>,
     /// Reusable buffer of one step's meetings for the run loop (transient
     /// like `choice_scratch`).
     meeting_scratch: Vec<Meeting>,
     /// Fault-injection cursor (see [`crate::fault`]); `None` = no plan
     /// installed, which keeps every fault branch a single `Option` check.
-    /// Like [`RunConfig`], the plan is run *configuration*: snapshots do
-    /// not carry it, and [`Runtime::restore`] keeps the current plan (the
-    /// clock rewinds itself when the action counter moves backwards).
+    /// A fork carries the clock as it stands, so both copies meet the
+    /// plan's remaining faults at the same actions.
     faults: Option<FaultClock>,
 }
 
@@ -621,106 +592,34 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         }
     }
 
-    /// Freezes the complete mid-run state — agent behaviors (via
-    /// [`Behavior::fork`]), the scheduler table (positions, committed
-    /// moves, flags, counters), edge occupancy, the meeting tally, and
-    /// counters — into an **O(agents + edges)** snapshot that can be
-    /// [`Runtime::restore`]d any number of times, on this runtime or on a
-    /// fresh one built with [`Runtime::from_snapshot`]. The
-    /// [`MeetingTally`] is a fixed-size value, so snapshot cost is
-    /// independent of how many meetings the run has declared — protocol
-    /// runs snapshot as cheaply at their millionth exchange as at their
-    /// first.
+    /// Forks the complete mid-run state into an independent runtime over
+    /// the same graph: every behavior through [`Behavior::fork`], the
+    /// scheduler table (positions, committed moves, flags, counters), edge
+    /// occupancy, the meeting tally and the counters copied, the config
+    /// kept, and the fault clock carried as it stands. Only the scratch
+    /// buffers start empty. The cost is **O(agents + edges)** plus the
+    /// behavior forks: the [`MeetingTally`] is a fixed-size value, so
+    /// protocol runs fork as cheaply at their millionth exchange as at
+    /// their first.
     ///
-    /// Snapshots are independent of the runtime that produced them: taking
-    /// one never perturbs the run, and a snapshot outlives its runtime.
-    pub fn snapshot(&self) -> RuntimeSnapshot<B> {
-        RuntimeSnapshot {
+    /// The fork and the original continue bit-identically under identical
+    /// adversary decisions, and stepping either never affects the other.
+    /// The plain minimax enumeration forks each branching node once per
+    /// child but the last (see [`crate::minimax`]).
+    pub fn fork(&self) -> Self {
+        Runtime {
+            g: self.g,
             states: self.states.clone(),
             behaviors: self.behaviors.iter().map(B::fork).collect(),
             edges: self.edges.clone(),
             meetings: self.meetings.clone(),
             actions: self.actions,
             total_traversals: self.total_traversals,
-        }
-    }
-
-    /// Rewinds this runtime to the mid-run state captured by `snap`,
-    /// reusing internal allocations where possible.
-    ///
-    /// The snapshot is borrowed, not consumed: the same snapshot can seed
-    /// any number of restores (the plain minimax enumeration re-enters
-    /// each branching node once per sibling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` was taken on a runtime over a different graph
-    /// (detected by edge-table size).
-    pub fn restore(&mut self, snap: &RuntimeSnapshot<B>) {
-        assert_eq!(
-            snap.edges.len(),
-            self.edges.len(),
-            "snapshot belongs to a runtime over a different graph"
-        );
-        self.states.clone_from(&snap.states);
-        self.behaviors.clear();
-        self.behaviors.extend(snap.behaviors.iter().map(B::fork));
-        self.edges.clone_from(&snap.edges);
-        self.meetings = snap.meetings.clone();
-        self.actions = snap.actions;
-        self.total_traversals = snap.total_traversals;
-    }
-
-    /// Like [`Runtime::restore`], but consumes the snapshot and moves its
-    /// state in without forking the behaviors — the cheap path for a
-    /// snapshot's *last* use (the plain minimax enumeration re-enters each
-    /// node once per sibling; the final sibling takes the state by move).
-    ///
-    /// # Panics
-    ///
-    /// As for [`Runtime::restore`].
-    pub fn restore_owned(&mut self, snap: RuntimeSnapshot<B>) {
-        assert_eq!(
-            snap.edges.len(),
-            self.edges.len(),
-            "snapshot belongs to a runtime over a different graph"
-        );
-        self.states = snap.states;
-        self.behaviors = snap.behaviors;
-        self.edges = snap.edges;
-        self.meetings = snap.meetings;
-        self.actions = snap.actions;
-        self.total_traversals = snap.total_traversals;
-    }
-
-    /// Builds a fresh runtime positioned at the mid-run state captured by
-    /// `snap`, with the given configuration — e.g. to branch a run
-    /// without touching the original runtime. The fault plan is not part
-    /// of a snapshot: the new runtime has none until
-    /// [`Runtime::set_fault_plan`] installs one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` was not taken over `g` (edge-table size mismatch).
-    pub fn from_snapshot(g: &'g Graph, snap: &RuntimeSnapshot<B>, config: RunConfig) -> Self {
-        assert_eq!(
-            snap.edges.len(),
-            g.size(),
-            "snapshot belongs to a runtime over a different graph"
-        );
-        Runtime {
-            g,
-            states: snap.states.clone(),
-            behaviors: snap.behaviors.iter().map(B::fork).collect(),
-            edges: snap.edges.clone(),
-            meetings: snap.meetings.clone(),
-            actions: snap.actions,
-            total_traversals: snap.total_traversals,
-            config,
+            config: self.config,
             info_scratch: Vec::new(),
             choice_scratch: Vec::new(),
             meeting_scratch: Vec::new(),
-            faults: None,
+            faults: self.faults.clone(),
         }
     }
 
@@ -747,9 +646,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// Warms every behavior (see [`Behavior::warm`]): one-time lazy setup —
     /// first spec push and frame expansion — happens
     /// now instead of inside the first `Start` applied to each agent.
-    /// Snapshots taken afterwards carry the warm state into every restore,
-    /// so branchy searches (see [`crate::minimax`]) pay it once rather than
-    /// once per branch. Port streams are unchanged; only instrumentation
+    /// Forks taken afterwards inherit the warm state, so the plain minimax
+    /// enumeration (see [`crate::minimax`]), which forks its root's state
+    /// into every branch, pays it once rather than once per branch. Port streams are unchanged; only instrumentation
     /// that observes *when* lazy setup runs (e.g. schedule-phase progress
     /// before an agent's first move) can tell the difference.
     pub fn warm_behaviors(&mut self) {
@@ -1009,7 +908,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// annotation false; for `Wake`, [`Runtime::wake_would_meet`] false)
     /// and returns a token that [`Runtime::undo`] uses to rewind it
     /// exactly. The depth-first memoized search pairs these around every
-    /// descent instead of snapshotting whole runtimes: a meeting-free
+    /// descent instead of forking whole runtimes: a meeting-free
     /// apply mutates only the acting agent's state and behavior, one edge
     /// queue, and the action/traversal counters, so saving that slice is
     /// O(1) in the number of agents and edges — and a `Start` never
@@ -1193,9 +1092,10 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// the configured stop fired (`Meeting`).
     ///
     /// `run` and `run_with_policy` are loops over `step`, so callers
-    /// driving a run step-by-step — the snapshot-detour golden suites,
-    /// and the probes that read agent progress between decisions — stay
-    /// in lockstep with `run()` by construction. Stepping is also how a
+    /// driving a run step-by-step — the fork-detour golden suites, which
+    /// step a prefix and [`Runtime::fork`] it, and the probes that read
+    /// agent progress between decisions — stay in lockstep with `run()`
+    /// by construction. Stepping is also how a
     /// caller sees the whole meeting sequence, which the runtime's
     /// [`MeetingTally`] does not keep; `new_meetings` includes meetings a
     /// log-loss fault keeps out of the tally.
@@ -1623,76 +1523,12 @@ impl<B: Behavior> Runtime<'_, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::RoundRobin;
     use crate::behavior::ScriptBehavior;
     use crate::fault::{CrashFault, OutageFault};
     use proptest::prelude::*;
     use rv_graph::generators;
     use std::cell::Cell;
     use std::rc::Rc;
-
-    fn two_walkers(g: &Graph) -> Vec<ScriptBehavior> {
-        vec![
-            ScriptBehavior::new(NodeId(0), [0, 0, 0, 0]),
-            ScriptBehavior::new(NodeId(g.order() / 2), [0, 0, 0, 0]),
-        ]
-    }
-
-    /// Steps `n` legal choices (first legal each time), stopping early if
-    /// the run terminates.
-    fn step_n<B: Behavior>(rt: &mut Runtime<B>, n: usize) {
-        let mut choices = Vec::new();
-        let mut meetings = Vec::new();
-        for _ in 0..n {
-            rt.legal_choices_into(&mut choices);
-            let Some(c) = choices.first() else { return };
-            meetings.clear();
-            rt.apply_into(c.choice, &mut meetings);
-        }
-    }
-
-    #[test]
-    fn snapshot_captures_and_restore_rewinds() {
-        let g = generators::ring(6);
-        let mut rt = Runtime::new(&g, two_walkers(&g), RunConfig::rendezvous());
-        step_n(&mut rt, 5);
-        let snap = rt.snapshot();
-        assert_eq!(snap.actions(), rt.actions());
-        assert_eq!(snap.total_traversals(), rt.total_traversals());
-        let places: Vec<Place> = (0..rt.agent_count()).map(|i| rt.place(i)).collect();
-
-        // Diverge, then rewind.
-        step_n(&mut rt, 4);
-        assert_ne!(rt.actions(), snap.actions());
-        rt.restore(&snap);
-        assert_eq!(rt.actions(), snap.actions());
-        assert_eq!(rt.total_traversals(), snap.total_traversals());
-        for (i, &p) in places.iter().enumerate() {
-            assert_eq!(rt.place(i), p);
-        }
-    }
-
-    #[test]
-    fn one_snapshot_seeds_many_identical_continuations() {
-        let g = generators::ring(6);
-        let mut rt = Runtime::new(&g, two_walkers(&g), RunConfig::rendezvous());
-        step_n(&mut rt, 3);
-        let snap = rt.snapshot();
-        let finish = |rt: &mut Runtime<ScriptBehavior>| {
-            let out = rt.run(&mut RoundRobin::new());
-            format!("{:?} {} {:?}", out.end, out.total_traversals, out.meetings)
-        };
-        let a = {
-            let mut fresh = Runtime::from_snapshot(&g, &snap, RunConfig::rendezvous());
-            finish(&mut fresh)
-        };
-        rt.restore(&snap);
-        let b = finish(&mut rt);
-        rt.restore(&snap);
-        let c = finish(&mut rt);
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-    }
 
     /// What a [`Recorder`] reveals: its agent index and how many
     /// deliveries it had received when the info was taken. Cloning one
@@ -1960,17 +1796,6 @@ mod tests {
         assert_eq!(clones.get(), 0, "delivery cloned an info");
     }
 
-    #[test]
-    #[should_panic(expected = "different graph")]
-    fn restore_rejects_foreign_snapshots() {
-        let g6 = generators::ring(6);
-        let g4 = generators::ring(4);
-        let rt6 = Runtime::new(&g6, two_walkers(&g6), RunConfig::rendezvous());
-        let snap = rt6.snapshot();
-        let mut rt4 = Runtime::new(&g4, two_walkers(&g4), RunConfig::rendezvous());
-        rt4.restore(&snap);
-    }
-
     /// SplitMix64: the random stream of the oracle property below.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -2196,6 +2021,93 @@ mod tests {
         );
     }
 
+    /// Runs `rt` to its end under `adversary` and renders the outcome,
+    /// the meeting tally included.
+    fn finish(rt: &mut Runtime<'_, ScriptBehavior>, adversary: &mut Uniform) -> String {
+        let out = rt.run(adversary);
+        format!(
+            "{:?} cost={} actions={} per={:?} {:?}",
+            out.end, out.total_traversals, out.actions, out.per_agent, out.meetings
+        )
+    }
+
+    #[test]
+    fn forks_continue_identically_and_independently() {
+        // A protocol run of a crowded team, stepped until meetings have
+        // been tallied, so the forks must carry the tally too.
+        let g = generators::ring(6);
+        let mut rng = 7;
+        let team = random_team(&g, 4, &mut rng);
+        let mut rt = Runtime::new(&g, team, RunConfig::protocol());
+        let mut adversary = Uniform(splitmix(&mut rng));
+        let mut meetings = Vec::new();
+        while rt.meetings().len() < 2 {
+            assert_eq!(
+                rt.step(&mut adversary, &mut meetings),
+                None,
+                "run ended early"
+            );
+        }
+        let (mut a, mut b) = (rt.fork(), rt.fork());
+        assert_eq!(scheduler_view(&a), scheduler_view(&rt));
+        assert_eq!(a.meetings(), rt.meetings());
+        // Running one fork to its end leaves the original and the other
+        // fork where they were.
+        let before = scheduler_view(&rt);
+        let first = finish(&mut a, &mut adversary.clone());
+        assert_eq!(scheduler_view(&rt), before);
+        assert_eq!(scheduler_view(&b), before);
+        assert_eq!(finish(&mut b, &mut adversary.clone()), first);
+        assert_eq!(finish(&mut rt, &mut adversary), first);
+    }
+
+    #[test]
+    fn snapshot_captures_and_restore_rewinds() {
+        // A fork is the capture: stepping the original past it leaves the
+        // fork at the captured state, which the run resumes from.
+        let g = generators::ring(6);
+        let mut rng = 11;
+        let team = random_team(&g, 2, &mut rng);
+        let mut rt = Runtime::new(&g, team, RunConfig::rendezvous());
+        let mut adversary = Uniform(splitmix(&mut rng));
+        let mut meetings = Vec::new();
+        for _ in 0..5 {
+            if rt.step(&mut adversary, &mut meetings).is_some() {
+                break;
+            }
+        }
+        let snap = rt.fork();
+        let captured = scheduler_view(&rt);
+        assert_eq!(scheduler_view(&snap), captured);
+        let resumed = finish(&mut snap.fork(), &mut adversary.clone());
+
+        // Diverge, then rewind.
+        finish(&mut rt, &mut adversary.clone());
+        assert_ne!(scheduler_view(&rt), captured);
+        let mut rt = snap;
+        assert_eq!(scheduler_view(&rt), captured);
+        assert_eq!(finish(&mut rt, &mut adversary), resumed);
+    }
+
+    #[test]
+    fn one_snapshot_seeds_many_identical_continuations() {
+        let g = generators::ring(6);
+        let mut rng = 3;
+        let team = random_team(&g, 3, &mut rng);
+        let mut rt = Runtime::new(&g, team, RunConfig::protocol());
+        let mut adversary = Uniform(splitmix(&mut rng));
+        let mut meetings = Vec::new();
+        for _ in 0..3 {
+            assert_eq!(rt.step(&mut adversary, &mut meetings), None);
+        }
+        let snap = rt.fork();
+        let runs: Vec<String> = (0..4)
+            .map(|_| finish(&mut snap.fork(), &mut adversary.clone()))
+            .collect();
+        assert!(runs.iter().all(|r| *r == runs[0]), "{runs:?}");
+        assert_eq!(finish(&mut rt, &mut adversary), runs[0]);
+    }
+
     /// How much of the tally's input the [`tally_walk`]s exercised.
     #[derive(Debug, Default)]
     struct TallyCoverage {
@@ -2313,10 +2225,9 @@ mod tests {
         /// Random graphs, teams and schedules (with crash, outage and
         /// log-loss faults in some cases): at every step the legal choices
         /// equal the scan-based oracle's, in order and with the same
-        /// meeting flags — including right after a snapshot/restore
-        /// detour, a rebuild of the runtime by `Runtime::from_snapshot`
-        /// (with the fault plan installed again, stepped in lockstep
-        /// with the runtime it replaces), and inside every
+        /// meeting flags — including on a `Runtime::fork` that takes the
+        /// run over (stepped in lockstep with the runtime it copies,
+        /// whose fault clock it carries), and inside every
         /// `apply_undoable` of a meeting-free choice, whose `undo` must
         /// restore the state.
         #[test]
@@ -2351,33 +2262,14 @@ mod tests {
                 rt.apply_due_faults();
                 agrees_with_oracle(&rt, &model)?;
                 match splitmix(&mut rng) % 6 {
-                    0 => {
-                        let snap = rt.snapshot();
-                        let before = scheduler_view(&rt);
-                        let saved = model.clone();
-                        let mut detour = adversary.clone();
-                        for _ in 0..3 {
-                            if step_modelled(&mut rt, &mut detour, &mut model, &mut meetings).is_some() {
-                                break;
-                            }
-                            agrees_with_oracle(&rt, &model)?;
-                        }
-                        rt.restore(&snap);
-                        model = saved;
-                        prop_assert_eq!(scheduler_view(&rt), before);
-                    }
-                    1 => {
-                        // A fresh runtime from the run's own snapshot. The
-                        // fault plan is configuration, not snapshot state,
-                        // so it is installed again; its new clock must
-                        // re-derive the crashes and live outages, which the
-                        // original runtime checks by running in lockstep.
-                        let mut rebuilt = Runtime::from_snapshot(&g, &rt.snapshot(), RunConfig::protocol());
-                        if let Some(plan) = rt.fault_plan() {
-                            rebuilt.set_fault_plan(plan.clone());
-                        }
-                        prop_assert_eq!(scheduler_view(&rebuilt), scheduler_view(&rt));
-                        let mut original = std::mem::replace(&mut rt, rebuilt);
+                    0 | 1 => {
+                        // The fork takes the run over and the original
+                        // follows in lockstep. The fork carries the fault
+                        // clock, so no plan is installed again: the same
+                        // crashes and outages must reach both.
+                        let fork = rt.fork();
+                        prop_assert_eq!(scheduler_view(&fork), scheduler_view(&rt));
+                        let mut original = std::mem::replace(&mut rt, fork);
                         let mut shadow = adversary.clone();
                         for _ in 0..3 {
                             let end = step_modelled(&mut rt, &mut adversary, &mut model, &mut meetings);

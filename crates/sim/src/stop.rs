@@ -166,8 +166,8 @@ impl StopPolicy for DivergenceDetector {
 
     fn check(&mut self, p: &Progress) -> Option<RunEnd> {
         // Re-prime on any non-forward movement, not just metric advances:
-        // a policy value reused for a second run — or consulted after a
-        // `Runtime::restore` rolled the counters back — must restart its
+        // a policy value reused for a second run — or on a fork taken
+        // earlier in the first, whose counters are smaller — must restart its
         // window instead of comparing across timelines (an unchecked
         // subtraction here would underflow and mis-fire instantly).
         if p.metric_max != self.last_metric || p.total_traversals < self.cost_at_advance {
@@ -264,7 +264,7 @@ impl StopPolicy for AdaptiveThreshold {
         self.hold_agent = p.longest_hold_agent;
         self.hold_actions = p.longest_hold_actions;
         // `!=` rather than `>`, and a backwards-clock check: reuse across
-        // runs or a `Runtime::restore` can move both the metric and the
+        // runs or onto an earlier fork can move both the metric and the
         // action counter backwards, and the window must restart rather
         // than underflow (see the same guard on `DivergenceDetector`).
         if !self.primed || p.metric_sum != self.last_sum || p.actions < self.action_at_advance {
@@ -329,7 +329,7 @@ pub struct StarvationReport {
 
 impl StarvationCensus {
     /// Folds one progress record into the census. Backwards counter moves
-    /// (policy reuse, snapshot restores) re-prime the window, same as the
+    /// (policy reuse, an earlier fork) re-prime the window, same as the
     /// detectors.
     pub fn observe(&mut self, p: &Progress) {
         if !self.primed
@@ -437,8 +437,8 @@ mod tests {
 
     #[test]
     fn detectors_reprime_when_counters_move_backwards() {
-        // Reusing a policy for a second run (or consulting it after a
-        // snapshot restore) presents smaller counters; the window must
+        // Reusing a policy for a second run (or on a fork taken earlier
+        // in the first) presents smaller counters; the window must
         // restart, not underflow.
         let mut d = DivergenceDetector::new(1_000);
         assert_eq!(d.check(&progress(0, 0, 5, 5)), None);
@@ -481,7 +481,7 @@ mod tests {
         p.min_agent_traversals = 5;
         c.observe(&p);
         assert_eq!(c.report().unwrap().silent_actions, 0);
-        // A backwards clock (snapshot restore / policy reuse) re-primes
+        // A backwards clock (an earlier fork / policy reuse) re-primes
         // instead of underflowing.
         p.actions = 40;
         c.observe(&p);

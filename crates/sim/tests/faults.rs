@@ -317,11 +317,12 @@ fn seeded_plans_terminate_classified() {
     }
 }
 
-/// Snapshot/restore composes with an installed plan: restoring to an
-/// earlier action rewinds the fault clock too, so the restored run
-/// replays crashes deterministically and lands on the same outcome.
+/// A fork composes with an installed plan: taken mid-run before a
+/// crash is due, it carries the fault clock, so the fork and the original
+/// both meet the crash at the same action and land on the uninterrupted
+/// run's outcome.
 #[test]
-fn snapshot_restore_replays_faults_deterministically() {
+fn fork_replays_faults_deterministically() {
     let uxs = SeededUxs::quadratic();
     let g = generators::ring(6);
     let make = || {
@@ -344,10 +345,18 @@ fn snapshot_restore_replays_faults_deterministically() {
 
     let mut rt = Runtime::new(&g, make(), RunConfig::rendezvous().with_cutoff(CUTOFF));
     rt.set_fault_plan(plan);
-    let early = rt.snapshot();
-    let first = rt.run(&mut RoundRobin::new());
-    rt.restore(&early);
-    let replay = rt.run(&mut RoundRobin::new());
+    let mut adversary = RoundRobin::new();
+    let mut meetings = Vec::new();
+    for _ in 0..4 {
+        assert_eq!(rt.step(&mut adversary, &mut meetings), None);
+    }
+    let mut fork = rt.fork();
+    let first = fork.run(&mut adversary.clone());
+    let replay = rt.run(&mut adversary);
+    assert!(
+        fork.crashed(1) && rt.crashed(1),
+        "the crash fires on both sides of the fork"
+    );
     for out in [&first, &replay] {
         assert_eq!(out.end, baseline.end);
         assert_eq!(out.actions, baseline.actions);

@@ -278,7 +278,7 @@ fn minimax_results_match_seed_implementation() {
 }
 
 /// Action count of golden run `i`, parsed from its fingerprint — used to
-/// place the snapshot detour strictly mid-run.
+/// place the fork detour strictly mid-run.
 fn golden_actions(i: usize) -> u64 {
     GOLDEN_RUNS[i]
         .split("actions=")
@@ -288,15 +288,16 @@ fn golden_actions(i: usize) -> u64 {
         .expect("golden fingerprints carry actions=N")
 }
 
-/// Replays golden run case `i` with a snapshot/restore detour after
-/// `split` adversary actions: steps the run manually (mirroring
-/// `Runtime::run`) to the split point, freezes a [`rv_sim::RuntimeSnapshot`]
-/// and forks the adversary, then finishes **both** continuations — the
-/// original runtime with the original adversary, and a fresh
-/// `Runtime::from_snapshot` with the forked adversary. Returns both final
-/// fingerprints; snapshot fidelity means each is bit-identical to the
-/// uninterrupted golden fingerprint (including the `GreedyAvoid` /
-/// `RandomAdversary` RNG streams, which the fork must capture mid-stream).
+/// Replays golden run case `i` with a fork detour after `split` adversary
+/// actions: steps the run manually (mirroring `Runtime::run`) to the
+/// split point, takes a [`Runtime::fork`] and clones the adversary, then
+/// finishes **both** continuations — the fork with the cloned adversary
+/// first, then the original runtime with the original adversary. Returns
+/// both final fingerprints; fork fidelity means each is bit-identical to
+/// the uninterrupted golden fingerprint (including the `GreedyAvoid` /
+/// `RandomAdversary` RNG streams, which the clone must capture
+/// mid-stream), and running the fork first shows it shares no state with
+/// the original.
 fn detour_fingerprints(i: usize, split: u64) -> (String, String) {
     fn go<A: Adversary + Clone>(
         fam: GraphFamily,
@@ -320,14 +321,11 @@ fn detour_fingerprints(i: usize, split: u64) -> (String, String) {
             let end = rt.step(&mut adv, &mut meetings);
             assert!(end.is_none(), "split is strictly mid-run (got {end:?})");
         }
-        let snap = rt.snapshot();
+        let mut fork = rt.fork();
         let mut forked_adv = adv.clone();
-        let fingerprint =
-            |rt: &mut Runtime<RvBehavior<SeededUxs>>, adv: &mut A| outcome_line(&rt.run(adv));
-        let continued = fingerprint(&mut rt, &mut adv);
-        let mut restored = Runtime::from_snapshot(&g, &snap, config);
-        let resumed = fingerprint(&mut restored, &mut forked_adv);
-        (continued, resumed)
+        let forked = outcome_line(&fork.run(&mut forked_adv));
+        let continued = outcome_line(&rt.run(&mut adv));
+        (continued, forked)
     }
 
     let (fam, n, gseed, kind, aseed) = RUN_CASES[i];
@@ -344,20 +342,19 @@ fn detour_fingerprints(i: usize, split: u64) -> (String, String) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Snapshot fidelity against the golden suite: interrupting any golden
-    /// run at any mid-run action with `restore(snapshot())` — continuing
-    /// both the original and the restored copy — produces run fingerprints
-    /// bit-identical to the uninterrupted golden run, adversary RNG
-    /// streams included.
+    /// Fork fidelity against the golden suite: forking any golden run at
+    /// any mid-run action — continuing both the fork and the original —
+    /// produces run fingerprints bit-identical to the uninterrupted golden
+    /// run, adversary RNG streams included.
     #[test]
-    fn snapshot_restore_detour_is_invisible(case in 0usize..12, salt in any::<u64>()) {
+    fn fork_detour_is_invisible(case in 0usize..12, salt in any::<u64>()) {
         // Interrupt strictly before the final (meeting) action.
         let split = salt % golden_actions(case).max(1);
-        let (continued, resumed) = detour_fingerprints(case, split);
+        let (continued, forked) = detour_fingerprints(case, split);
         prop_assert_eq!(continued.as_str(), GOLDEN_RUNS[case],
-            "continuing past a snapshot diverged (case {}, split {})", case, split);
-        prop_assert_eq!(resumed.as_str(), GOLDEN_RUNS[case],
-            "restoring a snapshot diverged (case {}, split {})", case, split);
+            "continuing past a fork diverged (case {}, split {})", case, split);
+        prop_assert_eq!(forked.as_str(), GOLDEN_RUNS[case],
+            "running a fork diverged (case {}, split {})", case, split);
     }
 }
 

@@ -101,8 +101,8 @@ pub(crate) enum Task<P> {
     },
     /// Reverse sweep `Y̅′`/`A̅′`: leave through the forward spine's entry
     /// ports, last first (`ports[..idx]` remain). The ports are recomputed
-    /// from the forward start node and never change, so snapshot forks
-    /// share them behind an `Arc`.
+    /// from the forward start node and never change, so forks share them
+    /// behind an `Arc`.
     SweepRev {
         k: u64,
         inner: Inner,
@@ -219,9 +219,9 @@ struct Env<'a, P> {
 /// complete mid-stream state — position, entry port, the frame stack with
 /// its repetition counters, the shared `X` replay log, and the warm
 /// [`Lengths`] memo — in O(state), so original and clone continue with
-/// bit-identical traversal streams. The simulator's snapshot/restore
-/// machinery (`rv_sim::Runtime::snapshot`) relies on this to explore
-/// schedule trees without replaying trajectory prefixes.
+/// bit-identical traversal streams. The simulator's runtime forks
+/// (`rv_sim::Runtime::fork`) rely on this to explore schedule trees
+/// without replaying trajectory prefixes.
 #[derive(Clone)]
 pub struct TrajectoryCursor<'g, P> {
     g: &'g Graph,
