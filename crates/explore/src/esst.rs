@@ -22,6 +22,14 @@
 //! uses a parked agent as the token); [`run_esst`] drives it standalone
 //! against a [`TokenOracle`].
 //!
+//! The machine keeps every walk it retraces as a [`PortLog`], at one byte
+//! per step for ports below 128: the whole run's entry ports (Algorithm SGL
+//! replays them backwards to undo Phase 1), the current trunc's entry ports
+//! (popped by its backtrack) and exit ports (read forward by byte offset
+//! as the inner walks move along the trunc), and each inner walk's ports.
+//! Cleanliness needs only the trunc's largest degree, kept as a running
+//! maximum.
+//!
 //! One deliberate, documented deviation: when a sighting pushes the distinct
 //! code count to `i/3`, the paper lets the agent finish its current edge
 //! traversal before aborting; this implementation aborts at the nearest
@@ -42,7 +50,7 @@
 //! machine is bit-identical to the uncertified one.
 
 use crate::provider::{ExplorationProvider, RWalker};
-use rv_graph::{EdgeId, EdgeSet, Graph, NodeId, PortId};
+use rv_graph::{EdgeId, EdgeSet, Graph, NodeId, PortId, PortLog};
 use std::collections::BTreeSet;
 
 /// A recorded code: the sequence of exit ports walked from a trunc node to
@@ -52,7 +60,7 @@ use std::collections::BTreeSet;
 pub struct Code {
     /// Exit ports from the trunc node up to (and including, when
     /// `inside_edge`) the edge where the token was met.
-    pub ports: Vec<PortId>,
+    pub ports: PortLog,
     /// `true` if the token was met strictly inside the last edge.
     pub inside_edge: bool,
 }
@@ -253,34 +261,25 @@ pub struct SuspendedTokenCert {
     pub span: u64,
 }
 
-/// One completed traversal in the trunc log.
-#[derive(Clone, Copy, Debug)]
-struct Step {
-    exit: PortId,
-    entry: PortId,
-}
-
+/// Where the machine is within a phase. The walks that are retraced keep
+/// their ports in [`PortLog`]s, and each backtrack pops its log as it goes:
+/// a move is committed once [`EsstMachine::current_request`] hands it out.
 #[derive(Clone, Debug)]
 enum State<P> {
     /// Walking the trunc `R(2i, ·)` forward.
     TruncForward { walker: RWalker<P> },
-    /// Backtracking the trunc to its first node; `pos` steps remain.
-    TruncBack { pos: usize },
-    /// Executing `R(i, u_j)` where `j` indexes trunc nodes (`0..=r`).
+    /// Backtracking the trunc to its first node by popping its entry log.
+    TruncBack,
+    /// Executing `R(i, u_j)` at the current trunc node `u_j`.
     Inner {
-        j: usize,
         walker: RWalker<P>,
-        exits: Vec<PortId>,
-        entries: Vec<PortId>,
+        exits: PortLog,
+        entries: PortLog,
     },
-    /// Backtracking from a sighting to `u_j`; `remaining` entries to replay.
-    InnerBack {
-        j: usize,
-        entries: Vec<PortId>,
-        remaining: usize,
-    },
-    /// Walking the trunc edge from trunc node `j` to `j + 1`.
-    GotoNext { j: usize },
+    /// Backtracking from a sighting to `u_j`; `entries` still to replay.
+    InnerBack { entries: PortLog },
+    /// Walking the trunc edge from `u_j` to `u_{j+1}`.
+    GotoNext,
     /// Terminated.
     Done,
 }
@@ -305,15 +304,23 @@ pub struct EsstMachine<P> {
     token_here: bool,
     /// Distinct codes recorded in the current phase.
     codes: BTreeSet<Code>,
-    /// Trunc traversal log of the current phase.
-    trunc_log: Vec<Step>,
-    /// Degree of each trunc node (`trunc_degrees[0]` = phase start node).
-    trunc_degrees: Vec<usize>,
+    /// Entry ports of the current phase's trunc, popped by its backtrack.
+    trunc_entries: PortLog,
+    /// Exit ports of the current phase's trunc, read forward from
+    /// `trunc_next` as the inner walks move from node to node.
+    trunc_exits: PortLog,
+    /// Byte offset in `trunc_exits` of the exit leaving the current trunc
+    /// node; at `trunc_exits.byte_len()` the agent is at the last one.
+    trunc_next: usize,
+    /// Largest degree seen along the trunc, the phase's start node
+    /// included: the trunc is clean iff it is below the phase number.
+    trunc_max_degree: usize,
     /// Token seen anywhere along the trunc (including the start node)?
     trunc_token_seen: bool,
     /// Entry ports of every completed traversal over the whole run
-    /// (node-level walk; lets SGL backtrack the ESST trajectory).
-    walk_entries: Vec<PortId>,
+    /// (node-level walk; lets SGL backtrack the ESST trajectory), at one
+    /// byte per traversal for ports below 128.
+    walk_entries: PortLog,
     phases_aborted: u64,
     /// Suspended-token census policy (`None` disables certification).
     suspension: Option<SuspensionPolicy>,
@@ -345,10 +352,12 @@ impl<P: ExplorationProvider + Clone> EsstMachine<P> {
             cur_entry: None,
             token_here: token_at_start,
             codes: BTreeSet::new(),
-            trunc_log: Vec::new(),
-            trunc_degrees: Vec::new(),
+            trunc_entries: PortLog::new(),
+            trunc_exits: PortLog::new(),
+            trunc_next: 0,
+            trunc_max_degree: 0,
             trunc_token_seen: false,
-            walk_entries: Vec::new(),
+            walk_entries: PortLog::new(),
             phases_aborted: 0,
             suspension: Some(SuspensionPolicy::default()),
             streak_sightings: 0,
@@ -396,16 +405,17 @@ impl<P: ExplorationProvider + Clone> EsstMachine<P> {
         matches!(self.state, State::Done)
     }
 
-    /// Entry ports of all completed traversals (the node-level walk);
-    /// replaying this sequence reversed walks the agent back to its start.
-    pub fn walk_entries(&self) -> &[PortId] {
+    /// Entry ports of all completed traversals (the node-level walk), as
+    /// a borrowed [`PortLog`]; popping them newest-first walks the agent
+    /// back to its start.
+    pub fn walk_entries(&self) -> &PortLog {
         &self.walk_entries
     }
 
-    /// Consumes the machine and takes ownership of the walk entries —
-    /// for callers that are done driving and need the walk (backtracking,
-    /// outcome reports) without copying a potentially huge log.
-    pub fn into_walk_entries(self) -> Vec<PortId> {
+    /// Consumes the machine and takes ownership of the walk log — for
+    /// callers that are done driving and need the walk (backtracking,
+    /// outcome reports) without copying a log as long as the run.
+    pub fn into_walk_entries(self) -> PortLog {
         self.walk_entries
     }
 
@@ -413,9 +423,10 @@ impl<P: ExplorationProvider + Clone> EsstMachine<P> {
         self.phase = i;
         self.pending = None;
         self.codes.clear();
-        self.trunc_log.clear();
-        self.trunc_degrees.clear();
-        self.trunc_degrees.push(self.cur_degree);
+        self.trunc_entries.clear();
+        self.trunc_exits.clear();
+        self.trunc_next = 0;
+        self.trunc_max_degree = self.cur_degree;
         self.trunc_token_seen = self.token_here;
         self.streak_sightings = 0; // the census never spans phases
         self.cur_entry = None; // fresh R application
@@ -495,8 +506,8 @@ impl<P: ExplorationProvider + Clone> EsstMachine<P> {
                     interruptible: false,
                 }
             }
-            State::TruncBack { pos } => Drive::Traverse {
-                port: self.trunc_log[*pos - 1].entry,
+            State::TruncBack => Drive::Traverse {
+                port: self.trunc_entries.pop().expect("a trunc has a step"),
                 interruptible: false,
             },
             State::Inner { walker, .. } => {
@@ -508,16 +519,18 @@ impl<P: ExplorationProvider + Clone> EsstMachine<P> {
                     interruptible: true,
                 }
             }
-            State::InnerBack {
-                entries, remaining, ..
-            } => Drive::Traverse {
-                port: entries[*remaining - 1],
+            State::InnerBack { entries } => Drive::Traverse {
+                port: entries.pop().expect("empty backtracks resolve at once"),
                 interruptible: false,
             },
-            State::GotoNext { j } => Drive::Traverse {
-                port: self.trunc_log[*j].exit,
-                interruptible: false,
-            },
+            State::GotoNext => {
+                let (port, next) = self.trunc_exits.decode_at(self.trunc_next);
+                self.trunc_next = next;
+                Drive::Traverse {
+                    port,
+                    interruptible: false,
+                }
+            }
         };
         self.pending = Some(drive);
         drive
@@ -549,36 +562,31 @@ impl<P: ExplorationProvider + Clone> EsstMachine<P> {
         let state = std::mem::replace(&mut self.state, State::Done);
         match state {
             State::TruncForward { walker } => {
-                self.trunc_log.push(Step {
-                    exit: port,
-                    entry: report.entry,
-                });
-                self.trunc_degrees.push(report.degree);
+                self.trunc_exits.push(port);
+                self.trunc_entries.push(report.entry);
+                self.trunc_max_degree = self.trunc_max_degree.max(report.degree);
                 if report.token_inside || report.token_at_node {
                     self.trunc_token_seen = true;
                 }
                 if walker.is_done() {
-                    let i = self.phase;
-                    let clean = self.trunc_degrees.iter().all(|&d| (d as u64) < i);
+                    let clean = (self.trunc_max_degree as u64) < self.phase;
                     if !clean || !self.trunc_token_seen {
                         self.abort_phase();
                     } else {
-                        let r = self.trunc_log.len();
-                        self.state = State::TruncBack { pos: r };
+                        self.state = State::TruncBack;
                     }
                 } else {
                     self.state = State::TruncForward { walker };
                 }
             }
-            State::TruncBack { pos } => {
-                if pos == 1 {
-                    self.start_inner(0);
+            State::TruncBack => {
+                if self.trunc_entries.is_empty() {
+                    self.start_inner();
                 } else {
-                    self.state = State::TruncBack { pos: pos - 1 };
+                    self.state = State::TruncBack;
                 }
             }
             State::Inner {
-                j,
                 walker,
                 mut exits,
                 mut entries,
@@ -594,54 +602,35 @@ impl<P: ExplorationProvider + Clone> EsstMachine<P> {
                         ports: exits,
                         inside_edge: true,
                     };
-                    let remaining = entries.len();
-                    self.state = State::InnerBack {
-                        j,
-                        entries,
-                        remaining,
-                    };
+                    self.state = State::InnerBack { entries };
                     self.record_code_and_maybe_abort(code);
                 } else if report.token_at_node {
                     let code = Code {
                         ports: exits,
                         inside_edge: false,
                     };
-                    let remaining = entries.len();
-                    self.state = State::InnerBack {
-                        j,
-                        entries,
-                        remaining,
-                    };
+                    self.state = State::InnerBack { entries };
                     self.record_code_and_maybe_abort(code);
                 } else if walker.is_done() {
                     // R(i, u_j) ended without a sighting → abort the phase.
                     self.abort_phase();
                 } else {
                     self.state = State::Inner {
-                        j,
                         walker,
                         exits,
                         entries,
                     };
                 }
             }
-            State::InnerBack {
-                j,
-                entries,
-                remaining,
-            } => {
-                if remaining == 1 {
-                    self.after_inner_done(j);
+            State::InnerBack { entries } => {
+                if entries.is_empty() {
+                    self.after_inner_done();
                 } else {
-                    self.state = State::InnerBack {
-                        j,
-                        entries,
-                        remaining: remaining - 1,
-                    };
+                    self.state = State::InnerBack { entries };
                 }
             }
-            State::GotoNext { j } => {
-                self.start_inner(j + 1);
+            State::GotoNext => {
+                self.start_inner();
             }
             State::Done => unreachable!("arrived() on a finished machine"),
         }
@@ -673,22 +662,14 @@ impl<P: ExplorationProvider + Clone> EsstMachine<P> {
         let state = std::mem::replace(&mut self.state, State::Done);
         match state {
             State::Inner {
-                j,
-                mut exits,
-                entries,
-                ..
+                mut exits, entries, ..
             } => {
                 exits.push(port);
                 let code = Code {
                     ports: exits,
                     inside_edge: true,
                 };
-                let remaining = entries.len();
-                self.state = State::InnerBack {
-                    j,
-                    entries,
-                    remaining,
-                };
+                self.state = State::InnerBack { entries };
                 self.record_code_and_maybe_abort(code);
                 self.resolve_trivial_inner_back();
             }
@@ -697,49 +678,43 @@ impl<P: ExplorationProvider + Clone> EsstMachine<P> {
         self.maybe_certify();
     }
 
-    /// Standing at trunc node `j`: start `R(phase, u_j)` (or record an
+    /// Standing at trunc node `u_j`: start `R(phase, u_j)` (or record an
     /// empty code immediately if the token is right here).
-    fn start_inner(&mut self, j: usize) {
+    fn start_inner(&mut self) {
         if self.token_here {
             let code = Code {
-                ports: Vec::new(),
+                ports: PortLog::new(),
                 inside_edge: false,
             };
             self.state = State::InnerBack {
-                j,
-                entries: Vec::new(),
-                remaining: 0,
+                entries: PortLog::new(),
             };
             self.record_code_and_maybe_abort(code);
             self.resolve_trivial_inner_back();
         } else {
             self.cur_entry = None; // fresh R application at u_j
             self.state = State::Inner {
-                j,
                 walker: RWalker::new(self.provider.clone(), self.phase),
-                exits: Vec::new(),
-                entries: Vec::new(),
+                exits: PortLog::new(),
+                entries: PortLog::new(),
             };
         }
     }
 
     /// If an `InnerBack` has nothing to replay, finish the node now.
     fn resolve_trivial_inner_back(&mut self) {
-        if let State::InnerBack {
-            remaining: 0, j, ..
-        } = self.state
-        {
-            self.after_inner_done(j);
+        if matches!(&self.state, State::InnerBack { entries } if entries.is_empty()) {
+            self.after_inner_done();
         }
     }
 
     /// Called when the agent stands at `u_j` again after a sighting.
-    fn after_inner_done(&mut self, j: usize) {
-        if j == self.trunc_log.len() {
+    fn after_inner_done(&mut self) {
+        if self.trunc_next == self.trunc_exits.byte_len() {
             // The last trunc node is processed: the phase completes — stop.
             self.state = State::Done;
         } else {
-            self.state = State::GotoNext { j };
+            self.state = State::GotoNext;
         }
     }
 
@@ -767,7 +742,7 @@ pub struct EsstOutcome {
     /// The suspended-token certificate, if one closed the final phase.
     pub certificate: Option<SuspendedTokenCert>,
     /// Entry ports of all completed traversals (for backtracking).
-    pub walk_entries: Vec<PortId>,
+    pub walk_entries: PortLog,
 }
 
 /// Runs procedure ESST to completion in `g` from `start` against `oracle`.
@@ -956,7 +931,8 @@ mod tests {
         assert!(cert.sightings >= 3 && cert.span >= 8);
         assert_eq!(cert.phase, m.phase());
         let mut back = cur;
-        for &entry in m.walk_entries().iter().rev() {
+        let mut walk = m.walk_entries().clone();
+        while let Some(entry) = walk.pop() {
             back = g.traverse(back, entry).node;
         }
         assert_eq!(back, NodeId(0), "certified stop still backtracks home");
@@ -1072,10 +1048,53 @@ mod tests {
         let out = run_esst(&g, fast_uxs(), NodeId(1), &mut oracle, 9 * 5 + 3).unwrap();
         // Replaying the recorded entry ports in reverse returns to start.
         let mut cur = out.final_node;
-        for &entry in out.walk_entries.iter().rev() {
+        let mut walk = out.walk_entries;
+        while let Some(entry) = walk.pop() {
             cur = g.traverse(cur, entry).node;
         }
         assert_eq!(cur, NodeId(1));
+    }
+
+    #[test]
+    fn walk_log_is_exact_past_one_byte_ports() {
+        // The center of star(200) has ports 0..199, so walking in and out
+        // of it logs entry ports of one and two bytes. The compact log
+        // must hold exactly the entry ports the driver reported, and
+        // popping it must walk the agent back to where it started.
+        let g = generators::star(200);
+        let start = NodeId(7);
+        let mut oracle = StaticNodeToken { node: NodeId(150) };
+        let mut m = EsstMachine::new(fast_uxs(), g.degree(start), oracle.observe_node(start));
+        let mut cur = start;
+        let mut seen = Vec::new();
+        while seen.len() < 20_000 {
+            let Drive::Traverse { port, .. } = m.current_request() else {
+                break;
+            };
+            let arr = g.traverse(cur, port);
+            cur = arr.node;
+            seen.push(arr.entry_port);
+            m.arrived(ArrivalReport {
+                entry: arr.entry_port,
+                degree: g.degree(cur),
+                token_inside: false,
+                token_at_node: oracle.observe_node(cur),
+                token_suspended: false,
+            });
+        }
+        assert!(
+            seen.iter().any(|p| p.0 >= 128),
+            "the walk crossed wide ports"
+        );
+        let walk = m.walk_entries();
+        assert_eq!(walk.iter().collect::<Vec<_>>(), seen);
+        assert_eq!(walk.len(), seen.len());
+        assert!(walk.byte_len() > walk.len());
+        let mut walk = m.into_walk_entries();
+        while let Some(entry) = walk.pop() {
+            cur = g.traverse(cur, entry).node;
+        }
+        assert_eq!(cur, start);
     }
 
     #[test]

@@ -33,6 +33,7 @@ mod edgeset;
 pub mod generators;
 mod graph;
 mod names;
+mod portlog;
 pub mod properties;
 mod validate;
 
@@ -41,4 +42,5 @@ pub use builder::{BuildError, GraphBuilder};
 pub use edgeset::EdgeSet;
 pub use graph::{Arrival, EdgeId, Graph, NodeId, PortId};
 pub use names::GraphFamily;
+pub use portlog::{PortLog, PortLogIter};
 pub use validate::{validate, ValidationError};

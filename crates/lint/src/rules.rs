@@ -366,12 +366,13 @@ fn crate_forbids_unsafe(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 
 // ----------------------------------------------------------------- api-misuse
 
-/// `api-meetinglog-to-vec`: no `.to_vec()` in the engine crates. The ESST
-/// walk views (`walk_entries()`) are borrowed slices so a run-length walk
-/// is never materialised; a `to_vec()` on one is an O(run length) copy
-/// hiding behind an O(1) accessor, where `into_walk_entries()` moves the
-/// walk out. The id names the copy-on-write meeting log the rule was
-/// first written for, which is gone.
+/// `api-meetinglog-to-vec`: no `.to_vec()` in the engine crates. A
+/// `to_vec()` on a borrowed view is an O(run length) copy hiding behind an
+/// O(1) accessor. The ESST walk view (`walk_entries()`) is a borrowed
+/// `PortLog`, which has no `to_vec()` to call; a caller that needs the
+/// walk takes it with `into_walk_entries()`, which moves it out. The id
+/// names the copy-on-write meeting log the rule was first written for,
+/// which is gone.
 fn api_to_vec(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if !ctx.in_crate(NO_TO_VEC_CRATES) {
         return;

@@ -4,7 +4,7 @@ use crate::bag::Bag;
 use rv_core::{Label, RvAlgorithm};
 use rv_explore::esst::{ArrivalReport, Drive, EsstMachine, SuspendedTokenCert, SuspensionPolicy};
 use rv_explore::{ExplorationProvider, RWalker};
-use rv_graph::{Graph, NodeId, PortId};
+use rv_graph::{Graph, NodeId, PortId, PortLog};
 use rv_sim::{Behavior, MeetingPlace};
 use rv_trajectory::TrajectoryCursor;
 
@@ -148,20 +148,19 @@ enum Phase<P> {
         machine: EsstMachine<P>,
         fresh: bool,
     },
-    /// Phase 2a: backtracking the ESST trajectory (entries to replay).
-    Backtrack { remaining: Vec<PortId> },
+    /// Phase 2a: backtracking the ESST trajectory: the machine's walk log,
+    /// popped newest-first (one byte per step for ports below 128).
+    Backtrack { remaining: PortLog },
     /// Phase 2b: resumed RV-asynch-poly until threshold or smaller label.
     ResumeRv { threshold: u64 },
     /// Phase 3 (non-minimal): seeking the token via `R(E(n), ·)`.
     SeekToken { walker: RWalker<P> },
     /// Phase 3 (minimal agent): forward collection sweep `R(E(n), ·)`,
     /// logging entry ports for the backward announcement sweep.
-    CollectFwd {
-        walker: RWalker<P>,
-        log: Vec<PortId>,
-    },
-    /// Phase 3 (minimal agent): backward announcement sweep.
-    AnnounceBack { log: Vec<PortId> },
+    CollectFwd { walker: RWalker<P>, log: PortLog },
+    /// Phase 3 (minimal agent): backward announcement sweep, popping the
+    /// collection sweep's log.
+    AnnounceBack { log: PortLog },
 }
 
 /// One SGL agent. Drive it with [`rv_sim::Runtime`] under
@@ -512,7 +511,7 @@ impl<'g, P: ExplorationProvider + Clone> Behavior for SglBehavior<'g, P> {
                                 let e = self.e_bound.expect("E(n) known");
                                 self.phase = Some(Phase::CollectFwd {
                                     walker: RWalker::new(self.provider.clone(), e),
-                                    log: Vec::new(),
+                                    log: PortLog::new(),
                                 });
                                 self.cur_entry = None;
                                 continue;

@@ -124,7 +124,7 @@ pub enum RunEnd {
 }
 
 /// Result of a run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunOutcome {
     /// Why the run ended.
     pub end: RunEnd,

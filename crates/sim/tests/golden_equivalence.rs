@@ -58,6 +58,15 @@ fn outcome_line(out: &RunOutcome) -> String {
     )
 }
 
+/// The two agents of every golden run, on the case's graph `g`.
+fn golden_agents(g: &rv_graph::Graph) -> Vec<RvBehavior<'_, SeededUxs>> {
+    let uxs = SeededUxs::quadratic();
+    vec![
+        RvBehavior::new(g, uxs, NodeId(0), Label::new(6).unwrap()),
+        RvBehavior::new(g, uxs, NodeId(g.order() / 2), Label::new(9).unwrap()),
+    ]
+}
+
 /// One rendezvous run under a fixed adversary, rendered by
 /// [`outcome_line`].
 fn run_fingerprint(
@@ -67,13 +76,9 @@ fn run_fingerprint(
     kind: AdversaryKind,
     aseed: u64,
 ) -> String {
-    let uxs = SeededUxs::quadratic();
     let g = fam.generate(n, gseed);
-    let agents = vec![
-        RvBehavior::new(&g, uxs, NodeId(0), Label::new(6).unwrap()),
-        RvBehavior::new(&g, uxs, NodeId(g.order() / 2), Label::new(9).unwrap()),
-    ];
-    let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(CUTOFF));
+    let config = RunConfig::rendezvous().with_cutoff(CUTOFF);
+    let mut rt = Runtime::new(&g, golden_agents(&g), config);
     let mut adv = kind.build(aseed);
     outcome_line(&rt.run(adv.as_mut()))
 }
@@ -277,8 +282,9 @@ fn minimax_results_match_seed_implementation() {
     }
 }
 
-/// Action count of golden run `i`, parsed from its fingerprint — used to
-/// place the fork detour strictly mid-run.
+/// Action count of golden run `i`, parsed from its fingerprint: the
+/// action that declares the run's first meeting, in either run mode
+/// (the modes differ only in whether that meeting stops the run).
 fn golden_actions(i: usize) -> u64 {
     GOLDEN_RUNS[i]
         .split("actions=")
@@ -288,32 +294,26 @@ fn golden_actions(i: usize) -> u64 {
         .expect("golden fingerprints carry actions=N")
 }
 
-/// Replays golden run case `i` with a fork detour after `split` adversary
-/// actions: steps the run manually (mirroring `Runtime::run`) to the
-/// split point, takes a [`Runtime::fork`] and clones the adversary, then
-/// finishes **both** continuations — the fork with the cloned adversary
-/// first, then the original runtime with the original adversary. Returns
-/// both final fingerprints; fork fidelity means each is bit-identical to
-/// the uninterrupted golden fingerprint (including the `GreedyAvoid` /
-/// `RandomAdversary` RNG streams, which the clone must capture
-/// mid-stream), and running the fork first shows it shares no state with
-/// the original.
-fn detour_fingerprints(i: usize, split: u64) -> (String, String) {
+/// Runs golden run case `i` under `config` with a fork detour after
+/// `split` adversary actions: steps the run manually (mirroring
+/// `Runtime::run`) to the split point, takes a [`Runtime::fork`] and
+/// clones the adversary, then finishes **both** continuations — the fork
+/// with the cloned adversary first, then the original runtime with the
+/// original adversary. Returns both outcomes and the meetings the tally
+/// held at the split; fork fidelity means each outcome equals the
+/// uninterrupted run's (including the `GreedyAvoid` / `RandomAdversary`
+/// RNG streams, which the clone must capture mid-stream), and running
+/// the fork first shows it shares no state with the original.
+fn detour_outcomes(i: usize, config: RunConfig, split: u64) -> (RunOutcome, RunOutcome, usize) {
     fn go<A: Adversary + Clone>(
-        fam: GraphFamily,
-        n: usize,
-        gseed: u64,
+        i: usize,
+        config: RunConfig,
         mut adv: A,
         split: u64,
-    ) -> (String, String) {
-        let uxs = SeededUxs::quadratic();
+    ) -> (RunOutcome, RunOutcome, usize) {
+        let (fam, n, gseed, _, _) = RUN_CASES[i];
         let g = fam.generate(n, gseed);
-        let config = RunConfig::rendezvous().with_cutoff(CUTOFF);
-        let agents = vec![
-            RvBehavior::new(&g, uxs, NodeId(0), Label::new(6).unwrap()),
-            RvBehavior::new(&g, uxs, NodeId(g.order() / 2), Label::new(9).unwrap()),
-        ];
-        let mut rt = Runtime::new(&g, agents, config);
+        let mut rt = Runtime::new(&g, golden_agents(&g), config);
         // Manual prefix via `Runtime::step` — `run()`'s own loop body, so
         // the prefix is decision-for-decision identical by construction.
         let mut meetings = Vec::new();
@@ -321,22 +321,39 @@ fn detour_fingerprints(i: usize, split: u64) -> (String, String) {
             let end = rt.step(&mut adv, &mut meetings);
             assert!(end.is_none(), "split is strictly mid-run (got {end:?})");
         }
+        let at_split = rt.meetings().len();
         let mut fork = rt.fork();
         let mut forked_adv = adv.clone();
-        let forked = outcome_line(&fork.run(&mut forked_adv));
-        let continued = outcome_line(&rt.run(&mut adv));
-        (continued, forked)
+        let forked = fork.run(&mut forked_adv);
+        let continued = rt.run(&mut adv);
+        (continued, forked, at_split)
     }
 
-    let (fam, n, gseed, kind, aseed) = RUN_CASES[i];
+    let (_, _, _, kind, aseed) = RUN_CASES[i];
     match kind {
-        AdversaryKind::RoundRobin => go(fam, n, gseed, RoundRobin::new(), split),
-        AdversaryKind::Random => go(fam, n, gseed, RandomAdversary::new(aseed), split),
-        AdversaryKind::LazyFirst => go(fam, n, gseed, Lazy::new(0), split),
-        AdversaryKind::LazySecond => go(fam, n, gseed, Lazy::new(1), split),
-        AdversaryKind::GreedyAvoid => go(fam, n, gseed, GreedyAvoid::new(aseed), split),
-        AdversaryKind::EagerMeet => go(fam, n, gseed, EagerMeet::new(), split),
+        AdversaryKind::RoundRobin => go(i, config, RoundRobin::new(), split),
+        AdversaryKind::Random => go(i, config, RandomAdversary::new(aseed), split),
+        AdversaryKind::LazyFirst => go(i, config, Lazy::new(0), split),
+        AdversaryKind::LazySecond => go(i, config, Lazy::new(1), split),
+        AdversaryKind::GreedyAvoid => go(i, config, GreedyAvoid::new(aseed), split),
+        AdversaryKind::EagerMeet => go(i, config, EagerMeet::new(), split),
     }
+}
+
+/// The traversal budget of the protocol-mode detours: about five times
+/// the costliest golden case's first meeting (59 traversals). Every case
+/// meets 7 to 47 times within it, so a split after the first meeting
+/// mostly lands between later ones.
+const PROTOCOL_CUTOFF: u64 = 300;
+
+/// Golden run case `i` in protocol mode, where meetings do not stop the
+/// run, uninterrupted up to [`PROTOCOL_CUTOFF`].
+fn protocol_outcome(i: usize) -> RunOutcome {
+    let (fam, n, gseed, kind, aseed) = RUN_CASES[i];
+    let g = fam.generate(n, gseed);
+    let config = RunConfig::protocol().with_cutoff(PROTOCOL_CUTOFF);
+    let mut rt = Runtime::new(&g, golden_agents(&g), config);
+    rt.run(kind.build(aseed).as_mut())
 }
 
 proptest! {
@@ -350,10 +367,32 @@ proptest! {
     fn fork_detour_is_invisible(case in 0usize..12, salt in any::<u64>()) {
         // Interrupt strictly before the final (meeting) action.
         let split = salt % golden_actions(case).max(1);
-        let (continued, forked) = detour_fingerprints(case, split);
+        let config = RunConfig::rendezvous().with_cutoff(CUTOFF);
+        let (continued, forked, _) = detour_outcomes(case, config, split);
+        let (continued, forked) = (outcome_line(&continued), outcome_line(&forked));
         prop_assert_eq!(continued.as_str(), GOLDEN_RUNS[case],
             "continuing past a fork diverged (case {}, split {})", case, split);
         prop_assert_eq!(forked.as_str(), GOLDEN_RUNS[case],
+            "running a fork diverged (case {}, split {})", case, split);
+    }
+
+    /// The same detour in protocol mode, split after the first meeting:
+    /// a rendezvous run ends at its first meeting, so only here does the
+    /// fork carry a non-empty meeting tally. Both continuations must
+    /// reproduce the whole uninterrupted outcome, tally included.
+    #[test]
+    fn fork_detour_keeps_the_meeting_tally(case in 0usize..12, salt in any::<u64>()) {
+        let reference = protocol_outcome(case);
+        prop_assert_eq!(reference.end, RunEnd::Cutoff);
+        prop_assert!(reference.meetings.len() >= 2, "case {} meets only once", case);
+        let first = golden_actions(case);
+        let split = first + salt % (reference.actions - first);
+        let config = RunConfig::protocol().with_cutoff(PROTOCOL_CUTOFF);
+        let (continued, forked, at_split) = detour_outcomes(case, config, split);
+        prop_assert!(at_split >= 1, "split {} precedes the first meeting", split);
+        prop_assert_eq!(&continued, &reference,
+            "continuing past a fork diverged (case {}, split {})", case, split);
+        prop_assert_eq!(&forked, &reference,
             "running a fork diverged (case {}, split {})", case, split);
     }
 }
@@ -362,13 +401,9 @@ proptest! {
 /// `run()` and returns the fingerprint.
 fn policy_fingerprint(i: usize, policy: &mut dyn rv_sim::StopPolicy) -> String {
     let (fam, n, gseed, kind, aseed) = RUN_CASES[i];
-    let uxs = SeededUxs::quadratic();
     let g = fam.generate(n, gseed);
-    let agents = vec![
-        RvBehavior::new(&g, uxs, NodeId(0), Label::new(6).unwrap()),
-        RvBehavior::new(&g, uxs, NodeId(g.order() / 2), Label::new(9).unwrap()),
-    ];
-    let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(CUTOFF));
+    let config = RunConfig::rendezvous().with_cutoff(CUTOFF);
+    let mut rt = Runtime::new(&g, golden_agents(&g), config);
     let mut adv = kind.build(aseed);
     outcome_line(&rt.run_with_policy(adv.as_mut(), policy))
 }
