@@ -203,19 +203,14 @@ pub fn variants() -> [(&'static str, RvVariant); 4] {
 }
 
 /// The fault-plan shape of the chaos tier: exactly one crash-stop fault
-/// in the first 2000 actions (well inside every chaos cell's run), no
-/// outages, no log losses. Graph-independent on purpose: the profile
-/// must not depend on the instance, or the plan would stop being a pure
-/// function of `(seed, k)`.
+/// in the first 2000 actions (well inside every chaos cell's run).
+/// Graph-independent on purpose: the profile must not depend on the
+/// instance, or the plan would stop being a pure function of `(seed, k)`.
 pub fn chaos_fault_profile(k: usize) -> FaultProfile {
     FaultProfile {
         horizon_actions: 2000,
         agents: k,
-        edges: 1,
         crashes: 1,
-        outages: 0,
-        max_outage_actions: 1,
-        log_losses: 0,
     }
 }
 
@@ -842,8 +837,8 @@ mod tests {
             ),
             (
                 "ring6/round-robin/sgl-k3+f1",
-                0x20662dc3b2c82b5d,
-                0xc9af13decad6576b,
+                0xacf56f1e3549db71,
+                0xb3acd26c6878c7ce,
             ),
             (
                 "ring4/worst-case/memo-d14",
@@ -885,12 +880,24 @@ mod tests {
         for cell in &chaos {
             let plan = cell.fault_plan().expect("chaos cells derive a plan");
             assert_eq!(plan.crashes.len(), 1, "exactly one crash-stop fault");
-            assert!(plan.outages.is_empty() && plan.log_losses.is_empty());
-            assert!(
-                plan.crashes[0].at_action <= 2000,
-                "the crash lands inside the profile horizon"
+            let crash = plan.crashes[0];
+            // The derived crash `(at_action, agent)` of each fault seed,
+            // the same for every family and adversary: the plan is a pure
+            // function of `(seed, k)`. The content keys embed the plan's
+            // JSON, so a change of its form moves every chaos key; these
+            // pins keep the derivation itself fixed.
+            let pinned = match cell.fault_label().as_str() {
+                "seeded:1" => (466, 1),
+                "seeded:2" => (111, 2),
+                "seeded:3" => (1054, 0),
+                other => panic!("{} has fault label {other}", cell.scenario_id()),
+            };
+            assert_eq!(
+                (crash.at_action, crash.agent),
+                pinned,
+                "{}",
+                cell.scenario_id()
             );
-            assert!(cell.fault_label().starts_with("seeded:"));
             assert!(cell.scenario_id().contains("+f"));
         }
         // Same axes, different seed → different plan and different key.

@@ -4,7 +4,7 @@ use crate::bag::Bag;
 use rv_core::{Label, RvAlgorithm};
 use rv_explore::esst::{ArrivalReport, Drive, EsstMachine, SuspendedTokenCert, SuspensionPolicy};
 use rv_explore::{ExplorationProvider, RWalker};
-use rv_graph::{Graph, NodeId, PortId, PortLog};
+use rv_graph::{Arrival, Graph, NodeId, PortId, PortLog};
 use rv_sim::{Behavior, MeetingPlace};
 use rv_trajectory::TrajectoryCursor;
 
@@ -328,13 +328,19 @@ impl<'g, P: ExplorationProvider + Clone> SglBehavior<'g, P> {
     /// chase an adversarially suspended token indefinitely; ESST progress
     /// is its *phase* advancing instead — see [`SglProgress::ticks`]).
     fn commit(&mut self, port: PortId) -> PortId {
+        let arr = self.g.traverse(self.cur, port);
+        self.commit_arrival(port, arr)
+    }
+
+    /// [`Self::commit`] of a move whose arrival the caller already looked
+    /// up.
+    fn commit_arrival(&mut self, port: PortId, arr: Arrival) -> PortId {
         if !matches!(
             self.phase,
             Some(Phase::SeekToken { .. }) | Some(Phase::Esst { .. })
         ) {
             self.progress_ticks += 1;
         }
-        let arr = self.g.traverse(self.cur, port);
         self.cur = arr.node;
         self.cur_entry = Some(arr.entry_port);
         port
@@ -550,7 +556,7 @@ impl<'g, P: ExplorationProvider + Clone> Behavior for SglBehavior<'g, P> {
                                 Some(port) => {
                                     let arr = self.g.traverse(self.cur, port);
                                     log.push(arr.entry_port);
-                                    return Some(self.commit(port));
+                                    return Some(self.commit_arrival(port, arr));
                                 }
                                 None => {
                                     // Sweep complete: the bag now holds every

@@ -38,14 +38,10 @@ fn run_crashed_sgl(victim: usize, at_action: u64, kind: AdversaryKind, seed: u64
         })
         .collect();
     let mut rt = Runtime::new(&g, agents, RunConfig::protocol().with_cutoff(CUTOFF));
-    rt.set_fault_plan(FaultPlan::new(
-        vec![CrashFault {
-            at_action,
-            agent: victim,
-        }],
-        vec![],
-        vec![],
-    ));
+    rt.set_fault_plan(FaultPlan::new(vec![CrashFault {
+        at_action,
+        agent: victim,
+    }]));
     let mut adv = kind.build(seed);
     // The scenario matrix's protocol detector, with a tighter stall
     // window so a stalled-by-crash run is classified in test time; the
@@ -113,8 +109,6 @@ fn sgl_with_all_agents_crashed_ends_all_crashed() {
                 agent,
             })
             .collect(),
-        vec![],
-        vec![],
     ));
     let mut adv = AdversaryKind::Random.build(7);
     let out = rt.run(adv.as_mut());

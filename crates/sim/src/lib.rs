@@ -80,7 +80,7 @@ mod runtime;
 pub mod stop;
 
 pub use behavior::{Behavior, NaiveBehavior, RvBehavior, ScriptBehavior, SpecBehavior};
-pub use fault::{CrashFault, FaultPlan, FaultProfile, OutageFault};
+pub use fault::{CrashFault, FaultPlan, FaultProfile};
 pub use meeting::{AgentSet, AgentSetIter, Meeting, MeetingPlace, MeetingTally};
 pub use memo::MemoStats;
 pub use minimax::{search_worst_case, SearchOptions, SearchReport};

@@ -152,7 +152,9 @@ impl std::fmt::Display for Meeting {
 
 /// What a run keeps of its meetings: how many were logged, the last one,
 /// and who met whom. A fixed-size value with no heap block, so logging a
-/// meeting never allocates and a clone is a plain copy.
+/// meeting never allocates and a clone is a plain copy. The runtime logs
+/// every meeting it declares, so the tally counts exactly the meetings
+/// [`crate::Runtime::step`] has handed out.
 ///
 /// Row `a` of the who-met-whom table is the union of the participants of
 /// every logged meeting `a` took part in, so [`MeetingTally::pair_met`]

@@ -317,13 +317,7 @@ fn occupied_by_other(states: &[AgentState], i: usize, v: NodeId) -> bool {
 /// Writes the legal choices of the agents in `states` into `out` (cleared
 /// first), in agent order, annotated from the cached move geometry.
 #[inline]
-fn enumerate_choices(
-    states: &[AgentState],
-    edges: &[EdgeOcc],
-    faults: Option<&FaultClock>,
-    actions: u64,
-    out: &mut Vec<ChoiceInfo>,
-) {
+fn enumerate_choices(states: &[AgentState], edges: &[EdgeOcc], out: &mut Vec<ChoiceInfo>) {
     out.clear();
     for (i, st) in states.iter().enumerate() {
         if st.crashed {
@@ -334,9 +328,8 @@ fn enumerate_choices(
         } else {
             match st.place {
                 Place::AtNode(_) => {
-                    if st.pending.is_none() || faults.is_some_and(|f| f.edge_down(st.edge, actions))
-                    {
-                        continue; // parked, or entry blocked by an outage
+                    if st.pending.is_none() {
+                        continue; // parked
                     }
                     // A crossing: someone entered from the other endpoint.
                     let opposite = !edges[st.edge].queue(!st.from_a).is_empty();
@@ -692,10 +685,10 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         &self.meetings
     }
 
-    /// Installs a fault plan (see [`crate::fault`]); replaces any current
-    /// plan and rewinds its clock. The empty plan is provably free — the
-    /// golden suites pin that installing `FaultPlan::empty()` leaves every
-    /// run bit-identical.
+    /// Installs a crash-stop fault plan (see [`crate::fault`]); replaces
+    /// any current plan and rewinds its clock. The empty plan is provably
+    /// free — the golden suites pin that installing `FaultPlan::empty()`
+    /// leaves every run bit-identical.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(FaultClock::new(plan));
     }
@@ -710,9 +703,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         self.states[i].crashed
     }
 
-    /// Marks crashes whose time has come and expires outage windows —
-    /// called by [`Runtime::step`] before enumerating choices, so fault
-    /// effects land at deterministic action counts.
+    /// Marks crashes whose time has come — called by [`Runtime::step`]
+    /// before enumerating choices, so crashes land at deterministic action
+    /// counts.
     fn apply_due_faults(&mut self) {
         let Some(clock) = self.faults.as_mut() else {
             return;
@@ -738,13 +731,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// Writes all currently legal choices into `out` (cleared first), in
     /// the same order as [`Runtime::legal_choices`].
     pub fn legal_choices_into(&self, out: &mut Vec<ChoiceInfo>) {
-        enumerate_choices(
-            &self.states,
-            &self.edges,
-            self.faults.as_ref(),
-            self.actions,
-            out,
-        );
+        enumerate_choices(&self.states, &self.edges, out);
     }
 
     /// Applies one adversary choice; returns the meetings it forced.
@@ -1071,15 +1058,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             at_cost: self.total_traversals,
             at_action: self.actions,
         };
-        // Log-loss fault: the meeting *happened* (participants were served
-        // above, the caller still sees it) but its durable append is lost.
-        let lost = self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.log_lost(self.actions));
-        if !lost {
-            self.meetings.push(m);
-        }
+        self.meetings.push(m);
         m
     }
 
@@ -1088,17 +1067,18 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// `adversary.choose`, apply, first-meeting check), decision for
     /// decision. Meetings forced by the step are pushed onto
     /// `new_meetings` (cleared first); `Some(end)` means the run is over
-    /// and no action was taken this call (for `Cutoff`/`AllParked`) or
-    /// the configured stop fired (`Meeting`).
+    /// and no action was taken this call (for `Cutoff` and the choiceless
+    /// ends) or the configured stop fired (`Meeting`). A step that applies
+    /// a choice advances [`Runtime::actions`] by exactly one; a step that
+    /// applies none leaves it where it was.
     ///
     /// `run` and `run_with_policy` are loops over `step`, so callers
     /// driving a run step-by-step — the fork-detour golden suites, which
     /// step a prefix and [`Runtime::fork`] it, and the probes that read
     /// agent progress between decisions — stay in lockstep with `run()`
-    /// by construction. Stepping is also how a
-    /// caller sees the whole meeting sequence, which the runtime's
-    /// [`MeetingTally`] does not keep; `new_meetings` includes meetings a
-    /// log-loss fault keeps out of the tally.
+    /// by construction. Stepping is also how a caller sees the whole
+    /// meeting sequence, which the runtime's [`MeetingTally`] does not
+    /// keep.
     pub fn step(
         &mut self,
         adversary: &mut dyn crate::adversary::Adversary,
@@ -1109,22 +1089,11 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             return Some(RunEnd::Cutoff);
         }
         self.apply_due_faults();
-        self.enumerate_into_scratch();
-        while self.choice_scratch.is_empty() {
-            // A choiceless state is terminal unless an edge outage is the
-            // only thing pinning a live agent — then the adversary's sole
-            // move is to wait, so the action clock jumps to the earliest
-            // release (each jump is strictly forward past at least one
-            // live window, so this loop terminates). Never-hang contract:
-            // with no blocking outage the state is classified, not spun.
-            match self.earliest_blocked_release() {
-                Some(release) => {
-                    self.actions = release;
-                    self.apply_due_faults();
-                    self.enumerate_into_scratch();
-                }
-                None => return Some(self.classify_quiescence()),
-            }
+        enumerate_choices(&self.states, &self.edges, &mut self.choice_scratch);
+        if self.choice_scratch.is_empty() {
+            // Never-hang contract: a choiceless state is classified, not
+            // spun.
+            return Some(self.classify_quiescence());
         }
         let choice = adversary.choose(&self.choice_scratch, self.actions);
         debug_assert!(
@@ -1138,33 +1107,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         None
     }
 
-    /// [`Runtime::legal_choices_into`] the step loop's own buffer.
-    fn enumerate_into_scratch(&mut self) {
-        enumerate_choices(
-            &self.states,
-            &self.edges,
-            self.faults.as_ref(),
-            self.actions,
-            &mut self.choice_scratch,
-        );
-    }
-
     /// Runs under `adversary` until a terminal condition (see [`RunEnd`]).
     pub fn run(&mut self, adversary: &mut dyn crate::adversary::Adversary) -> RunOutcome {
         self.run_loop(adversary, None)
-    }
-
-    /// Earliest action at which an outage currently blocking a live
-    /// agent's committed `Start` releases — `None` when no live agent is
-    /// outage-blocked (then a choiceless state is genuinely terminal).
-    fn earliest_blocked_release(&self) -> Option<u64> {
-        let clock = self.faults.as_ref()?;
-        // Only agents at a node hold a pending move.
-        self.states
-            .iter()
-            .filter(|st| !st.crashed && st.awake && st.pending.is_some())
-            .filter_map(|st| clock.edge_release(st.edge, self.actions))
-            .min()
     }
 
     /// Names a choiceless state: `AllParked` clean, the fault-aware
@@ -1407,13 +1352,6 @@ impl<B: Behavior> Runtime<'_, B> {
                             continue;
                         };
                         let index = self.g.edge_index_at(v, port);
-                        if self
-                            .faults
-                            .as_ref()
-                            .is_some_and(|f| f.edge_down(index, self.actions))
-                        {
-                            continue;
-                        }
                         // Opposite direction = entered from the other endpoint.
                         let opposite = model.queue(index, !self.departs_a_side(index, v));
                         (ActionKind::Start, !opposite.is_empty())
@@ -1524,7 +1462,7 @@ impl<B: Behavior> Runtime<'_, B> {
 mod tests {
     use super::*;
     use crate::behavior::ScriptBehavior;
-    use crate::fault::{CrashFault, OutageFault};
+    use crate::fault::CrashFault;
     use proptest::prelude::*;
     use rv_graph::generators;
     use std::cell::Cell;
@@ -1715,8 +1653,7 @@ mod tests {
             at_action: 6,
             agent: 2,
         };
-        let (rt, log, clones) =
-            hub_meetings(&g, FaultPlan::new(vec![crash], Vec::new(), Vec::new()));
+        let (rt, log, clones) = hub_meetings(&g, FaultPlan::new(vec![crash]));
         assert!(rt.crashed(2));
         assert_eq!((log.len(), rt.meetings().len()), (3, 3));
         assert!(rt.behavior(2).received.is_empty());
@@ -1839,25 +1776,16 @@ mod tests {
             .collect()
     }
 
-    /// A random plan of up to two crashes, three outages and two lost
-    /// log appends, all within the first 60 actions.
-    fn random_faults(g: &Graph, k: usize, rng: &mut u64) -> FaultPlan {
-        let at = |rng: &mut u64| 1 + splitmix(rng) % 60;
+    /// A random plan of up to two crashes among `k` agents, all within
+    /// the first 60 actions.
+    fn random_faults(k: usize, rng: &mut u64) -> FaultPlan {
         let crashes = (0..splitmix(rng) % 3)
             .map(|_| CrashFault {
-                at_action: at(rng),
+                at_action: 1 + splitmix(rng) % 60,
                 agent: splitmix(rng) as usize % k,
             })
             .collect();
-        let outages = (0..splitmix(rng) % 4)
-            .map(|_| OutageFault {
-                at_action: at(rng),
-                edge_index: splitmix(rng) as usize % g.size(),
-                duration_actions: 1 + splitmix(rng) % 12,
-            })
-            .collect();
-        let losses = (0..splitmix(rng) % 3).map(|_| at(rng)).collect();
-        FaultPlan::new(crashes, outages, losses)
+        FaultPlan::new(crashes)
     }
 
     /// An adversary that remembers the choice it made last.
@@ -1874,23 +1802,50 @@ mod tests {
         }
     }
 
-    /// [`Runtime::step`] under `adversary`, replaying the applied choice
-    /// (if the step took one) onto `model`.
-    fn step_modelled(
+    /// [`Runtime::step`] under `adversary`, returning the step's end and
+    /// the choice it applied, if any. Checks the action clock: a step
+    /// that applied a choice advanced [`Runtime::actions`] by exactly one,
+    /// and a step that applied none ended the run and left it in place.
+    fn step_checked(
         rt: &mut Runtime<'_, ScriptBehavior>,
         adversary: &mut Uniform,
-        model: &mut QueueModel,
         meetings: &mut Vec<Meeting>,
-    ) -> Option<RunEnd> {
+    ) -> Result<(Option<RunEnd>, Option<Choice>), TestCaseError> {
+        let before = rt.actions();
         let mut logged = Logged {
             inner: adversary,
             last: None,
         };
         let end = rt.step(&mut logged, meetings);
-        if let Some(c) = logged.last {
+        let applied = logged.last;
+        prop_assert_eq!(
+            rt.actions(),
+            before + u64::from(applied.is_some()),
+            "{:?} ended {:?}",
+            applied,
+            end
+        );
+        prop_assert!(
+            applied.is_some() || end.is_some(),
+            "idle step at {}",
+            before
+        );
+        Ok((end, applied))
+    }
+
+    /// [`step_checked`], replaying the applied choice (if the step took
+    /// one) onto `model`.
+    fn step_modelled(
+        rt: &mut Runtime<'_, ScriptBehavior>,
+        adversary: &mut Uniform,
+        model: &mut QueueModel,
+        meetings: &mut Vec<Meeting>,
+    ) -> Result<Option<RunEnd>, TestCaseError> {
+        let (end, applied) = step_checked(rt, adversary, meetings)?;
+        if let Some(c) = applied {
             model.replay(rt, c);
         }
-        end
+        Ok(end)
     }
 
     /// The fast enumeration agrees with the scan-based oracle, choice for
@@ -1994,7 +1949,7 @@ mod tests {
         let mut meetings = Vec::new();
         for _ in 0..200 {
             undo_every_choice(&mut rt, &model, coverage)?;
-            let end = step_modelled(&mut rt, &mut adversary, &mut model, &mut meetings);
+            let end = step_modelled(&mut rt, &mut adversary, &mut model, &mut meetings)?;
             coverage.edge_meetings += meetings
                 .iter()
                 .filter(|m| matches!(m.place, MeetingPlace::Edge(_)))
@@ -2108,27 +2063,18 @@ mod tests {
         assert_eq!(finish(&mut rt, &mut adversary), runs[0]);
     }
 
-    /// How much of the tally's input the [`tally_walk`]s exercised.
-    #[derive(Debug, Default)]
-    struct TallyCoverage {
-        /// Logged meetings of three or more agents.
-        crowded: usize,
-        /// Meetings a log-loss fault kept out of the tally.
-        lost: usize,
-    }
-
     /// A random protocol-mode schedule of a crowded team of `k` scripted
-    /// walkers on a five-node graph, under a random fault plan whose log
-    /// losses hit about a third of the first 200 actions, driven through
-    /// `step`. After every step the tally must agree with the meetings
-    /// `step` handed out, minus those declared at a lost action: the same
-    /// count, the same last meeting, and `pair_met` true for exactly the
-    /// pairs (an agent with itself included) that shared a meeting.
+    /// walkers on a five-node graph, under a random crash plan, driven
+    /// through `step` (see `step_checked`). After every step the tally
+    /// must agree with the meetings `step` handed out: the same count,
+    /// the same last meeting, and `pair_met` true for exactly the pairs
+    /// (an agent with itself included) that shared a meeting. Adds the
+    /// meetings of three or more agents to `crowded`.
     fn tally_walk(
         family: u64,
         k: usize,
         seed: u64,
-        coverage: &mut TallyCoverage,
+        crowded: &mut usize,
     ) -> Result<(), TestCaseError> {
         let mut rng = seed;
         let g = match family {
@@ -2139,23 +2085,14 @@ mod tests {
         };
         let team = random_team(&g, k, &mut rng);
         let mut rt = Runtime::new(&g, team, RunConfig::protocol());
-        let plan = random_faults(&g, k, &mut rng);
-        let losses = (1..200)
-            .filter(|_| splitmix(&mut rng).is_multiple_of(3))
-            .collect();
-        rt.set_fault_plan(FaultPlan::new(plan.crashes, plan.outages, losses));
+        rt.set_fault_plan(random_faults(k, &mut rng));
         let mut adversary = Uniform(splitmix(&mut rng));
         let (mut meetings, mut logged) = (Vec::new(), Vec::<Meeting>::new());
         loop {
-            let end = rt.step(&mut adversary, &mut meetings);
+            let (end, _) = step_checked(&mut rt, &mut adversary, &mut meetings)?;
             let action = rt.actions();
-            let plan = rt.fault_plan().expect("installed");
-            if plan.log_losses.contains(&action) {
-                coverage.lost += meetings.len();
-            } else {
-                coverage.crowded += meetings.iter().filter(|m| m.agents.len() >= 3).count();
-                logged.extend_from_slice(&meetings);
-            }
+            *crowded += meetings.iter().filter(|m| m.agents.len() >= 3).count();
+            logged.extend_from_slice(&meetings);
             let tally = rt.meetings();
             prop_assert_eq!(tally.len(), logged.len(), "at action {}", action);
             prop_assert_eq!(tally.last(), logged.last(), "at action {}", action);
@@ -2177,21 +2114,18 @@ mod tests {
     }
 
     #[test]
-    fn tally_walks_cover_crowded_and_lost_meetings() {
-        let mut coverage = TallyCoverage::default();
+    fn tally_walks_cover_crowded_meetings() {
+        let mut crowded = 0;
         for seed in 0..64 {
-            tally_walk(seed % 4, 2 + seed as usize % 4, seed, &mut coverage).expect("tally walk");
+            tally_walk(seed % 4, 2 + seed as usize % 4, seed, &mut crowded).expect("tally walk");
         }
-        assert!(
-            coverage.crowded >= 40 && coverage.lost >= 100,
-            "{coverage:?}"
-        );
+        assert!(crowded >= 40, "{crowded} crowded meetings");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random crowded teams, schedules and log-loss plans: the tally
+        /// Random crowded teams, schedules and crash plans: the tally
         /// agrees with the meetings `step` declared (see `tally_walk`).
         #[test]
         fn tally_matches_the_stepped_meetings(
@@ -2199,7 +2133,7 @@ mod tests {
             k in 2usize..6,
             seed in any::<u64>(),
         ) {
-            tally_walk(family, k, seed, &mut TallyCoverage::default())?;
+            tally_walk(family, k, seed, &mut 0)?;
         }
     }
 
@@ -2222,8 +2156,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Random graphs, teams and schedules (with crash, outage and
-        /// log-loss faults in some cases): at every step the legal choices
+        /// Random graphs, teams and schedules (with crash faults in some
+        /// cases): at every step the legal choices
         /// equal the scan-based oracle's, in order and with the same
         /// meeting flags — including on a `Runtime::fork` that takes the
         /// run over (stepped in lockstep with the runtime it copies,
@@ -2250,7 +2184,7 @@ mod tests {
             let team = random_team(&g, k, &mut rng);
             let mut rt = Runtime::new(&g, team, RunConfig::protocol());
             if faulty == 1 {
-                rt.set_fault_plan(random_faults(&g, k, &mut rng));
+                rt.set_fault_plan(random_faults(k, &mut rng));
             }
             let mut model = QueueModel::new(&g);
             let mut adversary = Uniform(splitmix(&mut rng));
@@ -2266,13 +2200,13 @@ mod tests {
                         // The fork takes the run over and the original
                         // follows in lockstep. The fork carries the fault
                         // clock, so no plan is installed again: the same
-                        // crashes and outages must reach both.
+                        // crashes must reach both.
                         let fork = rt.fork();
                         prop_assert_eq!(scheduler_view(&fork), scheduler_view(&rt));
                         let mut original = std::mem::replace(&mut rt, fork);
                         let mut shadow = adversary.clone();
                         for _ in 0..3 {
-                            let end = step_modelled(&mut rt, &mut adversary, &mut model, &mut meetings);
+                            let end = step_modelled(&mut rt, &mut adversary, &mut model, &mut meetings)?;
                             prop_assert_eq!(original.step(&mut shadow, &mut Vec::new()), end);
                             prop_assert_eq!(scheduler_view(&rt), scheduler_view(&original));
                             if end.is_some() {
@@ -2286,7 +2220,7 @@ mod tests {
                     }
                     _ => {}
                 }
-                if step_modelled(&mut rt, &mut adversary, &mut model, &mut meetings).is_some() {
+                if step_modelled(&mut rt, &mut adversary, &mut model, &mut meetings)?.is_some() {
                     break;
                 }
             }

@@ -5,19 +5,15 @@
 //! * **Empty plans are free** — installing `FaultPlan::empty()` produces
 //!   run fingerprints bit-identical to never touching the fault API, for
 //!   every adversary in the suite (RNG streams included).
-//! * **Faulted runs never hang** — crash-stop and outage scenarios always
-//!   terminate with a *classified* end (`AllCrashed`, `SurvivorsParked`,
-//!   a meeting forced on a crashed body, or an outage fast-forward),
-//!   never a spin.
+//! * **Faulted runs never hang** — crash-stop scenarios always terminate
+//!   with a *classified* end (`AllCrashed`, `SurvivorsParked`, or a
+//!   meeting forced on a crashed body), never a spin.
 
 use rv_core::Label;
 use rv_explore::SeededUxs;
 use rv_graph::{generators, GraphFamily, NodeId};
 use rv_sim::adversary::{AdversaryKind, RoundRobin};
-use rv_sim::{
-    CrashFault, FaultPlan, OutageFault, RunConfig, RunEnd, RunOutcome, Runtime, RvBehavior,
-    ScriptBehavior,
-};
+use rv_sim::{CrashFault, FaultPlan, RunConfig, RunEnd, Runtime, RvBehavior, ScriptBehavior};
 
 const CUTOFF: u64 = 4_000_000;
 
@@ -93,20 +89,16 @@ fn all_agents_crashed_classifies_all_crashed() {
         RvBehavior::new(&g, uxs, NodeId(3), Label::new(5).unwrap()),
     ];
     let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(CUTOFF));
-    rt.set_fault_plan(FaultPlan::new(
-        vec![
-            CrashFault {
-                at_action: 0,
-                agent: 0,
-            },
-            CrashFault {
-                at_action: 0,
-                agent: 1,
-            },
-        ],
-        vec![],
-        vec![],
-    ));
+    rt.set_fault_plan(FaultPlan::new(vec![
+        CrashFault {
+            at_action: 0,
+            agent: 0,
+        },
+        CrashFault {
+            at_action: 0,
+            agent: 1,
+        },
+    ]));
     let out = rt.run(&mut RoundRobin::new());
     assert_eq!(out.end, RunEnd::AllCrashed);
     assert_eq!(out.total_traversals, 0);
@@ -127,14 +119,10 @@ fn crashed_body_still_forces_rendezvous() {
         RvBehavior::new(&g, uxs, NodeId(3), Label::new(5).unwrap()),
     ];
     let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(CUTOFF));
-    rt.set_fault_plan(FaultPlan::new(
-        vec![CrashFault {
-            at_action: 0,
-            agent: 1,
-        }],
-        vec![],
-        vec![],
-    ));
+    rt.set_fault_plan(FaultPlan::new(vec![CrashFault {
+        at_action: 0,
+        agent: 1,
+    }]));
     let out = rt.run(&mut RoundRobin::new());
     assert_eq!(out.end, RunEnd::Meeting);
     assert_eq!(out.per_agent[1], 0, "crashed agents never traverse");
@@ -158,125 +146,13 @@ fn survivor_parking_classifies_survivors_parked() {
         ScriptBehavior::new(NodeId(2), []),
     ];
     let mut rt = Runtime::new(&g, agents, RunConfig::protocol().with_cutoff(CUTOFF));
-    rt.set_fault_plan(FaultPlan::new(
-        vec![CrashFault {
-            at_action: 0,
-            agent: 1,
-        }],
-        vec![],
-        vec![],
-    ));
+    rt.set_fault_plan(FaultPlan::new(vec![CrashFault {
+        at_action: 0,
+        agent: 1,
+    }]));
     let out = rt.run(&mut RoundRobin::new());
     assert_eq!(out.end, RunEnd::SurvivorsParked);
     assert_eq!(out.per_agent, vec![1, 0]);
-}
-
-/// An outage that blocks the only legal move does not hang the run: the
-/// action clock fast-forwards to the release and the run completes.
-#[test]
-fn outage_fast_forwards_instead_of_hanging() {
-    let g = generators::path(3);
-    // Agent 0 wants the 0–1 edge (downed below); agent 1 wakes at node 2
-    // and parks immediately, so once both are awake the outage is the
-    // *only* thing between the run and quiescence.
-    let agents = vec![
-        ScriptBehavior::new(NodeId(0), [0]),
-        ScriptBehavior::new(NodeId(2), []),
-    ];
-    let blocked = g.edge_index_at(NodeId(0), rv_graph::PortId(0));
-    let mut rt = Runtime::new(&g, agents, RunConfig::protocol().with_cutoff(CUTOFF));
-    rt.set_fault_plan(FaultPlan::new(
-        vec![],
-        vec![OutageFault {
-            at_action: 0,
-            edge_index: blocked,
-            duration_actions: 50,
-        }],
-        vec![],
-    ));
-    let out = rt.run(&mut RoundRobin::new());
-    assert_eq!(out.end, RunEnd::AllParked);
-    assert_eq!(
-        out.per_agent,
-        vec![1, 0],
-        "the walk completed after release"
-    );
-    assert!(
-        out.actions >= 50,
-        "the clock fast-forwarded past the outage window (actions={})",
-        out.actions
-    );
-}
-
-/// An outage outliving every live agent's options is still terminal when
-/// all awake agents are crashed or parked — release times only count for
-/// agents that can actually move again.
-#[test]
-fn outage_on_a_crashed_agent_is_not_a_release() {
-    let g = generators::path(3);
-    let agents = vec![
-        ScriptBehavior::new(NodeId(0), [0]),
-        ScriptBehavior::new(NodeId(2), []),
-    ];
-    let blocked = g.edge_index_at(NodeId(0), rv_graph::PortId(0));
-    let mut rt = Runtime::new(&g, agents, RunConfig::protocol().with_cutoff(CUTOFF));
-    // Crash the outage-blocked agent right after the two wakes: nothing
-    // will ever cross that edge, so the run must classify
-    // (SurvivorsParked), not fast-forward towards the distant release.
-    rt.set_fault_plan(FaultPlan::new(
-        vec![CrashFault {
-            at_action: 2,
-            agent: 0,
-        }],
-        vec![OutageFault {
-            at_action: 0,
-            edge_index: blocked,
-            duration_actions: u64::MAX - 1,
-        }],
-        vec![],
-    ));
-    let out = rt.run(&mut RoundRobin::new());
-    assert_eq!(out.end, RunEnd::SurvivorsParked);
-    assert_eq!(out.total_traversals, 0);
-    assert!(
-        out.actions < 10,
-        "no fast-forward happened: {}",
-        out.actions
-    );
-}
-
-/// Log-loss semantics: the meeting still *happens* (participants served,
-/// rendezvous still ends `Meeting` at the same action) but the durable
-/// log misses the append.
-#[test]
-fn log_loss_drops_the_append_but_not_the_meeting() {
-    let run = |plan: Option<FaultPlan>| -> RunOutcome {
-        let uxs = SeededUxs::quadratic();
-        let g = GraphFamily::Ring.generate(12, 5);
-        let agents = vec![
-            RvBehavior::new(&g, uxs, NodeId(0), Label::new(6).unwrap()),
-            RvBehavior::new(&g, uxs, NodeId(6), Label::new(9).unwrap()),
-        ];
-        let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(CUTOFF));
-        if let Some(plan) = plan {
-            rt.set_fault_plan(plan);
-        }
-        rt.run(&mut RoundRobin::new())
-    };
-    let clean = run(None);
-    assert_eq!(clean.end, RunEnd::Meeting);
-    let meeting_action = clean
-        .meetings
-        .last()
-        .expect("clean run logged its meeting")
-        .at_action;
-    let lossy = run(Some(FaultPlan::new(vec![], vec![], vec![meeting_action])));
-    assert_eq!(lossy.end, RunEnd::Meeting, "the meeting still happened");
-    assert_eq!(lossy.actions, clean.actions, "same trajectory, same clock");
-    assert!(
-        lossy.meetings.is_empty(),
-        "the lossy append must not reach the log"
-    );
 }
 
 /// Seeded plans honour their profile bounds and at-most-one-crash-per-
@@ -292,11 +168,7 @@ fn seeded_plans_terminate_classified() {
             &rv_sim::FaultProfile {
                 horizon_actions: 200,
                 agents: 2,
-                edges: g.size(),
                 crashes: 2,
-                outages: 3,
-                max_outage_actions: 64,
-                log_losses: 2,
             },
         );
         let agents = vec![
@@ -331,14 +203,10 @@ fn fork_replays_faults_deterministically() {
             RvBehavior::new(&g, uxs, NodeId(3), Label::new(5).unwrap()),
         ]
     };
-    let plan = FaultPlan::new(
-        vec![CrashFault {
-            at_action: 7,
-            agent: 1,
-        }],
-        vec![],
-        vec![],
-    );
+    let plan = FaultPlan::new(vec![CrashFault {
+        at_action: 7,
+        agent: 1,
+    }]);
     let mut rt = Runtime::new(&g, make(), RunConfig::rendezvous().with_cutoff(CUTOFF));
     rt.set_fault_plan(plan.clone());
     let baseline = rt.run(&mut RoundRobin::new());
