@@ -746,6 +746,15 @@ pub fn cell_count() -> usize {
 mod tests {
     use super::*;
 
+    /// An SGL team is not `Send` (its bags count references without
+    /// atomics), so a worker thread opens its cells from the spec: the
+    /// spec must cross threads.
+    #[test]
+    fn a_spec_crosses_threads() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<CellSpec>();
+    }
+
     #[test]
     fn the_declared_matrix_has_454_cells_and_unique_scenario_ids() {
         let all = cells();

@@ -559,74 +559,58 @@ impl<P: ExplorationProvider + Clone> EsstMachine<P> {
             self.observe_for_census(report.token_suspended);
         }
 
-        let state = std::mem::replace(&mut self.state, State::Done);
-        match state {
+        // Transitions update `self.state` in place: only a change of state
+        // writes a new one.
+        match &mut self.state {
             State::TruncForward { walker } => {
+                let done = walker.is_done();
                 self.trunc_exits.push(port);
                 self.trunc_entries.push(report.entry);
                 self.trunc_max_degree = self.trunc_max_degree.max(report.degree);
                 if report.token_inside || report.token_at_node {
                     self.trunc_token_seen = true;
                 }
-                if walker.is_done() {
+                if done {
                     let clean = (self.trunc_max_degree as u64) < self.phase;
                     if !clean || !self.trunc_token_seen {
                         self.abort_phase();
                     } else {
                         self.state = State::TruncBack;
                     }
-                } else {
-                    self.state = State::TruncForward { walker };
                 }
             }
             State::TruncBack => {
                 if self.trunc_entries.is_empty() {
                     self.start_inner();
-                } else {
-                    self.state = State::TruncBack;
                 }
             }
             State::Inner {
                 walker,
-                mut exits,
-                mut entries,
+                exits,
+                entries,
             } => {
                 exits.push(port);
                 entries.push(report.entry);
-                if report.token_inside {
-                    // Edge-granular driver (the multi-agent simulator):
-                    // the crossing happened inside the completed edge; code
-                    // ends with this edge's port, and the backtrack replays
-                    // the full edge.
+                if report.token_inside || report.token_at_node {
+                    // With `token_inside`, an edge-granular driver (the
+                    // multi-agent simulator) saw the crossing inside the
+                    // completed edge: the code ends with this edge's port,
+                    // and the backtrack replays the full edge.
                     let code = Code {
-                        ports: exits,
-                        inside_edge: true,
+                        ports: std::mem::take(exits),
+                        inside_edge: report.token_inside,
                     };
-                    self.state = State::InnerBack { entries };
-                    self.record_code_and_maybe_abort(code);
-                } else if report.token_at_node {
-                    let code = Code {
-                        ports: exits,
-                        inside_edge: false,
-                    };
+                    let entries = std::mem::take(entries);
                     self.state = State::InnerBack { entries };
                     self.record_code_and_maybe_abort(code);
                 } else if walker.is_done() {
                     // R(i, u_j) ended without a sighting → abort the phase.
                     self.abort_phase();
-                } else {
-                    self.state = State::Inner {
-                        walker,
-                        exits,
-                        entries,
-                    };
                 }
             }
             State::InnerBack { entries } => {
                 if entries.is_empty() {
                     self.after_inner_done();
-                } else {
-                    self.state = State::InnerBack { entries };
                 }
             }
             State::GotoNext => {
@@ -659,22 +643,18 @@ impl<P: ExplorationProvider + Clone> EsstMachine<P> {
         };
         self.cost += 2; // into the edge and back
         self.observe_for_census(suspended);
-        let state = std::mem::replace(&mut self.state, State::Done);
-        match state {
-            State::Inner {
-                mut exits, entries, ..
-            } => {
-                exits.push(port);
-                let code = Code {
-                    ports: exits,
-                    inside_edge: true,
-                };
-                self.state = State::InnerBack { entries };
-                self.record_code_and_maybe_abort(code);
-                self.resolve_trivial_inner_back();
-            }
-            _ => unreachable!("interruptible moves only occur in Inner state"),
-        }
+        let State::Inner { exits, entries, .. } = &mut self.state else {
+            unreachable!("interruptible moves only occur in Inner state")
+        };
+        exits.push(port);
+        let code = Code {
+            ports: std::mem::take(exits),
+            inside_edge: true,
+        };
+        let entries = std::mem::take(entries);
+        self.state = State::InnerBack { entries };
+        self.record_code_and_maybe_abort(code);
+        self.resolve_trivial_inner_back();
         self.maybe_certify();
     }
 

@@ -27,6 +27,24 @@ pub trait ExplorationProvider {
     ///
     /// Implementations may panic if `i >= len(k)`.
     fn increment(&self, k: u64, i: u64) -> u64;
+
+    /// The per-`k` part of the increments, computed once per walk: an
+    /// [`RWalker`] derives it when it is built and then asks only for
+    /// [`ExplorationProvider::keyed_increment`]. The default key is `k`
+    /// itself.
+    ///
+    /// Override this and `keyed_increment` together, or neither.
+    fn walk_key(&self, k: u64) -> u64 {
+        k
+    }
+
+    /// The `i`-th increment of the walk whose key is `key =
+    /// walk_key(k)`; equal to `increment(k, i)` for `0 ≤ i < len(k)`. The
+    /// caller keeps `i` in range, so an implementation need not check
+    /// it. The default is `increment(key, i)`.
+    fn keyed_increment(&self, key: u64, i: u64) -> u64 {
+        self.increment(key, i)
+    }
 }
 
 impl<T: ExplorationProvider + ?Sized> ExplorationProvider for &T {
@@ -35,6 +53,12 @@ impl<T: ExplorationProvider + ?Sized> ExplorationProvider for &T {
     }
     fn increment(&self, k: u64, i: u64) -> u64 {
         (**self).increment(k, i)
+    }
+    fn walk_key(&self, k: u64) -> u64 {
+        (**self).walk_key(k)
+    }
+    fn keyed_increment(&self, key: u64, i: u64) -> u64 {
+        (**self).keyed_increment(key, i)
     }
 }
 
@@ -45,10 +69,17 @@ impl<T: ExplorationProvider + ?Sized> ExplorationProvider for &T {
 /// yields the exit port for the next step — the agent never sees node
 /// identities. The first step of `R(k, v)` treats the (non-existent) entry
 /// port at the start node as `0`, matching the usual UXS convention.
+///
+/// `R(k, ·)` walks step the RV trajectories' `R` pieces, ESST's trunc and
+/// inner walks and SGL's Phase-3 sweeps, so the walker does its per-`k`
+/// work once: it reads `P(k)` and the provider's
+/// [`walk_key`](ExplorationProvider::walk_key) when it is built, and a step
+/// costs one [`keyed_increment`](ExplorationProvider::keyed_increment).
 #[derive(Clone, Debug)]
 pub struct RWalker<P> {
     provider: P,
-    k: u64,
+    key: u64,
+    len: u64,
     step: u64,
 }
 
@@ -56,8 +87,9 @@ impl<P: ExplorationProvider> RWalker<P> {
     /// Starts a fresh walk of `R(k, ·)`.
     pub fn new(provider: P, k: u64) -> Self {
         RWalker {
+            key: provider.walk_key(k),
+            len: provider.len(k),
             provider,
-            k,
             step: 0,
         }
     }
@@ -69,12 +101,12 @@ impl<P: ExplorationProvider> RWalker<P> {
 
     /// Total steps in this walk (`P(k)`).
     pub fn total_steps(&self) -> u64 {
-        self.provider.len(self.k)
+        self.len
     }
 
     /// Whether the walk is complete.
     pub fn is_done(&self) -> bool {
-        self.step >= self.provider.len(self.k)
+        self.step >= self.len
     }
 
     /// Computes the next exit port from the entry port (`None` at the start
@@ -90,7 +122,7 @@ impl<P: ExplorationProvider> RWalker<P> {
         if self.is_done() {
             return None;
         }
-        let x = self.provider.increment(self.k, self.step);
+        let x = self.provider.keyed_increment(self.key, self.step);
         self.step += 1;
         let d = degree as u64;
         let p = entry.map(|p| p.0 as u64).unwrap_or(0);
@@ -109,6 +141,7 @@ impl<P: ExplorationProvider> RWalker<P> {
 mod tests {
     use super::*;
     use crate::SeededUxs;
+    use proptest::prelude::*;
 
     #[test]
     fn walker_counts_steps_and_terminates() {
@@ -152,5 +185,82 @@ mod tests {
     fn walker_rejects_degree_zero() {
         let uxs = SeededUxs::default();
         RWalker::new(&uxs, 2).next_exit(None, 0);
+    }
+
+    /// SplitMix64: the random stream of the walker property below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Walks `R(k, ·)` on random degrees and entry ports: every exit is
+    /// `(entry + increment(k, i)) mod degree` (entry 0 at the start),
+    /// `total_steps()` is `len(k)`, and `is_done()` turns true exactly
+    /// after `len(k)` steps.
+    fn walker_follows_its_provider<P: ExplorationProvider + Clone>(
+        provider: P,
+        k: u64,
+        rng: &mut u64,
+    ) -> Result<(), TestCaseError> {
+        let len = provider.len(k);
+        let mut w = RWalker::new(provider.clone(), k);
+        prop_assert_eq!(w.total_steps(), len);
+        let mut entry = None;
+        for i in 0..len {
+            prop_assert!(!w.is_done(), "done after {} of {} steps", i, len);
+            let degree = match splitmix(rng) % 4 {
+                0 => 1 + splitmix(rng) as usize % 1000,
+                _ => 1 + splitmix(rng) as usize % 8,
+            };
+            let p = entry.map_or(0, |e: PortId| e.0 as u128);
+            let expected = (p + provider.increment(k, i) as u128) % degree as u128;
+            prop_assert_eq!(
+                w.next_exit(entry, degree),
+                Some(PortId(expected as usize)),
+                "k = {}, step {}",
+                k,
+                i
+            );
+            prop_assert_eq!(w.steps_taken(), i + 1);
+            entry = Some(PortId(splitmix(rng) as usize % degree));
+        }
+        prop_assert!(w.is_done(), "not done after {} steps", len);
+        prop_assert_eq!(w.next_exit(entry, 3), None);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The walker's set-up-once key and length agree with its
+        /// provider, for both seeded providers, a table provider (`k`
+        /// past its last table included) and a borrowed provider.
+        #[test]
+        fn walker_matches_its_provider(k in 1u64..10, seed in any::<u64>()) {
+            let mut rng = seed;
+            walker_follows_its_provider(SeededUxs::default(), k, &mut rng)?;
+            walker_follows_its_provider(SeededUxs::quadratic(), k, &mut rng)?;
+            let uxs = SeededUxs::default();
+            let borrowed: &SeededUxs = &uxs;
+            walker_follows_its_provider(borrowed, k, &mut rng)?;
+            // Three tables of random increments, the extremes included:
+            // `k` = 4…9 reads the last one.
+            let tables = (0..3)
+                .map(|_| {
+                    let len = 1 + splitmix(&mut rng) % 40;
+                    (0..len)
+                        .map(|_| match splitmix(&mut rng) % 4 {
+                            0 => u64::MAX,
+                            1 => splitmix(&mut rng) % 16,
+                            _ => splitmix(&mut rng),
+                        })
+                        .collect()
+                })
+                .collect();
+            walker_follows_its_provider(crate::TableUxs::new(tables), k, &mut rng)?;
+        }
     }
 }

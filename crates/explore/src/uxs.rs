@@ -103,8 +103,17 @@ impl ExplorationProvider for SeededUxs {
             i < self.len(k),
             "increment index {i} out of range for k={k}"
         );
-        // Mix seed, k and i so sequences for different k are independent.
-        splitmix64(self.seed ^ splitmix64(k) ^ i.wrapping_mul(0xA24B_AED4_963E_E407))
+        self.keyed_increment(self.walk_key(k), i)
+    }
+
+    /// The seed mixed with `k`, so sequences for different `k` are
+    /// independent.
+    fn walk_key(&self, k: u64) -> u64 {
+        self.seed ^ splitmix64(k)
+    }
+
+    fn keyed_increment(&self, key: u64, i: u64) -> u64 {
+        splitmix64(key ^ i.wrapping_mul(0xA24B_AED4_963E_E407))
     }
 }
 

@@ -1,7 +1,7 @@
 //! The bag: the set of (label, value) pairs an agent has heard of.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// An agent's bag `W`: every label it has heard of, with the initial value
 /// attached to that label (for gossiping). Bags only ever grow, by merging
@@ -13,9 +13,15 @@ use std::sync::Arc;
 /// union is neither bag's contents. Agents that keep meeting with nothing
 /// new to tell each other end up reading one storage, so their repeat
 /// merges cost a pointer comparison.
+///
+/// The storage sits behind an [`Rc`], not an `Arc`: a run lives on one
+/// thread, and a clone is taken and dropped for every participant of
+/// every meeting, so atomic counts would buy nothing. A bag, and so an
+/// SGL agent, is therefore not `Send`: build a team on the thread that
+/// runs it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Bag {
-    entries: Arc<BTreeMap<u64, u64>>,
+    entries: Rc<BTreeMap<u64, u64>>,
 }
 
 impl Bag {
@@ -24,7 +30,7 @@ impl Bag {
         let mut entries = BTreeMap::new();
         entries.insert(label, value);
         Bag {
-            entries: Arc::new(entries),
+            entries: Rc::new(entries),
         }
     }
 
@@ -64,7 +70,7 @@ impl Bag {
     /// moves storage, never contents: what any bag contains, and so every
     /// output, is independent of addresses.
     pub fn merge(&mut self, other: &Bag) {
-        if Arc::ptr_eq(&self.entries, &other.entries) {
+        if Rc::ptr_eq(&self.entries, &other.entries) {
             return;
         }
         // One sorted walk over both bags: does `other` add a label, and
@@ -82,11 +88,11 @@ impl Bag {
         }
         keeps_its_own |= mine.next().is_some();
         if !keeps_its_own
-            && (adds_a_label || Arc::as_ptr(&other.entries) < Arc::as_ptr(&self.entries))
+            && (adds_a_label || Rc::as_ptr(&other.entries) < Rc::as_ptr(&self.entries))
         {
-            self.entries = Arc::clone(&other.entries);
+            self.entries = Rc::clone(&other.entries);
         } else if adds_a_label {
-            Arc::make_mut(&mut self.entries).extend(other.entries.iter());
+            Rc::make_mut(&mut self.entries).extend(other.entries.iter());
         }
     }
 
@@ -104,7 +110,7 @@ impl Bag {
     /// between them).
     #[cfg(test)]
     fn shares_storage_with(&self, other: &Bag) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries)
+        Rc::ptr_eq(&self.entries, &other.entries)
     }
 }
 

@@ -42,18 +42,26 @@ impl RoundRobin {
 
 impl Adversary for RoundRobin {
     fn choose(&mut self, choices: &[ChoiceInfo], _tick: u64) -> Choice {
-        if let Some(w) = choices.iter().find(|c| c.choice.kind == ActionKind::Wake) {
-            return w.choice;
+        // One pass: the first wake in slice order wins at once; otherwise
+        // rotate to the smallest agent index >= next, else wrap to the
+        // smallest index. Agents are unique, so the rotation does not
+        // depend on the order of the choices.
+        let (mut at_or_after, mut smallest): (Option<Choice>, Option<Choice>) = (None, None);
+        for c in choices {
+            let choice = c.choice;
+            if choice.kind == ActionKind::Wake {
+                return choice;
+            }
+            if choice.agent >= self.next && at_or_after.is_none_or(|b| choice.agent < b.agent) {
+                at_or_after = Some(choice);
+            }
+            if smallest.is_none_or(|b| choice.agent < b.agent) {
+                smallest = Some(choice);
+            }
         }
-        // Rotate: first choice whose agent index >= next, else wrap.
-        let pick = choices
-            .iter()
-            .filter(|c| c.choice.agent >= self.next)
-            .min_by_key(|c| c.choice.agent)
-            .or_else(|| choices.iter().min_by_key(|c| c.choice.agent))
-            .expect("choices non-empty");
-        self.next = pick.choice.agent + 1;
-        pick.choice
+        let pick = at_or_after.or(smallest).expect("choices non-empty");
+        self.next = pick.agent + 1;
+        pick
     }
 }
 
@@ -166,7 +174,14 @@ impl Adversary for EagerMeet {
         if let Some(c) = choices.iter().find(|c| c.causes_meeting) {
             return c.choice;
         }
-        choices[tick as usize % choices.len()].choice
+        // `tick mod len`, dividing only when it must: the protocol cells
+        // offer 1.8 choices per step on average.
+        let i = match choices.len() {
+            1 => 0,
+            2 => tick as usize & 1,
+            n => tick as usize % n,
+        };
+        choices[i].choice
     }
 }
 
@@ -222,5 +237,151 @@ impl std::fmt::Display for AdversaryKind {
             AdversaryKind::EagerMeet => "eager-meet",
         };
         f.write_str(s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `RoundRobin::choose` as it was before its one-pass rewrite,
+    /// verbatim, over an explicit `next`.
+    fn round_robin_reference(next: &mut usize, choices: &[ChoiceInfo]) -> Choice {
+        if let Some(w) = choices.iter().find(|c| c.choice.kind == ActionKind::Wake) {
+            return w.choice;
+        }
+        // Rotate: first choice whose agent index >= next, else wrap.
+        let pick = choices
+            .iter()
+            .filter(|c| c.choice.agent >= *next)
+            .min_by_key(|c| c.choice.agent)
+            .or_else(|| choices.iter().min_by_key(|c| c.choice.agent))
+            .expect("choices non-empty");
+        *next = pick.choice.agent + 1;
+        pick.choice
+    }
+
+    /// `EagerMeet::choose` as it was before it stopped dividing for one
+    /// or two choices, verbatim.
+    fn eager_meet_reference(choices: &[ChoiceInfo], tick: u64) -> Choice {
+        if let Some(c) = choices.iter().find(|c| c.causes_meeting) {
+            return c.choice;
+        }
+        choices[tick as usize % choices.len()].choice
+    }
+
+    /// SplitMix64: the random stream of the pick walks.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Which branches a pick walk took.
+    #[derive(Default)]
+    struct PickCoverage {
+        wakes: u64,
+        wraps: u64,
+        eager_fallbacks: [u64; 3],
+    }
+
+    /// Writes a random legal choice list into `out`: 1 to `team` choices
+    /// for distinct agents below `team`, in shuffled order, with random
+    /// kinds and meeting flags (a wake never causes a meeting). Lists
+    /// differ in how often they hold wakes and meetings, so every branch
+    /// of both strategies is reached.
+    fn random_choices(rng: &mut u64, team: usize, out: &mut Vec<ChoiceInfo>) {
+        let len = 1 + splitmix(rng) as usize % team;
+        let wake_odds = [0, 16, 2][splitmix(rng) as usize % 3];
+        let meet_odds = [0, 8, 2][splitmix(rng) as usize % 3];
+        // A partial Fisher–Yates shuffle of the team draws the agents.
+        let mut agents: Vec<usize> = (0..team).collect();
+        out.clear();
+        for i in 0..len {
+            let j = i + splitmix(rng) as usize % (team - i);
+            agents.swap(i, j);
+            let wake = wake_odds > 0 && splitmix(rng).is_multiple_of(wake_odds);
+            let kind = match (wake, splitmix(rng) % 2) {
+                (true, _) => ActionKind::Wake,
+                (false, 0) => ActionKind::Start,
+                (false, _) => ActionKind::Finish,
+            };
+            let causes_meeting = !wake && meet_odds > 0 && splitmix(rng).is_multiple_of(meet_odds);
+            out.push(ChoiceInfo {
+                choice: Choice {
+                    agent: agents[i],
+                    kind,
+                },
+                causes_meeting,
+            });
+        }
+    }
+
+    /// Drives a `RoundRobin` and an `EagerMeet` through 200 calls on
+    /// random choice lists of one team and random ticks, and checks each
+    /// pick, and `RoundRobin::next` after each call, against the
+    /// reference bodies.
+    fn pick_walk(seed: u64, coverage: &mut PickCoverage) -> Result<(), TestCaseError> {
+        let mut rng = seed;
+        let team = 1 + splitmix(&mut rng) as usize % 64;
+        let (mut rr, mut reference_next) = (RoundRobin::new(), 0);
+        let mut eager = EagerMeet::new();
+        let mut choices = Vec::new();
+        for call in 0..200 {
+            random_choices(&mut rng, team, &mut choices);
+            let tick = match splitmix(&mut rng) % 2 {
+                0 => splitmix(&mut rng) % 1000,
+                _ => splitmix(&mut rng),
+            };
+            let expected = round_robin_reference(&mut reference_next, &choices);
+            let before = rr.next;
+            let got = rr.choose(&choices, tick);
+            prop_assert_eq!(got, expected, "round-robin pick, call {}", call);
+            prop_assert_eq!(rr.next, reference_next, "round-robin next, call {}", call);
+            if got.kind == ActionKind::Wake {
+                coverage.wakes += 1;
+            } else if got.agent < before {
+                coverage.wraps += 1;
+            }
+            let expected = eager_meet_reference(&choices, tick);
+            prop_assert_eq!(
+                eager.choose(&choices, tick),
+                expected,
+                "eager pick, call {}",
+                call
+            );
+            if !choices.iter().any(|c| c.causes_meeting) {
+                coverage.eager_fallbacks[choices.len().min(3) - 1] += 1;
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn pick_walks_reach_every_branch() {
+        let mut coverage = PickCoverage::default();
+        for seed in 0..64 {
+            pick_walk(seed, &mut coverage).expect("pick walk");
+        }
+        assert!(coverage.wakes > 100, "{} wakes", coverage.wakes);
+        assert!(coverage.wraps > 100, "{} wraps", coverage.wraps);
+        for (i, &n) in coverage.eager_fallbacks.iter().enumerate() {
+            assert!(n > 100, "{n} eager fallbacks over {} choices", i + 1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random call sequences: `RoundRobin` and `EagerMeet` pick exactly
+        /// what their reference bodies pick, and `RoundRobin::next` keeps
+        /// in step (see `pick_walk`).
+        #[test]
+        fn picks_match_the_reference_bodies(seed in any::<u64>()) {
+            pick_walk(seed, &mut PickCoverage::default())?;
+        }
     }
 }

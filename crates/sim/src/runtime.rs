@@ -243,9 +243,12 @@ impl AgentState {
         }
     }
 
-    /// Commits the move from node `v` through `port` (a port `v` has),
-    /// caching its arrival node, edge index and departure side from one
-    /// CSR lookup.
+    /// Commits the move from node `v` through `port`, caching its arrival
+    /// node, edge index and departure side from one CSR lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in `Graph::traverse_indexed`) if `v` has no port `port`.
     #[inline]
     pub(crate) fn commit_move(&mut self, g: &Graph, v: NodeId, port: PortId) {
         let (arrival, edge) = g.traverse_indexed(v, port);
@@ -271,10 +274,7 @@ fn commit<B: Behavior>(g: &Graph, st: &mut AgentState, behavior: &mut B) {
         Place::Inside { .. } => unreachable!("pending is only fetched at nodes"),
     };
     match behavior.next_port() {
-        Some(port) => {
-            assert!(port.0 < g.degree(v), "behavior chose an invalid port");
-            st.commit_move(g, v, port);
-        }
+        Some(port) => st.commit_move(g, v, port),
         None => st.clear_move(),
     }
 }
@@ -1628,6 +1628,18 @@ mod tests {
             .map(|v| ScriptBehavior::new(NodeId(v), [0]))
             .collect();
         Runtime::new(&g, team, RunConfig::protocol());
+    }
+
+    #[test]
+    #[should_panic(expected = "port 2 out of range at node 0")]
+    fn a_behavior_choosing_a_missing_port_panics() {
+        // Every ring node has ports 0 and 1 only.
+        let g = generators::ring(4);
+        let team = vec![
+            ScriptBehavior::new(NodeId(0), [2]),
+            ScriptBehavior::new(NodeId(2), [0]),
+        ];
+        Runtime::new(&g, team, RunConfig::protocol()).run(&mut crate::adversary::RoundRobin::new());
     }
 
     #[test]
