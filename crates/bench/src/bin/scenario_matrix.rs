@@ -1,30 +1,16 @@
-//! **scenario_matrix** — the scenario-diversity bench runner, now
-//! incremental end-to-end.
+//! **scenario_matrix** — the scenario-diversity bench runner, incremental
+//! end-to-end.
 //!
 //! Sweeps the declarative cell table of [`rv_bench::cells`] and emits
-//! **one JSON row per cell** (JSON-lines, like the `expt_*` binaries).
-//! Speed is measured by the `perfbench` benchmark; this runner measures
-//! *breadth*: how cost and wall-clock behave across every combination,
-//! so a change can quantify scenario diversity instead of overfitting to
-//! a few hot paths. The table itself — four
-//! sub-tables sharing the family × adversary axes (rendezvous, protocol,
-//! seeded-fault chaos, minimax) — lives in `rv_bench::cells`; this binary
-//! is a *consumer*: it runs specs, renders rows, and keeps both fresh.
-//!
-//! Every cell runs under a **stop policy** (the `policy` column):
-//! rendezvous cells under `DivergenceDetector` (piece-number stagnation →
-//! `end == "Diverged"`), protocol cells under `AdaptiveThreshold`
-//! (progress-tick silence → `end == "Stalled"`), both backstopped by the
-//! per-cell traversal budget (`cutoff` column; `end == "Cutoff"` rows
-//! stopped at exactly `cutoff`). Chaos-tier cells additionally run under
-//! their seeded crash-stop [`rv_sim::FaultPlan`] (the `faults` column;
-//! `end == "SurvivorsParked"` / `"AllCrashed"` appear only there).
-//! Protocol rows that quiesce fault-free also carry the **post-hoc
-//! completeness check** (`complete` column; the completion-threshold
-//! substitution in the `rv_protocols` crate docs), and record any
-//! **suspended-token certificate** their explorers closed Phase 1 on
-//! (`certificate` column; the `+nocert` ablation cell runs with the
-//! census disarmed and keeps the certificate-free behavior measured).
+//! **one JSON row per cell** (JSON-lines). Speed is measured by the
+//! `perfbench` benchmark; this runner measures *breadth*: how cost and
+//! wall-clock behave across every combination — rendezvous, protocol,
+//! seeded-fault chaos and minimax sub-tables sharing the family ×
+//! adversary axes. Each cell runs under its stop policy, backstopped by
+//! its traversal budget, and chaos cells under their seeded crash-stop
+//! [`rv_sim::FaultPlan`]. Every row is a typed [`rv_bench::row::Row`], the
+//! one schema that renders the lines, parses them back and checks them;
+//! its docs say what each column holds.
 //!
 //! Usage:
 //!
@@ -35,117 +21,37 @@
 //! scenario_matrix --diff A B     (A/B: row files or store directories)
 //! ```
 //!
-//! **Incremental sweeps** (`docs/STORE.md`): `--store DIR` opens the
-//! content-addressed result store under `DIR` and makes the sweep
-//! incremental — every cell whose key `(content key, engine fingerprint)`
-//! is present is served *verbatim* from the store (zero execution), every
-//! cold cell is run and appended. Because rows are emitted in the
-//! declared [`rv_bench::cells::cells`] order whether served or computed,
-//! a fully-warm run writes a byte-identical row file. The engine
-//! fingerprint is baked in at build time ([`rv_store::ENGINE_FINGERPRINT`]);
-//! `--engine-fp` overrides it (CI uses the override to prove that a
-//! fingerprint flip recomputes every cell without rebuilding the engine).
-//!
-//! **Durable sweeps** (`docs/FAULTS.md`): the store is also what makes a
-//! sweep survive SIGKILL. Each computed cell's record is appended
-//! atomically before the sweep moves on, so a rerun against the same
-//! `--store` serves every finished cell and runs only the rest — a kill
-//! at any instant loses at most the cell in flight.
+//! **Incremental, durable sweeps** (`docs/STORE.md`, `docs/FAULTS.md`):
+//! `--store DIR` serves every cell whose key `(content key, engine
+//! fingerprint)` the store under `DIR` holds, verbatim, and runs and
+//! appends every cold cell before moving on, so a fully-warm run writes a
+//! byte-identical row file and a SIGKILL loses at most the cell in flight.
+//! The engine fingerprint is baked in at build time
+//! ([`rv_store::ENGINE_FINGERPRINT`]); `--engine-fp` overrides it (CI uses
+//! the override to prove that a flip recomputes every cell).
 //!
 //! `--smoke` runs 1 trial per cell and caps protocol cells at a smaller
 //! cutoff; `--only` restricts the sweep to cells whose scenario id
-//! contains the substring. `--check` verifies schema and coverage (CI
-//! fails on any malformed or missing row). `--diff A B` compares two row
-//! sources cell by cell **schema-aware**: each line is parsed, the
-//! wall-clock column (`median_ns_per_run`, the one legitimately
-//! nondeterministic field) is dropped *by name*, fields are compared
-//! order-insensitively, and any remaining difference exits nonzero. A
-//! directory argument is read as a store and materialised in declared
-//! order under the invocation's `--smoke`/`--trials`/`--engine-fp`;
-//! `--only` filters both kinds of source by scenario id. Any other
-//! argument is an error.
+//! contains the substring. `--check` parses every line, checks each row
+//! against the cell its scenario id declares, and requires the file to
+//! cover exactly the declared matrix. `--diff A B` compares two row
+//! sources line by line as JSON objects, field by field in any order,
+//! with the wall-clock column (`median_ns_per_run`) set aside; any other
+//! difference exits nonzero. A directory argument is read as a store and
+//! materialised in declared order under the invocation's
+//! `--smoke`/`--trials`/`--engine-fp` (a store-served line must parse as
+//! its cell's row); `--only` filters both kinds of source by scenario id.
+//! Any other argument is an error.
 
 // Timing harness: wall-clock here is the product, not a determinism leak.
 #![allow(clippy::disallowed_methods)]
 use rv_bench::cells::{cells, CellKind, CellSpec};
+use rv_bench::row::{Certificate, End, Mode, Row};
 use rv_sim::{RunEnd, RunOutcome};
 use rv_store::{Store, StoreKey};
-use serde::Serialize;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-/// One measured cell, serialised as a JSON-lines row.
-#[derive(Clone, Debug, Serialize)]
-struct Row {
-    /// Cell id, `family<n>/adversary/variant` (variant is `sgl-k<k>` for
-    /// protocol cells — chaos cells append `+f<seed>` — and `memo-d<depth>`
-    /// for minimax cells, whose adversary axis reads `worst-case`).
-    scenario: String,
-    /// `"rendezvous"` (stop at first meeting), `"protocol"` (run to
-    /// quiescence), or `"minimax"` (memoized worst-case search).
-    mode: String,
-    /// Graph family name.
-    family: String,
-    /// Graph order requested.
-    n: usize,
-    /// Adversary name.
-    adversary: String,
-    /// Algorithm variant name (`sgl-k<k>` for protocol cells).
-    variant: String,
-    /// Number of agents in the cell (2, or the SGL team size).
-    agents: usize,
-    /// Stop policy the cell ran under (`divergence`, `adaptive`, or
-    /// `exhaustive` for minimax cells; the cutoff backstop is always
-    /// armed outside minimax).
-    policy: String,
-    /// How the run ended (`Meeting`, `AllParked`, `Cutoff`, `Diverged`,
-    /// `Stalled`, `SurvivorsParked`, `AllCrashed`, or `Searched` for
-    /// minimax cells).
-    end: String,
-    /// Meeting cost (total traversals at the first forced meeting);
-    /// for minimax rows, the worst-case meeting cost over all schedules.
-    /// `null` for any other non-`Meeting` end.
-    cost: Option<u64>,
-    /// Total completed traversals when the run ended — where a `Cutoff`
-    /// row stopped (exactly `cutoff`), where a detector row was retired,
-    /// or the cost to quiescence for `AllParked` rows. Minimax rows
-    /// record the schedules (leaves) the search explored instead.
-    traversals: u64,
-    /// The traversal budget backstop this cell ran under; for minimax
-    /// rows, the action horizon the search enumerates to.
-    cutoff: u64,
-    /// Adversary actions executed.
-    actions: u64,
-    /// Post-hoc completeness check for fault-free quiesced protocol rows:
-    /// every agent output the complete label/value set and the minimal
-    /// agent met every teammate (meeting-log views). `null` for every
-    /// other row — including every chaos-tier row, where a crashed agent
-    /// makes the postcondition vacuously unreachable.
-    complete: Option<bool>,
-    /// Fault plan of the cell: `"none"`, or `"seeded:<seed>"` for the
-    /// chaos tier (the seed names the whole derived crash-stop plan).
-    faults: String,
-    /// Suspended-token certificate of a protocol row, when some agent's
-    /// ESST closed on one: `"a<i>:phase<p>/s<sightings>/sp<span>"` per
-    /// certified agent, comma-joined in agent order. `null` on every
-    /// non-protocol row and on protocol rows that ran certificate-free
-    /// (never sighted a pinned token long enough, or `+nocert`).
-    certificate: Option<String>,
-    /// Timed trials.
-    trials: usize,
-    /// Transposition-table hits of the memoized search; `null` off the
-    /// minimax rows. Deterministic, so the column survives the `--diff`
-    /// chaos gate.
-    tt_hits: Option<u64>,
-    /// Transposition-table entries published by the memoized search;
-    /// `null` off the minimax rows.
-    tt_entries: Option<u64>,
-    /// Median wall time per run, nanoseconds. The one nondeterministic
-    /// column: `--diff` drops it by name, and a store-served row replays
-    /// the timing measured when the cell was actually computed.
-    median_ns_per_run: f64,
-}
 
 /// The sweep configuration every mode shares: which cells, how they run,
 /// and under which engine fingerprint their store keys live.
@@ -243,24 +149,19 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
 }
 
 fn main() {
-    let Args {
-        sweep,
-        out,
-        store,
-        check: check_path,
-        diff: diff_pair,
-    } = parse_args(std::env::args().skip(1));
-    if let Some(path) = check_path {
-        check(&path);
-        return;
+    let args = parse_args(std::env::args().skip(1));
+    let sweep = args.sweep;
+    if let Some(path) = args.check {
+        return check(&path);
     }
-    if let Some((a, b)) = diff_pair {
-        diff(&a, &b, &sweep);
-        return;
+    if let Some((a, b)) = args.diff {
+        return diff(&a, &b, &sweep);
     }
 
-    let out_path = out.unwrap_or_else(|| "MATRIX_baseline.jsonl".to_string());
-    let mut store = store.map(|dir| {
+    let out_path = args
+        .out
+        .unwrap_or_else(|| "MATRIX_baseline.jsonl".to_string());
+    let mut store = args.store.map(|dir| {
         let s = Store::open(&dir).unwrap_or_else(|e| {
             rv_bench::fail(format!("cannot open store {}: {e}", dir.display()))
         });
@@ -291,15 +192,14 @@ fn main() {
             hits += 1;
             continue;
         }
-        let row = run_cell(&spec, trials, cutoff);
-        let line = serde_json::to_string(&row).expect("rows serialise");
+        let line = run_cell(&spec, trials, cutoff).render();
         lines.push_str(&line);
         lines.push('\n');
         executed += 1;
         if let Some(s) = store.as_mut() {
-            // Durability before progress: the record is on disk (atomic
-            // whole-segment replace) before the sweep moves on, so a
-            // SIGKILL between cells loses at most the cell in flight.
+            // Durability before progress: the record is on disk (appended
+            // in place; open heals a torn tail) before the sweep moves on,
+            // so a SIGKILL between cells loses at most the cell in flight.
             s.append(key, line.as_bytes()).unwrap_or_else(|e| {
                 rv_bench::fail(format!("cannot append {scenario} to the store: {e}"))
             });
@@ -327,39 +227,34 @@ fn parse_fp(raw: &str) -> Option<u64> {
     }
 }
 
-/// A cell's stored row line, if the store holds its key.
+/// A cell's stored row line, if the store holds its key. The line must
+/// parse as a row of that cell: a store that serves anything else fails
+/// loudly.
 fn stored_line<'s>(store: &'s Store, key: StoreKey, scenario: &str) -> Option<&'s str> {
-    store.get(key).map(|line| {
-        std::str::from_utf8(line)
-            .unwrap_or_else(|_| rv_bench::fail(format!("store row for {scenario} is not UTF-8")))
-    })
+    let line = std::str::from_utf8(store.get(key)?).ok();
+    match line.map(|line| (line, Row::parse(line))) {
+        Some((line, Ok(row))) if row.scenario == scenario => Some(line),
+        _ => rv_bench::fail(format!("store row for {scenario} is not that cell's row")),
+    }
 }
 
-/// Loads one `--diff` source as raw row lines, restricted to the cells
-/// `--only` selects: a file is read as JSON lines; a directory is opened
-/// as a store and materialised in declared cell order under this
-/// invocation's configuration (`--smoke`, `--trials`, `--engine-fp`),
-/// failing loudly on any missing cell — a half-populated store must not
-/// diff clean.
+/// Loads one `--diff` source as row lines, restricted to the cells
+/// `--only` selects: a file is read as JSON lines (filtered by each
+/// line's `scenario` field); a directory is opened as a store and
+/// materialised in declared cell order under this invocation's
+/// configuration (`--smoke`, `--trials`, `--engine-fp`), failing loudly
+/// on any missing cell — a half-populated store must not diff clean.
 fn load_rows(src: &str, sweep: &Sweep) -> Vec<String> {
     if !Path::new(src).is_dir() {
         let text = std::fs::read_to_string(src)
             .unwrap_or_else(|e| rv_bench::fail(format!("cannot read {src}: {e}")));
-        return text
-            .lines()
-            .enumerate()
-            .filter(|&(lineno, line)| {
-                sweep.only.is_none() || {
-                    let row: Value = serde_json::from_str(line).unwrap_or_else(|e| {
-                        rv_bench::fail(format!("{src}:{} is not valid JSON: {e}", lineno + 1))
-                    });
-                    row.get("scenario")
-                        .and_then(Value::as_str)
-                        .is_some_and(|scenario| sweep.selects(scenario))
-                }
-            })
-            .map(|(_, line)| line.to_string())
-            .collect();
+        let selected = |&(i, line): &(usize, &str)| {
+            let fields = comparable(line, src, i);
+            let scenario = fields.get("scenario").and_then(Value::as_str);
+            scenario.is_some_and(|scenario| sweep.selects(scenario))
+        };
+        let lines = text.lines().enumerate().filter(selected);
+        return lines.map(|(_, line)| line.to_string()).collect();
     }
     let store = Store::open(src)
         .unwrap_or_else(|e| rv_bench::fail(format!("cannot open store {src}: {e}")));
@@ -379,22 +274,15 @@ fn load_rows(src: &str, sweep: &Sweep) -> Vec<String> {
         .collect()
 }
 
-/// The schema-aware comparable form of a row line: parsed, the wall-clock
-/// column dropped **by field name**, and the remaining fields sorted by
-/// key — so the comparison survives both a trailing-position move of the
-/// timing column and any field reordering (the old suffix-strip broke on
-/// either).
+/// What `--diff` compares of a line: its JSON fields without the
+/// wall-clock column, sorted by name so that their order does not matter.
 fn comparable(line: &str, src: &str, lineno: usize) -> Value {
-    let v = serde_json::from_str(line)
-        .unwrap_or_else(|e| rv_bench::fail(format!("{src}:{} is not valid JSON: {e}", lineno + 1)));
-    match v {
-        Value::Object(mut fields) => {
-            fields.retain(|(k, _)| k != "median_ns_per_run");
-            fields.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(fields)
-        }
-        other => other,
-    }
+    let Ok(Value::Object(mut fields)) = serde_json::from_str(line) else {
+        rv_bench::fail(format!("{src}:{} is not a JSON object", lineno + 1))
+    };
+    fields.retain(|(k, _)| k != "median_ns_per_run");
+    fields.sort_by(|a, b| a.0.cmp(&b.0));
+    Value::Object(fields)
 }
 
 /// `--diff A B`: compares two row sources cell by cell, ignoring only the
@@ -423,48 +311,26 @@ fn diff(a: &str, b: &str, sweep: &Sweep) {
     println!("{a} and {b}: identical up to timing — {} rows", la.len());
 }
 
-/// Outcome of one cell run: the pieces of [`Row`] that depend on the run.
-struct CellOutcome {
-    end: String,
-    cost: Option<u64>,
-    traversals: u64,
-    actions: u64,
-    complete: Option<bool>,
-    /// `(tt_hits, tt_entries)` of a minimax cell's memoized search.
-    tt: Option<(u64, u64)>,
-    /// Rendered suspended-token certificates (protocol cells only).
-    certificate: Option<String>,
-}
-
-impl CellOutcome {
-    /// The outcome of a rendezvous or protocol run, with the given cost.
-    fn of(out: &RunOutcome, cost: Option<u64>) -> Self {
-        CellOutcome {
-            end: format!("{:?}", out.end),
-            cost,
-            traversals: out.total_traversals,
-            actions: out.actions,
-            complete: None,
-            tt: None,
-            certificate: None,
-        }
-    }
-}
-
 /// Runs one cell `trials` times, opened from its spec (stop policy and,
-/// for chaos cells, seeded fault plan included); reports the outcome of
-/// the (deterministic) run and the median wall time.
+/// for chaos cells, seeded fault plan included); reports the row of the
+/// (deterministic) run with the median wall time.
 fn run_cell(spec: &CellSpec, trials: usize, cutoff: u64) -> Row {
     let g = spec.graph();
-    let mut outcome: Option<CellOutcome> = None;
+    // The columns every run fills, on top of the spec's own.
+    let ran = |out: &RunOutcome| Row {
+        traversals: out.total_traversals,
+        actions: out.actions,
+        ..Row::new(spec, cutoff, trials, out.end.into())
+    };
+    let mut row = None;
     let mut samples = Vec::with_capacity(trials);
     for trial in 0..trials {
-        let (elapsed, out) = match spec.kind {
+        let (elapsed, trial_row) = match spec.kind {
             CellKind::Rendezvous { .. } => {
                 let mut run = spec.open_rendezvous(&g, cutoff);
                 let (elapsed, out) = timed(|| run.run());
                 let cost = (out.end == RunEnd::Meeting).then_some(out.total_traversals);
-                (elapsed, CellOutcome::of(&out, cost))
+                (elapsed, Row { cost, ..ran(&out) })
             }
             CellKind::Sgl { fault_seed, .. } => {
                 let mut run = spec.open_sgl(&g, cutoff);
@@ -499,24 +365,16 @@ fn run_cell(spec: &CellSpec, trials: usize, cutoff: u64) -> Row {
                 // met, so the chaos tier reports `null` by construction.
                 let complete = (out.end == RunEnd::AllParked && fault_seed.is_none())
                     .then(|| spec.sgl_complete(&run.rt));
-                let certs: Vec<String> = (0..run.rt.agent_count())
-                    .filter_map(|i| {
-                        let c = run.rt.behavior(i).certificate()?;
-                        Some(format!(
-                            "a{i}:phase{}/s{}/sp{}",
-                            c.phase, c.sightings, c.span
-                        ))
-                    })
+                let certs: Vec<_> = (0..run.rt.agent_count())
+                    .filter_map(|i| Some((i, run.rt.behavior(i).certificate()?)))
                     .collect();
-                let certificate = (!certs.is_empty()).then(|| certs.join(","));
-                (
-                    elapsed,
-                    CellOutcome {
-                        complete,
-                        certificate,
-                        ..CellOutcome::of(&out, None)
-                    },
-                )
+                let certificate = (!certs.is_empty()).then_some(Certificate(certs));
+                let row = Row {
+                    complete,
+                    certificate,
+                    ..ran(&out)
+                };
+                (elapsed, row)
             }
             CellKind::Minimax { depth } => {
                 let autos = spec.family.automorphisms(&g);
@@ -525,46 +383,24 @@ fn run_cell(spec: &CellSpec, trials: usize, cutoff: u64) -> Row {
                     rv_sim::search_worst_case(&g, || spec.rendezvous_pair(&g), depth, &opts)
                 });
                 let stats = report.memo.expect("memoized search reports table stats");
-                (
-                    elapsed,
-                    CellOutcome {
-                        end: "Searched".to_string(),
-                        cost: report.worst.max_meeting_cost,
-                        traversals: report.worst.schedules_explored,
-                        actions: depth as u64,
-                        complete: None,
-                        tt: Some((stats.hits, stats.entries)),
-                        certificate: None,
-                    },
-                )
+                let row = Row {
+                    cost: report.worst.max_meeting_cost,
+                    traversals: report.worst.schedules_explored,
+                    actions: depth as u64,
+                    tt_hits: Some(stats.hits),
+                    tt_entries: Some(stats.entries),
+                    ..Row::new(spec, cutoff, trials, End::Searched)
+                };
+                (elapsed, row)
             }
         };
         samples.push(elapsed.as_nanos() as f64);
-        outcome = Some(out);
+        row = Some(trial_row);
     }
-    let out = outcome.expect("trials > 0");
     samples.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
     Row {
-        scenario: spec.scenario_id(),
-        mode: spec.mode().to_string(),
-        family: spec.fname.to_string(),
-        n: spec.n,
-        adversary: spec.adversary_name(),
-        variant: spec.variant_name(),
-        agents: spec.agents(),
-        policy: spec.policy().to_string(),
-        end: out.end,
-        cost: out.cost,
-        traversals: out.traversals,
-        cutoff,
-        actions: out.actions,
-        complete: out.complete,
-        faults: spec.fault_label(),
-        certificate: out.certificate,
-        trials,
-        tt_hits: out.tt.map(|t| t.0),
-        tt_entries: out.tt.map(|t| t.1),
         median_ns_per_run: samples[samples.len() / 2],
+        ..row.expect("trials > 0")
     }
 }
 
@@ -576,281 +412,18 @@ fn timed<T>(f: impl FnOnce() -> T) -> (Duration, T) {
     (start.elapsed(), out)
 }
 
-/// `--check`: the CI gate. Every line must parse as a JSON object with the
-/// expected fields and sane values, and the file must cover exactly the
-/// declared matrix (no missing, duplicate, or foreign rows).
+/// `--check`: the CI gate. Every line must parse as a row and pass its
+/// cell's typed checks, and the file must cover exactly the declared
+/// matrix ([`rv_bench::row::check_rows`]).
 fn check(path: &str) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| rv_bench::fail(format!("cannot read matrix file {path}: {e}")));
-    let expected: Vec<String> = cells().iter().map(|c| c.scenario_id()).collect();
-    let mut seen: Vec<String> = Vec::new();
-    let mut protocol_rows = 0usize;
-    let mut minimax_rows = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let row = serde_json::from_str(line)
-            .unwrap_or_else(|e| panic!("{path}:{} is not valid JSON: {e}", lineno + 1));
-        let field = |key: &str| {
-            row.get(key)
-                .unwrap_or_else(|| panic!("{path}:{} is missing field {key}", lineno + 1))
-                .clone()
-        };
-        let scenario = field("scenario")
-            .as_str()
-            .unwrap_or_else(|| panic!("{path}:{} scenario must be a string", lineno + 1))
-            .to_string();
-        assert!(
-            expected.contains(&scenario),
-            "{path}:{} row {scenario} is not a declared matrix cell",
-            lineno + 1
-        );
-        assert!(
-            !seen.contains(&scenario),
-            "{path}:{} duplicate row {scenario}",
-            lineno + 1
-        );
-        let mode = field("mode");
-        let mode = mode
-            .as_str()
-            .unwrap_or_else(|| panic!("{path}:{} mode must be a string", lineno + 1));
-        assert!(
-            ["rendezvous", "protocol", "minimax"].contains(&mode),
-            "{path}:{} unknown mode {mode:?}",
-            lineno + 1
-        );
-        if mode == "protocol" {
-            protocol_rows += 1;
-        }
-        if mode == "minimax" {
-            minimax_rows += 1;
-        }
-        let policy = field("policy");
-        let policy = policy
-            .as_str()
-            .unwrap_or_else(|| panic!("{path}:{} policy must be a string", lineno + 1));
-        assert_eq!(
-            policy,
-            match mode {
-                "protocol" => "adaptive",
-                "minimax" => "exhaustive",
-                _ => "divergence",
-            },
-            "{path}:{} wrong policy for mode {mode}",
-            lineno + 1
-        );
-        // The faults column: `"none"`, or a seeded descriptor that must
-        // agree with the scenario id's `+f<seed>` suffix — and only
-        // protocol cells carry fault plans.
-        let faults = field("faults");
-        let faults = faults
-            .as_str()
-            .unwrap_or_else(|| panic!("{path}:{} faults must be a string", lineno + 1));
-        if let Some(seed) = faults.strip_prefix("seeded:") {
-            assert_eq!(
-                mode,
-                "protocol",
-                "{path}:{} only protocol cells run the chaos tier",
-                lineno + 1
-            );
-            assert!(
-                scenario.ends_with(&format!("+f{seed}")),
-                "{path}:{} faults {faults:?} does not match the scenario id",
-                lineno + 1
-            );
-        } else {
-            assert_eq!(
-                faults,
-                "none",
-                "{path}:{} unknown faults descriptor {faults:?}",
-                lineno + 1
-            );
-            assert!(
-                !scenario.contains("+f"),
-                "{path}:{} a chaos cell must declare its fault seed",
-                lineno + 1
-            );
-        }
-        let faulted = faults != "none";
-        // The certificate column: a string on protocol rows where some
-        // agent's ESST closed on a suspended-token certificate, `null`
-        // everywhere else — and structurally impossible on the `+nocert`
-        // ablation row, which runs with the census disarmed.
-        let certificate = field("certificate");
-        assert!(
-            certificate.is_null() || certificate.as_str().is_some(),
-            "{path}:{} certificate must be a string or null",
-            lineno + 1
-        );
-        assert!(
-            mode == "protocol" || certificate.is_null(),
-            "{path}:{} only protocol cells can certify a suspended token",
-            lineno + 1
-        );
-        if let Some(cert) = certificate.as_str() {
-            assert!(
-                cert.split(',').all(|c| {
-                    c.starts_with('a')
-                        && c.contains(":phase")
-                        && c.contains("/s")
-                        && c.contains("/sp")
-                }),
-                "{path}:{} malformed certificate descriptor {cert:?}",
-                lineno + 1
-            );
-        }
-        assert!(
-            !scenario.ends_with("+nocert") || certificate.is_null(),
-            "{path}:{} the ablation row runs certificate-free",
-            lineno + 1
-        );
-        let end = field("end");
-        let end = end
-            .as_str()
-            .unwrap_or_else(|| panic!("{path}:{} end must be a string", lineno + 1));
-        assert!(
-            [
-                "Meeting",
-                "AllParked",
-                "Cutoff",
-                "Diverged",
-                "Stalled",
-                "SurvivorsParked",
-                "AllCrashed",
-                "Searched"
-            ]
-            .contains(&end),
-            "{path}:{} unknown end {end:?}",
-            lineno + 1
-        );
-        // A minimax cell always finishes its enumeration — and only a
-        // minimax cell can report `Searched`.
-        assert_eq!(
-            mode == "minimax",
-            end == "Searched",
-            "{path}:{} end Searched rides exactly on minimax rows",
-            lineno + 1
-        );
-        assert!(
-            mode != "protocol" || end != "Meeting",
-            "{path}:{} protocol cells never stop at a meeting",
-            lineno + 1
-        );
-        // Detector verdicts are mode-specific: piece-number divergence is
-        // a rendezvous concept, progress-tick stalls a protocol one — and
-        // crash outcomes can only appear where a fault plan was armed.
-        assert!(
-            mode == "rendezvous" || end != "Diverged",
-            "{path}:{} only rendezvous cells can diverge",
-            lineno + 1
-        );
-        assert!(
-            mode == "protocol" || end != "Stalled",
-            "{path}:{} only protocol cells can stall",
-            lineno + 1
-        );
-        assert!(
-            faulted || !["SurvivorsParked", "AllCrashed"].contains(&end),
-            "{path}:{} crash ends require an armed fault plan",
-            lineno + 1
-        );
-        let agents = field("agents").as_u64().unwrap_or(0);
-        assert!(agents >= 2, "{path}:{} fewer than two agents", lineno + 1);
-        // The cutoff column: every row records the budget backstop it ran
-        // under and where it actually stopped; `Cutoff` rows stopped
-        // exactly there, detector rows strictly before.
-        let cutoff = field("cutoff")
-            .as_u64()
-            .unwrap_or_else(|| panic!("{path}:{} cutoff must be a count", lineno + 1));
-        assert!(cutoff > 0, "{path}:{} zero cutoff", lineno + 1);
-        let traversals = field("traversals")
-            .as_u64()
-            .unwrap_or_else(|| panic!("{path}:{} traversals must be a count", lineno + 1));
-        // Minimax rows repurpose the column for explored schedules and
-        // the cutoff for the action horizon, so the budget relation only
-        // binds the run-based modes.
-        assert!(
-            mode == "minimax" || traversals <= cutoff,
-            "{path}:{} ran past its cutoff",
-            lineno + 1
-        );
-        assert!(
-            end != "Cutoff" || traversals == cutoff,
-            "{path}:{} a Cutoff row must stop exactly at the cutoff",
-            lineno + 1
-        );
-        assert!(
-            !["Diverged", "Stalled"].contains(&end) || traversals < cutoff,
-            "{path}:{} a detector row must retire strictly under the budget",
-            lineno + 1
-        );
-        let ns = field("median_ns_per_run")
-            .as_f64()
-            .unwrap_or_else(|| panic!("{path}:{} median_ns_per_run must be numeric", lineno + 1));
-        assert!(ns > 0.0, "{path}:{} zero timing for {scenario}", lineno + 1);
-        let trials = field("trials").as_u64().unwrap_or(0);
-        assert!(trials > 0, "{path}:{} zero trials", lineno + 1);
-        let cost = field("cost");
-        assert!(
-            cost.is_null() || cost.as_u64().is_some(),
-            "{path}:{} cost must be a count or null",
-            lineno + 1
-        );
-        assert_eq!(
-            cost.is_null(),
-            end != "Meeting" && mode != "minimax",
-            "{path}:{} cost must be present iff the run met (or the search \
-             found a forced worst-case meeting)",
-            lineno + 1
-        );
-        // Table statistics ride exactly on the minimax rows.
-        for key in ["tt_hits", "tt_entries"] {
-            let v = field(key);
-            if mode == "minimax" {
-                assert!(
-                    v.as_u64().is_some(),
-                    "{path}:{} {key} must be a count on minimax rows",
-                    lineno + 1
-                );
-            } else {
-                assert!(
-                    v.is_null(),
-                    "{path}:{} {key} must be null off the minimax rows",
-                    lineno + 1
-                );
-            }
-        }
-        // The completeness check rides exactly on fault-free quiesced
-        // protocol rows — and must pass there (a quiesced-but-incomplete
-        // run is a protocol bug, not a budget artifact). Chaos rows are
-        // exempt by construction: a crashed agent cannot satisfy it.
-        let complete = field("complete");
-        if mode == "protocol" && end == "AllParked" && !faulted {
-            assert_eq!(
-                complete.as_bool(),
-                Some(true),
-                "{path}:{} quiesced protocol row failed its completeness check",
-                lineno + 1
-            );
-        } else {
-            assert!(
-                complete.is_null(),
-                "{path}:{} complete must be null off the fault-free quiesced \
-                 protocol rows",
-                lineno + 1
-            );
-        }
-        seen.push(scenario);
-    }
-    assert_eq!(
-        seen.len(),
-        expected.len(),
-        "{path} covers {} of {} matrix cells",
-        seen.len(),
-        expected.len()
-    );
+    let rows = rv_bench::row::check_rows(path, &text).unwrap_or_else(|e| rv_bench::fail(e));
+    let count = |mode| rows.iter().filter(|r| r.mode == mode).count();
     println!(
         "{path}: OK — {} rows ({} protocol, {} minimax), all cells covered",
-        seen.len(),
-        protocol_rows,
-        minimax_rows
+        rows.len(),
+        count(Mode::Protocol),
+        count(Mode::Minimax)
     );
 }

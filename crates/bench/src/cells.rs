@@ -45,6 +45,7 @@
 //!   are two cells.
 //! * **Minimax** — the memoized symmetry-quotiented worst-case searches.
 
+use crate::row::{Faults, Mode, Policy};
 use rv_core::{Label, RvVariant};
 use rv_explore::SeededUxs;
 use rv_graph::{Automorphisms, Graph, GraphFamily, NodeId};
@@ -85,18 +86,6 @@ pub const LARGE_TEAM_SIZES: [usize; 2] = [2, 3];
 /// Adversaries swept (a spread from cooperative to strongest-avoiding;
 /// seeded strategies use [`ADVERSARY_SEED`]).
 pub const ADVERSARIES: [AdversaryKind; 4] = [
-    AdversaryKind::RoundRobin,
-    AdversaryKind::LazySecond,
-    AdversaryKind::GreedyAvoid,
-    AdversaryKind::EagerMeet,
-];
-
-/// Adversaries of the large protocol cells. `lazy(1)` used to stay out —
-/// its adversarially pinned final ESST phase burned tens of millions of
-/// traversals — but the suspended-token certificate retires those cells
-/// certified-quiescent under a million traversals, so the axis is now
-/// the full protocol spread minus none (see `docs/STALL_TRACE.md`).
-pub const LARGE_ADVERSARIES: [AdversaryKind; 4] = [
     AdversaryKind::RoundRobin,
     AdversaryKind::LazySecond,
     AdversaryKind::GreedyAvoid,
@@ -291,21 +280,21 @@ impl CellSpec {
     }
 
     /// The `mode` column.
-    pub fn mode(&self) -> &'static str {
+    pub fn mode(&self) -> Mode {
         match self.kind {
-            CellKind::Rendezvous { .. } => "rendezvous",
-            CellKind::Sgl { .. } => "protocol",
-            CellKind::Minimax { .. } => "minimax",
+            CellKind::Rendezvous { .. } => Mode::Rendezvous,
+            CellKind::Sgl { .. } => Mode::Protocol,
+            CellKind::Minimax { .. } => Mode::Minimax,
         }
     }
 
     /// The `policy` column (the stop policy the consumer must run the
     /// cell under).
-    pub fn policy(&self) -> &'static str {
+    pub fn policy(&self) -> Policy {
         match self.kind {
-            CellKind::Rendezvous { .. } => "divergence",
-            CellKind::Sgl { .. } => "adaptive",
-            CellKind::Minimax { .. } => "exhaustive",
+            CellKind::Rendezvous { .. } => Policy::Divergence,
+            CellKind::Sgl { .. } => Policy::Adaptive,
+            CellKind::Minimax { .. } => Policy::Exhaustive,
         }
     }
 
@@ -336,16 +325,15 @@ impl CellSpec {
         }
     }
 
-    /// The `faults` column: `"none"`, or `"seeded:<seed>"` for chaos
-    /// cells (the seed names the whole derived plan — see
-    /// [`CellSpec::fault_plan`]).
-    pub fn fault_label(&self) -> String {
+    /// The `faults` column: seeded for chaos cells (the seed names the
+    /// whole derived plan — see [`CellSpec::fault_plan`]).
+    pub fn faults(&self) -> Faults {
         match self.kind {
             CellKind::Sgl {
                 fault_seed: Some(seed),
                 ..
-            } => format!("seeded:{seed}"),
-            _ => "none".to_string(),
+            } => Faults::Seeded(seed),
+            _ => Faults::None,
         }
     }
 
@@ -671,8 +659,11 @@ pub fn cells() -> Vec<CellSpec> {
             }
         }
     }
+    // The large cells sweep every adversary: the suspended-token
+    // certificate retires the `lazy(1)` ones certified-quiescent under a
+    // million traversals (see `docs/STALL_TRACE.md`).
     for n in LARGE_PROTOCOL_SIZES {
-        for adversary in LARGE_ADVERSARIES {
+        for adversary in ADVERSARIES {
             for k in LARGE_TEAM_SIZES {
                 out.push(CellSpec {
                     family: GraphFamily::Ring,
@@ -737,7 +728,7 @@ pub fn cells() -> Vec<CellSpec> {
 pub fn cell_count() -> usize {
     let rendezvous = FAMILIES.len() * SIZES.len() * ADVERSARIES.len() * variants().len();
     let protocol = FAMILIES.len() * PROTOCOL_SIZES.len() * ADVERSARIES.len() * TEAM_SIZES.len();
-    let large = LARGE_PROTOCOL_SIZES.len() * LARGE_ADVERSARIES.len() * LARGE_TEAM_SIZES.len();
+    let large = LARGE_PROTOCOL_SIZES.len() * ADVERSARIES.len() * LARGE_TEAM_SIZES.len();
     let chaos = CHAOS_FAMILIES.len() * CHAOS_ADVERSARIES.len() * CHAOS_FAULT_SEEDS.len();
     rendezvous + protocol + large + 1 + chaos + MINIMAX_CELLS.len()
 }
@@ -895,11 +886,11 @@ mod tests {
             // function of `(seed, k)`. The content keys embed the plan's
             // JSON, so a change of its form moves every chaos key; these
             // pins keep the derivation itself fixed.
-            let pinned = match cell.fault_label().as_str() {
-                "seeded:1" => (466, 1),
-                "seeded:2" => (111, 2),
-                "seeded:3" => (1054, 0),
-                other => panic!("{} has fault label {other}", cell.scenario_id()),
+            let pinned = match cell.faults() {
+                Faults::Seeded(1) => (466, 1),
+                Faults::Seeded(2) => (111, 2),
+                Faults::Seeded(3) => (1054, 0),
+                other => panic!("{} has faults {other}", cell.scenario_id()),
             };
             assert_eq!(
                 (crash.at_action, crash.agent),
@@ -918,7 +909,7 @@ mod tests {
         // Fault-free cells have no plan and say so in the column.
         let clean = cells()[0];
         assert!(clean.fault_plan().is_none());
-        assert_eq!(clean.fault_label(), "none");
+        assert_eq!(clean.faults(), Faults::None);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //!   (`--only ID --trials 1` replays one cell), the probes under
 //!   `examples/` open cells from it, and its content keys address the
 //!   rows `rv_store` keeps.
+//! * [`row`] is the row schema: the typed [`row::Row`] that renders each
+//!   line, parses it back and carries `scenario_matrix --check`'s checks.
 //! * The `expt_*` binaries each reproduce one table or figure, and their
 //!   crate docs say what and how: T1 (the length recurrences), T2 (the
 //!   bound `Π(n, m)`), F1 (cost vs graph order), F2 (cost vs labels), F3
@@ -21,6 +23,7 @@
 use serde::Serialize;
 
 pub mod cells;
+pub mod row;
 
 // Atomic file replacement now lives in `rv_store` (the store's segment
 // writes share it); re-exported so the experiment binaries keep their

@@ -20,15 +20,18 @@
 //!   nothing.
 //! * [`Store`] — the on-disk store: one `segment.log` of length-prefixed,
 //!   checksummed records, an in-memory [`BTreeMap`] index rebuilt by a
-//!   single scan on open, duplicate keys resolved last-writer-wins, and a
-//!   torn final record tolerated by truncate-and-continue. Writes go
-//!   through [`write_atomic`] (temp + rename in the segment's own
-//!   directory), generalising the whole-prefix checkpoint rewrite the
-//!   durable sweeps of `docs/FAULTS.md` introduced.
+//!   single scan on open, duplicate keys resolved last-writer-wins. Each
+//!   append writes its one record in place at the end of the segment; a
+//!   record torn by a crash is the segment's tail, and the next open
+//!   truncates it away (truncate-and-continue). That heal is the store's
+//!   one crash-safety mechanism.
 //! * [`content_hash`] / [`write_atomic`] — the shared hashing and atomic
-//!   I/O primitives (the experiment binaries re-export and reuse both).
+//!   file-replacement primitives (the experiment binaries re-export and
+//!   reuse both).
 
 use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 // `ENGINE_FINGERPRINT` / `ENGINE_FINGERPRINT_FILES`, generated by build.rs.
@@ -75,7 +78,7 @@ fn splitmix_finalize(mut z: u64) -> u64 {
 /// or a resumed sweep — therefore only ever sees the old complete file
 /// or the new complete file, never a torn prefix, whatever signal kills
 /// the writer mid-write. All JSON-lines output of the experiment
-/// binaries and every segment write of [`Store`] goes through here.
+/// binaries goes through here.
 pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
     let path = path.as_ref();
     let file_name = path.file_name().ok_or_else(|| {
@@ -111,8 +114,8 @@ pub struct OpenReport {
     pub records: usize,
     /// Bytes dropped from the tail because the final record was torn
     /// (short header, short payload, or checksum mismatch). The segment
-    /// file is truncated to the valid prefix on open, so a reopen reports
-    /// zero.
+    /// file is truncated to the valid prefix on open (`File::set_len`),
+    /// so a reopen reports zero.
     pub truncated_bytes: usize,
 }
 
@@ -125,13 +128,22 @@ pub struct OpenReport {
 #[derive(Debug)]
 pub struct Store {
     path: PathBuf,
-    /// The full segment bytes (magic + every valid record). Kept in
-    /// memory so each append can rewrite the segment atomically — the
-    /// whole-prefix durability discipline of the checkpoint machinery,
-    /// generalised. Sweep populations are small (hundreds of rows, a few
-    /// hundred bytes each); a million-cell store wants streamed appends
-    /// and is the documented compaction/scale-out path, not this struct.
+    /// The segment file, opened for appending by the first write (open
+    /// only reads a clean segment): every write lands at its end.
+    file: Option<File>,
+    /// The full segment bytes (magic + every valid record): [`Store::get`]
+    /// serves values out of them. Sweep populations are small (hundreds
+    /// of rows, a few hundred bytes each).
     segment: Vec<u8>,
+    /// How many leading bytes of `segment` the file holds: all of them,
+    /// except the magic of a store created by this open, which the first
+    /// append writes.
+    durable: usize,
+    /// Set when a failed append left part of its record in the file and
+    /// could not cut it back: every later append then lands after those
+    /// torn bytes, where the next open would drop it, so every later
+    /// append fails instead. A reopen heals the torn tail.
+    torn: bool,
     /// `key → (offset, len)` of the value bytes inside `segment`.
     /// `BTreeMap` for deterministic iteration (and the workspace-wide
     /// hash-collection ban).
@@ -141,36 +153,31 @@ pub struct Store {
 
 impl Store {
     /// Opens (or creates) the store under `dir`, rebuilding the index by
-    /// scanning `segment.log`. A missing segment is an empty store; a
-    /// segment with a torn final record is truncated to its valid prefix
-    /// and the loss is reported in [`Store::open_report`]; a file that
-    /// does not start with the format magic is an error (refuse, never
-    /// mis-scan).
+    /// scanning `segment.log`. A missing or empty segment is an empty
+    /// store (the first append writes the format magic); a segment with a
+    /// torn final record is truncated to its valid prefix and the loss is
+    /// reported in [`Store::open_report`]; a file that does not start
+    /// with the format magic is an error (refuse, never mis-scan). Opening
+    /// a clean segment only reads it, so a read-only store can be served.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Store> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let path = dir.join("segment.log");
-        let bytes = match std::fs::read(&path) {
+        let mut bytes = match std::fs::read(&path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        let mut store = Store {
-            path,
-            segment: Vec::new(),
-            index: BTreeMap::new(),
-            open_report: OpenReport::default(),
-        };
-        if bytes.is_empty() {
-            store.segment.extend_from_slice(MAGIC);
-            return Ok(store);
+        let created = bytes.is_empty();
+        if created {
+            bytes.extend_from_slice(MAGIC);
         }
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
+        if !bytes.starts_with(MAGIC) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!(
                     "{} does not start with the {:?} segment magic",
-                    store.path.display(),
+                    path.display(),
                     String::from_utf8_lossy(MAGIC)
                 ),
             ));
@@ -180,23 +187,36 @@ impl Store {
         // ends the valid prefix: an append-only writer can only tear the
         // *final* record, so everything after a bad header or checksum is
         // unreachable garbage and is dropped (truncate-and-continue).
+        let mut index = BTreeMap::new();
+        let mut open_report = OpenReport::default();
         let mut off = MAGIC.len();
         while off < bytes.len() {
             let Some((key, value_off, value_len, next)) = decode_record(&bytes, off) else {
                 break;
             };
-            store.index.insert(key, (value_off, value_len));
-            store.open_report.records += 1;
+            index.insert(key, (value_off, value_len));
+            open_report.records += 1;
             off = next;
         }
-        store.open_report.truncated_bytes = bytes.len() - off;
-        store.segment = bytes;
-        store.segment.truncate(off);
-        if store.open_report.truncated_bytes > 0 {
-            // Self-heal on disk too, so the next open starts clean.
-            write_atomic(&store.path, &store.segment)?;
+        open_report.truncated_bytes = bytes.len() - off;
+        let mut file = None;
+        if open_report.truncated_bytes > 0 {
+            // Heal on disk too, so the next append lands right after the
+            // valid prefix and the next open starts clean.
+            let f = OpenOptions::new().append(true).open(&path)?;
+            f.set_len(off as u64)?;
+            file = Some(f);
+            bytes.truncate(off);
         }
-        Ok(store)
+        Ok(Store {
+            path,
+            file,
+            durable: if created { 0 } else { bytes.len() },
+            segment: bytes,
+            torn: false,
+            index,
+            open_report,
+        })
     }
 
     /// What the open scan found (record count, torn-tail bytes dropped).
@@ -229,13 +249,22 @@ impl Store {
         })
     }
 
-    /// Appends one record and makes it durable before returning: the
-    /// record is encoded onto the in-memory segment, the index updated
-    /// (last-writer-wins), and the whole segment rewritten atomically.
-    /// A crash at any instant therefore leaves either the old or the new
-    /// complete segment on disk — never a torn one (torn records only
-    /// arise from external corruption, which open tolerates anyway).
+    /// Appends one record before returning: the record is encoded onto
+    /// the in-memory segment, the index updated (last-writer-wins), and
+    /// the record's bytes written at the end of the segment file in one
+    /// `write_all`. The earlier bytes of the file are never rewritten, so
+    /// a crash mid-append can tear only this record, which the next
+    /// [`Store::open`] truncates away. A failed write drops the record
+    /// from the in-memory segment and cuts the file back to its length
+    /// before the append; if that cut fails too, this and every later
+    /// append return an error until the store is reopened.
     pub fn append(&mut self, key: StoreKey, value: &[u8]) -> std::io::Result<()> {
+        if self.torn {
+            return Err(std::io::Error::other(format!(
+                "{} ends in a torn record that could not be cut; reopen the store",
+                self.path.display()
+            )));
+        }
         let mut payload = Vec::with_capacity(KEY_BYTES + value.len());
         payload.extend_from_slice(&key.cell.to_le_bytes());
         payload.extend_from_slice(&key.engine.to_le_bytes());
@@ -246,14 +275,41 @@ impl Store {
                 "record payload exceeds the u32 length prefix",
             )
         })?;
+        let start = self.segment.len();
         self.segment.extend_from_slice(&len.to_le_bytes());
         self.segment
             .extend_from_slice(&content_hash(&payload).to_le_bytes());
         let value_off = self.segment.len() + KEY_BYTES;
         self.segment.extend_from_slice(&payload);
+        if let Err(e) = self.write_tail() {
+            self.segment.truncate(start);
+            return Err(e);
+        }
         self.index
             .insert((key.cell, key.engine), (value_off, value.len()));
-        write_atomic(&self.path, &self.segment)
+        Ok(())
+    }
+
+    /// Writes the segment bytes the file does not hold yet at its end,
+    /// opening the file for appending on the first write. A failed write
+    /// cuts the file back to what it held; a failed cut marks the store
+    /// torn.
+    fn write_tail(&mut self) -> std::io::Result<()> {
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => self.file.insert(
+                OpenOptions::new()
+                    .append(true)
+                    .create(true)
+                    .open(&self.path)?,
+            ),
+        };
+        if let Err(e) = file.write_all(&self.segment[self.durable..]) {
+            self.torn = file.set_len(self.durable as u64).is_err();
+            return Err(e);
+        }
+        self.durable = self.segment.len();
+        Ok(())
     }
 
     /// Path of the segment file (tests truncate and corrupt it).

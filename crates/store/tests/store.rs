@@ -1,7 +1,7 @@
 //! Store-layer contract tests: torn-final-record recovery, cold index
-//! rebuild ≡ live index, duplicate-key last-writer-wins, foreign-file
-//! refusal, and the engine fingerprint pinned against an independent
-//! recomputation of the build-script digest.
+//! rebuild ≡ live index, duplicate-key last-writer-wins, in-place appends,
+//! foreign-file refusal, and the engine fingerprint pinned against an
+//! independent recomputation of the build-script digest.
 
 use rv_store::{content_hash, Store, StoreKey, ENGINE_FINGERPRINT, ENGINE_FINGERPRINT_FILES};
 use std::path::{Path, PathBuf};
@@ -113,6 +113,101 @@ fn torn_final_record_truncates_and_continues() {
         assert_eq!(clean.get(key(3, 1)), Some(&b"three-again"[..]));
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// An append writes its record in place at the end of the segment: the
+/// bytes already on disk stay as they were, and the file grows by exactly
+/// the record (length and checksum header, the two key words, the value).
+#[test]
+fn append_grows_the_segment_by_its_record_and_keeps_the_earlier_bytes() {
+    let dir = tmp_dir("in_place");
+    let mut store = Store::open(&dir).expect("open fresh store");
+    store.append(key(1, 1), b"first").expect("append");
+    let seg = store.segment_path().to_path_buf();
+    let before = std::fs::read(&seg).expect("segment readable");
+    let value = b"second, a little longer";
+    store.append(key(2, 1), value).expect("append");
+    let after = std::fs::read(&seg).expect("segment readable");
+    assert_eq!(after.len(), before.len() + 4 + 8 + 16 + value.len());
+    assert_eq!(
+        &after[..before.len()],
+        &before[..],
+        "earlier bytes untouched"
+    );
+    assert_eq!(&after[after.len() - value.len()..], &value[..]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Opening a clean store only reads it: an empty directory gets no
+/// segment until the first append, and a store whose directory and
+/// segment are read-only opens and serves its records.
+#[cfg(unix)]
+#[test]
+fn opening_a_clean_store_only_reads_it() {
+    use std::os::unix::fs::PermissionsExt;
+    let dir = tmp_dir("read_only");
+    let store = Store::open(&dir).expect("open fresh store");
+    assert!(
+        !store.segment_path().exists(),
+        "open writes no empty segment"
+    );
+    let mut store = store;
+    store.append(key(1, 1), b"one").expect("append");
+    let seg = store.segment_path().to_path_buf();
+    let mode = |path: &Path, mode| {
+        std::fs::set_permissions(path, std::fs::Permissions::from_mode(mode)).expect("chmod");
+    };
+    mode(&seg, 0o444);
+    mode(&dir, 0o555);
+    let reopened = Store::open(&dir);
+    mode(&dir, 0o755);
+    mode(&seg, 0o644);
+    let reopened = reopened.expect("a clean read-only store opens");
+    assert_eq!(reopened.get(key(1, 1)), Some(&b"one"[..]));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An append whose write fails and whose cut back fails too leaves a
+/// torn record behind: the store refuses every later append (each would
+/// land after the torn bytes, where the next open drops it) until it is
+/// reopened, which heals the tail. The segment is swapped for a symlink to
+/// `/dev/full`, where every write fails and `set_len` is refused.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_torn_append_that_cannot_be_cut_back_refuses_later_appends() {
+    let dir = tmp_dir("torn_append");
+    let mut store = Store::open(&dir).expect("open fresh store");
+    store.append(key(1, 1), b"one").expect("append");
+    drop(store);
+    let mut store = Store::open(&dir).expect("reopen");
+    let seg = store.segment_path().to_path_buf();
+    let kept = dir.join("kept.log");
+    std::fs::rename(&seg, &kept).expect("move the segment aside");
+    std::os::unix::fs::symlink("/dev/full", &seg).expect("symlink");
+    assert!(store.append(key(2, 1), b"two").is_err(), "the write fails");
+    std::fs::remove_file(&seg).expect("remove symlink");
+    std::fs::rename(&kept, &seg).expect("restore the segment");
+    assert_eq!(
+        store.get(key(2, 1)),
+        None,
+        "the failed record is not served"
+    );
+    assert_eq!(store.get(key(1, 1)), Some(&b"one"[..]));
+    let refused = store
+        .append(key(3, 1), b"three")
+        .expect_err("appends are refused");
+    assert!(
+        refused.to_string().contains("torn record"),
+        "refused as torn, not by the device: {refused}"
+    );
+    let mut store = Store::open(&dir).expect("reopen heals");
+    store
+        .append(key(3, 1), b"three")
+        .expect("append after reopen");
+    let clean = Store::open(&dir).expect("reopen");
+    assert_eq!(clean.len(), 2);
+    assert_eq!(clean.get(key(3, 1)), Some(&b"three"[..]));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A flipped byte mid-record fails that record's checksum; the scan keeps
