@@ -34,13 +34,14 @@
 //! cutoff; `--only` restricts the sweep to cells whose scenario id
 //! contains the substring. `--check` parses every line, checks each row
 //! against the cell its scenario id declares, and requires the file to
-//! cover exactly the declared matrix. `--diff A B` compares two row
-//! sources line by line as JSON objects, field by field in any order,
-//! with the wall-clock column (`median_ns_per_run`) set aside; any other
-//! difference exits nonzero. A directory argument is read as a store and
-//! materialised in declared order under the invocation's
-//! `--smoke`/`--trials`/`--engine-fp` (a store-served line must parse as
-//! its cell's row); `--only` filters both kinds of source by scenario id.
+//! cover exactly the declared matrix. `--diff A B` parses both row
+//! sources as typed rows, refusing any line that is not a row's own
+//! rendering, and compares them row by row with the wall-clock column
+//! (`median_ns_per_run`) set aside; any other difference exits nonzero.
+//! A directory argument is read as a store and materialised in declared
+//! order under the invocation's `--smoke`/`--trials`/`--engine-fp` (a
+//! store-served line must parse as its cell's row); `--only` filters both
+//! kinds of source by scenario id.
 //! Any other argument is an error.
 
 // Timing harness: wall-clock here is the product, not a determinism leak.
@@ -49,7 +50,6 @@ use rv_bench::cells::{cells, CellKind, CellSpec};
 use rv_bench::row::{Certificate, End, Mode, Row};
 use rv_sim::{RunEnd, RunOutcome};
 use rv_store::{Store, StoreKey};
-use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -186,7 +186,7 @@ fn main() {
         // A warm cell is served as its stored row *line*, verbatim —
         // re-measuring would only perturb the timing column; everything
         // else is deterministic and must come out identical anyway.
-        if let Some(line) = store.as_ref().and_then(|s| stored_line(s, key, &scenario)) {
+        if let Some((line, _)) = store.as_ref().and_then(|s| stored_row(s, key, &scenario)) {
             lines.push_str(line);
             lines.push('\n');
             hits += 1;
@@ -227,34 +227,34 @@ fn parse_fp(raw: &str) -> Option<u64> {
     }
 }
 
-/// A cell's stored row line, if the store holds its key. The line must
-/// parse as a row of that cell: a store that serves anything else fails
-/// loudly.
-fn stored_line<'s>(store: &'s Store, key: StoreKey, scenario: &str) -> Option<&'s str> {
+/// A cell's stored row line and the row it parses as, if the store holds
+/// its key. The line must parse as a row of that cell: a store that
+/// serves anything else fails loudly.
+fn stored_row<'s>(store: &'s Store, key: StoreKey, scenario: &str) -> Option<(&'s str, Row)> {
     let line = std::str::from_utf8(store.get(key)?).ok();
     match line.map(|line| (line, Row::parse(line))) {
-        Some((line, Ok(row))) if row.scenario == scenario => Some(line),
+        Some((line, Ok(row))) if row.scenario == scenario => Some((line, row)),
         _ => rv_bench::fail(format!("store row for {scenario} is not that cell's row")),
     }
 }
 
-/// Loads one `--diff` source as row lines, restricted to the cells
-/// `--only` selects: a file is read as JSON lines (filtered by each
-/// line's `scenario` field); a directory is opened as a store and
+/// Loads one `--diff` source as rows, restricted to the cells `--only`
+/// selects: a file is read as row lines (each must parse as a row, and is
+/// filtered by its scenario id); a directory is opened as a store and
 /// materialised in declared cell order under this invocation's
 /// configuration (`--smoke`, `--trials`, `--engine-fp`), failing loudly
 /// on any missing cell — a half-populated store must not diff clean.
-fn load_rows(src: &str, sweep: &Sweep) -> Vec<String> {
+fn load_rows(src: &str, sweep: &Sweep) -> Vec<Row> {
     if !Path::new(src).is_dir() {
         let text = std::fs::read_to_string(src)
             .unwrap_or_else(|e| rv_bench::fail(format!("cannot read {src}: {e}")));
-        let selected = |&(i, line): &(usize, &str)| {
-            let fields = comparable(line, src, i);
-            let scenario = fields.get("scenario").and_then(Value::as_str);
-            scenario.is_some_and(|scenario| sweep.selects(scenario))
+        let parse = |(i, line): (usize, &str)| {
+            Row::parse(line).unwrap_or_else(|e| {
+                rv_bench::fail(format!("{src}:{} is not a matrix row: {e}", i + 1))
+            })
         };
-        let lines = text.lines().enumerate().filter(selected);
-        return lines.map(|(_, line)| line.to_string()).collect();
+        let rows = text.lines().enumerate().map(parse);
+        return rows.filter(|row| sweep.selects(&row.scenario)).collect();
     }
     let store = Store::open(src)
         .unwrap_or_else(|e| rv_bench::fail(format!("cannot open store {src}: {e}")));
@@ -263,26 +263,23 @@ fn load_rows(src: &str, sweep: &Sweep) -> Vec<String> {
         .cells()
         .map(|(spec, _, key)| {
             let scenario = spec.scenario_id();
-            let line = stored_line(&store, key, &scenario).unwrap_or_else(|| {
+            let (_, row) = stored_row(&store, key, &scenario).unwrap_or_else(|| {
                 rv_bench::fail(format!(
                     "store {src} has no row for {scenario} under this configuration \
                      (smoke={smoke}, trials={trials}, engine_fp={engine_fp:#018x})"
                 ))
             });
-            line.to_string()
+            row
         })
         .collect()
 }
 
-/// What `--diff` compares of a line: its JSON fields without the
-/// wall-clock column, sorted by name so that their order does not matter.
-fn comparable(line: &str, src: &str, lineno: usize) -> Value {
-    let Ok(Value::Object(mut fields)) = serde_json::from_str(line) else {
-        rv_bench::fail(format!("{src}:{} is not a JSON object", lineno + 1))
-    };
-    fields.retain(|(k, _)| k != "median_ns_per_run");
-    fields.sort_by(|a, b| a.0.cmp(&b.0));
-    Value::Object(fields)
+/// What `--diff` compares of a row: every column but the wall-clock one.
+fn untimed(row: &Row) -> Row {
+    Row {
+        median_ns_per_run: 0.0,
+        ..row.clone()
+    }
 }
 
 /// `--diff A B`: compares two row sources cell by cell, ignoring only the
@@ -298,7 +295,8 @@ fn diff(a: &str, b: &str, sweep: &Sweep) {
         differences += 1;
     }
     for (i, (ra, rb)) in la.iter().zip(lb.iter()).enumerate() {
-        if comparable(ra, a, i) != comparable(rb, b, i) {
+        if untimed(ra) != untimed(rb) {
+            let (ra, rb) = (ra.render(), rb.render());
             eprintln!("row {} differs:\n  {a}: {ra}\n  {b}: {rb}", i + 1);
             differences += 1;
         }

@@ -8,9 +8,10 @@
 //! * flipping the engine fingerprint orphans the whole population
 //!   (everything recomputes), and the flipped population then serves warm
 //!   under the same flip;
-//! * `--diff` is schema-aware: a field-order permutation of the same rows
-//!   diffs clean, a value change does not — and `--only` filters a row
-//!   file the same way it filters a store;
+//! * `--diff` compares typed rows: real rows that differ only in timing
+//!   diff clean, a value change does not, a field-reordered row is
+//!   refused as non-canonical — and `--only` filters a row file the same
+//!   way it filters a store;
 //! * an unknown argument fails instead of running the default sweep.
 
 // Chaos harness: polling and killing a child process is inherently
@@ -247,34 +248,54 @@ fn engine_fingerprint_flip_orphans_the_stored_population() {
 #[test]
 fn diff_is_schema_aware_not_positional() {
     let dir = tmp_root("diff");
-
-    // The same logical row, with the field order permuted (timing moved
-    // off the tail, scenario not first) and a different wall-clock value.
-    // The old suffix-strip comparison broke on exactly this; the
-    // schema-aware diff must accept it.
-    let canonical = concat!(
-        r#"{"scenario":"x/y/z","mode":"protocol","n":6,"end":"Stalled","#,
-        r#""median_ns_per_run":101.5,"cost":null}"#,
-        "\n"
-    );
-    let permuted = concat!(
-        r#"{"median_ns_per_run":999.25,"mode":"protocol","cost":null,"#,
-        r#""end":"Stalled","n":6,"scenario":"x/y/z"}"#,
-        "\n"
-    );
-    std::fs::write(dir.join("a.jsonl"), canonical).expect("write a");
-    std::fs::write(dir.join("b.jsonl"), permuted).expect("write b");
+    let fixtures = include_str!("fixtures/rows.jsonl");
+    // Each real row with its wall-clock column replaced, and each row
+    // with that column moved to the front.
+    let timing = |line: &str| line.rfind(r#","median_ns_per_run":"#).expect("timed row");
+    let retimed: String = fixtures
+        .lines()
+        .map(|line| format!("{},\"median_ns_per_run\":12345}}\n", &line[..timing(line)]))
+        .collect();
+    let reordered: String = fixtures
+        .lines()
+        .map(|line| {
+            let (head, tail) = line.split_at(timing(line));
+            let tail = tail.trim_start_matches(',').trim_end_matches('}');
+            format!("{{{tail},{}}}\n", &head[1..])
+        })
+        .collect();
+    std::fs::write(dir.join("a.jsonl"), fixtures).expect("write a");
+    std::fs::write(dir.join("b.jsonl"), &retimed).expect("write b");
     assert!(
         run(&["--diff", "a.jsonl", "b.jsonl"], &dir).success(),
-        "a field-order permutation of the same row must diff clean"
+        "rows that differ only in timing must diff clean"
     );
 
-    // A real value difference must still be caught, wherever it sits.
-    let changed = permuted.replace(r#""end":"Stalled""#, r#""end":"Cutoff""#);
+    // A real value difference must still be caught.
+    let changed = retimed.replacen(r#""traversals":5118"#, r#""traversals":5119"#, 1);
+    assert_ne!(
+        changed, retimed,
+        "the diverging ring16 row must be a fixture"
+    );
     std::fs::write(dir.join("c.jsonl"), changed).expect("write c");
     assert!(
         !run(&["--diff", "a.jsonl", "c.jsonl"], &dir).success(),
         "a non-timing value change must fail the diff"
+    );
+
+    // A field-reordered real row is not a row's own rendering: --diff
+    // refuses it by file and line instead of comparing it.
+    std::fs::write(dir.join("d.jsonl"), reordered).expect("write d");
+    let out = Command::new(BIN)
+        .args(["--diff", "a.jsonl", "d.jsonl"])
+        .current_dir(&dir)
+        .output()
+        .expect("scenario_matrix spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a reordered row must fail the diff");
+    assert!(
+        stderr.contains("d.jsonl:1 is not a matrix row: not in the canonical row form"),
+        "a reordered row must be refused as non-canonical: {stderr}"
     );
 
     std::fs::remove_dir_all(&dir).ok();

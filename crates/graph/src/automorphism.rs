@@ -194,7 +194,7 @@ fn is_automorphism(g: &Graph, p: &[u32]) -> bool {
         if g.degree(NodeId(v)) != g.degree(sv) {
             return false;
         }
-        for &(u, _) in g.neighbors(NodeId(v)) {
+        for (u, _) in g.neighbors(NodeId(v)) {
             let su = NodeId(p[u.0] as usize);
             if g.port_towards(sv, su).is_none() {
                 return false;

@@ -83,21 +83,43 @@ pub struct Arrival {
 /// edge index** in `0..size()` at construction ([`Graph::edge_index_at`]),
 /// which the simulator and coverage trackers use to replace hash maps keyed
 /// by [`EdgeId`] with plain arrays.
+///
+/// Every stored id is a `u32` word: 8 bytes per port slot, 4 per slot's
+/// edge index, 4 per node offset and 8 per edge, half of what `usize`
+/// words take on a 64-bit target. The accessors widen back to
+/// [`NodeId`]/[`PortId`]/`usize`; construction panics on a graph whose
+/// ids do not fit in 32 bits rather than truncating them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     /// Flat adjacency: the entries of node `v` occupy
     /// `flat[offsets[v]..offsets[v + 1]]`, ordered by port; each entry is
     /// (neighbor reached via that port, port at the neighbor leading back).
-    flat: Vec<(NodeId, PortId)>,
+    flat: Vec<(u32, u32)>,
     /// Per-node slice starts into `flat`; `offsets.len() == order + 1`.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// Dense edge index of the edge behind each `flat` slot (both directed
     /// slots of an undirected edge carry the same index).
-    edge_index: Vec<usize>,
-    /// Canonical [`EdgeId`] per dense edge index. Index order equals the
-    /// iteration order of [`Graph::edges`]: ascending smaller endpoint,
-    /// then port order at that endpoint.
-    edge_list: Vec<EdgeId>,
+    edge_index: Vec<u32>,
+    /// Canonical endpoints `(a, b)`, `a < b`, per dense edge index. Index
+    /// order equals the iteration order of [`Graph::edges`]: ascending
+    /// smaller endpoint, then port order at that endpoint.
+    edge_list: Vec<(u32, u32)>,
+}
+
+/// A node, port, slot or edge count as a stored CSR word.
+///
+/// # Panics
+///
+/// Panics if `x` does not fit in 32 bits.
+fn word(x: usize) -> u32 {
+    u32::try_from(x).expect("graph ids must fit in 32 bits")
+}
+
+/// A stored CSR word back as an index (lossless: `usize` is at least 32
+/// bits on every supported target).
+#[inline]
+fn index(w: u32) -> usize {
+    w as usize
 }
 
 impl Graph {
@@ -120,15 +142,15 @@ impl Graph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.offsets[v.0 + 1] - self.offsets[v.0]
+        index(self.offsets[v.0 + 1] - self.offsets[v.0])
     }
 
     /// The CSR slot of `(v, p)`, bounds-checked against `v`'s degree (a
     /// raw `offsets[v] + p` could silently land in the next node's slice).
     #[inline]
     fn slot(&self, v: NodeId, p: PortId) -> usize {
-        let start = self.offsets[v.0];
-        let end = self.offsets[v.0 + 1];
+        let start = index(self.offsets[v.0]);
+        let end = index(self.offsets[v.0 + 1]);
         // Compare before adding: `start + p.0` could wrap for a huge port
         // in release builds and land inside another node's slice.
         assert!(
@@ -140,14 +162,21 @@ impl Graph {
         start + p.0
     }
 
+    /// The stored `(neighbor, back port)` words of `v`, ordered by port.
+    fn row(&self, v: NodeId) -> &[(u32, u32)] {
+        &self.flat[index(self.offsets[v.0])..index(self.offsets[v.0 + 1])]
+    }
+
     /// The adjacency entries of `v`, ordered by port: `(neighbor, port at
     /// the neighbor leading back to v)`.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    pub fn neighbors(&self, v: NodeId) -> &[(NodeId, PortId)] {
-        &self.flat[self.offsets[v.0]..self.offsets[v.0 + 1]]
+    pub fn neighbors(&self, v: NodeId) -> impl ExactSizeIterator<Item = (NodeId, PortId)> + '_ {
+        self.row(v)
+            .iter()
+            .map(|&(u, q)| (NodeId(index(u)), PortId(index(q))))
     }
 
     /// The neighbor of `v` linked by the edge with port `p` at `v` — the
@@ -158,7 +187,7 @@ impl Graph {
     /// Panics if `v` or `p` is out of range.
     #[inline]
     pub fn succ(&self, v: NodeId, p: PortId) -> NodeId {
-        self.flat[self.slot(v, p)].0
+        NodeId(index(self.flat[self.slot(v, p)].0))
     }
 
     /// Traverses the edge with port `p` at `v`, returning the arrival node
@@ -169,8 +198,17 @@ impl Graph {
     /// Panics if `v` or `p` is out of range.
     #[inline]
     pub fn traverse(&self, v: NodeId, p: PortId) -> Arrival {
-        let (node, entry_port) = self.flat[self.slot(v, p)];
-        Arrival { node, entry_port }
+        self.arrival(self.slot(v, p))
+    }
+
+    /// The arrival through CSR slot `slot`.
+    #[inline]
+    fn arrival(&self, slot: usize) -> Arrival {
+        let (node, entry_port) = self.flat[slot];
+        Arrival {
+            node: NodeId(index(node)),
+            entry_port: PortId(index(entry_port)),
+        }
     }
 
     /// [`Graph::traverse`] and [`Graph::edge_index_at`] from one CSR
@@ -182,13 +220,12 @@ impl Graph {
     #[inline]
     pub fn traverse_indexed(&self, v: NodeId, p: PortId) -> (Arrival, usize) {
         let slot = self.slot(v, p);
-        let (node, entry_port) = self.flat[slot];
-        (Arrival { node, entry_port }, self.edge_index[slot])
+        (self.arrival(slot), index(self.edge_index[slot]))
     }
 
     /// The canonical edge crossed when leaving `v` via port `p`.
     pub fn edge_at(&self, v: NodeId, p: PortId) -> EdgeId {
-        self.edge_list[self.edge_index_at(v, p)]
+        self.edge_id(self.edge_index_at(v, p))
     }
 
     /// Dense index in `0..size()` of the edge behind port `p` at `v`. Both
@@ -202,25 +239,26 @@ impl Graph {
     /// Panics if `v` or `p` is out of range.
     #[inline]
     pub fn edge_index_at(&self, v: NodeId, p: PortId) -> usize {
-        self.edge_index[self.slot(v, p)]
+        index(self.edge_index[self.slot(v, p)])
     }
 
-    /// The canonical [`EdgeId`] of dense edge index `index`.
+    /// The canonical [`EdgeId`] of dense edge index `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `index >= size()`.
+    /// Panics if `i >= size()`.
     #[inline]
-    pub fn edge_id(&self, index: usize) -> EdgeId {
-        self.edge_list[index]
+    pub fn edge_id(&self, i: usize) -> EdgeId {
+        let (a, b) = self.edge_list[i];
+        EdgeId {
+            a: NodeId(index(a)),
+            b: NodeId(index(b)),
+        }
     }
 
     /// Port at `v` whose edge leads to `u`, if `u` is adjacent to `v`.
     pub fn port_towards(&self, v: NodeId, u: NodeId) -> Option<PortId> {
-        self.neighbors(v)
-            .iter()
-            .position(|&(n, _)| n == u)
-            .map(PortId)
+        self.neighbors(v).position(|(n, _)| n == u).map(PortId)
     }
 
     /// Iterator over all node identifiers.
@@ -230,15 +268,12 @@ impl Graph {
 
     /// Iterator over all canonical edges, in dense-index order.
     pub fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.edge_list.iter().copied()
+        (0..self.size()).map(|i| self.edge_id(i))
     }
 
     /// Maximum degree over all nodes.
     pub fn max_degree(&self) -> usize {
-        (0..self.order())
-            .map(|v| self.offsets[v + 1] - self.offsets[v])
-            .max()
-            .unwrap_or(0)
+        self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
     /// Breadth-first distances from `start` (in edges); `usize::MAX` never
@@ -249,7 +284,7 @@ impl Graph {
         dist[start.0] = 0;
         queue.push_back(start);
         while let Some(v) = queue.pop_front() {
-            for &(u, _) in self.neighbors(v) {
+            for (u, _) in self.neighbors(v) {
                 if dist[u.0] == usize::MAX {
                     dist[u.0] = dist[v.0] + 1;
                     queue.push_back(u);
@@ -269,31 +304,36 @@ impl Graph {
 
     /// Internal constructor used by the builder after validation: flattens
     /// the nested adjacency into CSR form and assigns dense edge indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node, port or slot count does not fit in 32 bits.
     pub(crate) fn from_adj(adj: Vec<Vec<(NodeId, PortId)>>) -> Self {
-        let n = adj.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
+        let mut offsets = Vec::with_capacity(adj.len() + 1);
+        let mut slots = 0usize;
+        offsets.push(0);
         for nbrs in &adj {
-            offsets.push(offsets[offsets.len() - 1] + nbrs.len());
+            slots += nbrs.len();
+            offsets.push(word(slots));
         }
-        let mut flat = Vec::with_capacity(offsets[n]);
+        let mut flat = Vec::with_capacity(slots);
         for nbrs in &adj {
-            flat.extend_from_slice(nbrs);
+            flat.extend(nbrs.iter().map(|&(u, q)| (word(u.0), word(q.0))));
         }
-        let mut edge_index = vec![usize::MAX; flat.len()];
-        let mut edge_list = Vec::with_capacity(flat.len() / 2);
+        let mut edge_index = vec![u32::MAX; slots];
+        let mut edge_list = Vec::with_capacity(slots / 2);
         for (v, nbrs) in adj.iter().enumerate() {
             for (p, &(u, q)) in nbrs.iter().enumerate() {
                 if u.0 > v {
-                    let idx = edge_list.len();
-                    edge_list.push(EdgeId::new(NodeId(v), u));
-                    edge_index[offsets[v] + p] = idx;
-                    edge_index[offsets[u.0] + q.0] = idx;
+                    let idx = word(edge_list.len());
+                    edge_list.push((word(v), word(u.0)));
+                    edge_index[index(offsets[v]) + p] = idx;
+                    edge_index[index(offsets[u.0]) + q.0] = idx;
                 }
             }
         }
         debug_assert!(
-            edge_index.iter().all(|&i| i != usize::MAX),
+            edge_index.iter().all(|&i| i != u32::MAX),
             "every port slot must belong to exactly one undirected edge"
         );
         Graph {
@@ -314,7 +354,7 @@ impl Serialize for Graph {
             if i > 0 {
                 out.push(',');
             }
-            self.neighbors(v).serialize_json(out);
+            self.row(v).serialize_json(out);
         }
         out.push_str("]}");
     }
@@ -327,7 +367,7 @@ impl fmt::Display for Graph {
         writeln!(f, "graph: {} nodes, {} edges", self.order(), self.size())?;
         for v in self.nodes() {
             write!(f, "  {}:", v.0)?;
-            for (p, &(u, q)) in self.neighbors(v).iter().enumerate() {
+            for (p, (u, q)) in self.neighbors(v).enumerate() {
                 write!(f, " [{}]->{}:{}", p, u.0, q.0)?;
             }
             writeln!(f)?;
@@ -456,6 +496,25 @@ mod tests {
     fn traverse_rejects_out_of_range_port() {
         let g = generators::ring(4);
         g.traverse(NodeId(0), PortId(2));
+    }
+
+    #[test]
+    fn csr_words_are_32_bit() {
+        let g = generators::ring(4);
+        assert_eq!(std::mem::size_of_val(&g.flat[0]), 8, "bytes per port slot");
+        assert_eq!(
+            std::mem::size_of_val(&g.edge_index[0]),
+            4,
+            "bytes per edge index"
+        );
+        assert_eq!(std::mem::size_of_val(&g.offsets[0]), 4, "bytes per offset");
+        assert_eq!(std::mem::size_of_val(&g.edge_list[0]), 8, "bytes per edge");
+    }
+
+    #[test]
+    #[should_panic(expected = "32 bits")]
+    fn oversized_ids_panic_instead_of_truncating() {
+        word(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Property tests for graph generators and structural invariants.
 
 use proptest::prelude::*;
-use rv_graph::{generators, validate, GraphFamily, NodeId, PortId, PortLog};
+use rv_graph::{
+    generators, validate, Arrival, EdgeId, Graph, GraphBuilder, GraphFamily, NodeId, PortId,
+    PortLog,
+};
 
 /// A port drawn from a raw `u64`, a fifth of the time each: a one-byte
 /// port (below 128), the one-byte/two-byte boundary (127 to 129), a
@@ -25,8 +28,197 @@ fn log_of(ports: &[PortId]) -> PortLog {
     log
 }
 
+/// The next value of a SplitMix64 stream.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A connected edge sequence on `n` nodes, in insertion order: a random
+/// spanning tree (node `v` joins a random earlier node), then extra edges
+/// drawn from `extra`, skipping self-loops and repeats.
+fn edge_sequence(n: usize, extra: &[u64]) -> Vec<(usize, usize)> {
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    let has = |edges: &[(usize, usize)], u: usize, v: usize| {
+        edges.iter().any(|&e| e == (u, v) || e == (v, u))
+    };
+    for (v, &raw) in (1..n).zip(extra.iter().cycle()) {
+        edges.push((v, (raw % v as u64) as usize));
+    }
+    for &raw in extra {
+        let (u, v) = ((raw % n as u64) as usize, ((raw >> 32) % n as u64) as usize);
+        if u != v && !has(&edges, u, v) {
+            edges.push((u, v));
+        }
+    }
+    edges
+}
+
+/// The reference adjacency of an edge sequence: node `v`'s entries in the
+/// order its edges were added, then renumbered so that insertion position
+/// `i` at `v` becomes port `perms[v][i]`.
+fn reference_adjacency(
+    n: usize,
+    edges: &[(usize, usize)],
+    perms: &[Vec<usize>],
+) -> Vec<Vec<(NodeId, PortId)>> {
+    // incident[v][i]: the other endpoint of v's i-th edge and the
+    // insertion position of that edge at the other endpoint.
+    let mut incident: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+    for &(u, v) in edges {
+        let (iu, iv) = (incident[u].len(), incident[v].len());
+        incident[u].push((v, iv));
+        incident[v].push((u, iu));
+    }
+    let mut adj = vec![Vec::new(); n];
+    for v in 0..n {
+        let mut row = vec![(NodeId(0), PortId(0)); incident[v].len()];
+        for (i, &(u, j)) in incident[v].iter().enumerate() {
+            row[perms[v][i]] = (NodeId(u), PortId(perms[u][j]));
+        }
+        adj[v] = row;
+    }
+    adj
+}
+
+/// Breadth-first distances over a reference adjacency.
+fn reference_bfs(adj: &[Vec<(NodeId, PortId)>], start: usize) -> Vec<usize> {
+    let mut dist = vec![usize::MAX; adj.len()];
+    let mut queue = std::collections::VecDeque::from([start]);
+    dist[start] = 0;
+    while let Some(v) = queue.pop_front() {
+        for &(u, _) in &adj[v] {
+            if dist[u.0] == usize::MAX {
+                dist[u.0] = dist[v] + 1;
+                queue.push_back(u.0);
+            }
+        }
+    }
+    dist
+}
+
+/// The JSON render of a reference adjacency: `{"adj": [[[u, q], …], …]}`.
+fn reference_json(adj: &[Vec<(NodeId, PortId)>]) -> String {
+    let rows: Vec<String> = adj
+        .iter()
+        .map(|row| {
+            let entries: Vec<String> = row
+                .iter()
+                .map(|(u, q)| format!("[{},{}]", u.0, q.0))
+                .collect();
+            format!("[{}]", entries.join(","))
+        })
+        .collect();
+    format!("{{\"adj\":[{}]}}", rows.join(","))
+}
+
+/// Every accessor of `g` against the reference adjacency `adj`.
+fn assert_matches_reference(g: &Graph, adj: &[Vec<(NodeId, PortId)>]) {
+    let n = adj.len();
+    assert_eq!(g.order(), n);
+    let slots: usize = adj.iter().map(Vec::len).sum();
+    assert_eq!(g.size() * 2, slots);
+    assert_eq!(g.max_degree(), adj.iter().map(Vec::len).max().unwrap_or(0));
+    // Dense indices: ascending smaller endpoint, then port order there.
+    let mut listed = Vec::new();
+    for (v, row) in adj.iter().enumerate() {
+        for &(u, _) in row {
+            if u.0 > v {
+                listed.push(EdgeId::new(NodeId(v), u));
+            }
+        }
+    }
+    assert_eq!(g.edges().collect::<Vec<_>>(), listed);
+    for (i, &e) in listed.iter().enumerate() {
+        assert_eq!(g.edge_id(i), e);
+    }
+    for (v, row) in adj.iter().enumerate() {
+        let v = NodeId(v);
+        assert_eq!(g.degree(v), row.len());
+        assert_eq!(g.neighbors(v).len(), row.len());
+        assert_eq!(g.neighbors(v).collect::<Vec<_>>(), *row);
+        for (p, &(u, q)) in row.iter().enumerate() {
+            let p = PortId(p);
+            let arrival = Arrival {
+                node: u,
+                entry_port: q,
+            };
+            let e = EdgeId::new(v, u);
+            let idx = listed.iter().position(|&l| l == e).expect("listed edge");
+            assert_eq!(g.succ(v, p), u);
+            assert_eq!(g.traverse(v, p), arrival);
+            assert_eq!(g.traverse_indexed(v, p), (arrival, idx));
+            assert_eq!(g.edge_index_at(v, p), idx);
+            assert_eq!(g.edge_at(v, p), e);
+        }
+        for w in 0..n {
+            let towards = row.iter().position(|&(u, _)| u.0 == w).map(PortId);
+            assert_eq!(g.port_towards(v, NodeId(w)), towards);
+        }
+        assert_eq!(g.bfs_distances(v), reference_bfs(adj, v.0));
+    }
+    assert_eq!(serde_json::to_string(g).unwrap(), reference_json(adj));
+}
+
+/// FNV-1a over the JSON render of every family's graph at orders 4–24,
+/// seeds 0, 1, 7 and 2013, one line per graph.
+fn family_render_digest() -> (u64, usize) {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut bytes = 0;
+    for fam in GraphFamily::ALL {
+        for n in 4..=24 {
+            for seed in [0, 1, 7, 2013] {
+                let json = serde_json::to_string(&fam.generate(n, seed)).unwrap();
+                for b in json.bytes().chain([b'\n']) {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+                }
+                bytes += json.len() + 1;
+            }
+        }
+    }
+    (hash, bytes)
+}
+
+/// Captured from the `usize` CSR: a storage change must leave every
+/// family's JSON byte-identical.
+#[test]
+fn family_renders_are_pinned() {
+    assert_eq!(family_render_digest(), (0x819e_c775_eb41_26ec, 317_926));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn accessors_match_a_reference_adjacency(
+        n in 2usize..20,
+        extra in proptest::collection::vec(any::<u64>(), 1..40),
+        shuffle in any::<u64>(),
+    ) {
+        let edges = edge_sequence(n, &extra);
+        let mut b = GraphBuilder::new(n);
+        for &(u, v) in &edges {
+            b.edge(u, v).unwrap();
+        }
+        // Fisher–Yates permutations, one per node in node order, as
+        // `shuffle_ports` asks for them; recorded for the reference.
+        let mut state = shuffle;
+        let mut perms = Vec::new();
+        b.shuffle_ports(|d| {
+            let mut perm: Vec<usize> = (0..d).collect();
+            for i in (1..d).rev() {
+                perm.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+            }
+            perms.push(perm.clone());
+            perm
+        });
+        let g = b.build().unwrap();
+        validate(&g).unwrap();
+        assert_matches_reference(&g, &reference_adjacency(n, &edges, &perms));
+    }
 
     #[test]
     fn random_trees_are_valid_and_acyclic(n in 2usize..40, seed in any::<u64>()) {
