@@ -26,7 +26,6 @@
 //! [`Automorphisms::torus`] (translations + flips).
 
 use crate::{Graph, GraphFamily, NodeId};
-use std::collections::BTreeSet;
 
 /// Largest group the closure will materialize. Beyond this the descriptor
 /// falls back to the identity: the canonical fingerprint pays O(|group|)
@@ -83,37 +82,32 @@ impl Automorphisms {
     /// Builds a group from arbitrary candidate permutations: drops every
     /// candidate that is not an automorphism of `g`, adds the identity,
     /// and closes the survivors under composition. Returns the identity
-    /// group if the closure would exceed [`MAX_GROUP`].
+    /// group if the closure has to add elements beyond [`MAX_GROUP`]; a
+    /// candidate list that already holds a whole larger group is kept.
+    ///
+    /// The closure runs from generators (Dimino's algorithm): a candidate
+    /// that is already a member is a product of verified automorphisms and
+    /// is skipped unverified; one that is not is verified and, if it
+    /// passes, extends the group as a new generator. The cost is
+    /// O(|G| · #generators · n), with at most log₂|G| generators.
     pub fn from_candidates(g: &Graph, candidates: Vec<Vec<u32>>) -> Self {
         let order = g.order();
-        let id = identity_perm(order);
-        let mut set: BTreeSet<Vec<u32>> = BTreeSet::new();
-        set.insert(id.clone());
-        let mut frontier: Vec<Vec<u32>> = Vec::new();
-        for cand in candidates {
-            if is_automorphism(g, &cand) && set.insert(cand.clone()) {
-                frontier.push(cand);
+        // A group larger than the candidates plus the identity cannot
+        // have been listed outright: past that size, it falls back.
+        let limit = MAX_GROUP.max(candidates.len() + 1);
+        let mut group = Closure::new(order);
+        for cand in &candidates {
+            if !group.contains(cand) && is_automorphism(g, cand) && !group.extend(cand, limit) {
+                return Self::identity(order);
             }
         }
-        // Closure worklist: when `p` is popped, it is composed (both ways)
-        // with everything discovered so far; any pair missed here meets
-        // again when its later member is popped, so the result is closed.
-        while let Some(p) = frontier.pop() {
-            let members: Vec<Vec<u32>> = set.iter().cloned().collect();
-            for q in &members {
-                for comp in [compose(&p, q), compose(q, &p)] {
-                    if set.insert(comp.clone()) {
-                        if set.len() > MAX_GROUP {
-                            return Self::identity(order);
-                        }
-                        frontier.push(comp);
-                    }
-                }
-            }
+        if group.elems.len() > MAX_GROUP && !group.all_listed(&candidates) {
+            return Self::identity(order);
         }
-        let mut perms: Vec<Vec<u32>> = Vec::with_capacity(set.len());
-        perms.push(id.clone());
-        perms.extend(set.into_iter().filter(|p| p != &id));
+        // The identity is the lexicographically least permutation, so
+        // sorting puts it first.
+        let mut perms = group.elems;
+        perms.sort_unstable();
         Automorphisms { perms }
     }
 
@@ -161,6 +155,101 @@ impl GraphFamily {
     /// group rather than a wrong one.
     pub fn automorphisms(self, g: &Graph) -> Automorphisms {
         Automorphisms::for_family(self, g)
+    }
+}
+
+/// A permutation group under construction.
+struct Closure {
+    /// The members; `elems[0]` is the identity.
+    elems: Vec<Vec<u32>>,
+    /// Indices into `elems`, in lexicographic order of the members.
+    sorted: Vec<u32>,
+    /// Indices into `elems` of the generators.
+    gens: Vec<usize>,
+    /// The one composition buffer.
+    buf: Vec<u32>,
+}
+
+impl Closure {
+    fn new(order: usize) -> Self {
+        Closure {
+            elems: vec![identity_perm(order)],
+            sorted: vec![0],
+            gens: Vec::new(),
+            buf: Vec::with_capacity(order),
+        }
+    }
+
+    /// The rank of `p` among the members, or where it would go.
+    fn rank(&self, p: &[u32]) -> Result<usize, usize> {
+        self.sorted
+            .binary_search_by(|&i| self.elems[i as usize].as_slice().cmp(p))
+    }
+
+    fn contains(&self, p: &[u32]) -> bool {
+        self.rank(p).is_ok()
+    }
+
+    /// Adds the new generator `s` (a verified non-member). The members so
+    /// far form a group `H`, and the extended group is a union of cosets
+    /// `H·r`, each stored as one block of `|H|` members whose first is
+    /// `r` itself. A coset `H·r` is added, starting with `r = s`, for
+    /// every product of a block's first member and a generator that is
+    /// not yet a member; a member `h·r` times a generator `t` then lies
+    /// in the coset of `r·t`, so the union is closed. False if it would
+    /// grow past `limit` members.
+    fn extend(&mut self, s: &[u32], limit: usize) -> bool {
+        let h = self.elems.len();
+        self.gens.push(h);
+        if !self.add_coset(h, s, limit) {
+            return false;
+        }
+        let mut rep = h;
+        while rep < self.elems.len() {
+            for k in 0..self.gens.len() {
+                let (r, t) = (&self.elems[rep], &self.elems[self.gens[k]]);
+                self.buf.clear();
+                self.buf.extend(t.iter().map(|&v| r[v as usize]));
+                if !self.contains(&self.buf) {
+                    let rt = std::mem::take(&mut self.buf);
+                    let added = self.add_coset(h, &rt, limit);
+                    self.buf = rt;
+                    if !added {
+                        return false;
+                    }
+                }
+            }
+            rep += h;
+        }
+        true
+    }
+
+    /// Appends the coset `H·r` of `H = elems[..h]` (`r` not a member), or
+    /// returns false if that would grow the group past `limit` members.
+    fn add_coset(&mut self, h: usize, r: &[u32], limit: usize) -> bool {
+        if self.elems.len() + h > limit {
+            return false;
+        }
+        for i in 0..h {
+            let hr = compose(&self.elems[i], r);
+            let rank = self.rank(&hr).expect_err("cosets are disjoint");
+            self.sorted.insert(rank, self.elems.len() as u32);
+            self.elems.push(hr);
+        }
+        true
+    }
+
+    /// True if every member is the identity or one of `candidates`.
+    fn all_listed(&self, candidates: &[Vec<u32>]) -> bool {
+        // The identity is the least member, of rank 0.
+        let mut ranks: Vec<usize> = candidates
+            .iter()
+            .filter_map(|c| self.rank(c).ok())
+            .collect();
+        ranks.push(0);
+        ranks.sort_unstable();
+        ranks.dedup();
+        ranks.len() == self.elems.len()
     }
 }
 
@@ -272,6 +361,7 @@ fn family_candidates(family: GraphFamily, g: &Graph) -> Vec<Vec<u32>> {
 mod tests {
     use super::*;
     use crate::generators;
+    use std::collections::BTreeSet;
 
     fn assert_closed(g: &Graph, a: &Automorphisms) {
         let set: BTreeSet<&[u32]> = a.iter().collect();
@@ -334,10 +424,38 @@ mod tests {
 
     #[test]
     fn torus_group_contains_all_translations() {
-        let g = generators::torus(3, 3);
-        let a = Automorphisms::torus(&g, 3, 3);
-        assert!(a.len() >= 9, "9 translations at minimum, got {}", a.len());
-        assert_closed(&g, &a);
+        // 4wh: translations × axis flips; 8wh when square (+ transpose).
+        // 9 × 9 would be 648 > MAX_GROUP, so it falls back to the identity.
+        for (w, h, size) in [
+            (3, 3, 72),
+            (3, 4, 48),
+            (4, 4, 128),
+            (5, 3, 60),
+            (8, 8, MAX_GROUP),
+            (9, 9, 1),
+        ] {
+            let g = generators::torus(w, h);
+            let a = Automorphisms::torus(&g, w, h);
+            assert_eq!(a.len(), size, "torus {w} × {h}");
+            if size <= 128 {
+                assert_closed(&g, &a);
+            }
+        }
+    }
+
+    #[test]
+    fn closed_candidate_lists_are_kept_whole() {
+        // ring(257)'s 514 dihedral candidates are already the whole group:
+        // nothing has to be added, so MAX_GROUP does not apply.
+        // The same group from two generators, one repeated to make as long
+        // a list, has to be closed beyond MAX_GROUP, so it falls back.
+        let g = generators::ring(257);
+        let all = family_candidates(GraphFamily::Ring, &g);
+        let (rotation, reflection) = (all[2].clone(), all[3].clone());
+        assert_eq!(Automorphisms::from_candidates(&g, all).len(), 514);
+        let mut listed = vec![rotation; 512];
+        listed.push(reflection);
+        assert!(Automorphisms::from_candidates(&g, listed).is_trivial());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use rv_graph::{
-    generators, validate, Arrival, EdgeId, Graph, GraphBuilder, GraphFamily, NodeId, PortId,
-    PortLog,
+    generators, validate, Arrival, Automorphisms, EdgeId, Graph, GraphBuilder, GraphFamily, NodeId,
+    PortId, PortLog, MAX_GROUP,
 };
+use std::collections::BTreeSet;
 
 /// A port drawn from a raw `u64`, a fifth of the time each: a one-byte
 /// port (below 128), the one-byte/two-byte boundary (127 to 129), a
@@ -187,6 +188,199 @@ fn family_render_digest() -> (u64, usize) {
 #[test]
 fn family_renders_are_pinned() {
     assert_eq!(family_render_digest(), (0x819e_c775_eb41_26ec, 317_926));
+}
+
+/// FNV-1a over the permutations of every family's group at orders 4–24,
+/// seeds 0, 1 and 7, then of `Automorphisms::torus` at four shapes, one
+/// step per word, and the number of permutations. A family permutation
+/// ends with a `0xffff` word; a torus permutation does not.
+fn group_digest() -> (u64, usize) {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut perms = 0;
+    let mut step = |w: u64| hash = (hash ^ w).wrapping_mul(0x0100_0000_01B3);
+    for fam in GraphFamily::ALL {
+        for n in 4..=24 {
+            for seed in [0, 1, 7] {
+                let g = fam.generate(n, seed);
+                for p in fam.automorphisms(&g).iter() {
+                    p.iter().for_each(|&v| step(u64::from(v)));
+                    step(0xffff);
+                    perms += 1;
+                }
+            }
+        }
+    }
+    for (w, h) in [(3, 3), (3, 4), (4, 4), (5, 3)] {
+        let g = generators::torus(w, h);
+        for p in Automorphisms::torus(&g, w, h).iter() {
+            p.iter().for_each(|&v| step(u64::from(v)));
+            perms += 1;
+        }
+    }
+    (hash, perms)
+}
+
+/// Captured from the quadratic closure: a faster closure must build the
+/// same permutations in the same order.
+#[test]
+fn family_groups_are_pinned() {
+    assert_eq!(group_digest(), (0x4fcf_b4ef_1699_66ce, 5_219));
+}
+
+/// The quadratic closure `Automorphisms::from_candidates` ran before it
+/// closed the group from generators, kept verbatim as the oracle: the
+/// group's permutations, identity first, then in lexicographic order.
+fn reference_closure(g: &Graph, candidates: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+    let order = g.order();
+    let id = identity_perm(order);
+    let mut set: BTreeSet<Vec<u32>> = BTreeSet::new();
+    set.insert(id.clone());
+    let mut frontier: Vec<Vec<u32>> = Vec::new();
+    for cand in candidates {
+        if is_automorphism(g, &cand) && set.insert(cand.clone()) {
+            frontier.push(cand);
+        }
+    }
+    while let Some(p) = frontier.pop() {
+        let members: Vec<Vec<u32>> = set.iter().cloned().collect();
+        for q in &members {
+            for comp in [compose(&p, q), compose(q, &p)] {
+                if set.insert(comp.clone()) {
+                    if set.len() > MAX_GROUP {
+                        return vec![identity_perm(order)];
+                    }
+                    frontier.push(comp);
+                }
+            }
+        }
+    }
+    let mut perms: Vec<Vec<u32>> = Vec::with_capacity(set.len());
+    perms.push(id.clone());
+    perms.extend(set.into_iter().filter(|p| p != &id));
+    perms
+}
+
+fn identity_perm(order: usize) -> Vec<u32> {
+    (0..order).map(|v| v as u32).collect()
+}
+
+/// `p ∘ q`: applies `q` first, then `p`.
+fn compose(p: &[u32], q: &[u32]) -> Vec<u32> {
+    q.iter().map(|&v| p[v as usize]).collect()
+}
+
+/// The oracle's adjacency check: a permutation of the node set under
+/// which every neighbour maps to a neighbour.
+fn is_automorphism(g: &Graph, p: &[u32]) -> bool {
+    let n = g.order();
+    if p.len() != n {
+        return false;
+    }
+    let mut seen = vec![false; n];
+    for &img in p {
+        let img = img as usize;
+        if img >= n || seen[img] {
+            return false;
+        }
+        seen[img] = true;
+    }
+    for v in 0..n {
+        let sv = NodeId(p[v] as usize);
+        if g.degree(NodeId(v)) != g.degree(sv) {
+            return false;
+        }
+        for (u, _) in g.neighbors(NodeId(v)) {
+            let su = NodeId(p[u.0] as usize);
+            if g.port_towards(sv, su).is_none() {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// The graphs the oracle test draws from, each with its declared group.
+fn oracle_graphs() -> Vec<(Graph, Automorphisms)> {
+    let family = |fam: GraphFamily, g: Graph| {
+        let a = fam.automorphisms(&g);
+        (g, a)
+    };
+    let torus = |w: usize, h: usize| {
+        let g = generators::torus(w, h);
+        let a = Automorphisms::torus(&g, w, h);
+        (g, a)
+    };
+    vec![
+        family(GraphFamily::Ring, generators::ring(5)),
+        family(GraphFamily::Ring, generators::ring(8)),
+        family(GraphFamily::Path, generators::path(6)),
+        family(GraphFamily::Grid, generators::grid(3, 4)),
+        family(GraphFamily::Grid, generators::grid(3, 3)),
+        family(GraphFamily::Hypercube, generators::hypercube(3)),
+        family(GraphFamily::Hypercube, generators::hypercube(4)),
+        family(GraphFamily::Complete, generators::complete(5)),
+        family(GraphFamily::Complete, generators::complete(6)),
+        torus(3, 3),
+        torus(4, 3),
+        torus(4, 4),
+    ]
+}
+
+/// Up to seven candidates drawn from `state`: members of `group`, random
+/// permutations (automorphisms of a clique, mostly not of anything
+/// else), members with two images swapped, and repeats of earlier ones.
+fn oracle_candidates(group: &Automorphisms, order: usize, state: &mut u64) -> Vec<Vec<u32>> {
+    let mut cands: Vec<Vec<u32>> = Vec::new();
+    for _ in 0..splitmix(state) % 8 {
+        let pick = splitmix(state);
+        let member = group.perm((pick >> 8) as usize % group.len()).to_vec();
+        let cand = match pick % 4 {
+            0 | 1 => member,
+            2 => {
+                let mut p = identity_perm(order);
+                for i in (1..order).rev() {
+                    p.swap(i, (splitmix(state) % (i as u64 + 1)) as usize);
+                }
+                p
+            }
+            _ => match cands.last() {
+                Some(last) if pick % 8 == 3 => last.clone(),
+                _ => {
+                    let mut p = member;
+                    p.swap(0, (pick >> 16) as usize % order);
+                    p
+                }
+            },
+        };
+        cands.push(cand);
+    }
+    cands
+}
+
+fn closure(g: &Graph, candidates: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+    Automorphisms::from_candidates(g, candidates)
+        .iter()
+        .map(<[u32]>::to_vec)
+        .collect()
+}
+
+/// Adjacent transpositions generate the symmetric group: S₅ (120
+/// elements) stays under `MAX_GROUP`, S₆ (720) falls back to the identity.
+#[test]
+fn symmetric_groups_match_the_oracle() {
+    for (n, size) in [(5, 120), (6, 1)] {
+        let g = generators::complete(n);
+        let cands: Vec<Vec<u32>> = (0..n - 1)
+            .map(|i| {
+                let mut p = identity_perm(n);
+                p.swap(i, i + 1);
+                p
+            })
+            .collect();
+        let got = closure(&g, cands.clone());
+        assert_eq!(got.len(), size, "complete({n})");
+        assert_eq!(got, reference_closure(&g, cands), "complete({n})");
+    }
 }
 
 proptest! {
@@ -373,5 +567,20 @@ proptest! {
         let one_byte = wide.iter().filter(|p| p.0 < 128).count();
         prop_assert_eq!(log.byte_len() == log.len(), one_byte == wide.len());
         prop_assert!(log.byte_len() <= 10 * log.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On every oracle graph, the closure of a random candidate list is
+    /// the oracle's permutation list, fallback to the identity included.
+    #[test]
+    fn closure_matches_the_quadratic_oracle(seed in any::<u64>()) {
+        let mut state = seed;
+        for (g, group) in oracle_graphs() {
+            let cands = oracle_candidates(&group, g.order(), &mut state);
+            prop_assert_eq!(closure(&g, cands.clone()), reference_closure(&g, cands));
+        }
     }
 }
