@@ -55,7 +55,9 @@ impl Automorphisms {
     /// toward (at worst) the identity if candidates fail verification or
     /// the closure exceeds [`MAX_GROUP`].
     pub fn for_family(family: GraphFamily, g: &Graph) -> Self {
-        Self::from_candidates(g, family_candidates(family, g))
+        let mut group = Closure::new(g);
+        let within_cap = offer_family_candidates(family, &mut group);
+        group.finish(within_cap)
     }
 
     /// The symmetry group of a `generators::torus(w, h)` graph:
@@ -63,27 +65,22 @@ impl Automorphisms {
     /// transpose when `w == h`), verified and closed like every other
     /// descriptor.
     pub fn torus(g: &Graph, w: usize, h: usize) -> Self {
-        let mut cands = Vec::new();
-        if w * h == g.order() {
-            for dy in 0..h {
-                for dx in 0..w {
-                    cands.push(grid_map(w, h, |x, y| ((x + dx) % w, (y + dy) % h)));
-                }
-            }
-            cands.push(grid_map(w, h, |x, y| (w - 1 - x, y)));
-            cands.push(grid_map(w, h, |x, y| (x, h - 1 - y)));
-            if w == h {
-                cands.push(grid_map(w, h, |x, y| (y, x)));
-            }
+        let mut group = Closure::new(g);
+        if w * h != g.order() {
+            return group.finish(true);
         }
-        Self::from_candidates(g, cands)
+        let within_cap = (0..h).all(|dy| {
+            (0..w).all(|dx| group.offer(grid_map(w, h, |x, y| ((x + dx) % w, (y + dy) % h))))
+        }) && group.offer(grid_map(w, h, |x, y| (w - 1 - x, y)))
+            && group.offer(grid_map(w, h, |x, y| (x, h - 1 - y)))
+            && (w != h || group.offer(grid_map(w, h, |x, y| (y, x))));
+        group.finish(within_cap)
     }
 
     /// Builds a group from arbitrary candidate permutations: drops every
     /// candidate that is not an automorphism of `g`, adds the identity,
     /// and closes the survivors under composition. Returns the identity
-    /// group if the closure has to add elements beyond [`MAX_GROUP`]; a
-    /// candidate list that already holds a whole larger group is kept.
+    /// group if the closure grows past [`MAX_GROUP`] members.
     ///
     /// The closure runs from generators (Dimino's algorithm): a candidate
     /// that is already a member is a product of verified automorphisms and
@@ -91,24 +88,9 @@ impl Automorphisms {
     /// passes, extends the group as a new generator. The cost is
     /// O(|G| · #generators · n), with at most log₂|G| generators.
     pub fn from_candidates(g: &Graph, candidates: Vec<Vec<u32>>) -> Self {
-        let order = g.order();
-        // A group larger than the candidates plus the identity cannot
-        // have been listed outright: past that size, it falls back.
-        let limit = MAX_GROUP.max(candidates.len() + 1);
-        let mut group = Closure::new(order);
-        for cand in &candidates {
-            if !group.contains(cand) && is_automorphism(g, cand) && !group.extend(cand, limit) {
-                return Self::identity(order);
-            }
-        }
-        if group.elems.len() > MAX_GROUP && !group.all_listed(&candidates) {
-            return Self::identity(order);
-        }
-        // The identity is the lexicographically least permutation, so
-        // sorting puts it first.
-        let mut perms = group.elems;
-        perms.sort_unstable();
-        Automorphisms { perms }
+        let mut group = Closure::new(g);
+        let within_cap = candidates.iter().all(|cand| group.admit(cand));
+        group.finish(within_cap)
     }
 
     /// Number of group elements (always ≥ 1).
@@ -158,8 +140,10 @@ impl GraphFamily {
     }
 }
 
-/// A permutation group under construction.
-struct Closure {
+/// A group of automorphisms of one graph under construction, with the
+/// buffers its candidates, compositions and checks reuse.
+struct Closure<'g> {
+    g: &'g Graph,
     /// The members; `elems[0]` is the identity.
     elems: Vec<Vec<u32>>,
     /// Indices into `elems`, in lexicographic order of the members.
@@ -168,16 +152,54 @@ struct Closure {
     gens: Vec<usize>,
     /// The one composition buffer.
     buf: Vec<u32>,
+    /// The one buffer candidates are written into by [`Closure::offer`].
+    cand: Vec<u32>,
+    /// [`is_automorphism`]'s image marks.
+    seen: Vec<bool>,
 }
 
-impl Closure {
-    fn new(order: usize) -> Self {
+impl<'g> Closure<'g> {
+    fn new(g: &'g Graph) -> Self {
+        let order = g.order();
         Closure {
+            g,
             elems: vec![identity_perm(order)],
             sorted: vec![0],
             gens: Vec::new(),
             buf: Vec::with_capacity(order),
+            cand: Vec::with_capacity(order),
+            seen: Vec::with_capacity(order),
         }
+    }
+
+    /// The members, sorted (the identity is the lexicographically least
+    /// permutation, so it comes first), or the identity group if an offer
+    /// found the group past [`MAX_GROUP`] (`within_cap` false).
+    fn finish(self, within_cap: bool) -> Automorphisms {
+        if !within_cap {
+            return Automorphisms::identity(self.g.order());
+        }
+        let mut perms = self.elems;
+        perms.sort_unstable();
+        Automorphisms { perms }
+    }
+
+    /// [`Closure::admit`]s the candidate `perm` lists, written into the
+    /// one candidate buffer.
+    fn offer(&mut self, perm: impl IntoIterator<Item = u32>) -> bool {
+        let mut cand = std::mem::take(&mut self.cand);
+        cand.clear();
+        cand.extend(perm);
+        let admitted = self.admit(&cand);
+        self.cand = cand;
+        admitted
+    }
+
+    /// Adds `cand` as a generator if it is a new automorphism; a member
+    /// or a non-automorphism leaves the group as it is. False if the
+    /// group would grow past [`MAX_GROUP`] members.
+    fn admit(&mut self, cand: &[u32]) -> bool {
+        self.contains(cand) || !is_automorphism(self.g, cand, &mut self.seen) || self.extend(cand)
     }
 
     /// The rank of `p` among the members, or where it would go.
@@ -197,11 +219,11 @@ impl Closure {
     /// every product of a block's first member and a generator that is
     /// not yet a member; a member `h·r` times a generator `t` then lies
     /// in the coset of `r·t`, so the union is closed. False if it would
-    /// grow past `limit` members.
-    fn extend(&mut self, s: &[u32], limit: usize) -> bool {
+    /// grow past [`MAX_GROUP`] members.
+    fn extend(&mut self, s: &[u32]) -> bool {
         let h = self.elems.len();
         self.gens.push(h);
-        if !self.add_coset(h, s, limit) {
+        if !self.add_coset(h, s) {
             return false;
         }
         let mut rep = h;
@@ -212,7 +234,7 @@ impl Closure {
                 self.buf.extend(t.iter().map(|&v| r[v as usize]));
                 if !self.contains(&self.buf) {
                     let rt = std::mem::take(&mut self.buf);
-                    let added = self.add_coset(h, &rt, limit);
+                    let added = self.add_coset(h, &rt);
                     self.buf = rt;
                     if !added {
                         return false;
@@ -225,9 +247,9 @@ impl Closure {
     }
 
     /// Appends the coset `H·r` of `H = elems[..h]` (`r` not a member), or
-    /// returns false if that would grow the group past `limit` members.
-    fn add_coset(&mut self, h: usize, r: &[u32], limit: usize) -> bool {
-        if self.elems.len() + h > limit {
+    /// returns false if that would grow the group past [`MAX_GROUP`].
+    fn add_coset(&mut self, h: usize, r: &[u32]) -> bool {
+        if self.elems.len() + h > MAX_GROUP {
             return false;
         }
         for i in 0..h {
@@ -237,19 +259,6 @@ impl Closure {
             self.elems.push(hr);
         }
         true
-    }
-
-    /// True if every member is the identity or one of `candidates`.
-    fn all_listed(&self, candidates: &[Vec<u32>]) -> bool {
-        // The identity is the least member, of rank 0.
-        let mut ranks: Vec<usize> = candidates
-            .iter()
-            .filter_map(|c| self.rank(c).ok())
-            .collect();
-        ranks.push(0);
-        ranks.sort_unstable();
-        ranks.dedup();
-        ranks.len() == self.elems.len()
     }
 }
 
@@ -264,19 +273,19 @@ fn compose(p: &[u32], q: &[u32]) -> Vec<u32> {
 
 /// True iff `p` is a permutation of the node set that preserves adjacency
 /// (degrees match and every neighbor maps to a neighbor — sufficient on a
-/// finite simple graph).
-fn is_automorphism(g: &Graph, p: &[u32]) -> bool {
+/// finite simple graph). `seen` is scratch space.
+fn is_automorphism(g: &Graph, p: &[u32], seen: &mut Vec<bool>) -> bool {
     let n = g.order();
     if p.len() != n {
         return false;
     }
-    let mut seen = vec![false; n];
+    seen.clear();
+    seen.resize(n, false);
     for &img in p {
         let img = img as usize;
-        if img >= n || seen[img] {
+        if img >= n || std::mem::replace(&mut seen[img], true) {
             return false;
         }
-        seen[img] = true;
     }
     for v in 0..n {
         let sv = NodeId(p[v] as usize);
@@ -293,67 +302,52 @@ fn is_automorphism(g: &Graph, p: &[u32]) -> bool {
     true
 }
 
-/// A permutation of a row-major `w × h` node grid from a coordinate map.
-fn grid_map(w: usize, h: usize, f: impl Fn(usize, usize) -> (usize, usize)) -> Vec<u32> {
-    let mut p = vec![0u32; w * h];
-    for y in 0..h {
-        for x in 0..w {
-            let (nx, ny) = f(x, y);
-            p[y * w + x] = (ny * w + nx) as u32;
-        }
-    }
-    p
+/// A permutation of a row-major `w × h` node grid from a coordinate map,
+/// image by image.
+fn grid_map(
+    w: usize,
+    h: usize,
+    f: impl Fn(usize, usize) -> (usize, usize),
+) -> impl Iterator<Item = u32> {
+    (0..w * h).map(move |i| {
+        let (nx, ny) = f(i % w, i / w);
+        (ny * w + nx) as u32
+    })
 }
 
-/// Family-derived candidate permutations (verification filters them, so a
-/// candidate only has to be *plausible* for the generator's labeling).
-fn family_candidates(family: GraphFamily, g: &Graph) -> Vec<Vec<u32>> {
-    let n = g.order();
+/// Offers the family-derived candidate permutations to `group`, one at a
+/// time (verification filters them, so a candidate only has to be
+/// *plausible* for the generator's labeling). False once the group would
+/// grow past [`MAX_GROUP`].
+fn offer_family_candidates(family: GraphFamily, group: &mut Closure) -> bool {
+    let n = group.g.order();
     match family {
         // `generators::ring` labels the cycle 0 → 1 → … → n-1 → 0, so the
         // full dihedral group acts by arithmetic on labels. The same
         // candidates serve Complete (any permutation is an automorphism of
         // a clique; the dihedral subgroup keeps the group under MAX_GROUP).
-        GraphFamily::Ring | GraphFamily::Complete => {
-            let mut cands = Vec::with_capacity(2 * n);
-            for k in 0..n {
-                cands.push((0..n).map(|v| ((v + k) % n) as u32).collect());
-                cands.push((0..n).map(|v| ((n + k - v) % n) as u32).collect());
-            }
-            cands
-        }
-        GraphFamily::Path => vec![(0..n).map(|v| (n - 1 - v) as u32).collect()],
+        GraphFamily::Ring | GraphFamily::Complete => (0..n).all(|k| {
+            group.offer((0..n).map(|v| ((v + k) % n) as u32))
+                && group.offer((0..n).map(|v| ((n + k - v) % n) as u32))
+        }),
+        GraphFamily::Path => group.offer((0..n).map(|v| (n - 1 - v) as u32)),
         // The generator's grid is row-major, but only the actual (w, h)
         // split is known to `generate`; flips under every factorization
         // are offered and the wrong ones simply fail verification.
-        GraphFamily::Grid => {
-            let mut cands = Vec::new();
-            for w in 1..=n {
-                if !n.is_multiple_of(w) {
-                    continue;
-                }
-                let h = n / w;
-                cands.push(grid_map(w, h, |x, y| (w - 1 - x, y)));
-                cands.push(grid_map(w, h, |x, y| (x, h - 1 - y)));
-                cands.push(grid_map(w, h, |x, y| (w - 1 - x, h - 1 - y)));
-                if w == h {
-                    cands.push(grid_map(w, h, |x, y| (y, x)));
-                }
-            }
-            cands
-        }
+        GraphFamily::Grid => (1..=n).filter(|&w| n.is_multiple_of(w)).all(|w| {
+            let h = n / w;
+            group.offer(grid_map(w, h, |x, y| (w - 1 - x, y)))
+                && group.offer(grid_map(w, h, |x, y| (x, h - 1 - y)))
+                && group.offer(grid_map(w, h, |x, y| (w - 1 - x, h - 1 - y)))
+                && (w != h || group.offer(grid_map(w, h, |x, y| (y, x))))
+        }),
         // Node labels are coordinate vectors; XOR by any mask translates
         // the cube onto itself.
         GraphFamily::Hypercube => {
-            if n.is_power_of_two() && n <= MAX_GROUP {
-                (0..n)
-                    .map(|m| (0..n).map(|v| (v ^ m) as u32).collect())
-                    .collect()
-            } else {
-                Vec::new()
-            }
+            !(n.is_power_of_two() && n <= MAX_GROUP)
+                || (0..n).all(|m| group.offer((0..n).map(|v| (v ^ m) as u32)))
         }
-        GraphFamily::RandomTree | GraphFamily::Gnp | GraphFamily::Lollipop => Vec::new(),
+        GraphFamily::RandomTree | GraphFamily::Gnp | GraphFamily::Lollipop => true,
     }
 }
 
@@ -366,7 +360,10 @@ mod tests {
     fn assert_closed(g: &Graph, a: &Automorphisms) {
         let set: BTreeSet<&[u32]> = a.iter().collect();
         for p in a.iter() {
-            assert!(is_automorphism(g, p), "member is not an automorphism");
+            assert!(
+                is_automorphism(g, p, &mut Vec::new()),
+                "member is not an automorphism"
+            );
             for q in a.iter() {
                 let c = compose(p, q);
                 assert!(set.contains(c.as_slice()), "group is not closed");
@@ -444,18 +441,28 @@ mod tests {
     }
 
     #[test]
-    fn closed_candidate_lists_are_kept_whole() {
-        // ring(257)'s 514 dihedral candidates are already the whole group:
-        // nothing has to be added, so MAX_GROUP does not apply.
-        // The same group from two generators, one repeated to make as long
-        // a list, has to be closed beyond MAX_GROUP, so it falls back.
+    fn every_group_is_capped_at_max_group() {
+        // The dihedral group of ring(256) has exactly MAX_GROUP members;
+        // ring(257)'s has 514 and falls back, whether its candidates come
+        // from the family or as a list that already holds the whole group.
+        assert_eq!(
+            GraphFamily::Ring
+                .automorphisms(&generators::ring(256))
+                .len(),
+            MAX_GROUP
+        );
         let g = generators::ring(257);
-        let all = family_candidates(GraphFamily::Ring, &g);
-        let (rotation, reflection) = (all[2].clone(), all[3].clone());
-        assert_eq!(Automorphisms::from_candidates(&g, all).len(), 514);
-        let mut listed = vec![rotation; 512];
-        listed.push(reflection);
-        assert!(Automorphisms::from_candidates(&g, listed).is_trivial());
+        assert!(GraphFamily::Ring.automorphisms(&g).is_trivial());
+        let n = 257u32;
+        let whole: Vec<Vec<u32>> = (0..n)
+            .flat_map(|k| {
+                [
+                    (0..n).map(|v| (v + k) % n).collect(),
+                    (0..n).map(|v| (n + k - v) % n).collect(),
+                ]
+            })
+            .collect();
+        assert!(Automorphisms::from_candidates(&g, whole).is_trivial());
     }
 
     #[test]

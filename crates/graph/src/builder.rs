@@ -1,6 +1,22 @@
 //! Incremental construction of valid port-numbered graphs.
+//!
+//! [`GraphBuilder`] keeps one flat list of edges, each with the port it
+//! holds at either end, and one degree count per node. Errors come from
+//! two places:
+//!
+//! * [`GraphBuilder::edge`] refuses what one edge shows on its own, at
+//!   once: an endpoint out of range ([`BuildError::NodeOutOfRange`]), then
+//!   a self-loop ([`BuildError::SelfLoop`]). A refused edge leaves the
+//!   builder as it was.
+//! * [`GraphBuilder::build`] writes the CSR straight from the list, then
+//!   refuses what only the whole graph shows, in this order: fewer than
+//!   two nodes ([`BuildError::TooSmall`]), an edge added twice in either
+//!   order ([`BuildError::DuplicateEdge`], endpoints ascending), and more
+//!   than one component ([`BuildError::Disconnected`]). One breadth-first
+//!   pass over the CSR finds both of the last two.
 
-use crate::{Graph, NodeId, PortId};
+use crate::graph::{index, word};
+use crate::{Graph, NodeId};
 use std::fmt;
 
 /// Error produced while building a graph.
@@ -8,7 +24,8 @@ use std::fmt;
 pub enum BuildError {
     /// An edge `{u, u}` was requested; the model forbids self-loops.
     SelfLoop(NodeId),
-    /// The edge `{u, v}` was added twice; the model forbids multi-edges.
+    /// The edge `{u, v}`, `u < v`, was added twice, in either order; the
+    /// model forbids multi-edges.
     DuplicateEdge(NodeId, NodeId),
     /// An endpoint refers to a node index `>= node_count`.
     NodeOutOfRange(NodeId),
@@ -56,26 +73,43 @@ impl std::error::Error for BuildError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
-    adj: Vec<Vec<(NodeId, PortId)>>,
+    /// Edges in insertion order.
+    edges: Vec<Edge>,
+    /// Per-node count of the edges added so far: the next free port.
+    degree: Vec<u32>,
+}
+
+/// One undirected edge as added: its endpoints and the port it holds at
+/// each, as stored CSR words.
+#[derive(Clone, Copy, Debug)]
+struct Edge {
+    ends: [u32; 2],
+    ports: [u32; 2],
 }
 
 impl GraphBuilder {
     /// Starts a graph with `n` isolated nodes.
     pub fn new(n: usize) -> Self {
         GraphBuilder {
-            adj: vec![Vec::new(); n],
+            edges: Vec::new(),
+            degree: vec![0; n],
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.degree.len()
     }
 
     /// Adds the undirected edge `{u, v}`, assigning the next free port at
-    /// each endpoint.
+    /// each endpoint. Refuses an endpoint out of range, then a self-loop;
+    /// a repeated edge is refused by [`GraphBuilder::build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a port count no longer fits in 32 bits.
     pub fn edge(&mut self, u: usize, v: usize) -> Result<(), BuildError> {
-        let n = self.adj.len();
+        let n = self.degree.len();
         if u >= n {
             return Err(BuildError::NodeOutOfRange(NodeId(u)));
         }
@@ -85,93 +119,143 @@ impl GraphBuilder {
         if u == v {
             return Err(BuildError::SelfLoop(NodeId(u)));
         }
-        if self.adj[u].iter().any(|&(w, _)| w == NodeId(v)) {
-            return Err(BuildError::DuplicateEdge(NodeId(u), NodeId(v)));
-        }
-        let pu = PortId(self.adj[u].len());
-        let pv = PortId(self.adj[v].len());
-        self.adj[u].push((NodeId(v), pv));
-        self.adj[v].push((NodeId(u), pu));
+        let ports = [self.degree[u], self.degree[v]];
+        self.degree[u] = word(index(ports[0]) + 1);
+        self.degree[v] = word(index(ports[1]) + 1);
+        self.edges.push(Edge {
+            ends: [word(u), word(v)],
+            ports,
+        });
         Ok(())
     }
 
-    /// Returns `true` if the edge `{u, v}` is already present.
+    /// Returns `true` if the edge `{u, v}` has been added, in either
+    /// order. A scan of every edge added so far: O(m).
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.adj
-            .get(u)
-            .map(|nbrs| nbrs.iter().any(|&(w, _)| w == NodeId(v)))
-            .unwrap_or(false)
+        self.edges.iter().any(|e| {
+            let [a, b] = e.ends.map(index);
+            (a, b) == (u, v) || (a, b) == (v, u)
+        })
     }
 
     /// Randomly permutes the port numbers at every node, keeping the edge
     /// set intact, using the caller-supplied permutation source.
     ///
-    /// `perm_for(degree)` must return a permutation of `0..degree`; this
-    /// indirection keeps `rand` out of the public API surface.
+    /// `perm_for(degree)` must return a permutation of `0..degree`; it is
+    /// asked once per node, in node order. This indirection keeps `rand`
+    /// out of the public API surface.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `perm_for` returns anything but a permutation.
     pub fn shuffle_ports(&mut self, mut perm_for: impl FnMut(usize) -> Vec<usize>) {
-        let n = self.adj.len();
-        // new_port[v][old_port] = new port at v
-        let mut new_port: Vec<Vec<usize>> = Vec::with_capacity(n);
-        for v in 0..n {
-            let d = self.adj[v].len();
-            let perm = perm_for(d);
-            assert_eq!(
-                perm.len(),
-                d,
-                "perm_for must return a permutation of 0..degree"
-            );
-            let mut seen = vec![false; d];
-            for &p in &perm {
+        let mut seen = Vec::new();
+        let perms: Vec<Vec<usize>> = self
+            .degree
+            .iter()
+            .map(|&d| {
+                let d = index(d);
+                let perm = perm_for(d);
+                seen.clear();
+                seen.resize(d, false);
                 assert!(
-                    p < d && !seen[p],
+                    perm.len() == d
+                        && perm
+                            .iter()
+                            .all(|&p| p < d && !std::mem::replace(&mut seen[p], true)),
                     "perm_for must return a permutation of 0..degree"
                 );
-                seen[p] = true;
-            }
-            new_port.push(perm);
-        }
-        let mut new_adj: Vec<Vec<(NodeId, PortId)>> = (0..n)
-            .map(|v| vec![(NodeId(0), PortId(0)); self.adj[v].len()])
+                perm
+            })
             .collect();
-        for v in 0..n {
-            for (old_p, &(u, q)) in self.adj[v].iter().enumerate() {
-                let np = new_port[v][old_p];
-                let nq = new_port[u.0][q.0];
-                new_adj[v][np] = (u, PortId(nq));
+        for e in &mut self.edges {
+            for (end, port) in e.ends.iter().zip(&mut e.ports) {
+                *port = word(perms[index(*end)][index(*port)]);
             }
         }
-        self.adj = new_adj;
     }
 
-    /// Finalizes the graph, checking connectivity and minimum order.
+    /// Finalizes the graph: writes the CSR from the edge list, then
+    /// refuses fewer than two nodes, a repeated edge and a disconnected
+    /// graph, in that order.
     pub fn build(self) -> Result<Graph, BuildError> {
-        if self.adj.len() < 2 {
+        let n = self.degree.len();
+        if n < 2 {
             return Err(BuildError::TooSmall);
         }
-        // Connectivity check by BFS.
-        let mut seen = vec![false; self.adj.len()];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(v) = stack.pop() {
-            for &(u, _) in &self.adj[v] {
-                if !seen[u.0] {
-                    seen[u.0] = true;
-                    count += 1;
-                    stack.push(u.0);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut slots = 0;
+        offsets.push(0);
+        for &d in &self.degree {
+            slots += index(d);
+            offsets.push(word(slots));
+        }
+        let mut flat = vec![(0, 0); slots];
+        for e in &self.edges {
+            let [u, v] = e.ends;
+            let [pu, pv] = e.ports;
+            flat[index(offsets[index(u)] + pu)] = (v, pv);
+            flat[index(offsets[index(v)] + pv)] = (u, pu);
+        }
+        check_simple_and_connected(&offsets, &flat)?;
+        Ok(Graph::from_csr(offsets, flat))
+    }
+}
+
+/// One pass over every row of the CSR `(offsets, flat)`, breadth-first
+/// one component at a time: refuses a row that lists a neighbour twice,
+/// then a second component.
+///
+/// One scratch array holds both halves of the search: `mark[u]` is `0`
+/// until `u` is reached, then `v + 1` for the last row `v` to list `u`
+/// (the start `s` of a component is marked `s + 1`, a mark that only row
+/// `s` could match, and no row lists its own node); `queue` holds the
+/// reached nodes in order, each once.
+fn check_simple_and_connected(offsets: &[u32], flat: &[(u32, u32)]) -> Result<(), BuildError> {
+    let n = offsets.len() - 1;
+    let mut scratch = vec![0u32; 2 * n];
+    let (mark, queue) = scratch.split_at_mut(n);
+    let (mut head, mut tail) = (0, 0);
+    let mut components = 0;
+    for start in 0..n {
+        if mark[start] != 0 {
+            continue;
+        }
+        components += 1;
+        mark[start] = word(start + 1);
+        queue[tail] = word(start);
+        tail += 1;
+        while head < tail {
+            let v = queue[head];
+            head += 1;
+            let row = &flat[index(offsets[index(v)])..index(offsets[index(v) + 1])];
+            for &(u, _) in row {
+                let seen = &mut mark[index(u)];
+                if *seen == v + 1 {
+                    let (a, b) = (v.min(u), v.max(u));
+                    return Err(BuildError::DuplicateEdge(
+                        NodeId(index(a)),
+                        NodeId(index(b)),
+                    ));
                 }
+                if *seen == 0 {
+                    queue[tail] = u;
+                    tail += 1;
+                }
+                *seen = v + 1;
             }
         }
-        if count != self.adj.len() {
-            return Err(BuildError::Disconnected);
-        }
-        Ok(Graph::from_adj(self.adj))
     }
+    if components > 1 {
+        return Err(BuildError::Disconnected);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PortId;
 
     #[test]
     fn rejects_self_loop() {
@@ -181,12 +265,16 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_edge_in_either_order() {
-        let mut b = GraphBuilder::new(2);
-        b.edge(0, 1).unwrap();
-        assert_eq!(
-            b.edge(1, 0),
-            Err(BuildError::DuplicateEdge(NodeId(1), NodeId(0)))
-        );
+        for (u, v) in [(1, 2), (2, 1)] {
+            let mut b = GraphBuilder::new(3);
+            b.edge(0, 1).unwrap();
+            b.edge(1, 2).unwrap();
+            b.edge(u, v).unwrap();
+            assert_eq!(
+                b.build().unwrap_err(),
+                BuildError::DuplicateEdge(NodeId(1), NodeId(2))
+            );
+        }
     }
 
     #[test]
@@ -201,6 +289,18 @@ mod tests {
         b.edge(0, 1).unwrap();
         b.edge(2, 3).unwrap();
         assert_eq!(b.build().unwrap_err(), BuildError::Disconnected);
+    }
+
+    #[test]
+    fn duplicates_are_reported_before_disconnection() {
+        let mut b = GraphBuilder::new(5);
+        for (u, v) in [(0, 1), (3, 4), (4, 3)] {
+            b.edge(u, v).unwrap();
+        }
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildError::DuplicateEdge(NodeId(3), NodeId(4))
+        );
     }
 
     #[test]

@@ -225,16 +225,21 @@ pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Graph {
     let mut b = GraphBuilder::new(n);
     // Random spanning tree via random parent attachment over a shuffled
     // order, so the tree shape is not biased toward low indices.
+    // `in_tree[u * n + v]` marks the tree's pairs in both orders.
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(&mut rng);
+    let mut in_tree = vec![false; n * n];
     for i in 1..n {
         let j = rng.gen_range(0..i);
-        b.edge(order[i], order[j])
+        let (u, v) = (order[i], order[j]);
+        b.edge(u, v)
             .expect("generator edges are in-bounds and duplicate-free");
+        in_tree[u * n + v] = true;
+        in_tree[v * n + u] = true;
     }
     for u in 0..n {
         for v in u + 1..n {
-            if !b.has_edge(u, v) && rng.gen_bool(p) {
+            if !in_tree[u * n + v] && rng.gen_bool(p) {
                 b.edge(u, v)
                     .expect("generator edges are in-bounds and duplicate-free");
             }

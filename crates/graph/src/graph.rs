@@ -111,14 +111,14 @@ pub struct Graph {
 /// # Panics
 ///
 /// Panics if `x` does not fit in 32 bits.
-fn word(x: usize) -> u32 {
+pub(crate) fn word(x: usize) -> u32 {
     u32::try_from(x).expect("graph ids must fit in 32 bits")
 }
 
 /// A stored CSR word back as an index (lossless: `usize` is at least 32
 /// bits on every supported target).
 #[inline]
-fn index(w: u32) -> usize {
+pub(crate) fn index(w: u32) -> usize {
     w as usize
 }
 
@@ -302,33 +302,24 @@ impl Graph {
             .unwrap_or(0)
     }
 
-    /// Internal constructor used by the builder after validation: flattens
-    /// the nested adjacency into CSR form and assigns dense edge indices.
+    /// Internal constructor used by the builder after validation: takes
+    /// the CSR rows and assigns the dense edge indices, in ascending order
+    /// of the smaller endpoint, then port order there.
     ///
     /// # Panics
     ///
-    /// Panics if a node, port or slot count does not fit in 32 bits.
-    pub(crate) fn from_adj(adj: Vec<Vec<(NodeId, PortId)>>) -> Self {
-        let mut offsets = Vec::with_capacity(adj.len() + 1);
-        let mut slots = 0usize;
-        offsets.push(0);
-        for nbrs in &adj {
-            slots += nbrs.len();
-            offsets.push(word(slots));
-        }
-        let mut flat = Vec::with_capacity(slots);
-        for nbrs in &adj {
-            flat.extend(nbrs.iter().map(|&(u, q)| (word(u.0), word(q.0))));
-        }
-        let mut edge_index = vec![u32::MAX; slots];
-        let mut edge_list = Vec::with_capacity(slots / 2);
-        for (v, nbrs) in adj.iter().enumerate() {
-            for (p, &(u, q)) in nbrs.iter().enumerate() {
-                if u.0 > v {
+    /// Panics if the edge count does not fit in 32 bits.
+    pub(crate) fn from_csr(offsets: Vec<u32>, flat: Vec<(u32, u32)>) -> Self {
+        let mut edge_index = vec![u32::MAX; flat.len()];
+        let mut edge_list = Vec::with_capacity(flat.len() / 2);
+        for v in 0..offsets.len() - 1 {
+            let start = index(offsets[v]);
+            for (slot, &(u, q)) in flat[start..index(offsets[v + 1])].iter().enumerate() {
+                if index(u) > v {
                     let idx = word(edge_list.len());
-                    edge_list.push((word(v), word(u.0)));
-                    edge_index[index(offsets[v]) + p] = idx;
-                    edge_index[index(offsets[u.0]) + q.0] = idx;
+                    edge_list.push((word(v), u));
+                    edge_index[start + slot] = idx;
+                    edge_index[index(offsets[index(u)] + q)] = idx;
                 }
             }
         }

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use rv_graph::{
-    generators, validate, Arrival, Automorphisms, EdgeId, Graph, GraphBuilder, GraphFamily, NodeId,
-    PortId, PortLog, MAX_GROUP,
+    generators, validate, Arrival, Automorphisms, BuildError, EdgeId, Graph, GraphBuilder,
+    GraphFamily, NodeId, PortId, PortLog, MAX_GROUP,
 };
 use std::collections::BTreeSet;
 
@@ -364,6 +364,261 @@ fn closure(g: &Graph, candidates: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// The builder `GraphBuilder` was before it kept one flat edge list, kept
+/// verbatim as the oracle: one growing vector per node, duplicates refused
+/// by `edge`, and `build` returning the nested adjacency it used to hand
+/// to the CSR constructor.
+#[derive(Clone, Debug)]
+struct ReferenceBuilder {
+    adj: Vec<Vec<(NodeId, PortId)>>,
+}
+
+impl ReferenceBuilder {
+    fn new(n: usize) -> Self {
+        ReferenceBuilder {
+            adj: vec![Vec::new(); n],
+        }
+    }
+
+    fn edge(&mut self, u: usize, v: usize) -> Result<(), BuildError> {
+        let n = self.adj.len();
+        if u >= n {
+            return Err(BuildError::NodeOutOfRange(NodeId(u)));
+        }
+        if v >= n {
+            return Err(BuildError::NodeOutOfRange(NodeId(v)));
+        }
+        if u == v {
+            return Err(BuildError::SelfLoop(NodeId(u)));
+        }
+        if self.adj[u].iter().any(|&(w, _)| w == NodeId(v)) {
+            return Err(BuildError::DuplicateEdge(NodeId(u), NodeId(v)));
+        }
+        let pu = PortId(self.adj[u].len());
+        let pv = PortId(self.adj[v].len());
+        self.adj[u].push((NodeId(v), pv));
+        self.adj[v].push((NodeId(u), pu));
+        Ok(())
+    }
+
+    fn has_edge(&self, u: usize, v: usize) -> bool {
+        self.adj
+            .get(u)
+            .map(|nbrs| nbrs.iter().any(|&(w, _)| w == NodeId(v)))
+            .unwrap_or(false)
+    }
+
+    fn shuffle_ports(&mut self, mut perm_for: impl FnMut(usize) -> Vec<usize>) {
+        let n = self.adj.len();
+        // new_port[v][old_port] = new port at v
+        let mut new_port: Vec<Vec<usize>> = Vec::with_capacity(n);
+        for v in 0..n {
+            let d = self.adj[v].len();
+            let perm = perm_for(d);
+            assert_eq!(
+                perm.len(),
+                d,
+                "perm_for must return a permutation of 0..degree"
+            );
+            let mut seen = vec![false; d];
+            for &p in &perm {
+                assert!(
+                    p < d && !seen[p],
+                    "perm_for must return a permutation of 0..degree"
+                );
+                seen[p] = true;
+            }
+            new_port.push(perm);
+        }
+        let mut new_adj: Vec<Vec<(NodeId, PortId)>> = (0..n)
+            .map(|v| vec![(NodeId(0), PortId(0)); self.adj[v].len()])
+            .collect();
+        for v in 0..n {
+            for (old_p, &(u, q)) in self.adj[v].iter().enumerate() {
+                let np = new_port[v][old_p];
+                let nq = new_port[u.0][q.0];
+                new_adj[v][np] = (u, PortId(nq));
+            }
+        }
+        self.adj = new_adj;
+    }
+
+    fn build(self) -> Result<Vec<Vec<(NodeId, PortId)>>, BuildError> {
+        if self.adj.len() < 2 {
+            return Err(BuildError::TooSmall);
+        }
+        // Connectivity check by BFS.
+        let mut seen = vec![false; self.adj.len()];
+        let mut stack = vec![0usize];
+        seen[0] = true;
+        let mut count = 1;
+        while let Some(v) = stack.pop() {
+            for &(u, _) in &self.adj[v] {
+                if !seen[u.0] {
+                    seen[u.0] = true;
+                    count += 1;
+                    stack.push(u.0);
+                }
+            }
+        }
+        if count != self.adj.len() {
+            return Err(BuildError::Disconnected);
+        }
+        Ok(self.adj)
+    }
+}
+
+/// One step of a builder script.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Edge(usize, usize),
+    /// Renumber every node's ports by Fisher–Yates permutations drawn
+    /// from this SplitMix64 seed.
+    Shuffle(u64),
+}
+
+/// A builder script on `n` nodes: a spanning tree that misses a node's
+/// edge an eighth of the time (so some graphs are disconnected), then one
+/// step per raw draw. A draw mostly adds a fresh pair, and now and then
+/// renumbers the ports, repeats an earlier edge in either order, adds a
+/// self-loop, or adds an arbitrary pair whose endpoints may be out of
+/// range.
+fn builder_script(n: usize, raws: &[u64]) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let mut added: Vec<(usize, usize)> = Vec::new();
+    let add = |steps: &mut Vec<Step>, added: &mut Vec<(usize, usize)>, u: usize, v: usize| {
+        steps.push(Step::Edge(u, v));
+        added.push((u, v));
+    };
+    for (v, &raw) in (1..n).zip(raws.iter().cycle()) {
+        let parent = (raw >> 8) as usize % v;
+        match raw % 8 {
+            0 => {}
+            1..=3 => add(&mut steps, &mut added, parent, v),
+            _ => add(&mut steps, &mut added, v, parent),
+        }
+    }
+    for &raw in raws {
+        let (a, b) = (
+            (raw >> 8) as usize % (n + 2),
+            (raw >> 24) as usize % (n + 2),
+        );
+        match raw % 64 {
+            0 | 1 => steps.push(Step::Shuffle(raw)),
+            2 if !added.is_empty() => {
+                let (u, v) = added[(raw >> 40) as usize % added.len()];
+                steps.push(if raw & 1 << 63 == 0 {
+                    Step::Edge(u, v)
+                } else {
+                    Step::Edge(v, u)
+                });
+            }
+            3 => steps.push(Step::Edge(a, a)),
+            4 | 5 => steps.push(Step::Edge(a, b)),
+            _ if a < n && b < n && a != b && !added.iter().any(|&e| e == (a, b) || e == (b, a)) => {
+                add(&mut steps, &mut added, a, b);
+            }
+            _ => {}
+        }
+    }
+    steps
+}
+
+/// A Fisher–Yates permutation of `0..d` from a SplitMix64 stream.
+fn fisher_yates(d: usize, state: &mut u64) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..d).collect();
+    for i in (1..d).rev() {
+        perm.swap(i, (splitmix(state) % (i as u64 + 1)) as usize);
+    }
+    perm
+}
+
+/// Runs `steps` on the oracle and on `GraphBuilder` side by side. An
+/// edge the oracle refuses as out of range or a self-loop leaves both
+/// builders as they were, so the script goes on. A repeated edge, which
+/// `GraphBuilder` accepts and leaves for `build` to refuse, ends it.
+/// Where the oracle builds, every accessor of the built graph, its JSON
+/// render included, must read the oracle's adjacency. Returns whether
+/// both built a graph.
+fn assert_builders_agree(n: usize, steps: &[Step]) -> bool {
+    let mut oracle = ReferenceBuilder::new(n);
+    let mut b = GraphBuilder::new(n);
+    for &step in steps {
+        match step {
+            Step::Edge(u, v) => {
+                let added = b.edge(u, v);
+                match oracle.edge(u, v) {
+                    Err(BuildError::DuplicateEdge(_, _)) => {
+                        assert_eq!(added, Ok(()), "edge({u}, {v})");
+                        assert_eq!(
+                            b.build().unwrap_err(),
+                            BuildError::DuplicateEdge(NodeId(u.min(v)), NodeId(u.max(v)))
+                        );
+                        return false;
+                    }
+                    want => assert_eq!(added, want, "edge({u}, {v})"),
+                }
+                for (x, y) in [(u, v), (v, u), (u, 0), (0, v)] {
+                    assert_eq!(
+                        b.has_edge(x, y),
+                        oracle.has_edge(x, y),
+                        "has_edge({x}, {y})"
+                    );
+                }
+            }
+            Step::Shuffle(seed) => {
+                let mut state = seed;
+                let mut perms = Vec::new();
+                oracle.shuffle_ports(|d| {
+                    let perm = fisher_yates(d, &mut state);
+                    perms.push(perm.clone());
+                    perm
+                });
+                let mut replay = perms.into_iter();
+                b.shuffle_ports(|d| {
+                    let perm = replay.next().expect("one permutation per node");
+                    assert_eq!(perm.len(), d, "asked in the same node order");
+                    perm
+                });
+            }
+        }
+    }
+    assert_eq!(b.node_count(), n);
+    match oracle.build() {
+        Ok(adj) => {
+            let g = b.build().expect("the oracle accepts");
+            validate(&g).unwrap();
+            assert_matches_reference(&g, &adj);
+            true
+        }
+        Err(e) => {
+            assert_eq!(b.build().unwrap_err(), e);
+            false
+        }
+    }
+}
+
+/// Every refusal the builder makes, and the order `build` makes them in,
+/// on hand-written scripts: too small, a repeat in a connected graph, a
+/// repeat in a disconnected one (the repeat is reported), out-of-range and
+/// self-loop edges in a disconnected graph, and a triangle, the one
+/// script both builders accept.
+#[test]
+fn builder_refusals_match_the_oracle() {
+    let scripts: [(usize, &[(usize, usize)]); 6] = [
+        (0, &[(0, 1)]),
+        (1, &[(0, 0)]),
+        (3, &[(0, 1), (1, 2), (2, 1)]),
+        (4, &[(0, 1), (2, 3), (3, 2)]),
+        (4, &[(0, 1), (2, 3), (0, 4), (1, 1)]),
+        (3, &[(0, 1), (1, 2), (2, 0)]),
+    ];
+    for (i, (n, edges)) in scripts.into_iter().enumerate() {
+        let steps: Vec<Step> = edges.iter().map(|&(u, v)| Step::Edge(u, v)).collect();
+        assert_eq!(assert_builders_agree(n, &steps), i == 5, "script {i}");
+    }
+}
+
 /// Adjacent transpositions generate the symmetric group: S₅ (120
 /// elements) stays under `MAX_GROUP`, S₆ (720) falls back to the identity.
 #[test]
@@ -582,5 +837,19 @@ proptest! {
             let cands = oracle_candidates(&group, g.order(), &mut state);
             prop_assert_eq!(closure(&g, cands.clone()), reference_closure(&g, cands));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On random scripts, `GraphBuilder` accepts what the oracle accepts,
+    /// into the same graph, and refuses what it refuses, the same way.
+    #[test]
+    fn builder_matches_the_reference_builder(
+        n in 0usize..12,
+        raws in proptest::collection::vec(any::<u64>(), 1..40),
+    ) {
+        assert_builders_agree(n, &builder_script(n, &raws));
     }
 }

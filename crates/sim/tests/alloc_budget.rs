@@ -1,5 +1,6 @@
 //! Allocation budgets: entering an edge never allocates, and a worst-case
-//! search and a symmetry group's build allocate a pinned number of times.
+//! search, a symmetry group's build and a graph's generation allocate a
+//! pinned number of times.
 //!
 //! A counting global allocator tallies the allocations the current thread
 //! makes. A scripted sweep that enters a fresh edge at every step costs
@@ -8,7 +9,8 @@
 //! scratch buffers and the outcome, never one per edge the run enters. A
 //! memoized [`search_worst_case`] sizes its table, fingerprint and choice
 //! buffers from the horizon up front, so its count is pinned exactly, and
-//! so is the count of building the group it quotients by.
+//! so is the count of building the group it quotients by, and of
+//! generating the graphs of five families.
 
 use rv_core::Label;
 use rv_explore::SeededUxs;
@@ -170,12 +172,15 @@ fn group_allocations(g: &Graph, family: GraphFamily) -> u64 {
 }
 
 /// Building the groups of ring(4), ring(24) and hypercube(16) allocates
-/// a pinned number of times: the family's candidate lists, one vector
-/// per member, and the closure's few growing buffers.
+/// a pinned number of times: one vector per member and the closure's few
+/// growing buffers. Every candidate is written into one reused buffer.
 ///
 /// Before the closure ran from generators, these builds made 319, 11,489
 /// and 1,274 allocations: every composition of every member with every
 /// popped permutation, both ways, and a copy of the member set per pop.
+/// Before the candidates shared one buffer, and the automorphism check
+/// one mark array, they made 27, 113 and 47: one vector per candidate
+/// and per check.
 #[test]
 fn group_allocations_are_pinned() {
     let got = [
@@ -183,5 +188,36 @@ fn group_allocations_are_pinned() {
         group_allocations(&generators::ring(24), GraphFamily::Ring),
         group_allocations(&generators::hypercube(4), GraphFamily::Hypercube),
     ];
-    assert_eq!(got, [27, 113, 47]);
+    assert_eq!(got, [18, 64, 28]);
+}
+
+/// Allocations made by generating `family`'s member of order `n`, seed 0.
+fn graph_allocations(family: GraphFamily, n: usize) -> u64 {
+    let before = allocations();
+    let g = family.generate(n, 0);
+    let made = allocations() - before;
+    drop(g);
+    made
+}
+
+/// Generating ring(24), complete(24), gnp(24), hypercube(16) and
+/// lollipop(24) allocates a pinned number of times: the builder's edge
+/// list as it grows and its degree counts, the CSR's four arrays, the
+/// build's one scratch array, and what the generator itself keeps (the
+/// random families' shuffled order, gnp's table of tree pairs).
+///
+/// Before the builder kept one flat edge list and wrote the CSR from it,
+/// these made 32, 107, 66, 26 and 58 allocations: one growing vector per
+/// node, copied row by row into the CSR, and the connectivity search's
+/// own buffers.
+#[test]
+fn graph_allocations_are_pinned() {
+    let got = [
+        graph_allocations(GraphFamily::Ring, 24),
+        graph_allocations(GraphFamily::Complete, 24),
+        graph_allocations(GraphFamily::Gnp, 24),
+        graph_allocations(GraphFamily::Hypercube, 16),
+        graph_allocations(GraphFamily::Lollipop, 24),
+    ];
+    assert_eq!(got, [10, 14, 14, 10, 12]);
 }
